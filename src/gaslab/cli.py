@@ -9,15 +9,14 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import config as cfgmod
+from . import dsl
 from . import homogenize as hmg
 from . import studies
 from .grid import edges_to_centers
 from .norms import NAMED_NORMS
-from .problem import validate
-from .solver import diagnostics, solve
+from .problem import sample_field_times, validate
+from .solver import NonlinearDivergence, PositivityLoss, diagnostics, solve
 from .twoscale import OscillationSpec
 
 
@@ -100,13 +99,10 @@ def _cmd_norms(args):
               file=sys.stderr)
         return 2
     entry = cfg["field"]
-    fn = cfgmod.ExprFn(entry, ("x", "t")) if isinstance(entry, str) \
+    fn = dsl.ExprFn(entry, ("x", "t")) if isinstance(entry, str) \
         else cfgmod.ConstFn(float(entry), 2)
     tt = grid.times()
-    xc = grid.centers()
-    w = np.empty((len(tt), grid.nx))
-    for n, t in enumerate(tt):
-        w[n] = np.asarray(fn(xc, t), dtype=float) * np.ones_like(xc)
+    w = sample_field_times(fn, tt, grid.centers())
     kw = {k: (float("inf") if v == "inf" else v)
           for k, v in spec.items() if k != "tag"}
     value = NAMED_NORMS[tag](grid, w, times=tt, **kw)
@@ -165,9 +161,6 @@ def main(argv=None):
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="out", help="output directory")
     common.add_argument("--jobs", type=int, default=1, help="parallel solves")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized suites (recorded, not used "
-                             "by the deterministic studies)")
     common.add_argument("--stride", type=int, default=1, help="snapshot stride")
     common.add_argument("--eps-list", default=None,
                         help="comma-separated eps values, overrides the config")
@@ -177,7 +170,6 @@ def main(argv=None):
         sp = sub.add_parser(name, parents=[common])
         sp.add_argument("config")
     args = ap.parse_args(argv)
-    np.random.seed(args.seed)
 
     handler = {
         "solve": _cmd_solve,
@@ -188,7 +180,8 @@ def main(argv=None):
     }[args.command]
     try:
         return handler(args)
-    except Exception as exc:  # runtime failures map to exit code 2
+    except (ValueError, KeyError, OSError, dsl.ExprError, PositivityLoss,
+            NonlinearDivergence) as exc:  # runtime failures map to exit code 2
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

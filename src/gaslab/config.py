@@ -15,27 +15,10 @@ import numpy as np
 from . import dsl
 from .grid import Grid, GasParams
 from .homogenize import TwoScaleProblem
-from .problem import BoundaryData, PerturbationSpec, ProblemSpec
+from .problem import (BC_NAMES, BoundaryData, PerturbationSpec, ProblemSpec,
+                      sample_boundary)
 from .solver import SchemeParams
 from .twoscale import TwoScaleField
-
-
-class ExprFn:
-    """Picklable callable backed by a parsed expression."""
-
-    def __init__(self, source, variables):
-        self.source = source
-        self.variables = tuple(variables)
-        self.expr = dsl.parse(source)
-        extra = dsl.free_variables(self.expr) - set(self.variables)
-        if extra:
-            raise dsl.UnboundVariable(sorted(extra)[0])
-
-    def __call__(self, *args):
-        return dsl.evaluate(self.expr, **dict(zip(self.variables, args)))
-
-    def __reduce__(self):
-        return (ExprFn, (self.source, self.variables))
 
 
 class ScaledFn:
@@ -81,29 +64,15 @@ def _field_entry(entry, variables):
     if entry is None:
         return None
     if isinstance(entry, str):
-        return ExprFn(entry, variables)
+        return dsl.ExprFn(entry, variables)
     return ConstFn(float(entry), len(variables))
-
-
-def _bc_entry(entry, grid):
-    """number | expression of t | [[t, v], ...] table -> series at step times."""
-    if entry is None:
-        return None
-    t = grid.times()
-    if isinstance(entry, str):
-        fn = ExprFn(entry, ("t",))
-        return np.asarray([fn(tv) for tv in t])
-    if isinstance(entry, (list, tuple)):
-        tab = np.asarray(entry, dtype=float)
-        return np.interp(t, tab[:, 0], tab[:, 1])
-    return float(entry)
 
 
 def _sample_x(entry, x, variables=("x",)):
     if entry is None:
         return np.zeros_like(x)
     if isinstance(entry, str):
-        fn = ExprFn(entry, variables)
+        fn = dsl.ExprFn(entry, variables)
         return np.asarray(fn(x), dtype=float) * np.ones_like(x)
     return np.full_like(x, float(entry))
 
@@ -123,11 +92,8 @@ def build_gas(cfg):
 
 def build_bc(cfg, grid):
     bc = cfg["bc"]
-    return BoundaryData.build(
-        grid, m=int(bc["m"]),
-        u0=_bc_entry(bc.get("u0"), grid), uX=_bc_entry(bc.get("uX"), grid),
-        p0=_bc_entry(bc.get("p0"), grid), pX=_bc_entry(bc.get("pX"), grid),
-        pi0=_bc_entry(bc.get("pi0"), grid), piX=_bc_entry(bc.get("piX"), grid))
+    return BoundaryData.build(grid, m=int(bc["m"]),
+                              **{name: bc.get(name) for name in BC_NAMES})
 
 
 def build_perturbation(cfg, grid):
@@ -170,7 +136,7 @@ def build_two_scale_problem(cfg):
 
     def ts_field(entry):
         if isinstance(entry, str):
-            fn = ExprFn(entry, ("xi", "x"))
+            fn = dsl.ExprFn(entry, ("xi", "x"))
         else:
             fn = ConstFn(float(entry), 2)
         return TwoScaleField(fn, breakpoints=bp, n_xi=n_xi)
@@ -210,23 +176,12 @@ def perturbed_spec(base, patterns, delta):
             return vals
         return vals + delta * _sample_x(patterns[key], x)
 
-    def shift_series(series, key):
-        if key not in patterns or patterns[key] is None:
-            return series
-        entry = patterns[key]
-        if isinstance(entry, str):
-            fn = ExprFn(entry, ("t",))
-            return series + delta * np.asarray([fn(tv) for tv in tt])
-        return series + delta * float(entry)
+    def shift_bc(name):
+        series = getattr(base.bc, name + "_t")
+        entry = patterns.get(name + "b")
+        return series if entry is None else series + delta * sample_boundary(entry, tt)
 
-    bc = BoundaryData(
-        m=base.bc.m,
-        u0_t=shift_series(base.bc.u0_t, "u0b"),
-        uX_t=shift_series(base.bc.uX_t, "uXb"),
-        p0_t=shift_series(base.bc.p0_t, "p0b"),
-        pX_t=shift_series(base.bc.pX_t, "pXb"),
-        pi0_t=shift_series(base.bc.pi0_t, "pi0b"),
-        piX_t=shift_series(base.bc.piX_t, "piXb"))
+    bc = BoundaryData(m=base.bc.m, **{name + "_t": shift_bc(name) for name in BC_NAMES})
 
     def scaled(key, variables):
         fn = _field_entry(patterns.get(key), variables)

@@ -381,20 +381,23 @@ def pretty(e, parent_prec=0):
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def compile_expr(source_or_expr, variables):
-    """Return (expr, fn) where fn evaluates over the declared variable tuple.
+class ExprFn:
+    """Picklable callable over the declared variable tuple, backed by a parsed
+    expression; positional arguments bind to `variables` in order.
 
     Rejects expressions whose free variables are not a subset of `variables`.
     """
-    if isinstance(source_or_expr, str):
-        e = parse(source_or_expr)
-    else:
-        e = source_or_expr
-    extra = free_variables(e) - set(variables)
-    if extra:
-        raise UnboundVariable(sorted(extra)[0])
 
-    def fn(**bindings):
-        return evaluate(e, **bindings)
+    def __init__(self, source, variables):
+        self.source = source
+        self.variables = tuple(variables)
+        self.expr = parse(source)
+        extra = free_variables(self.expr) - set(self.variables)
+        if extra:
+            raise UnboundVariable(sorted(extra)[0])
 
-    return e, fn
+    def __call__(self, *args):
+        return evaluate(self.expr, **dict(zip(self.variables, args)))
+
+    def __reduce__(self):
+        return (ExprFn, (self.source, self.variables))

@@ -43,12 +43,6 @@ class Grid:
     def times(self):
         return np.linspace(0.0, self.T, self.nt + 1)
 
-    def is_center_field(self, y):
-        return np.shape(y)[-1] == self.nx
-
-    def is_edge_field(self, y):
-        return np.shape(y)[-1] == self.nx + 1
-
 
 @dataclass(frozen=True)
 class GasParams:

@@ -17,25 +17,58 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dsl
-from .grid import Grid, GasParams, integrate_center, edges_to_centers
+from .grid import Grid, GasParams, integrate_center
 from .norms import space_lq, time_lr, w11_time_norm
 
 
-def _series(value, times):
-    """Boundary entry -> samples at step times.  Accepts a scalar, an array of
-    matching length, a callable of t, or an expression string in t."""
-    if value is None:
+BC_NAMES = ("u0", "uX", "p0", "pX", "pi0", "piX")
+
+# boundary entries each family uses; the others are kept identically zero
+ACTIVE_BC = {
+    1: ("u0", "uX", "pi0", "piX"),
+    2: ("p0", "uX", "pi0", "piX"),
+    3: ("p0", "pX", "pi0", "piX"),
+}
+
+
+def sample_field(fn, *args):
+    """fn(*args) for a data callable whose last two arguments are (x, t), as
+    a float array shaped like x; zeros when fn is None."""
+    x = args[-2]
+    if fn is None:
+        return np.zeros_like(x)
+    return np.asarray(fn(*args), dtype=float) * np.ones_like(x)
+
+
+def sample_field_times(fn, times, *args):
+    """sample_field(fn, *args, t) stacked over `times`: array (len(times), len(x))
+    with x = args[-1]."""
+    out = np.zeros((len(times), len(args[-1])))
+    if fn is not None:
+        for n, t in enumerate(times):
+            out[n] = sample_field(fn, *args, t)
+    return out
+
+
+def sample_boundary(entry, times):
+    """Boundary entry -> samples at `times`.  Accepts None (zeros), a number,
+    an expression string in t, a [[t, v], ...] table (linear interpolation),
+    a callable of t, or an array with one sample per time."""
+    if entry is None:
         return np.zeros(len(times))
-    if isinstance(value, str):
-        _, fn = dsl.compile_expr(value, ("t",))
-        return np.asarray([float(fn(t=tv)) for tv in times])
-    if callable(value):
-        return np.asarray([float(value(t)) for t in times])
-    arr = np.asarray(value, dtype=float)
+    if isinstance(entry, str):
+        values = dsl.ExprFn(entry, ("t",))(times)
+        return np.asarray(values, dtype=float) * np.ones(len(times))
+    if callable(entry):
+        return np.asarray([float(entry(t)) for t in times])
+    arr = np.asarray(entry, dtype=float)
     if arr.ndim == 0:
         return np.full(len(times), float(arr))
-    if len(arr) != len(times):
-        raise ValueError(f"boundary series has {len(arr)} samples, expected {len(times)}")
+    if arr.ndim == 2 and arr.shape[1] == 2:
+        return np.interp(times, arr[:, 0], arr[:, 1])
+    if arr.shape != (len(times),):
+        raise ValueError(f"boundary series has shape {arr.shape}; expected a "
+                         f"[[t, v], ...] table or {len(times)} samples")
     return arr
 
 
@@ -53,39 +86,19 @@ class BoundaryData:
 
     @classmethod
     def build(cls, grid, m, u0=None, uX=None, p0=None, pX=None, pi0=None, piX=None):
-        t = grid.times()
-        if m not in (1, 2, 3):
+        if m not in ACTIVE_BC:
             raise ValueError(f"bc family m must be 1, 2 or 3, got {m}")
-        active = {
-            1: ("u0", "uX", "pi0", "piX"),
-            2: ("p0", "uX", "pi0", "piX"),
-            3: ("p0", "pX", "pi0", "piX"),
-        }[m]
         given = {"u0": u0, "uX": uX, "p0": p0, "pX": pX, "pi0": pi0, "piX": piX}
-        series = {}
-        for name, value in given.items():
-            series[name] = _series(value if name in active else None, t)
-        return cls(m=m, u0_t=series["u0"], uX_t=series["uX"], p0_t=series["p0"],
-                   pX_t=series["pX"], pi0_t=series["pi0"], piX_t=series["piX"])
-
-    def active_names(self):
-        return {
-            1: ("u0", "uX", "pi0", "piX"),
-            2: ("p0", "uX", "pi0", "piX"),
-            3: ("p0", "pX", "pi0", "piX"),
-        }[self.m]
+        t = grid.times()
+        return cls(m=m, **{
+            name + "_t": sample_boundary(given[name] if name in ACTIVE_BC[m] else None, t)
+            for name in BC_NAMES})
 
     def at(self, grid, t):
         """Interpolated boundary values at an arbitrary time (substeps)."""
         tt = grid.times()
-        return {
-            "u0": float(np.interp(t, tt, self.u0_t)),
-            "uX": float(np.interp(t, tt, self.uX_t)),
-            "p0": float(np.interp(t, tt, self.p0_t)),
-            "pX": float(np.interp(t, tt, self.pX_t)),
-            "pi0": float(np.interp(t, tt, self.pi0_t)),
-            "piX": float(np.interp(t, tt, self.piX_t)),
-        }
+        return {name: float(np.interp(t, tt, getattr(self, name + "_t")))
+                for name in BC_NAMES}
 
 
 @dataclass(frozen=True)
@@ -104,14 +117,10 @@ class PerturbationSpec:
     g2: object = None
 
     def beta_at(self, x, t):
-        if self.beta is None:
-            return np.zeros_like(x)
-        return np.asarray(self.beta(x, t), dtype=float) * np.ones_like(x)
+        return sample_field(self.beta, x, t)
 
     def gamma_at(self, x, t):
-        if self.gamma is None:
-            return np.zeros_like(x)
-        return np.asarray(self.gamma(x, t), dtype=float) * np.ones_like(x)
+        return sample_field(self.gamma, x, t)
 
 
 def zero_perturbation(grid):
@@ -134,12 +143,6 @@ class ProblemSpec:
 
     def with_perturbation(self, pert):
         return replace(self, perturbation=pert)
-
-
-def _eval_force(fn, chi, x, t):
-    if fn is None:
-        return np.zeros_like(x)
-    return np.asarray(fn(chi, x, t), dtype=float) * np.ones_like(x)
 
 
 def validate(spec):
@@ -180,19 +183,19 @@ def validate(spec):
     xe = grid.edges()
     chi_probe = np.linspace(-grid.X, 2 * grid.X, len(xc))
     for t in probe_t:
-        fv = _eval_force(spec.f, chi_probe, xc, t)
+        fv = sample_field(spec.f, chi_probe, xc, t)
         if fv.min() < 0.0:
             out.append(f"f must be nonnegative, found {fv.min():.3g} at t={t:g} (C2)")
             break
     for t in probe_t:
-        gv = _eval_force(spec.g, np.linspace(-grid.X, 2 * grid.X, len(xe)), xe, t)
+        gv = sample_field(spec.g, np.linspace(-grid.X, 2 * grid.X, len(xe)), xe, t)
         if not np.all(np.isfinite(gv)):
             out.append(f"g must be finite on the probe set, failed at t={t:g} (C2)")
             break
 
     # (C3)
     bc = spec.bc
-    active = bc.active_names()
+    active = ACTIVE_BC[bc.m]
     for name in ("u0", "uX", "p0", "pX"):
         series = getattr(bc, name + "_t")
         if name not in active and np.any(series != 0.0):
@@ -226,8 +229,7 @@ def validate(spec):
         worst = 0.0
         for t in probe_t:
             b = pert.beta_at(xc, t)
-            b12 = (np.asarray(pert.beta1(xc, t), dtype=float) * np.ones_like(xc)
-                   + np.asarray(pert.beta2(xc, t), dtype=float) * np.ones_like(xc))
+            b12 = sample_field(pert.beta1, xc, t) + sample_field(pert.beta2, xc, t)
             worst = max(worst, float(np.abs(b - b12).max()))
         scale = max(1.0, max(float(np.abs(pert.beta_at(xc, t)).max()) for t in probe_t))
         if worst > 1e-12 * scale:
@@ -270,13 +272,5 @@ class SolutionBundle:
     diagnostics: object = None
 
     @property
-    def rho(self):
-        return 1.0 / self.eta
-
-    @property
     def p(self):
         return self.gas_k * self.theta / self.eta
-
-    def slice_fields(self):
-        return {"eta": self.eta, "u": self.u, "theta": self.theta,
-                "x_e": self.x_e, "sigma": self.sigma, "pi": self.pi}

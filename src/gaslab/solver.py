@@ -25,7 +25,7 @@ from .calculus import primitive_at_edges, time_primitive, i_bracket, mean_omega
 from .grid import du_centers, dw_edges_interior, edges_to_centers, integrate_edge, \
     integrate_center
 from .norms import space_lq
-from .problem import SolutionBundle, zero_perturbation
+from .problem import SolutionBundle, sample_field, zero_perturbation
 
 
 class PositivityLoss(RuntimeError):
@@ -65,12 +65,6 @@ class SchemeParams:
             raise ValueError("tolerance and positivity floor must be positive")
 
 
-def _eval_g(fn, chi, x, t):
-    if fn is None:
-        return np.zeros_like(x)
-    return np.asarray(fn(chi, x, t), dtype=float) * np.ones_like(x)
-
-
 class _Stepper:
     def __init__(self, spec, scheme):
         self.spec = spec
@@ -103,6 +97,20 @@ class _Stepper:
         pi[-1] = b["piX"]
         return pi
 
+    def work_rate(self, sig, pi, u, t):
+        b = self.bc.at(self.grid, t)
+        s0 = -b["p0"] if self.bc.m in (2, 3) else sig[0]
+        sX = -b["pX"] if self.bc.m == 3 else sig[-1]
+        return sX * u[-1] - s0 * u[0] + pi[-1] - pi[0]
+
+    def rates(self, state, t):
+        """(sigma, p, g, pi, work rate) of a state at time t."""
+        eta, u, theta, x_e = state
+        sig = self.stress(eta, u, theta, t)
+        pi = self.heat_flux(eta, theta, t)
+        return (sig, self.gas.k * theta / eta, sample_field(self.spec.g, x_e, self.xe, t),
+                pi, self.work_rate(sig, pi, u, t))
+
     # -- one substep of size h -------------------------------------------
 
     def substep(self, state, t0, h):
@@ -132,7 +140,7 @@ class _Stepper:
             # momentum: implicit viscous flux, lagged pressure/coefficients
             a = gas.nu * th * rho_s                      # per center
             S = gas.nu * rho_s * ((1.0 - th) * du_n + beta_avg) - p_s
-            g_edge = _eval_g(self.spec.g, x_e_s, self.xe, t1)
+            g_edge = sample_field(self.spec.g, x_e_s, self.xe, t1)
 
             diag = np.empty(nx + 1)
             lower = np.zeros(nx + 1)
@@ -179,7 +187,7 @@ class _Stepper:
             # the freshly updated velocity, pressure lagged one Picard sweep
             sigma_src = gas.nu * rho_new * (du_avg + beta_avg) \
                 - gas.k * rho_new * theta_s
-            f_cell = _eval_g(self.spec.f, edges_to_centers(x_e_new), self.xc, t1)
+            f_cell = sample_field(self.spec.f, edges_to_centers(x_e_new), self.xc, t1)
             source = sigma_src * du_avg + f_cell
 
             b_e = gas.lam * 2.0 / (eta_new[:-1] + eta_new[1:])   # interior edges
@@ -226,6 +234,34 @@ def _snapshot_indices(nt, stride, dense):
     return sorted(keep)
 
 
+@dataclass
+class _StepRecord:
+    """What solve() carries from substep to substep: the running trapezoid
+    integrals I_t sigma, I_t p, I_t g, the rates at the end of the last
+    substep, and the increments of I_t(uX - u0), I_t int(beta) and the
+    boundary work plus the positivity minima over the nominal step."""
+
+    it_sigma: np.ndarray
+    it_p: np.ndarray
+    it_g: np.ndarray
+    sigma: np.ndarray
+    p: np.ndarray
+    g: np.ndarray
+    pi: np.ndarray
+    work_rate: float
+    bdu: float = 0.0
+    bvol: float = 0.0
+    work: float = 0.0
+    min_eta: float = np.inf
+    min_theta: float = np.inf
+
+    def attempt(self):
+        """Fresh record for one try at a nominal step: integrals copied, rates
+        carried over, increments and minima reset."""
+        return _StepRecord(self.it_sigma.copy(), self.it_p.copy(), self.it_g.copy(),
+                           self.sigma, self.p, self.g, self.pi, self.work_rate)
+
+
 def solve(spec, scheme=None):
     """Run the time stepper over (0, T); returns a SolutionBundle.
 
@@ -240,6 +276,7 @@ def solve(spec, scheme=None):
     gas = spec.gas
     nt = g.nt
     dt = g.dt
+    thi = scheme.theta_implicitness
     pert = stepper.pert
 
     eta = np.asarray(spec.eta0, dtype=float).copy()
@@ -249,20 +286,25 @@ def solve(spec, scheme=None):
     x_e = primitive_at_edges(g, eta) + beta_e
     if eta.min() <= 0 or theta.min() <= 0:
         raise PositivityLoss(0.0, "eta" if eta.min() <= 0 else "theta")
+    state = (eta, u, theta, x_e)
 
     keep = _snapshot_indices(nt, scheme.store_stride, scheme.dense_steps)
-    keep_set = set(keep)
-    ns = len(keep)
-    times = g.times()[keep]
-
-    snap = {name: np.empty((ns, g.nx)) for name in
+    slot = {n: i for i, n in enumerate(keep)}
+    snap = {name: np.empty((len(keep), g.nx)) for name in
             ("eta", "theta", "sigma", "it_sigma", "it_p", "beta_c")}
-    snap.update({name: np.empty((ns, g.nx + 1)) for name in
+    snap.update({name: np.empty((len(keep), g.nx + 1)) for name in
                  ("u", "x_e", "pi", "it_g")})
 
-    it_sigma = np.zeros(g.nx)
-    it_p = np.zeros(g.nx)
-    it_g = np.zeros(g.nx + 1)
+    def store(n, state, rec):
+        if n not in slot:
+            return
+        eta, u, theta, x_e = state
+        for name, arr in (("eta", eta), ("theta", theta), ("u", u), ("x_e", x_e),
+                          ("sigma", rec.sigma), ("pi", rec.pi),
+                          ("it_sigma", rec.it_sigma), ("it_p", rec.it_p),
+                          ("it_g", rec.it_g),
+                          ("beta_c", pert.beta_at(stepper.xc, n * dt))):
+            snap[name][slot[n]] = arr
 
     volume = np.empty(nt + 1)
     it_bdu = np.zeros(nt + 1)
@@ -272,107 +314,60 @@ def solve(spec, scheme=None):
     internal = np.empty(nt + 1)
     it_work = np.zeros(nt + 1)
 
-    sig_prev = stepper.stress(eta, u, theta, 0.0)
-    p_prev = gas.k * theta / eta
-    g_prev = _eval_g(spec.g, x_e, stepper.xe, 0.0)
-    pi_prev = stepper.heat_flux(eta, theta, 0.0)
-
+    rec = _StepRecord(np.zeros(g.nx), np.zeros(g.nx), np.zeros(g.nx + 1),
+                      *stepper.rates(state, 0.0))
     min_eta = eta.min()
     min_theta = theta.min()
     volume[0] = integrate_center(g, eta)
     kinetic[0] = integrate_edge(g, 0.5 * u ** 2)
     internal[0] = integrate_center(g, gas.cV * theta)
+    store(0, state, rec)
 
-    def work_rate(sig, pi, uu, t):
-        b = spec.bc.at(g, t)
-        s0 = -b["p0"] if spec.bc.m in (2, 3) else sig[0]
-        sX = -b["pX"] if spec.bc.m == 3 else sig[-1]
-        return sX * uu[-1] - s0 * uu[0] + pi[-1] - pi[0]
-
-    wr_prev = work_rate(sig_prev, pi_prev, u, 0.0)
-
-    isnap = 0
-    if 0 in keep_set:
-        for name, arr in (("eta", eta), ("theta", theta), ("u", u), ("x_e", x_e),
-                          ("sigma", sig_prev), ("pi", pi_prev),
-                          ("it_sigma", it_sigma), ("it_p", it_p), ("it_g", it_g),
-                          ("beta_c", pert.beta_at(stepper.xc, 0.0))):
-            snap[name][isnap] = arr
-        isnap += 1
-
-    state = (eta, u, theta, x_e)
     for n in range(nt):
         t0 = n * dt
-        committed = None
         for level in range(scheme.dt_safety + 1):
             m_sub = 2 ** level
             h = dt / m_sub
+            st, trial = state, rec.attempt()
             try:
-                st = state
-                acc_s = it_sigma.copy()
-                acc_p = it_p.copy()
-                acc_g = it_g.copy()
-                acc_bdu = 0.0
-                acc_bvol = 0.0
-                acc_work = 0.0
-                sp, pp, gp, pip, wrp = sig_prev, p_prev, g_prev, pi_prev, wr_prev
-                loc_min_eta, loc_min_theta = np.inf, np.inf
                 for ksub in range(m_sub):
                     ts = t0 + ksub * h
-                    st_old = st
+                    u_old = st[1]
                     st, beta_avg = stepper.substep(st, ts, h)
-                    e1, u1, th1, xe1 = st
-                    t1 = ts + h
-                    sig1 = stepper.stress(e1, u1, th1, t1)
-                    p1 = gas.k * th1 / e1
-                    g1 = _eval_g(spec.g, xe1, stepper.xe, t1)
-                    pi1 = stepper.heat_flux(e1, th1, t1)
-                    acc_s += 0.5 * h * (sp + sig1)
-                    acc_p += 0.5 * h * (pp + p1)
-                    acc_g += 0.5 * h * (gp + g1)
-                    thi = scheme.theta_implicitness
-                    u_old = st_old[1]
-                    acc_bdu += h * (thi * (u1[-1] - u1[0])
-                                    + (1.0 - thi) * (u_old[-1] - u_old[0]))
-                    acc_bvol += h * integrate_center(g, beta_avg)
-                    wr1 = work_rate(sig1, pi1, u1, t1)
-                    acc_work += 0.5 * h * (wrp + wr1)
-                    sp, pp, gp, pip, wrp = sig1, p1, g1, pi1, wr1
-                    loc_min_eta = min(loc_min_eta, e1.min())
-                    loc_min_theta = min(loc_min_theta, th1.min())
-                committed = (st, acc_s, acc_p, acc_g, acc_bdu, acc_bvol, acc_work,
-                             sp, pp, gp, pip, wrp, loc_min_eta, loc_min_theta)
-                substeps[n] = m_sub
-                break
+                    e1, u1, th1, _ = st
+                    sig1, p1, g1, pi1, wr1 = stepper.rates(st, ts + h)
+                    trial.it_sigma += 0.5 * h * (trial.sigma + sig1)
+                    trial.it_p += 0.5 * h * (trial.p + p1)
+                    trial.it_g += 0.5 * h * (trial.g + g1)
+                    trial.bdu += h * (thi * (u1[-1] - u1[0])
+                                      + (1.0 - thi) * (u_old[-1] - u_old[0]))
+                    trial.bvol += h * integrate_center(g, beta_avg)
+                    trial.work += 0.5 * h * (trial.work_rate + wr1)
+                    trial.sigma, trial.p, trial.g, trial.pi, trial.work_rate = \
+                        sig1, p1, g1, pi1, wr1
+                    trial.min_eta = min(trial.min_eta, e1.min())
+                    trial.min_theta = min(trial.min_theta, th1.min())
             except _Retry as r:
                 last_retry = r
                 continue
-        if committed is None:
+            state, rec = st, trial
+            substeps[n] = m_sub
+            break
+        else:
             if last_retry.kind == "picard":
                 raise NonlinearDivergence(n + 1)
             raise PositivityLoss(last_retry.t, last_retry.kind)
 
-        (state, it_sigma, it_p, it_g, dbdu, dbvol, dwork,
-         sig_prev, p_prev, g_prev, pi_prev, wr_prev, le, lt) = committed
-        it_bdu[n + 1] = it_bdu[n] + dbdu
-        it_bvol[n + 1] = it_bvol[n] + dbvol
-        it_work[n + 1] = it_work[n] + dwork
-        min_eta = min(min_eta, le)
-        min_theta = min(min_theta, lt)
+        it_bdu[n + 1] = it_bdu[n] + rec.bdu
+        it_bvol[n + 1] = it_bvol[n] + rec.bvol
+        it_work[n + 1] = it_work[n] + rec.work
+        min_eta = min(min_eta, rec.min_eta)
+        min_theta = min(min_theta, rec.min_theta)
         eta, u, theta, x_e = state
         volume[n + 1] = integrate_center(g, eta)
         kinetic[n + 1] = integrate_edge(g, 0.5 * u ** 2)
         internal[n + 1] = integrate_center(g, gas.cV * theta)
-
-        if (n + 1) in keep_set:
-            t1 = (n + 1) * dt
-            for name, arr in (("eta", eta), ("theta", theta), ("u", u),
-                              ("x_e", x_e), ("sigma", sig_prev), ("pi", pi_prev),
-                              ("it_sigma", it_sigma), ("it_p", it_p),
-                              ("it_g", it_g),
-                              ("beta_c", pert.beta_at(stepper.xc, t1))):
-                snap[name][isnap] = arr
-            isnap += 1
+        store(n + 1, state, rec)
 
     energy = {
         "kinetic": kinetic,
@@ -381,11 +376,7 @@ def solve(spec, scheme=None):
         "boundary_and_source_work": it_work,
     }
     return SolutionBundle(
-        grid=g, times=times,
-        eta=snap["eta"], u=snap["u"], theta=snap["theta"], x_e=snap["x_e"],
-        sigma=snap["sigma"], pi=snap["pi"],
-        it_sigma=snap["it_sigma"], it_p=snap["it_p"], it_g=snap["it_g"],
-        beta_c=snap["beta_c"],
+        grid=g, times=g.times()[keep], **snap,
         step_times=g.times(), volume=volume,
         it_boundary_du=it_bdu, it_beta_volume=it_bvol,
         min_eta=float(min_eta), min_theta=float(min_theta),

@@ -11,7 +11,7 @@ Delta in [0.9, 1.1]).
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .grid import Grid, du_centers, edges_to_centers
 from .norms import (INF, c0l2_norm, h21star_majorant, h_minus_one, lqr_norm,
                     space_lq, sup_t_h_minus_one, time_lr, v2star_majorant,
                     w11_time_norm)
-from .problem import BoundaryData
+from .problem import BC_NAMES, BoundaryData, sample_field_times
 from .solver import SchemeParams, solve
 from .twoscale import OscillationSpec
 from . import homogenize as hmg
@@ -109,6 +109,11 @@ class ConvergenceTable:
                 raise ValueError("sweep values must decrease by factors of 2")
 
 
+def _require_rows(n):
+    if n < 4:
+        raise ValueError(f"rate fit needs at least 4 rows, got {n}")
+
+
 def fit_rate(rows):
     """Least squares of log(e) against log(h) over (h, e) pairs.
 
@@ -117,8 +122,7 @@ def fit_rate(rows):
     DegenerateFit if any error is at or below the solver-noise floor 1e-13.
     """
     rows = list(rows)
-    if len(rows) < 4:
-        raise ValueError(f"rate fit needs at least 4 rows, got {len(rows)}")
+    _require_rows(len(rows))
     h = np.asarray([r[0] for r in rows], dtype=float)
     e = np.asarray([r[1] for r in rows], dtype=float)
     if np.any(e <= 1e-13):
@@ -168,26 +172,6 @@ def compute_E0(grid, u0, theta0, eta0, bc, cV, m):
     return 0.5 * w0 ** 2 + cV * np.asarray(theta0, dtype=float)
 
 
-def _sample_xt(fn, grid, x, times):
-    out = np.zeros((len(times), len(x)))
-    if fn is None:
-        return out
-    for n, t in enumerate(times):
-        out[n] = np.asarray(fn(x, t), dtype=float) * np.ones_like(x)
-    return out
-
-
-def _sample_force_diff(f_hat, f, grid, chi, x, times):
-    out = np.zeros((len(times), len(x)))
-    if f_hat is f:
-        return out
-    for n, t in enumerate(times):
-        a = np.zeros_like(x) if f_hat is None else np.asarray(f_hat(chi, x, t), dtype=float) * np.ones_like(x)
-        b = np.zeros_like(x) if f is None else np.asarray(f(chi, x, t), dtype=float) * np.ones_like(x)
-        out[n] = a - b
-    return out
-
-
 def compute_delta(base, perturbed, qe=INF, x_e_hat=None):
     """Itemize the data-difference bound between two problem specs.
 
@@ -231,15 +215,13 @@ def compute_delta(base, perturbed, qe=INF, x_e_hat=None):
 
     # mass-equation perturbation, split beta = beta1 + beta2 (caller's choice;
     # beta1 = 0 when no split is declared)
+    b1 = b2 = np.zeros((len(tt), len(xc)))
     if pert is not None and pert.beta is not None:
         if pert.beta1 is not None or pert.beta2 is not None:
-            b1 = _sample_xt(pert.beta1, g, xc, tt)
-            b2 = _sample_xt(pert.beta2, g, xc, tt)
+            b1 = sample_field_times(pert.beta1, tt, xc)
+            b2 = sample_field_times(pert.beta2, tt, xc)
         else:
-            b1 = np.zeros((len(tt), len(xc)))
-            b2 = _sample_xt(pert.beta, g, xc, tt)
-    else:
-        b1 = b2 = np.zeros((len(tt), len(xc)))
+            b2 = sample_field_times(pert.beta, tt, xc)
     items["beta1_v2star"] = v2star_majorant(g, b1, tt)
     items["i3beta2_linf2"] = lqr_norm(g, i_bracket(g, b2, 3), INF, 2.0, tt)
     if qe != 2.0:
@@ -247,7 +229,7 @@ def compute_delta(base, perturbed, qe=INF, x_e_hat=None):
         items["it_i1beta2_lqe_inf"] = lqr_norm(g, it_i1b2, qe, INF, tt)
     items["mean_beta2_l1"] = float(time_lr(mean_omega(g, b2), tt, 1.0))
 
-    gam = _sample_xt(None if pert is None else pert.gamma, g, xc, tt)
+    gam = sample_field_times(None if pert is None else pert.gamma, tt, xc)
     items["gamma_v2star"] = v2star_majorant(g, gam, tt)
 
     # force differences g_hat - g = g1 + g2 along the perturbed Eulerian map
@@ -255,23 +237,24 @@ def compute_delta(base, perturbed, qe=INF, x_e_hat=None):
         e0p = np.asarray(perturbed.eta0, dtype=float)
         x_e_hat = edges_to_centers(primitive_at_edges(g, e0p) + beta_e)
     chi = x_e_hat
+
+    def force_diff(f_hat, f):
+        if f_hat is f:
+            return np.zeros((len(tt), len(xc)))
+        return sample_field_times(f_hat, tt, chi, xc) - sample_field_times(f, tt, chi, xc)
+
     if pert is not None and (pert.g1 is not None or pert.g2 is not None):
-        g1 = np.zeros((len(tt), len(xc)))
-        g2 = np.zeros((len(tt), len(xc)))
-        for n, t in enumerate(tt):
-            if pert.g1 is not None:
-                g1[n] = np.asarray(pert.g1(chi, xc, t), dtype=float) * np.ones_like(xc)
-            if pert.g2 is not None:
-                g2[n] = np.asarray(pert.g2(chi, xc, t), dtype=float) * np.ones_like(xc)
+        g1 = sample_field_times(pert.g1, tt, chi, xc)
+        g2 = sample_field_times(pert.g2, tt, chi, xc)
     else:
-        g1 = _sample_force_diff(perturbed.g, base.g, g, chi, xc, tt)
+        g1 = force_diff(perturbed.g, base.g)
         g2 = np.zeros((len(tt), len(xc)))
     items["g1_l1"] = lqr_norm(g, g1, 1.0, 1.0, tt)
     items["ig2_l2"] = lqr_norm(g, i_bracket(g, g2, m), 2.0, 2.0, tt)
     if m == 3:
         items["ig2_l2"] += float(time_lr(mean_omega(g, g2), tt, 1.0))
 
-    fdiff = _sample_force_diff(perturbed.f, base.f, g, chi, xc, tt)
+    fdiff = force_diff(perturbed.f, base.f)
     items["f_h21star"] = h21star_majorant(g, fdiff, m, 1.0 / base.N, tt)
 
     return DeltaBreakdown(items=items)
@@ -317,6 +300,28 @@ def _bundle_difference(a, b):
             "x_e": a.x_e - b.x_e, "it_sigma": a.it_sigma - b.it_sigma}
 
 
+def _fit_columns(columns, values, floors):
+    """Log-log slope of each column against the sweep values.  A column at or
+    below max(3 x its measured solver floor, 1e-13) is flagged degenerate and
+    gets no slope; returns (slopes, flags, decades above the floor)."""
+    slopes, flags, decades = {}, [], {}
+    for col, vals in columns.items():
+        floor = floors.get(col, 0.0)
+        if max(vals) <= max(3.0 * floor, 1e-13):
+            slopes[col] = None
+            flags.append(f"degenerate:{col}")
+            continue
+        if floor > 0:
+            decades[col] = float(np.log10(max(vals) / floor))
+        try:
+            s, _, hw = fit_rate(zip(values, vals))
+            slopes[col] = (s, hw)
+        except DegenerateFit:
+            slopes[col] = None
+            flags.append(f"degenerate:{col}")
+    return slopes, flags, decades
+
+
 def check_thresholds(table):
     """Evaluate threshold rules against fitted slopes; returns (ok, messages)."""
     ok = True
@@ -348,11 +353,14 @@ def run_lipschitz_study(base_spec, perturb, deltas, scheme=None, qe=INF,
     delta sweep; tabulate solution-difference norms and the data bound Delta,
     and fit each column's log-log slope against Delta.
 
-    perturb: callable (base_spec, delta) -> perturbed ProblemSpec.
+    perturb: callable (base_spec, delta) -> perturbed ProblemSpec.  A sweep
+    shorter than the four rows a rate fit needs raises ValueError before any
+    solve.
     """
     if scheme is None:
         scheme = SchemeParams()
     deltas = [float(d) for d in deltas]
+    _require_rows(len(deltas))
     base_sol = solve(base_spec, scheme)
     g = base_spec.grid
     m = base_spec.bc.m
@@ -382,22 +390,8 @@ def run_lipschitz_study(base_spec, perturb, deltas, scheme=None, qe=INF,
     columns.update(item_cols)
     columns.update(hyp_cols)
 
-    slopes = {}
-    flags = []
-    for col, vals in columns.items():
-        if col.startswith(("Delta", "hyp_")):
-            continue
-        if max(vals) <= 1e-13:
-            slopes[col] = None
-            flags.append(f"degenerate:{col}")
-            continue
-        try:
-            s, b, hw = fit_rate(zip(delta_totals, vals))
-            slopes[col] = (s, hw)
-        except DegenerateFit:
-            slopes[col] = None
-            flags.append(f"degenerate:{col}")
-
+    fitted = {c: v for c, v in columns.items() if not c.startswith(("Delta", "hyp_"))}
+    slopes, flags, _ = _fit_columns(fitted, delta_totals, {})
     for name, vals in hyp_cols.items():
         if min(vals) > 0 and max(vals) / min(vals) > 1.5:
             flags.append(f"hypothesis-drift:{name}")
@@ -446,28 +440,18 @@ def _common_times(ta, tb, T):
     return np.asarray(ia), np.asarray(ib)
 
 
-def measure_floor(problem, scheme, m, qe, t0_frac=0.2):
+def measure_floor(hs, scheme, m, qe, t0_frac=0.2):
     """Solver self-convergence floor of the averaged problem: difference
-    between the (nx, nt) run and the (nx/2, nt/2) run restricted to the
-    coarse grid, in every study column."""
+    between the (nx, nt) run `hs.base`, solved with `scheme`, and the
+    (nx/2, nt/2) run restricted to the coarse grid, in every study column."""
+    problem = hs.problem
     g = problem.grid
     if g.nx % 2 or g.nt % 2:
         raise ValueError("floor measurement needs even nx and nt")
     g2 = Grid(X=g.X, T=g.T, nx=g.nx // 2, nt=g.nt // 2)
-    coarse_problem = hmg.TwoScaleProblem(
-        grid=g2, gas=problem.gas,
-        bc=_rebuild_bc(problem.bc, g, g2),
-        eta0=problem.eta0, u0=problem.u0, theta0=problem.theta0,
-        g=problem.g, f=problem.f, N=problem.N,
-        force_breakpoints=problem.force_breakpoints)
-    scheme2 = SchemeParams(
-        theta_implicitness=scheme.theta_implicitness,
-        max_picard=scheme.max_picard, tol=scheme.tol,
-        dt_safety=scheme.dt_safety,
-        positivity_floor=scheme.positivity_floor,
-        store_stride=max(1, scheme.store_stride // 2),
-        dense_steps=scheme.dense_steps)
-    fine = solve(problem.averaged_spec(), scheme)
+    coarse_problem = replace(problem, grid=g2, bc=_rebuild_bc(problem.bc, g, g2))
+    scheme2 = replace(scheme, store_stride=max(1, scheme.store_stride // 2))
+    fine = hs.base
     coarse = solve(coarse_problem.averaged_spec(), scheme2)
 
     ia, ib = _common_times(fine.times, coarse.times, g.T)
@@ -483,14 +467,8 @@ def measure_floor(problem, scheme, m, qe, t0_frac=0.2):
 
 def _rebuild_bc(bc, g_old, g_new):
     told, tnew = g_old.times(), g_new.times()
-    return BoundaryData(
-        m=bc.m,
-        u0_t=np.interp(tnew, told, bc.u0_t),
-        uX_t=np.interp(tnew, told, bc.uX_t),
-        p0_t=np.interp(tnew, told, bc.p0_t),
-        pX_t=np.interp(tnew, told, bc.pX_t),
-        pi0_t=np.interp(tnew, told, bc.pi0_t),
-        piX_t=np.interp(tnew, told, bc.piX_t))
+    return BoundaryData(m=bc.m, **{
+        name + "_t": np.interp(tnew, told, getattr(bc, name + "_t")) for name in BC_NAMES})
 
 
 def _homog_columns_for_eps(problem, hs, eps, a_eps, scheme, qe, t0_frac):
@@ -515,7 +493,8 @@ def run_homog_study(problem, eps_list, scheme=None, a_eps=0.0, qe=INF,
     columns and fit slopes against eps.
 
     Enforces the resolution guard eps_min / dx >= 16 so the averaging error
-    is not confounded with the spatial discretization error.
+    is not confounded with the spatial discretization error, then rejects a
+    sweep shorter than the four rows a rate fit needs, both before any solve.
     """
     if scheme is None:
         scheme = SchemeParams()
@@ -524,13 +503,14 @@ def run_homog_study(problem, eps_list, scheme=None, a_eps=0.0, qe=INF,
     if min(eps_list) / g.dx < 16.0 - 1e-12:
         raise ResolutionGuard(
             f"eps_min/dx = {min(eps_list) / g.dx:.3g} < 16; refine the grid")
+    _require_rows(len(eps_list))
 
     hs = hmg.solve_homogenized(problem, scheme)
     m = problem.bc.m
 
     floors = {}
     if measure_floor_flag:
-        floors = measure_floor(problem, scheme, m, qe, t0_frac)
+        floors = measure_floor(hs, scheme, m, qe, t0_frac)
 
     columns = {}
     if jobs > 1:
@@ -545,28 +525,7 @@ def run_homog_study(problem, eps_list, scheme=None, a_eps=0.0, qe=INF,
         for k, v in cols.items():
             columns.setdefault(k, []).append(v)
 
-    slopes = {}
-    flags = []
-    decades = {}
-    for col, vals in columns.items():
-        floor = floors.get(col, 0.0)
-        if max(vals) <= max(3.0 * floor, 1e-13):
-            slopes[col] = None
-            flags.append(f"degenerate:{col}")
-            continue
-        if floor > 0:
-            decades[col] = float(np.log10(max(vals) / floor))
-        if len(eps_list) < 4:
-            slopes[col] = None
-            flags.append(f"too-few-rows:{col}")
-            continue
-        try:
-            s, b, hw = fit_rate(zip(eps_list, vals))
-            slopes[col] = (s, hw)
-        except DegenerateFit:
-            slopes[col] = None
-            flags.append(f"degenerate:{col}")
-
+    slopes, flags, decades = _fit_columns(columns, eps_list, floors)
     for col in HOMOG_BOUND_COLUMNS:
         vals = columns[col]
         for k in range(len(vals) - 1):

@@ -139,12 +139,3 @@ def beta_e_of(eta0, osc, grid):
     out[1:] = -grid.dx * np.cumsum(r)
     return out
 
-
-def compose_energy(u0, theta0, cV):
-    """Two-scale total energy e0 = u0^2/2 + cV theta0 (for data-difference norms)."""
-    bp = tuple(sorted(set(u0.breakpoints) | set(theta0.breakpoints)))
-
-    def fn(xi, x):
-        return 0.5 * u0(xi, x) ** 2 + cV * theta0(xi, x)
-
-    return TwoScaleField(fn, breakpoints=bp, n_xi=max(u0.n_xi, theta0.n_xi))

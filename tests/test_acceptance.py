@@ -325,7 +325,7 @@ def test_criterion_09_reconstruction_consistency():
     hs = solve_homogenized(problem, scheme)
     err = c0l2_norm(problem.grid, mean_reconstructed_eta(hs, problem.eta0)
                     - hs.base.eta)
-    floors = measure_floor(problem, scheme, problem.bc.m, float("inf"))
+    floors = measure_floor(hs, scheme, problem.bc.m, float("inf"))
     assert err <= 3.0 * floors["eta_C0L2"], (err, floors["eta_C0L2"])
 
     # closure identity at scheme order (here: exact discretely)

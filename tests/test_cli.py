@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from gaslab import studies
 from gaslab.cli import main
 
 
@@ -118,3 +119,33 @@ def test_study_lipschitz_small_run(tmp_path, capsys):
     assert code == 0
     assert (out / "lipschitz_study.csv").exists()
     assert "RESULT" in (out / "lipschitz_study.csv.summary.txt").read_text()
+
+
+def test_short_sweep_exit_code(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {
+        "domain": {"X": 1.0, "T": 0.1},
+        "grid": {"nx": 64, "nt": 32},
+        "gas": {"nu": 0.1, "k": 1.0, "cV": 1.0, "lambda": 0.1},
+        "bc": {"m": 3, "p0": 1.0, "pX": 1.0, "pi0": 0.0, "piX": 0.0},
+        "data": {"eta0": "1 + 0.4*step(xi - 0.5)", "u0": "0", "theta0": "1"},
+        "breakpoints_xi": [0.5],
+        "study": {"eps_list": [1.0, 0.5, 0.25]},
+    })
+    # three eps values pass the resolution guard but cannot carry a rate fit
+    assert main(["study-homog", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "at least 4 rows" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_programming_errors_are_not_runtime_errors(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("float() argument must be a string or a real number")
+
+    monkeypatch.setattr(studies, "run_lipschitz_study", broken)
+    path = write_cfg(tmp_path, {
+        "problem": small_problem_cfg(),
+        "study": {"delta0": 0.1, "levels": 4,
+                  "patterns": {"eta0": "0.5*sin(2*3.141592653589793*x)"}},
+    })
+    with pytest.raises(TypeError):
+        main(["study-lipschitz", path, "--out", str(tmp_path / "o")])

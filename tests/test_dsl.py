@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -126,8 +127,13 @@ def test_pretty_parse_round_trip(e):
     assert dsl.parse(dsl.pretty(e)) == e
 
 
-def test_compile_expr_rejects_undeclared_variables():
+def test_expr_fn_rejects_undeclared_variables():
     with pytest.raises(dsl.UnboundVariable):
-        dsl.compile_expr("x + t", variables=("x",))
-    _, fn = dsl.compile_expr("x^2", variables=("x",))
-    assert fn(x=3.0) == 9.0
+        dsl.ExprFn("x + t", variables=("x",))
+    fn = dsl.ExprFn("x^2 + t", variables=("x", "t"))
+    assert fn(3.0, 1.0) == 10.0
+    # worker processes receive expressions by pickling
+    back = pickle.loads(pickle.dumps(fn))
+    assert (back.source, back.variables) == (fn.source, fn.variables)
+    x = np.linspace(0.0, 1.0, 11)
+    assert np.array_equal(back(x, 0.5), fn(x, 0.5))

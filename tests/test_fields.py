@@ -141,11 +141,28 @@ def test_config_round_trip(tmp_path):
         assert np.array_equal(getattr(spec1.bc, name), getattr(spec2.bc, name))
 
 
-def test_boundary_table_entries():
+# every boundary entry kind, with its expected series at t = 0, 0.005, ..., 0.5
+BC_ENTRY_KINDS = {
+    "none": (None, lambda t: 0.0 * t),
+    "number": (0.25, lambda t: 0.25 + 0.0 * t),
+    "expression": ("1 + 2*t", lambda t: 1.0 + 2.0 * t),
+    "table": ([[0.0, 1.0], [0.5, 2.0]], lambda t: 1.0 + 2.0 * t),
+    "callable": (lambda t: 1.0 + 2.0 * t, lambda t: 1.0 + 2.0 * t),
+    "array": (np.linspace(1.0, 2.0, 101), lambda t: 1.0 + 2.0 * t),
+}
+
+
+@pytest.mark.parametrize("kind", list(BC_ENTRY_KINDS))
+def test_boundary_table_entries(kind):
     g = basic_grid()
-    series = cfgmod._bc_entry([[0.0, 1.0], [0.5, 2.0]], g)
-    assert series[0] == 1.0 and series[-1] == 2.0
-    assert np.all(np.diff(series) >= 0)
+    entry, expected = BC_ENTRY_KINDS[kind]
+    # pX is not used by family m = 1: whatever it is given, it stays zero
+    bc = BoundaryData.build(g, m=1, u0=entry, uX=0.0, pX=entry, pi0=0.0, piX=0.0)
+    assert np.allclose(bc.u0_t, expected(g.times()), rtol=0.0, atol=1e-14)
+    assert not np.any(bc.pX_t)
+    for bad in (np.ones(g.nt), [[0.0, 1.0, 2.0], [0.5, 2.0, 3.0]]):
+        with pytest.raises(ValueError):
+            BoundaryData.build(g, m=1, u0=bad, uX=0.0)
 
 
 def test_boundary_interpolation_between_steps():

@@ -216,6 +216,15 @@ def test_adaptive_substeps_recorded():
     sol = solve(spec)
     assert sol.substeps.shape == (spec.grid.nt,)
     assert np.all(sol.substeps >= 1)
+    # a strong velocity pulse on a coarse step forces halvings: the retried
+    # steps must commit only their successful attempt
+    g = Grid(X=1.0, T=0.25, nx=32, nt=8)
+    spec = ProblemSpec(grid=g, gas=GAS, bc=build_bc(g, 1), eta0=np.ones(g.nx),
+                       u0=2.0 * np.sin(2.0 * np.pi * g.edges()),
+                       theta0=np.ones(g.nx))
+    sol = solve(spec)
+    assert sol.substeps.tolist() == [2, 4, 4, 4, 2, 2, 1, 1]
+    assert diagnostics(sol, spec).volume_residual <= 1e-13
 
 
 def test_energy_ledger_tracks_totals():

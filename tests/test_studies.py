@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from gaslab import config as cfgmod
+from gaslab import homogenize as hmg
+from gaslab import studies
 from gaslab.grid import Grid, GasParams
 from gaslab.problem import BoundaryData, PerturbationSpec, ProblemSpec
 from gaslab.solver import SchemeParams
@@ -121,6 +123,17 @@ def test_delta_degree_one_homogeneity():
                            theta0=base.theta0)
     r = compute_delta(base, shifted3)["u0_hm1"] / compute_delta(base, shifted)["u0_hm1"]
     assert r == pytest.approx(3.0, rel=1e-10)
+
+
+def test_perturbed_spec_shifts_boundary_by_table_pattern():
+    base = spec_m(3)
+    tt = base.grid.times()
+    table = [[0.0, 0.0], [0.25, 0.4], [0.5, 0.2]]
+    pspec = cfgmod.perturbed_spec(base, {"p0b": table, "pXb": "0.2*t"}, 0.1)
+    shift = 0.1 * np.interp(tt, [0.0, 0.25, 0.5], [0.0, 0.4, 0.2])
+    assert np.allclose(pspec.bc.p0_t - base.bc.p0_t, shift, rtol=0.0, atol=1e-15)
+    assert np.allclose(pspec.bc.pX_t - base.bc.pX_t, 0.02 * tt, rtol=0.0, atol=1e-15)
+    assert np.array_equal(pspec.bc.pi0_t, base.bc.pi0_t)
 
 
 def test_delta_qe2_drops_primitive_beta_item():
@@ -268,6 +281,23 @@ def test_homog_study_resolution_guard():
     prob = two_scale_problem(nx=64, nt=32)
     with pytest.raises(ResolutionGuard):
         run_homog_study(prob, [1.0 / 8, 1.0 / 16], measure_floor_flag=False)
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a solve ran before the sweep was rejected")
+
+
+def test_lipschitz_study_rejects_short_sweep_before_solving(monkeypatch):
+    monkeypatch.setattr(studies, "solve", _no_solve)
+    with pytest.raises(ValueError, match="at least 4 rows"):
+        run_lipschitz_study(spec_m(3), lambda spec, d: spec, [0.1, 0.05, 0.025])
+
+
+def test_homog_study_rejects_short_sweep_before_solving(monkeypatch):
+    monkeypatch.setattr(studies, "solve", _no_solve)
+    monkeypatch.setattr(hmg, "solve_homogenized", _no_solve)
+    with pytest.raises(ValueError, match="at least 4 rows"):
+        run_homog_study(two_scale_problem(nx=256, nt=32), [0.5, 0.25, 0.125])
 
 
 def test_homog_study_degenerate_for_xi_independent_data():
