@@ -18,8 +18,10 @@ and discontinuities persist by design.  No limiting or regularization.
 
 from dataclasses import dataclass
 
+import math
+
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .calculus import primitive_at_edges, time_primitive, i_bracket, mean_omega
 from .grid import du_centers, dw_edges_interior, edges_to_centers, integrate_edge, \
@@ -34,6 +36,16 @@ class PositivityLoss(RuntimeError):
         self.variable = variable
         super().__init__(f"{variable} lost positivity near t={t:.6g} "
                          "after exhausting the step-halving budget")
+
+
+class NonFiniteState(RuntimeError):
+    """A band, a right-hand side or a new state of the step that reaches t
+    holds a NaN or an infinity.  Raised at once: halving the step cannot help."""
+
+    def __init__(self, t, variable):
+        self.t = t
+        self.variable = variable
+        super().__init__(f"non-finite {variable} near t={t:.6g}")
 
 
 class NonlinearDivergence(RuntimeError):
@@ -65,6 +77,28 @@ class SchemeParams:
             raise ValueError("tolerance and positivity floor must be positive")
 
 
+class _Tridiagonal:
+    """Bands and right-hand side of one tridiagonal system of size n, in one
+    buffer [lower | diag | upper | rhs] allocated once and refilled every
+    sweep.  dgtsv factors the bands in place; the solution is a new array."""
+
+    def __init__(self, n):
+        self.buf = np.empty(4 * n - 2)
+        self.lower = self.buf[:n - 1]
+        self.diag = self.buf[n - 1:2 * n - 1]
+        self.upper = self.buf[2 * n - 1:3 * n - 2]
+        self.rhs = self.buf[3 * n - 2:]
+
+    def solve(self, t, variable):
+        if not np.isfinite(self.buf).all():
+            raise NonFiniteState(t, variable)
+        _, _, _, x, info = dgtsv(self.lower, self.diag, self.upper, self.rhs,
+                                 True, True, True, False)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        return x
+
+
 class _Stepper:
     def __init__(self, spec, scheme):
         self.spec = spec
@@ -77,6 +111,17 @@ class _Stepper:
         self.xc = self.grid.centers()
         self.xe = self.grid.edges()
         self.dx = self.grid.dx
+        self.dx2 = self.dx ** 2
+        self.momentum = _Tridiagonal(self.grid.nx + 1)
+        self.energy = _Tridiagonal(self.grid.nx)
+        self._bc_time = self._bc_values = None
+
+    def boundary(self, t):
+        """BoundaryData.at(grid, t), looked up once per distinct time: the
+        substep reaching t and the rates at t share one lookup."""
+        if t != self._bc_time:
+            self._bc_time, self._bc_values = t, self.bc.at(self.grid, t)
+        return self._bc_values
 
     # -- instantaneous derived fields ------------------------------------
 
@@ -92,13 +137,13 @@ class _Stepper:
         gamma = self.pert.gamma_at(self.xe, t)
         pi[1:-1] = self.gas.lam * rho_e[:] * (dw_edges_interior(self.grid, theta)
                                               + gamma[1:-1])
-        b = self.bc.at(self.grid, t)
+        b = self.boundary(t)
         pi[0] = b["pi0"]
         pi[-1] = b["piX"]
         return pi
 
     def work_rate(self, sig, pi, u, t):
-        b = self.bc.at(self.grid, t)
+        b = self.boundary(t)
         s0 = -b["p0"] if self.bc.m in (2, 3) else sig[0]
         sX = -b["pX"] if self.bc.m == 3 else sig[-1]
         return sX * u[-1] - s0 * u[0] + pi[-1] - pi[0]
@@ -120,15 +165,20 @@ class _Stepper:
         sch = self.scheme
         th = sch.theta_implicitness
         t1 = t0 + h
-        nx, dx = g.nx, self.dx
+        dx, dx2 = self.dx, self.dx2
+        mom, ene = self.momentum, self.energy
 
-        b1 = self.bc.at(g, t1)
+        b1 = self.boundary(t1)
         beta_n = self.pert.beta_at(self.xc, t0)
         beta_1 = self.pert.beta_at(self.xc, t1)
         beta_avg = th * beta_1 + (1.0 - th) * beta_n
         gamma_1 = self.pert.gamma_at(self.xe, t1)
         du_n = du_centers(g, u_n)
         dth_n = dw_edges_interior(g, theta_n)
+        inv_h = 1.0 / h
+        u_n_h = u_n / h
+        theta_n_h = gas.cV * theta_n / h
+        cV_h = gas.cV / h
 
         eta_s, u_s, theta_s = eta_n, u_n, theta_n
         x_e_s = x_e_n + h * u_n
@@ -142,43 +192,40 @@ class _Stepper:
             S = gas.nu * rho_s * ((1.0 - th) * du_n + beta_avg) - p_s
             g_edge = sample_field(self.spec.g, x_e_s, self.xe, t1)
 
-            diag = np.empty(nx + 1)
-            lower = np.zeros(nx + 1)
-            upper = np.zeros(nx + 1)
-            rhs = np.empty(nx + 1)
-
-            diag[1:-1] = 1.0 / h + (a[1:] + a[:-1]) / dx ** 2
-            upper[1:-1] = -a[1:] / dx ** 2
-            lower[1:-1] = -a[:-1] / dx ** 2
-            rhs[1:-1] = u_n[1:-1] / h + (S[1:] - S[:-1]) / dx + g_edge[1:-1]
+            mom.diag[1:-1] = inv_h + (a[1:] + a[:-1]) / dx2
+            mom.upper[1:] = -a[1:] / dx2
+            mom.lower[:-1] = -a[:-1] / dx2
+            mom.rhs[1:-1] = u_n_h[1:-1] + (S[1:] - S[:-1]) / dx + g_edge[1:-1]
 
             if self.bc.m == 1:
-                diag[0] = 1.0
-                upper[0] = 0.0
-                rhs[0] = b1["u0"]
+                mom.diag[0] = 1.0
+                mom.upper[0] = 0.0
+                mom.rhs[0] = b1["u0"]
             else:
-                diag[0] = 1.0 / h + 2.0 * a[0] / dx ** 2
-                upper[0] = -2.0 * a[0] / dx ** 2
-                rhs[0] = u_n[0] / h + (2.0 / dx) * (S[0] + b1["p0"]) + g_edge[0]
+                mom.diag[0] = inv_h + 2.0 * a[0] / dx2
+                mom.upper[0] = -2.0 * a[0] / dx2
+                mom.rhs[0] = u_n_h[0] + (2.0 / dx) * (S[0] + b1["p0"]) + g_edge[0]
             if self.bc.m in (1, 2):
-                diag[-1] = 1.0
-                lower[-1] = 0.0
-                rhs[-1] = b1["uX"]
+                mom.diag[-1] = 1.0
+                mom.lower[-1] = 0.0
+                mom.rhs[-1] = b1["uX"]
             else:
-                diag[-1] = 1.0 / h + 2.0 * a[-1] / dx ** 2
-                lower[-1] = -2.0 * a[-1] / dx ** 2
-                rhs[-1] = u_n[-1] / h + (2.0 / dx) * (-b1["pX"] - S[-1]) + g_edge[-1]
+                mom.diag[-1] = inv_h + 2.0 * a[-1] / dx2
+                mom.lower[-1] = -2.0 * a[-1] / dx2
+                mom.rhs[-1] = u_n_h[-1] + (2.0 / dx) * (-b1["pX"] - S[-1]) + g_edge[-1]
 
-            ab = np.zeros((3, nx + 1))
-            ab[0, 1:] = upper[:-1]
-            ab[1, :] = diag
-            ab[2, :-1] = lower[1:]
-            u_new = solve_banded((1, 1), ab, rhs)
+            u_new = mom.solve(t1, "u")
+            change_u = np.abs(u_new - u_s).max()
+            if not math.isfinite(change_u):
+                raise NonFiniteState(t1, "u")
 
             du_new = du_centers(g, u_new)
             du_avg = th * du_new + (1.0 - th) * du_n
             eta_new = eta_n + h * (du_avg + beta_avg)
-            if eta_new.min() <= sch.positivity_floor:
+            eta_min = eta_new.min()
+            if not math.isfinite(eta_min):
+                raise NonFiniteState(t1, "eta")
+            if eta_min <= sch.positivity_floor:
                 raise _Retry("eta", t1)
             rho_new = 1.0 / eta_new
             x_e_new = x_e_n + 0.5 * h * (u_n + u_new)
@@ -193,31 +240,33 @@ class _Stepper:
             b_e = gas.lam * 2.0 / (eta_new[:-1] + eta_new[1:])   # interior edges
             pi_expl = b_e * ((1.0 - th) * dth_n + gamma_1[1:-1])
 
-            diag_t = np.full(nx, gas.cV / h)
-            lower_t = np.zeros(nx)
-            upper_t = np.zeros(nx)
-            diag_t[:-1] += th * b_e / dx ** 2
-            diag_t[1:] += th * b_e / dx ** 2
-            upper_t[:-1] = -th * b_e / dx ** 2
-            lower_t[1:] = -th * b_e / dx ** 2
+            cond = th * b_e / dx2
+            ene.diag[:] = cV_h
+            ene.diag[:-1] += cond
+            ene.diag[1:] += cond
+            np.negative(cond, out=ene.upper)
+            np.negative(cond, out=ene.lower)
 
-            rhs_t = gas.cV * theta_n / h + source
+            rhs_t = ene.rhs
+            np.add(theta_n_h, source, out=rhs_t)
             rhs_t[:-1] += pi_expl / dx
             rhs_t[1:] -= pi_expl / dx
             rhs_t[0] -= b1["pi0"] / dx
             rhs_t[-1] += b1["piX"] / dx
 
-            ab_t = np.zeros((3, nx))
-            ab_t[0, 1:] = upper_t[:-1]
-            ab_t[1, :] = diag_t
-            ab_t[2, :-1] = lower_t[1:]
-            theta_new = solve_banded((1, 1), ab_t, rhs_t)
-            if theta_new.min() <= sch.positivity_floor:
+            theta_new = ene.solve(t1, "theta")
+            theta_min = theta_new.min()
+            if not math.isfinite(theta_min):
+                raise NonFiniteState(t1, "theta")
+            if theta_min <= sch.positivity_floor:
                 raise _Retry("theta", t1)
 
-            change = max(np.abs(u_new - u_s).max(),
+            change = max(change_u,
                          np.abs(eta_new - eta_s).max(),
                          np.abs(theta_new - theta_s).max())
+            if not math.isfinite(change):
+                raise NonFiniteState(t1, "eta" if not np.isfinite(eta_new).all()
+                                     else "theta")
             eta_s, u_s, theta_s, x_e_s = eta_new, u_new, theta_new, x_e_new
             if change < sch.tol:
                 break
@@ -267,7 +316,7 @@ def solve(spec, scheme=None):
 
     Caller is responsible for spec admissibility (see problem.validate).
     Raises PositivityLoss or NonlinearDivergence when adaptive step halving
-    is exhausted.
+    is exhausted, and NonFiniteState at once on a NaN or an infinity.
     """
     if scheme is None:
         scheme = SchemeParams()
@@ -284,6 +333,9 @@ def solve(spec, scheme=None):
     theta = np.asarray(spec.theta0, dtype=float).copy()
     beta_e = pert.beta_e if pert.beta_e is not None else np.zeros(g.nx + 1)
     x_e = primitive_at_edges(g, eta) + beta_e
+    for name, arr in (("eta", eta), ("u", u), ("theta", theta)):
+        if not np.isfinite(arr).all():
+            raise NonFiniteState(0.0, name)
     if eta.min() <= 0 or theta.min() <= 0:
         raise PositivityLoss(0.0, "eta" if eta.min() <= 0 else "theta")
     state = (eta, u, theta, x_e)
