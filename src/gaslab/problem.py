@@ -267,6 +267,7 @@ class SolutionBundle:
     min_eta: float
     min_theta: float
     substeps: np.ndarray           # (nt,) effective substeps per nominal step
+    picard_sweeps: np.ndarray      # (nt,) Picard sweeps over those substeps
     gas_k: float = 1.0             # gas constant, for the derived pressure
     energy: dict = field(default_factory=dict)
     diagnostics: object = None

@@ -55,9 +55,10 @@ class NonlinearDivergence(RuntimeError):
 
 
 class _Retry(Exception):
-    def __init__(self, kind, t):
+    def __init__(self, kind, t, sweeps):
         self.kind = kind
         self.t = t
+        self.sweeps = sweeps
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,35 @@ class _Stepper:
 
     # -- one substep of size h -------------------------------------------
 
-    def substep(self, state, t0, h):
+    def substep(self, state, t0, h, prev=None):
+        """Advance `state` from t0 by h; returns (new state, beta_avg, Picard
+        sweeps).
+
+        prev = ((eta, u, theta), h_prev) of the substep that ended at `state`
+        starts the iteration at the linear extrapolation
+        state + (h / h_prev) * (state - prev).  Without prev, or when the
+        extrapolated eta or theta is not above the positivity floor, the
+        iteration starts at `state`.  A predicted start that ends in a retry
+        is discarded and the iteration rerun from `state`, so the predictor
+        never causes a retry; the discarded sweeps still count.
+        """
+        sweeps = 0
+        if prev is not None:
+            (eta_p, u_p, theta_p), h_prev = prev
+            r = h / h_prev
+            start = tuple(now + r * (now - before) for now, before in
+                          zip(state[:3], (eta_p, u_p, theta_p)))
+            floor = self.scheme.positivity_floor
+            if start[0].min() > floor and start[2].min() > floor:
+                try:
+                    return self._iterate(state, t0, h, start)
+                except _Retry as retry:
+                    sweeps = retry.sweeps
+        new, beta_avg, k = self._iterate(state, t0, h, state[:3])
+        return new, beta_avg, sweeps + k
+
+    def _iterate(self, state, t0, h, start):
+        """Picard sweeps for one substep from the iterate `start`."""
         eta_n, u_n, theta_n, x_e_n = state
         g = self.grid
         gas = self.gas
@@ -180,10 +209,10 @@ class _Stepper:
         theta_n_h = gas.cV * theta_n / h
         cV_h = gas.cV / h
 
-        eta_s, u_s, theta_s = eta_n, u_n, theta_n
+        eta_s, u_s, theta_s = start
         x_e_s = x_e_n + h * u_n
 
-        for _ in range(sch.max_picard):
+        for sweep in range(1, sch.max_picard + 1):
             rho_s = 1.0 / eta_s
             p_s = gas.k * rho_s * theta_s
 
@@ -226,7 +255,7 @@ class _Stepper:
             if not math.isfinite(eta_min):
                 raise NonFiniteState(t1, "eta")
             if eta_min <= sch.positivity_floor:
-                raise _Retry("eta", t1)
+                raise _Retry("eta", t1, sweep)
             rho_new = 1.0 / eta_new
             x_e_new = x_e_n + 0.5 * h * (u_n + u_new)
 
@@ -259,7 +288,7 @@ class _Stepper:
             if not math.isfinite(theta_min):
                 raise NonFiniteState(t1, "theta")
             if theta_min <= sch.positivity_floor:
-                raise _Retry("theta", t1)
+                raise _Retry("theta", t1, sweep)
 
             change = max(change_u,
                          np.abs(eta_new - eta_s).max(),
@@ -271,9 +300,9 @@ class _Stepper:
             if change < sch.tol:
                 break
         else:
-            raise _Retry("picard", t1)
+            raise _Retry("picard", t1, sch.max_picard)
 
-        return (eta_s, u_s, theta_s, x_e_s), beta_avg
+        return (eta_s, u_s, theta_s, x_e_s), beta_avg, sweep
 
 
 def _snapshot_indices(nt, stride, dense):
@@ -287,8 +316,9 @@ def _snapshot_indices(nt, stride, dense):
 class _StepRecord:
     """What solve() carries from substep to substep: the running trapezoid
     integrals I_t sigma, I_t p, I_t g, the rates at the end of the last
-    substep, and the increments of I_t(uX - u0), I_t int(beta) and the
-    boundary work plus the positivity minima over the nominal step."""
+    substep and the ((eta, u, theta), h) it started from, and the increments
+    of I_t(uX - u0), I_t int(beta) and the boundary work plus the positivity
+    minima and the Picard sweeps over the nominal step."""
 
     it_sigma: np.ndarray
     it_p: np.ndarray
@@ -298,17 +328,21 @@ class _StepRecord:
     g: np.ndarray
     pi: np.ndarray
     work_rate: float
+    before: tuple = None
     bdu: float = 0.0
     bvol: float = 0.0
     work: float = 0.0
     min_eta: float = np.inf
     min_theta: float = np.inf
+    sweeps: int = 0
 
     def attempt(self):
         """Fresh record for one try at a nominal step: integrals copied, rates
-        carried over, increments and minima reset."""
+        and the last substep's start carried over, increments, minima and
+        sweeps reset."""
         return _StepRecord(self.it_sigma.copy(), self.it_p.copy(), self.it_g.copy(),
-                           self.sigma, self.p, self.g, self.pi, self.work_rate)
+                           self.sigma, self.p, self.g, self.pi, self.work_rate,
+                           self.before)
 
 
 def solve(spec, scheme=None):
@@ -362,6 +396,7 @@ def solve(spec, scheme=None):
     it_bdu = np.zeros(nt + 1)
     it_bvol = np.zeros(nt + 1)
     substeps = np.ones(nt, dtype=int)
+    picard_sweeps = np.zeros(nt, dtype=int)
     kinetic = np.empty(nt + 1)
     internal = np.empty(nt + 1)
     it_work = np.zeros(nt + 1)
@@ -384,8 +419,11 @@ def solve(spec, scheme=None):
             try:
                 for ksub in range(m_sub):
                     ts = t0 + ksub * h
+                    before = (st[:3], h)
                     u_old = st[1]
-                    st, beta_avg = stepper.substep(st, ts, h)
+                    st, beta_avg, sweeps = stepper.substep(st, ts, h, trial.before)
+                    trial.before = before
+                    trial.sweeps += sweeps
                     e1, u1, th1, _ = st
                     sig1, p1, g1, pi1, wr1 = stepper.rates(st, ts + h)
                     trial.it_sigma += 0.5 * h * (trial.sigma + sig1)
@@ -404,6 +442,7 @@ def solve(spec, scheme=None):
                 continue
             state, rec = st, trial
             substeps[n] = m_sub
+            picard_sweeps[n] = rec.sweeps
             break
         else:
             if last_retry.kind == "picard":
@@ -432,7 +471,7 @@ def solve(spec, scheme=None):
         step_times=g.times(), volume=volume,
         it_boundary_du=it_bdu, it_beta_volume=it_bvol,
         min_eta=float(min_eta), min_theta=float(min_theta),
-        substeps=substeps, gas_k=gas.k, energy=energy)
+        substeps=substeps, picard_sweeps=picard_sweeps, gas_k=gas.k, energy=energy)
 
 
 @dataclass

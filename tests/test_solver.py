@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gaslab import solver
 from gaslab.grid import Grid, GasParams
 from gaslab.norms import lqr_norm
 from gaslab.problem import BoundaryData, PerturbationSpec, ProblemSpec
@@ -24,6 +25,14 @@ def pulse_spec(nx, nt, m, amp=0.1, T=0.25, eta_jump=0.0):
     return ProblemSpec(grid=g, gas=GAS, bc=build_bc(g, m),
                        eta0=1.0 + eta_jump * (xc > 0.5),
                        u0=amp * np.sin(np.pi * xe),
+                       theta0=np.ones(g.nx))
+
+
+def halving_spec():
+    # a strong velocity pulse on a coarse step: halvings [2, 4, 4, 4, 2, 2, 1, 1]
+    g = Grid(X=1.0, T=0.25, nx=32, nt=8)
+    return ProblemSpec(grid=g, gas=GAS, bc=build_bc(g, 1), eta0=np.ones(g.nx),
+                       u0=2.0 * np.sin(2.0 * np.pi * g.edges()),
                        theta0=np.ones(g.nx))
 
 
@@ -216,12 +225,8 @@ def test_adaptive_substeps_recorded():
     sol = solve(spec)
     assert sol.substeps.shape == (spec.grid.nt,)
     assert np.all(sol.substeps >= 1)
-    # a strong velocity pulse on a coarse step forces halvings: the retried
-    # steps must commit only their successful attempt
-    g = Grid(X=1.0, T=0.25, nx=32, nt=8)
-    spec = ProblemSpec(grid=g, gas=GAS, bc=build_bc(g, 1), eta0=np.ones(g.nx),
-                       u0=2.0 * np.sin(2.0 * np.pi * g.edges()),
-                       theta0=np.ones(g.nx))
+    # the retried steps must commit only their successful attempt
+    spec = halving_spec()
     sol = solve(spec)
     assert sol.substeps.tolist() == [2, 4, 4, 4, 2, 2, 1, 1]
     assert diagnostics(sol, spec).volume_residual <= 1e-13
@@ -236,3 +241,30 @@ def test_energy_ledger_tracks_totals():
     # closed ledger: d(total) ~ boundary work + heat, loose tolerance
     drift = (led["total"] - led["total"][0]) - led["boundary_and_source_work"]
     assert np.abs(drift).max() < 5e-3 * abs(led["total"][0])
+
+
+@pytest.mark.parametrize("spec", [pulse_spec(64, 100, 3), halving_spec()],
+                         ids=["pulse", "halving"])
+def test_picard_sweeps_recorded(spec):
+    scheme = SchemeParams()
+    sol = solve(spec, scheme)
+    assert sol.picard_sweeps.shape == (spec.grid.nt,)
+    assert np.all(sol.picard_sweeps >= sol.substeps)
+    assert np.all(sol.picard_sweeps <= scheme.max_picard * sol.substeps)
+
+
+def test_predicted_start_matches_plain_start(monkeypatch):
+    # the extrapolated first iterate saves sweeps but must reach the same
+    # fixed point to the Picard tolerance and never add a halving
+    for spec in (pulse_spec(64, 100, 3), halving_spec()):
+        predicted = solve(spec)
+        substep = solver._Stepper.substep
+        with monkeypatch.context() as mp:
+            mp.setattr(solver._Stepper, "substep",
+                       lambda self, state, t0, h, prev=None: substep(self, state, t0, h))
+            plain = solve(spec)
+        assert predicted.substeps.tolist() == plain.substeps.tolist()
+        assert predicted.picard_sweeps.sum() < plain.picard_sweeps.sum()
+        for name in ("eta", "u", "theta", "x_e"):
+            drift = np.abs(getattr(predicted, name) - getattr(plain, name)).max()
+            assert drift <= 1e-9, (name, drift)
