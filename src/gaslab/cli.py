@@ -9,6 +9,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import config as cfgmod
 from . import dsl
 from . import homogenize as hmg
@@ -16,8 +18,17 @@ from . import studies
 from .grid import edges_to_centers
 from .norms import NAMED_NORMS
 from .problem import sample_field_times, validate
-from .solver import NonlinearDivergence, PositivityLoss, diagnostics, solve
+from .solver import (NonFiniteState, NonlinearDivergence, PositivityLoss, diagnostics,
+                     solve)
 from .twoscale import OscillationSpec
+
+
+def _format_rows(t, *columns):
+    """CSV rows (t, columns[0][i], columns[1][i], ...) with every value as
+    %.17e, built by one % operation; the same bytes as f"{v:.17e}" per cell."""
+    rows = np.column_stack((np.full(len(columns[0]), t), *columns))
+    fmt = (",".join(["%.17e"] * rows.shape[1]) + "\n") * rows.shape[0]
+    return fmt % tuple(rows.ravel().tolist())
 
 
 def _write_snapshots(path, grid, bundle, stride=1):
@@ -25,13 +36,9 @@ def _write_snapshots(path, grid, bundle, stride=1):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,x,eta,u,theta,sigma,pi\n")
         for n in range(0, len(bundle.times), stride):
-            t = bundle.times[n]
-            uc = edges_to_centers(bundle.u[n])
-            pic = edges_to_centers(bundle.pi[n])
-            for i in range(grid.nx):
-                fh.write(f"{t:.17e},{xc[i]:.17e},{bundle.eta[n, i]:.17e},"
-                         f"{uc[i]:.17e},{bundle.theta[n, i]:.17e},"
-                         f"{bundle.sigma[n, i]:.17e},{pic[i]:.17e}\n")
+            fh.write(_format_rows(bundle.times[n], xc, bundle.eta[n],
+                                  edges_to_centers(bundle.u[n]), bundle.theta[n],
+                                  bundle.sigma[n], edges_to_centers(bundle.pi[n])))
 
 
 def _cmd_solve(args):
@@ -60,6 +67,7 @@ def _cmd_solve(args):
     print(f"  logvol residual      {rep.logvol_residual:.3e}")
     print(f"  stress repr residual {rep.stress_repr_residual:.3e}")
     print(f"  positivity margins   eta {sol.min_eta:.4g}, theta {sol.min_theta:.4g}")
+    print(f"  picard sweeps        {sol.picard_sweeps.mean():.3f} per step")
     return 0
 
 
@@ -82,9 +90,7 @@ def _cmd_homogenize(args):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t,x,eta_recon\n")
             for n in range(0, len(hs.base.times), args.stride):
-                for i in range(problem.grid.nx):
-                    fh.write(f"{hs.base.times[n]:.17e},{xc[i]:.17e},"
-                             f"{eta_eps[n, i]:.17e}\n")
+                fh.write(_format_rows(hs.base.times[n], xc, eta_eps[n]))
     print(f"homogenize: averaged run + {len(eps_list)} reconstructions -> {args.out}")
     return 0
 
@@ -181,7 +187,7 @@ def main(argv=None):
     try:
         return handler(args)
     except (ValueError, KeyError, OSError, dsl.ExprError, PositivityLoss,
-            NonlinearDivergence) as exc:  # runtime failures map to exit code 2
+            NonlinearDivergence, NonFiniteState) as exc:  # runtime failures: exit 2
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

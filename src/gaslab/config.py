@@ -15,7 +15,7 @@ import numpy as np
 from . import dsl
 from .grid import Grid, GasParams
 from .homogenize import TwoScaleProblem
-from .problem import (BC_NAMES, BoundaryData, PerturbationSpec, ProblemSpec,
+from .problem import (ACTIVE_BC, BC_NAMES, BoundaryData, PerturbationSpec, ProblemSpec,
                       sample_boundary)
 from .solver import SchemeParams
 from .twoscale import TwoScaleField
@@ -167,7 +167,13 @@ def build_scheme(cfg):
 
 def perturbed_spec(base, patterns, delta):
     """Scale the study's perturbation patterns by delta and apply to the base
-    spec: initial-data shifts, boundary-data shifts, and the extra terms."""
+    spec: initial-data shifts, boundary-data shifts, and the extra terms.  A
+    boundary pattern on an entry the bc family does not use raises
+    ValueError."""
+    for name in BC_NAMES:
+        if patterns.get(name + "b") is not None and name not in ACTIVE_BC[base.bc.m]:
+            raise ValueError(f"pattern {name}b shifts boundary entry {name}, which "
+                             f"family m={base.bc.m} does not use")
     grid = base.grid
     xc, xe, tt = grid.centers(), grid.edges(), grid.times()
 

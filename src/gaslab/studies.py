@@ -102,16 +102,18 @@ class ConvergenceTable:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if len(v) >= 2:
-            ratios = v[1:] / v[:-1]
-            if np.any(np.abs(ratios - 0.5) > 1e-9):
-                raise ValueError("sweep values must decrease by factors of 2")
+        _require_halving(self.values)
 
 
 def _require_rows(n):
     if n < 4:
         raise ValueError(f"rate fit needs at least 4 rows, got {n}")
+
+
+def _require_halving(values):
+    v = np.asarray(values, dtype=float)
+    if len(v) >= 2 and np.any(np.abs(v[1:] / v[:-1] - 0.5) > 1e-9):
+        raise ValueError("sweep values must decrease by factors of 2")
 
 
 def fit_rate(rows):
@@ -354,13 +356,16 @@ def run_lipschitz_study(base_spec, perturb, deltas, scheme=None, qe=INF,
     and fit each column's log-log slope against Delta.
 
     perturb: callable (base_spec, delta) -> perturbed ProblemSpec.  A sweep
-    shorter than the four rows a rate fit needs raises ValueError before any
+    shorter than the four rows a rate fit needs or one that does not halve,
+    and a perturbation that perturb rejects, raise ValueError before any
     solve.
     """
     if scheme is None:
         scheme = SchemeParams()
     deltas = [float(d) for d in deltas]
     _require_rows(len(deltas))
+    _require_halving(deltas)
+    pspecs = [perturb(base_spec, d) for d in deltas]
     base_sol = solve(base_spec, scheme)
     g = base_spec.grid
     m = base_spec.bc.m
@@ -369,8 +374,7 @@ def run_lipschitz_study(base_spec, perturb, deltas, scheme=None, qe=INF,
     delta_totals = []
     item_cols = {}
     hyp_cols = {"hyp_u_Linf": [], "hyp_Du_L2": []}
-    for d in deltas:
-        pspec = perturb(base_spec, d)
+    for pspec in pspecs:
         psol = solve(pspec, scheme)
         diff = _bundle_difference(psol, base_sol)
         cols = difference_columns(g, diff, base_sol.times, m, qe, t0_frac)
@@ -494,7 +498,8 @@ def run_homog_study(problem, eps_list, scheme=None, a_eps=0.0, qe=INF,
 
     Enforces the resolution guard eps_min / dx >= 16 so the averaging error
     is not confounded with the spatial discretization error, then rejects a
-    sweep shorter than the four rows a rate fit needs, both before any solve.
+    sweep shorter than the four rows a rate fit needs or one that does not
+    halve, all before any solve.
     """
     if scheme is None:
         scheme = SchemeParams()
@@ -504,6 +509,7 @@ def run_homog_study(problem, eps_list, scheme=None, a_eps=0.0, qe=INF,
         raise ResolutionGuard(
             f"eps_min/dx = {min(eps_list) / g.dx:.3g} < 16; refine the grid")
     _require_rows(len(eps_list))
+    _require_halving(eps_list)
 
     hs = hmg.solve_homogenized(problem, scheme)
     m = problem.bc.m

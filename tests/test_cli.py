@@ -1,10 +1,14 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from gaslab import studies
+from gaslab import cli, studies
+from gaslab import homogenize as hmg
 from gaslab.cli import main
+from gaslab.grid import Grid, edges_to_centers
+from gaslab.solver import NonFiniteState
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -35,6 +39,9 @@ def test_solve_subcommand(tmp_path, capsys):
     assert len(snap) > 32
     diag = (out / "diagnostics.csv").read_text()
     assert "logvol_residual" in diag
+    # sweeps are reported on stdout only, never in the CSV reports
+    assert "picard sweeps" in capsys.readouterr().out
+    assert "picard" not in diag and "picard" not in "\n".join(snap)
 
 
 def test_solve_rejects_invalid_config(tmp_path, capsys):
@@ -149,3 +156,87 @@ def test_programming_errors_are_not_runtime_errors(tmp_path, monkeypatch):
     })
     with pytest.raises(TypeError):
         main(["study-lipschitz", path, "--out", str(tmp_path / "o")])
+
+
+def test_snapshot_rows_match_per_cell_format(tmp_path):
+    nx, times = 4, np.array([0.0, 0.125, 0.25])
+    rng = np.random.default_rng(0)
+
+    def fields(width):
+        shape = (len(times), width)
+        out = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, shape)
+        out[1, 0] = -0.0
+        out[2, -1] = 0.0
+        return out
+
+    bundle = SimpleNamespace(times=times, eta=fields(nx), u=fields(nx + 1),
+                             theta=fields(nx), sigma=fields(nx), pi=fields(nx + 1))
+    grid = Grid(X=1.0, T=0.25, nx=nx, nt=2)
+    path = tmp_path / "snapshots.csv"
+    cli._write_snapshots(str(path), grid, bundle, stride=1)
+
+    xc = grid.centers()
+    want = ["t,x,eta,u,theta,sigma,pi\n"]
+    for n, t in enumerate(times):
+        uc = edges_to_centers(bundle.u[n])
+        pic = edges_to_centers(bundle.pi[n])
+        for i in range(nx):
+            want.append(f"{t:.17e},{xc[i]:.17e},{bundle.eta[n, i]:.17e},"
+                        f"{uc[i]:.17e},{bundle.theta[n, i]:.17e},"
+                        f"{bundle.sigma[n, i]:.17e},{pic[i]:.17e}\n")
+    assert "-0.00000000000000000e+00" in "".join(want)
+    assert path.read_bytes() == "".join(want).encode()
+    assert cli._format_rows(-0.0, np.array([-0.0, 1e-310]), np.array([np.inf, np.nan])) == \
+        "".join(f"{a:.17e},{b:.17e},{c:.17e}\n" for a, b, c in
+                ((-0.0, -0.0, np.inf), (-0.0, 1e-310, np.nan)))
+
+
+def test_non_finite_state_exit_code(tmp_path, monkeypatch, capsys):
+    def non_finite(spec, scheme):
+        raise NonFiniteState(0.05, "u")
+
+    monkeypatch.setattr(cli, "solve", non_finite)
+    cfg = write_cfg(tmp_path, small_problem_cfg())
+    assert main(["solve", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "non-finite u" in capsys.readouterr().err
+
+
+def count_solves(monkeypatch):
+    calls = []
+
+    def counting(solve):
+        def wrapped(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(studies, "solve", counting(studies.solve))
+    monkeypatch.setattr(hmg, "solve", counting(hmg.solve))
+    return calls
+
+
+def test_non_halving_sweep_exits_before_solving(tmp_path, monkeypatch, capsys):
+    calls = count_solves(monkeypatch)
+    cfg = write_cfg(tmp_path, {
+        "domain": {"X": 1.0, "T": 0.1},
+        "grid": {"nx": 64, "nt": 8},
+        "gas": {"nu": 0.1, "k": 1.0, "cV": 1.0, "lambda": 0.1},
+        "bc": {"m": 3, "p0": 1.0, "pX": 1.0, "pi0": 0.0, "piX": 0.0},
+        "data": {"eta0": "1 + 0.4*step(xi - 0.5)", "u0": "0", "theta0": "1"},
+        "breakpoints_xi": [0.5],
+        "study": {"eps_list": [1.0, 0.75, 0.5, 0.25]},
+    })
+    assert main(["study-homog", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "factors of 2" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_unused_boundary_pattern_exits_before_solving(tmp_path, monkeypatch, capsys):
+    calls = count_solves(monkeypatch)
+    path = write_cfg(tmp_path, {
+        "problem": small_problem_cfg(),
+        "study": {"delta0": 0.1, "levels": 4, "patterns": {"u0b": 1.0}},
+    })
+    assert main(["study-lipschitz", path, "--out", str(tmp_path / "o")]) == 2
+    assert "u0b" in capsys.readouterr().err
+    assert calls == []

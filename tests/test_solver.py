@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from gaslab import solver
 from gaslab.grid import Grid, GasParams
 from gaslab.norms import lqr_norm
 from gaslab.problem import BoundaryData, PerturbationSpec, ProblemSpec
-from gaslab.solver import (NonlinearDivergence, PositivityLoss, SchemeParams,
-                           diagnostics, linf_velocity_check, solve)
+from gaslab.solver import (NonFiniteState, NonlinearDivergence, PositivityLoss,
+                           SchemeParams, diagnostics, linf_velocity_check, solve)
 
 GAS = GasParams(nu=0.1, k=1.0, cV=1.0, lam=0.1)
 
@@ -268,3 +270,25 @@ def test_predicted_start_matches_plain_start(monkeypatch):
         for name in ("eta", "u", "theta", "x_e"):
             drift = np.abs(getattr(predicted, name) - getattr(plain, name)).max()
             assert drift <= 1e-9, (name, drift)
+
+
+def test_non_finite_force_raises_at_once():
+    # g turns NaN after t = 0.05: the first substep reaching past it stops
+    # the solve with a named error, without a halving retry
+    spec = pulse_spec(32, 20, 3, T=0.1)
+
+    def g(chi, x, t):
+        return np.full_like(x, np.nan) if t > 0.05 else np.zeros_like(x)
+
+    with pytest.raises(NonFiniteState) as exc:
+        solve(replace(spec, g=g))
+    assert exc.value.variable == "u"
+    assert exc.value.t == pytest.approx(0.055, abs=1e-12)
+
+
+def test_non_finite_initial_data_raises():
+    spec = pulse_spec(32, 4, 3)
+    theta0 = np.ones(32)
+    theta0[5] = np.inf
+    with pytest.raises(NonFiniteState, match="theta"):
+        solve(replace(spec, theta0=theta0))

@@ -336,3 +336,23 @@ def test_homog_study_parallel_jobs_match_serial():
     parallel = run_homog_study(prob, eps, scheme=SchemeParams(store_stride=4),
                                measure_floor_flag=False, jobs=2)
     assert serial.columns == parallel.columns
+
+
+def test_perturbed_spec_rejects_pattern_on_unused_boundary_entry():
+    with pytest.raises(ValueError, match="u0b"):
+        cfgmod.perturbed_spec(spec_m(3), {"u0b": 1.0}, 0.1)
+    with pytest.raises(ValueError, match="pXb"):
+        cfgmod.perturbed_spec(spec_m(2), {"pXb": "0.2*t"}, 0.1)
+
+
+def test_lipschitz_study_rejects_non_halving_sweep_before_solving(monkeypatch):
+    monkeypatch.setattr(studies, "solve", _no_solve)
+    with pytest.raises(ValueError, match="factors of 2"):
+        run_lipschitz_study(spec_m(3), lambda spec, d: spec, [0.1, 0.075, 0.05, 0.025])
+
+
+def test_homog_study_rejects_non_halving_sweep_before_solving(monkeypatch):
+    monkeypatch.setattr(studies, "solve", _no_solve)
+    monkeypatch.setattr(hmg, "solve_homogenized", _no_solve)
+    with pytest.raises(ValueError, match="factors of 2"):
+        run_homog_study(two_scale_problem(nx=256, nt=32), [0.5, 0.375, 0.25, 0.125])
