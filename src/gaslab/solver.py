@@ -16,9 +16,8 @@ Discontinuous initial eta is run as-is: the mass equation is linear in eta
 and discontinuities persist by design.  No limiting or regularization.
 """
 
-from dataclasses import dataclass
-
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -100,6 +99,15 @@ class _Tridiagonal:
         return x
 
 
+def _change(t, variable, new, old):
+    """max |new - old| between Picard iterates; NonFiniteState when `new`
+    holds a NaN or an infinity (`old` is always finite)."""
+    change = np.abs(new - old).max()
+    if not math.isfinite(change):
+        raise NonFiniteState(t, variable)
+    return change
+
+
 class _Stepper:
     def __init__(self, spec, scheme):
         self.spec = spec
@@ -113,8 +121,8 @@ class _Stepper:
         self.xe = self.grid.edges()
         self.dx = self.grid.dx
         self.dx2 = self.dx ** 2
-        self.momentum = _Tridiagonal(self.grid.nx + 1)
-        self.energy = _Tridiagonal(self.grid.nx)
+        self.u_system = _Tridiagonal(self.grid.nx + 1)
+        self.theta_system = _Tridiagonal(self.grid.nx)
         self._bc_time = self._bc_values = None
 
     def boundary(self, t):
@@ -163,20 +171,19 @@ class _Stepper:
         """Advance `state` from t0 by h; returns (new state, beta_avg, Picard
         sweeps).
 
-        prev = ((eta, u, theta), h_prev) of the substep that ended at `state`
-        starts the iteration at the linear extrapolation
-        state + (h / h_prev) * (state - prev).  Without prev, or when the
-        extrapolated eta or theta is not above the positivity floor, the
-        iteration starts at `state`.  A predicted start that ends in a retry
-        is discarded and the iteration rerun from `state`, so the predictor
-        never causes a retry; the discarded sweeps still count.
+        prev = ((eta, u, theta), h_prev), the start and the size of the
+        substep that ended at `state`, starts the iteration at the linear
+        extrapolation state + (h / h_prev) * (state - prev).  Without prev, or
+        when the extrapolated eta or theta is not above the positivity floor,
+        the iteration starts at `state`.  A predicted start that ends in a
+        retry is discarded and the iteration rerun from `state`, so the
+        predictor never causes a retry; the discarded sweeps still count.
         """
         sweeps = 0
         if prev is not None:
-            (eta_p, u_p, theta_p), h_prev = prev
+            before, h_prev = prev
             r = h / h_prev
-            start = tuple(now + r * (now - before) for now, before in
-                          zip(state[:3], (eta_p, u_p, theta_p)))
+            start = tuple(now + r * (now - old) for now, old in zip(state[:3], before))
             floor = self.scheme.positivity_floor
             if start[0].min() > floor and start[2].min() > floor:
                 try:
@@ -195,7 +202,7 @@ class _Stepper:
         th = sch.theta_implicitness
         t1 = t0 + h
         dx, dx2 = self.dx, self.dx2
-        mom, ene = self.momentum, self.energy
+        mom, ene = self.u_system, self.theta_system
 
         b1 = self.boundary(t1)
         beta_n = self.pert.beta_at(self.xc, t0)
@@ -244,17 +251,13 @@ class _Stepper:
                 mom.rhs[-1] = u_n_h[-1] + (2.0 / dx) * (-b1["pX"] - S[-1]) + g_edge[-1]
 
             u_new = mom.solve(t1, "u")
-            change_u = np.abs(u_new - u_s).max()
-            if not math.isfinite(change_u):
-                raise NonFiniteState(t1, "u")
+            change_u = _change(t1, "u", u_new, u_s)
 
             du_new = du_centers(g, u_new)
             du_avg = th * du_new + (1.0 - th) * du_n
             eta_new = eta_n + h * (du_avg + beta_avg)
-            eta_min = eta_new.min()
-            if not math.isfinite(eta_min):
-                raise NonFiniteState(t1, "eta")
-            if eta_min <= sch.positivity_floor:
+            change_eta = _change(t1, "eta", eta_new, eta_s)
+            if eta_new.min() <= sch.positivity_floor:
                 raise _Retry("eta", t1, sweep)
             rho_new = 1.0 / eta_new
             x_e_new = x_e_n + 0.5 * h * (u_n + u_new)
@@ -284,18 +287,11 @@ class _Stepper:
             rhs_t[-1] += b1["piX"] / dx
 
             theta_new = ene.solve(t1, "theta")
-            theta_min = theta_new.min()
-            if not math.isfinite(theta_min):
-                raise NonFiniteState(t1, "theta")
-            if theta_min <= sch.positivity_floor:
+            change_theta = _change(t1, "theta", theta_new, theta_s)
+            if theta_new.min() <= sch.positivity_floor:
                 raise _Retry("theta", t1, sweep)
 
-            change = max(change_u,
-                         np.abs(eta_new - eta_s).max(),
-                         np.abs(theta_new - theta_s).max())
-            if not math.isfinite(change):
-                raise NonFiniteState(t1, "eta" if not np.isfinite(eta_new).all()
-                                     else "theta")
+            change = max(change_u, change_eta, change_theta)
             eta_s, u_s, theta_s, x_e_s = eta_new, u_new, theta_new, x_e_new
             if change < sch.tol:
                 break
