@@ -30,6 +30,18 @@ def small_problem_cfg(nx=32, nt=40):
     }
 
 
+def two_scale_cfg(eps_list):
+    return {
+        "domain": {"X": 1.0, "T": 0.1},
+        "grid": {"nx": 64, "nt": 32},
+        "gas": {"nu": 0.1, "k": 1.0, "cV": 1.0, "lambda": 0.1},
+        "bc": {"m": 3, "p0": 1.0, "pX": 1.0, "pi0": 0.0, "piX": 0.0},
+        "data": {"eta0": "1 + 0.4*step(xi - 0.5)", "u0": "0", "theta0": "1"},
+        "breakpoints_xi": [0.5],
+        "study": {"eps_list": eps_list},
+    }
+
+
 def test_solve_subcommand(tmp_path, capsys):
     cfg = write_cfg(tmp_path, small_problem_cfg())
     out = tmp_path / "out"
@@ -95,15 +107,7 @@ def test_homogenize_subcommand(tmp_path):
 
 
 def test_study_homog_guard_exit_code(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, {
-        "domain": {"X": 1.0, "T": 0.1},
-        "grid": {"nx": 64, "nt": 32},
-        "gas": {"nu": 0.1, "k": 1.0, "cV": 1.0, "lambda": 0.1},
-        "bc": {"m": 3, "p0": 1.0, "pX": 1.0, "pi0": 0.0, "piX": 0.0},
-        "data": {"eta0": "1 + 0.4*step(xi - 0.5)", "u0": "0", "theta0": "1"},
-        "breakpoints_xi": [0.5],
-        "study": {"eps_list": [0.015625]},
-    })
+    cfg = write_cfg(tmp_path, two_scale_cfg([0.015625]))
     # eps_min/dx = 1 < 16: runtime error path, exit 2
     assert main(["study-homog", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "refine the grid" in capsys.readouterr().err
@@ -129,15 +133,7 @@ def test_study_lipschitz_small_run(tmp_path, capsys):
 
 
 def test_short_sweep_exit_code(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, {
-        "domain": {"X": 1.0, "T": 0.1},
-        "grid": {"nx": 64, "nt": 32},
-        "gas": {"nu": 0.1, "k": 1.0, "cV": 1.0, "lambda": 0.1},
-        "bc": {"m": 3, "p0": 1.0, "pX": 1.0, "pi0": 0.0, "piX": 0.0},
-        "data": {"eta0": "1 + 0.4*step(xi - 0.5)", "u0": "0", "theta0": "1"},
-        "breakpoints_xi": [0.5],
-        "study": {"eps_list": [1.0, 0.5, 0.25]},
-    })
+    cfg = write_cfg(tmp_path, two_scale_cfg([1.0, 0.5, 0.25]))
     # three eps values pass the resolution guard but cannot carry a rate fit
     assert main(["study-homog", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "at least 4 rows" in capsys.readouterr().err
@@ -217,15 +213,7 @@ def count_solves(monkeypatch):
 
 def test_non_halving_sweep_exits_before_solving(tmp_path, monkeypatch, capsys):
     calls = count_solves(monkeypatch)
-    cfg = write_cfg(tmp_path, {
-        "domain": {"X": 1.0, "T": 0.1},
-        "grid": {"nx": 64, "nt": 8},
-        "gas": {"nu": 0.1, "k": 1.0, "cV": 1.0, "lambda": 0.1},
-        "bc": {"m": 3, "p0": 1.0, "pX": 1.0, "pi0": 0.0, "piX": 0.0},
-        "data": {"eta0": "1 + 0.4*step(xi - 0.5)", "u0": "0", "theta0": "1"},
-        "breakpoints_xi": [0.5],
-        "study": {"eps_list": [1.0, 0.75, 0.5, 0.25]},
-    })
+    cfg = write_cfg(tmp_path, two_scale_cfg([1.0, 0.75, 0.5, 0.25]))
     assert main(["study-homog", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "factors of 2" in capsys.readouterr().err
     assert calls == []
