@@ -16,6 +16,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from gaslab.cli import main as gaslab_main
+from gaslab.config import load_config, save_config
 
 
 def run(argv):
@@ -38,14 +39,13 @@ if __name__ == "__main__":
     lip_cfg = os.path.join(root, "configs", "lipschitz_benchmark.json")
 
     if args.quick:
-        import json
-        cfg = json.load(open(homog_cfg))
+        cfg = load_config(homog_cfg)
         cfg["grid"] = {"nx": 1024, "nt": 1024}
         cfg["scheme"]["store_stride"] = 8
         cfg["study"]["eps_list"] = [0.125, 0.0625, 0.03125, 0.015625]
         homog_cfg = os.path.join(args.out, "homog_quick.json")
         os.makedirs(args.out, exist_ok=True)
-        json.dump(cfg, open(homog_cfg, "w"), indent=2)
+        save_config(cfg, homog_cfg)
 
     rc = run(["study-homog", homog_cfg, "--out",
               os.path.join(args.out, "homog"), "--jobs", str(args.jobs)])

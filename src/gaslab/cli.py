@@ -106,7 +106,7 @@ def _cmd_norms(args):
         return 2
     entry = cfg["field"]
     fn = dsl.ExprFn(entry, ("x", "t")) if isinstance(entry, str) \
-        else cfgmod.ConstFn(float(entry), 2)
+        else cfgmod.ConstFn(float(entry))
     tt = grid.times()
     w = sample_field_times(fn, tt, grid.centers())
     kw = {k: (float("inf") if v == "inf" else v)

@@ -36,16 +36,15 @@ class ScaledFn:
 
 
 class ConstFn:
-    def __init__(self, value, nargs):
+    def __init__(self, value):
         self.value = float(value)
-        self.nargs = nargs
 
     def __call__(self, *args):
         shape = np.broadcast(*[np.asarray(a, dtype=float) for a in args]).shape
         return np.full(shape, self.value)
 
     def __reduce__(self):
-        return (ConstFn, (self.value, self.nargs))
+        return (ConstFn, (self.value,))
 
 
 def load_config(path):
@@ -65,7 +64,7 @@ def _field_entry(entry, variables):
         return None
     if isinstance(entry, str):
         return dsl.ExprFn(entry, variables)
-    return ConstFn(float(entry), len(variables))
+    return ConstFn(float(entry))
 
 
 def _sample_x(entry, x, variables=("x",)):
@@ -138,7 +137,7 @@ def build_two_scale_problem(cfg):
         if isinstance(entry, str):
             fn = dsl.ExprFn(entry, ("xi", "x"))
         else:
-            fn = ConstFn(float(entry), 2)
+            fn = ConstFn(float(entry))
         return TwoScaleField(fn, breakpoints=bp, n_xi=n_xi)
 
     return TwoScaleProblem(
@@ -153,16 +152,18 @@ def build_two_scale_problem(cfg):
         source=cfg)
 
 
+SCHEME_KEYS = {"max_picard": int, "tol": float, "dt_safety": int,
+               "positivity_floor": float, "store_stride": int, "dense_steps": int}
+
+
 def build_scheme(cfg):
+    """SchemeParams from the optional "scheme" table; a key it does not know
+    raises ValueError naming the key."""
     s = cfg.get("scheme", {})
-    return SchemeParams(
-        theta_implicitness=float(s.get("theta_implicitness", 1.0)),
-        max_picard=int(s.get("max_picard", 50)),
-        tol=float(s.get("tol", 1e-10)),
-        dt_safety=int(s.get("dt_safety", 10)),
-        positivity_floor=float(s.get("positivity_floor", 1e-10)),
-        store_stride=int(s.get("store_stride", 1)),
-        dense_steps=int(s.get("dense_steps", 0)))
+    for key in s:
+        if key not in SCHEME_KEYS:
+            raise ValueError(f"unknown scheme key '{key}'; known: {', '.join(SCHEME_KEYS)}")
+    return SchemeParams(**{key: SCHEME_KEYS[key](value) for key, value in s.items()})
 
 
 def perturbed_spec(base, patterns, delta):

@@ -94,10 +94,10 @@ class BoundaryData:
             name + "_t": sample_boundary(given[name] if name in ACTIVE_BC[m] else None, t)
             for name in BC_NAMES})
 
-    def at(self, grid, t):
-        """Interpolated boundary values at an arbitrary time (substeps)."""
-        tt = grid.times()
-        return {name: float(np.interp(t, tt, getattr(self, name + "_t")))
+    def at(self, times, t):
+        """Interpolated boundary values at an arbitrary time (substeps);
+        `times` are the step times, grid.times()."""
+        return {name: float(np.interp(t, times, getattr(self, name + "_t")))
                 for name in BC_NAMES}
 
 
@@ -162,6 +162,16 @@ def validate(spec):
         return out
     if theta0.shape != (grid.nx,):
         out.append(f"theta0 must have {grid.nx} center samples, got {theta0.shape}")
+        return out
+
+    # every check below compares samples, which a NaN passes silently
+    for name, arr in (("eta0", eta0), ("u0", u0), ("theta0", theta0)):
+        if not np.isfinite(arr).all():
+            out.append(f"{name} must be finite everywhere")
+    for name in BC_NAMES:
+        if not np.isfinite(getattr(spec.bc, name + "_t")).all():
+            out.append(f"boundary entry {name} must be finite at every step time")
+    if out:
         return out
 
     # (C1)
@@ -259,8 +269,6 @@ class SolutionBundle:
     it_sigma: np.ndarray           # (ns, nx)
     it_p: np.ndarray               # (ns, nx)
     it_g: np.ndarray               # (ns, nx+1)
-    beta_c: np.ndarray             # (ns, nx) sampled mass perturbation
-    step_times: np.ndarray         # (nt+1,)
     volume: np.ndarray             # (nt+1,)
     it_boundary_du: np.ndarray     # (nt+1,) scheme-consistent I_t(uX - u0)
     it_beta_volume: np.ndarray     # (nt+1,) scheme-consistent I_t int(beta)
@@ -270,7 +278,6 @@ class SolutionBundle:
     picard_sweeps: np.ndarray      # (nt,) Picard sweeps over those substeps
     gas_k: float = 1.0             # gas constant, for the derived pressure
     energy: dict = field(default_factory=dict)
-    diagnostics: object = None
 
     @property
     def p(self):

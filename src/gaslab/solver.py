@@ -6,7 +6,7 @@ Unknowns per step: velocity u (edges, implicit viscous flux), specific volume
 eta (centers, exact linear update), temperature theta (centers, implicit
 conduction).  Pressure and transport coefficients are lagged inside a Picard
 loop iterated to a tight tolerance, so the converged step satisfies the fully
-coupled backward-Euler (or theta-weighted) system.
+coupled backward-Euler system.
 
 The mass update is exactly conservative: summing cells telescopes the
 velocity differences, so for m = 1 the gas-volume identity holds to round-off
@@ -62,7 +62,6 @@ class _Retry(Exception):
 
 @dataclass(frozen=True)
 class SchemeParams:
-    theta_implicitness: float = 1.0   # 1 = backward Euler diffusion, 1/2 = CN
     max_picard: int = 50
     tol: float = 1e-10
     dt_safety: int = 10               # max halvings of a nominal step
@@ -71,8 +70,6 @@ class SchemeParams:
     dense_steps: int = 0              # additionally store the first K steps
 
     def __post_init__(self):
-        if not 0.5 <= self.theta_implicitness <= 1.0:
-            raise ValueError("theta_implicitness must lie in [1/2, 1]")
         if self.tol <= 0 or self.positivity_floor <= 0:
             raise ValueError("tolerance and positivity floor must be positive")
 
@@ -121,15 +118,16 @@ class _Stepper:
         self.xe = self.grid.edges()
         self.dx = self.grid.dx
         self.dx2 = self.dx ** 2
+        self.times = self.grid.times()
         self.u_system = _Tridiagonal(self.grid.nx + 1)
         self.theta_system = _Tridiagonal(self.grid.nx)
         self._bc_time = self._bc_values = None
 
     def boundary(self, t):
-        """BoundaryData.at(grid, t), looked up once per distinct time: the
-        substep reaching t and the rates at t share one lookup."""
+        """BoundaryData.at(step times, t), looked up once per distinct time:
+        the substep reaching t and the rates at t share one lookup."""
         if t != self._bc_time:
-            self._bc_time, self._bc_values = t, self.bc.at(self.grid, t)
+            self._bc_time, self._bc_values = t, self.bc.at(self.times, t)
         return self._bc_values
 
     # -- instantaneous derived fields ------------------------------------
@@ -168,8 +166,8 @@ class _Stepper:
     # -- one substep of size h -------------------------------------------
 
     def substep(self, state, t0, h, prev=None):
-        """Advance `state` from t0 by h; returns (new state, beta_avg, Picard
-        sweeps).
+        """Advance `state` from t0 by h; returns (new state, beta at t0 + h,
+        Picard sweeps).
 
         prev = ((eta, u, theta), h_prev), the start and the size of the
         substep that ended at `state`, starts the iteration at the linear
@@ -190,8 +188,8 @@ class _Stepper:
                     return self._iterate(state, t0, h, start)
                 except _Retry as retry:
                     sweeps = retry.sweeps
-        new, beta_avg, k = self._iterate(state, t0, h, state[:3])
-        return new, beta_avg, sweeps + k
+        new, beta, k = self._iterate(state, t0, h, state[:3])
+        return new, beta, sweeps + k
 
     def _iterate(self, state, t0, h, start):
         """Picard sweeps for one substep from the iterate `start`."""
@@ -199,18 +197,13 @@ class _Stepper:
         g = self.grid
         gas = self.gas
         sch = self.scheme
-        th = sch.theta_implicitness
         t1 = t0 + h
         dx, dx2 = self.dx, self.dx2
         mom, ene = self.u_system, self.theta_system
 
         b1 = self.boundary(t1)
-        beta_n = self.pert.beta_at(self.xc, t0)
         beta_1 = self.pert.beta_at(self.xc, t1)
-        beta_avg = th * beta_1 + (1.0 - th) * beta_n
         gamma_1 = self.pert.gamma_at(self.xe, t1)
-        du_n = du_centers(g, u_n)
-        dth_n = dw_edges_interior(g, theta_n)
         inv_h = 1.0 / h
         u_n_h = u_n / h
         theta_n_h = gas.cV * theta_n / h
@@ -224,8 +217,8 @@ class _Stepper:
             p_s = gas.k * rho_s * theta_s
 
             # momentum: implicit viscous flux, lagged pressure/coefficients
-            a = gas.nu * th * rho_s                      # per center
-            S = gas.nu * rho_s * ((1.0 - th) * du_n + beta_avg) - p_s
+            a = gas.nu * rho_s                           # per center
+            S = a * beta_1 - p_s
             g_edge = sample_field(self.spec.g, x_e_s, self.xe, t1)
 
             mom.diag[1:-1] = inv_h + (a[1:] + a[:-1]) / dx2
@@ -254,8 +247,7 @@ class _Stepper:
             change_u = _change(t1, "u", u_new, u_s)
 
             du_new = du_centers(g, u_new)
-            du_avg = th * du_new + (1.0 - th) * du_n
-            eta_new = eta_n + h * (du_avg + beta_avg)
+            eta_new = eta_n + h * (du_new + beta_1)
             change_eta = _change(t1, "eta", eta_new, eta_s)
             if eta_new.min() <= sch.positivity_floor:
                 raise _Retry("eta", t1, sweep)
@@ -264,15 +256,15 @@ class _Stepper:
 
             # energy: implicit conduction with the fresh density, source with
             # the freshly updated velocity, pressure lagged one Picard sweep
-            sigma_src = gas.nu * rho_new * (du_avg + beta_avg) \
+            sigma_src = gas.nu * rho_new * (du_new + beta_1) \
                 - gas.k * rho_new * theta_s
             f_cell = sample_field(self.spec.f, edges_to_centers(x_e_new), self.xc, t1)
-            source = sigma_src * du_avg + f_cell
+            source = sigma_src * du_new + f_cell
 
             b_e = gas.lam * 2.0 / (eta_new[:-1] + eta_new[1:])   # interior edges
-            pi_expl = b_e * ((1.0 - th) * dth_n + gamma_1[1:-1])
+            pi_gamma = b_e * gamma_1[1:-1]
 
-            cond = th * b_e / dx2
+            cond = b_e / dx2
             ene.diag[:] = cV_h
             ene.diag[:-1] += cond
             ene.diag[1:] += cond
@@ -281,8 +273,8 @@ class _Stepper:
 
             rhs_t = ene.rhs
             np.add(theta_n_h, source, out=rhs_t)
-            rhs_t[:-1] += pi_expl / dx
-            rhs_t[1:] -= pi_expl / dx
+            rhs_t[:-1] += pi_gamma / dx
+            rhs_t[1:] -= pi_gamma / dx
             rhs_t[0] -= b1["pi0"] / dx
             rhs_t[-1] += b1["piX"] / dx
 
@@ -298,7 +290,7 @@ class _Stepper:
         else:
             raise _Retry("picard", t1, sch.max_picard)
 
-        return (eta_s, u_s, theta_s, x_e_s), beta_avg, sweep
+        return (eta_s, u_s, theta_s, x_e_s), beta_1, sweep
 
 
 def _snapshot_indices(nt, stride, dense):
@@ -355,7 +347,6 @@ def solve(spec, scheme=None):
     gas = spec.gas
     nt = g.nt
     dt = g.dt
-    thi = scheme.theta_implicitness
     pert = stepper.pert
 
     eta = np.asarray(spec.eta0, dtype=float).copy()
@@ -373,7 +364,7 @@ def solve(spec, scheme=None):
     keep = _snapshot_indices(nt, scheme.store_stride, scheme.dense_steps)
     slot = {n: i for i, n in enumerate(keep)}
     snap = {name: np.empty((len(keep), g.nx)) for name in
-            ("eta", "theta", "sigma", "it_sigma", "it_p", "beta_c")}
+            ("eta", "theta", "sigma", "it_sigma", "it_p")}
     snap.update({name: np.empty((len(keep), g.nx + 1)) for name in
                  ("u", "x_e", "pi", "it_g")})
 
@@ -384,8 +375,7 @@ def solve(spec, scheme=None):
         for name, arr in (("eta", eta), ("theta", theta), ("u", u), ("x_e", x_e),
                           ("sigma", rec.sigma), ("pi", rec.pi),
                           ("it_sigma", rec.it_sigma), ("it_p", rec.it_p),
-                          ("it_g", rec.it_g),
-                          ("beta_c", pert.beta_at(stepper.xc, n * dt))):
+                          ("it_g", rec.it_g)):
             snap[name][slot[n]] = arr
 
     volume = np.empty(nt + 1)
@@ -416,8 +406,7 @@ def solve(spec, scheme=None):
                 for ksub in range(m_sub):
                     ts = t0 + ksub * h
                     before = (st[:3], h)
-                    u_old = st[1]
-                    st, beta_avg, sweeps = stepper.substep(st, ts, h, trial.before)
+                    st, beta, sweeps = stepper.substep(st, ts, h, trial.before)
                     trial.before = before
                     trial.sweeps += sweeps
                     e1, u1, th1, _ = st
@@ -425,9 +414,8 @@ def solve(spec, scheme=None):
                     trial.it_sigma += 0.5 * h * (trial.sigma + sig1)
                     trial.it_p += 0.5 * h * (trial.p + p1)
                     trial.it_g += 0.5 * h * (trial.g + g1)
-                    trial.bdu += h * (thi * (u1[-1] - u1[0])
-                                      + (1.0 - thi) * (u_old[-1] - u_old[0]))
-                    trial.bvol += h * integrate_center(g, beta_avg)
+                    trial.bdu += h * (u1[-1] - u1[0])
+                    trial.bvol += h * integrate_center(g, beta)
                     trial.work += 0.5 * h * (trial.work_rate + wr1)
                     trial.sigma, trial.p, trial.g, trial.pi, trial.work_rate = \
                         sig1, p1, g1, pi1, wr1
@@ -463,8 +451,7 @@ def solve(spec, scheme=None):
         "boundary_and_source_work": it_work,
     }
     return SolutionBundle(
-        grid=g, times=g.times()[keep], **snap,
-        step_times=g.times(), volume=volume,
+        grid=g, times=g.times()[keep], **snap, volume=volume,
         it_boundary_du=it_bdu, it_beta_volume=it_bvol,
         min_eta=float(min_eta), min_theta=float(min_theta),
         substeps=substeps, picard_sweeps=picard_sweeps, gas_k=gas.k, energy=energy)
@@ -523,18 +510,16 @@ def diagnostics(sol, spec):
             rhs = rhs - it_p0[idx][:, None] * prof0 - it_pX[idx][:, None] * profX
     res_stress = float(space_lq(g, sol.it_sigma - rhs, 2.0).max())
 
-    report = DiagnosticsReport(
+    return DiagnosticsReport(
         volume_residual=res_vol,
         logvol_residual=res_logvol,
         stress_repr_residual=res_stress,
         positivity_margins=(sol.min_eta, sol.min_theta),
         energy_ledger=sol.energy,
     )
-    sol.diagnostics = report
-    return report
 
 
-def linf_velocity_check(sol, spec=None):
+def linf_velocity_check(sol):
     """Sup-norm of the stored velocity trajectory; monitored for boundedness
     under refinement, never asserted against a specific constant."""
     return float(np.abs(sol.u).max())

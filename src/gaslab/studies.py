@@ -174,13 +174,13 @@ def compute_E0(grid, u0, theta0, eta0, bc, cV, m):
     return 0.5 * w0 ** 2 + cV * np.asarray(theta0, dtype=float)
 
 
-def compute_delta(base, perturbed, qe=INF, x_e_hat=None):
+def compute_delta(base, perturbed, qe=INF):
     """Itemize the data-difference bound between two problem specs.
 
     Every item is a norm of a data difference (degree-1 homogeneous); dual
     norms enter through their computable majorants.  The force-composition
-    items are evaluated along x_e_hat (default: the initial Eulerian map of
-    the perturbed spec, held constant in time).
+    items are evaluated along the initial Eulerian map of the perturbed spec,
+    held constant in time.
 
     The I_t I^<1> beta2 item is dropped for qe = 2, where it is not needed.
     """
@@ -235,10 +235,8 @@ def compute_delta(base, perturbed, qe=INF, x_e_hat=None):
     items["gamma_v2star"] = v2star_majorant(g, gam, tt)
 
     # force differences g_hat - g = g1 + g2 along the perturbed Eulerian map
-    if x_e_hat is None:
-        e0p = np.asarray(perturbed.eta0, dtype=float)
-        x_e_hat = edges_to_centers(primitive_at_edges(g, e0p) + beta_e)
-    chi = x_e_hat
+    e0p = np.asarray(perturbed.eta0, dtype=float)
+    chi = edges_to_centers(primitive_at_edges(g, e0p) + beta_e)
 
     def force_diff(f_hat, f):
         if f_hat is f:
@@ -350,7 +348,7 @@ def check_thresholds(table):
 # Continuous-dependence study
 
 def run_lipschitz_study(base_spec, perturb, deltas, scheme=None, qe=INF,
-                        t0_frac=0.2, thresholds=None, metadata=None):
+                        t0_frac=0.2, thresholds=None):
     """Solve the base problem and a family of perturbed problems scaled by the
     delta sweep; tabulate solution-difference norms and the data bound Delta,
     and fit each column's log-log slope against Delta.
@@ -407,14 +405,13 @@ def run_lipschitz_study(base_spec, perturb, deltas, scheme=None, qe=INF,
         if ratios.min() > 0:
             ratio_spread[col] = float(ratios.max() / ratios.min())
 
-    meta = dict(metadata or {})
-    meta.update({
+    meta = {
         "study": "lipschitz",
         "grid": f"nx={g.nx} nt={g.nt} X={g.X:g} T={g.T:g}",
         "m": m, "qe": str(qe),
         "config_hash": _config_hash(base_spec.source),
         "ratio_spread": ratio_spread,
-    })
+    }
     return ConvergenceTable(
         param="delta", values=deltas, columns=columns, slopes=slopes,
         flags=flags, thresholds=dict(thresholds or DEFAULT_THRESHOLDS_LIPSCHITZ),
@@ -492,7 +489,7 @@ def _homog_columns_for_eps(problem, hs, eps, a_eps, scheme, qe, t0_frac):
 
 def run_homog_study(problem, eps_list, scheme=None, a_eps=0.0, qe=INF,
                     t0_frac=0.2, thresholds=None, measure_floor_flag=True,
-                    jobs=1, metadata=None):
+                    jobs=1):
     """Averaged problem once, oscillating problem per eps; tabulate the error
     columns and fit slopes against eps.
 
@@ -548,15 +545,14 @@ def run_homog_study(problem, eps_list, scheme=None, a_eps=0.0, qe=INF,
         "itsigma_Linf": float(np.abs(base.it_sigma).max()),
     }
 
-    meta = dict(metadata or {})
-    meta.update({
+    meta = {
         "study": "homogenization",
         "grid": f"nx={g.nx} nt={g.nt} X={g.X:g} T={g.T:g}",
         "m": m, "qe": str(qe), "a_eps": a_eps,
         "config_hash": _config_hash(problem.source),
         "decades_above_floor": decades,
         "averaged_run_norms": averaged_norms,
-    })
+    }
     return ConvergenceTable(
         param="eps", values=eps_list, columns=columns, slopes=slopes,
         floors=floors, flags=flags,

@@ -1,4 +1,4 @@
-"""Two-scale fields w(xi, x[, t]) with a periodic cell variable xi in (0, 1):
+"""Two-scale fields w(xi, x) with a periodic cell variable xi in (0, 1):
 realization at scale eps, cell averaging, the averaging-error operator, and
 the energy-consistent homogenized initial temperature.
 
@@ -48,13 +48,12 @@ def xi_quadrature(breakpoints, n_xi=256):
 
 @dataclass(frozen=True)
 class TwoScaleField:
-    """fn(xi, x) or fn(xi, x, t), vectorized over numpy arrays; breakpoints
-    certify where the xi-profile may jump."""
+    """fn(xi, x), vectorized over numpy arrays; breakpoints certify where the
+    xi-profile may jump."""
 
     fn: object
     breakpoints: tuple = ()
     n_xi: int = 256
-    time_dependent: bool = False
 
     def __post_init__(self):
         bp = tuple(self.breakpoints)
@@ -64,50 +63,38 @@ class TwoScaleField:
             raise ValueError("xi breakpoints must be strictly increasing")
         object.__setattr__(self, "breakpoints", bp)
 
-    def __call__(self, xi, x, t=None):
-        if self.time_dependent:
-            return np.asarray(self.fn(xi, x, t), dtype=float)
+    def __call__(self, xi, x):
         return np.asarray(self.fn(xi, x), dtype=float)
 
     def quadrature(self):
         return xi_quadrature(self.breakpoints, self.n_xi)
 
 
-def realize(w, osc, x, t=None):
-    """w^(eps)(x[, t]) = w({x/eps - a_eps}, x[, t]) sampled at the given points."""
+def realize(w, osc, x):
+    """w^(eps)(x) = w({x/eps - a_eps}, x) sampled at the given points."""
     x = np.asarray(x, dtype=float)
-    xi = osc.cell_coordinate(x)
-    out = w(xi, x, t) if w.time_dependent else w(xi, x)
-    return out * np.ones_like(x)
+    return w(osc.cell_coordinate(x), x) * np.ones_like(x)
 
 
-def xi_mean(w, x, t=None):
-    """<w>(x[, t]): per-sample quadrature over the periodic cell."""
+def xi_mean(w, x):
+    """<w>(x): per-sample quadrature over the periodic cell."""
     x = np.asarray(x, dtype=float)
     nodes, weights = w.quadrature()
-    if w.time_dependent:
-        vals = w(nodes[:, None], x[None, :], t)
-    else:
-        vals = w(nodes[:, None], x[None, :])
-    vals = vals * np.ones((len(nodes), len(x)))
+    vals = w(nodes[:, None], x[None, :]) * np.ones((len(nodes), len(x)))
     return weights @ vals
 
 
-def xi_sample(w, x, t=None):
+def xi_sample(w, x):
     """Samples of w on the quadrature lattice: array (n_nodes, len(x)) plus
     the weights; used for seminorms of two-scale data."""
     x = np.asarray(x, dtype=float)
     nodes, weights = w.quadrature()
-    if w.time_dependent:
-        vals = w(nodes[:, None], x[None, :], t)
-    else:
-        vals = w(nodes[:, None], x[None, :])
-    return vals * np.ones((len(nodes), len(x))), weights
+    return w(nodes[:, None], x[None, :]) * np.ones((len(nodes), len(x))), weights
 
 
-def averaging_error(w, osc, x, t=None):
+def averaging_error(w, osc, x):
     """R_eps w = w^(eps) - <w>, pointwise on the sample set."""
-    return realize(w, osc, x, t) - xi_mean(w, x, t)
+    return realize(w, osc, x) - xi_mean(w, x)
 
 
 def homogenized_theta0(u0, theta0, cV, x):

@@ -206,9 +206,37 @@ def count_solves(monkeypatch):
             return solve(*args, **kwargs)
         return wrapped
 
+    monkeypatch.setattr(cli, "solve", counting(cli.solve))
     monkeypatch.setattr(studies, "solve", counting(studies.solve))
     monkeypatch.setattr(hmg, "solve", counting(hmg.solve))
     return calls
+
+
+@pytest.mark.parametrize("section,name,message", [
+    ("data", "eta0", "eta0 must be finite"),
+    ("data", "theta0", "theta0 must be finite"),
+    ("bc", "pi0", "boundary entry pi0 must be finite"),
+])
+def test_solve_reports_non_finite_data_as_invalid_config(tmp_path, monkeypatch, capsys,
+                                                         section, name, message):
+    calls = count_solves(monkeypatch)
+    cfg_dict = small_problem_cfg()
+    cfg_dict[section][name] = float("nan")
+    cfg = write_cfg(tmp_path, cfg_dict)
+    assert main(["solve", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"invalid config: {message}" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("key,value", [("theta_implicitness", 0.5), ("store_strid", 4)])
+def test_unknown_scheme_key_exits_before_solving(tmp_path, monkeypatch, capsys, key, value):
+    calls = count_solves(monkeypatch)
+    cfg_dict = small_problem_cfg()
+    cfg_dict["scheme"] = {key: value}
+    cfg = write_cfg(tmp_path, cfg_dict)
+    assert main(["solve", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"unknown scheme key '{key}'" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_non_halving_sweep_exits_before_solving(tmp_path, monkeypatch, capsys):

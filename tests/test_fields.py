@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gaslab import config as cfgmod
 from gaslab.grid import Grid, GasParams, du_centers, integrate_center
-from gaslab.problem import BoundaryData, PerturbationSpec, ProblemSpec, validate
+from gaslab.problem import BC_NAMES, BoundaryData, PerturbationSpec, ProblemSpec, validate
 from gaslab.solver import SchemeParams, solve
 
 
@@ -74,6 +76,24 @@ def test_validate_flags_inactive_boundary_entries():
                        theta0=np.ones(g.nx), N=10.0)
     msgs = validate(spec)
     assert any("not used by family" in m for m in msgs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["eta0", "u0", "theta0", *BC_NAMES])
+def test_validate_reports_non_finite_samples(name, bad):
+    # one bad sample, which every comparison in the (C1)/(C3) checks would let pass
+    spec = constant_spec(m=3)
+    if name in BC_NAMES:
+        series = getattr(spec.bc, name + "_t").copy()
+        series[5] = bad
+        spec = replace(spec, bc=replace(spec.bc, **{name + "_t": series}))
+        want = f"boundary entry {name} must be finite at every step time"
+    else:
+        samples = np.asarray(getattr(spec, name), dtype=float).copy()
+        samples[3] = bad
+        spec = replace(spec, **{name: samples})
+        want = f"{name} must be finite everywhere"
+    assert validate(spec) == [want]
 
 
 def test_validate_pressure_floor_m3():
@@ -168,5 +188,5 @@ def test_boundary_table_entries(kind):
 def test_boundary_interpolation_between_steps():
     g = basic_grid()
     bc = BoundaryData.build(g, m=3, p0="1 + t", pX=1.0, pi0=0.0, piX=0.0)
-    mid = bc.at(g, 0.5 * g.dt)
+    mid = bc.at(g.times(), 0.5 * g.dt)
     assert mid["p0"] == pytest.approx(1.0 + 0.5 * g.dt, rel=1e-12)

@@ -99,7 +99,6 @@ def test_positivity_margins_recorded():
     spec = pulse_spec(64, 100, 3)
     sol = solve(spec)
     assert sol.min_eta > 0 and sol.min_theta > 0
-    assert sol.diagnostics is None
     rep = diagnostics(sol, spec)
     assert rep.positivity_margins == (sol.min_eta, sol.min_theta)
 
