@@ -116,6 +116,22 @@ def _cmd_norms(args):
     return 0
 
 
+def _qe(study):
+    """The study's "qe" entry: a number or "inf" (the default)."""
+    return float("inf") if str(study.get("qe", "inf")) == "inf" else float(study["qe"])
+
+
+def _report(table, out_dir, name):
+    """Write the study report to out_dir/name, print its summary and return
+    the exit code: 0 when every threshold is met, 1 otherwise."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    ok = studies.write_report(table, path)
+    with open(path + ".summary.txt", "r", encoding="utf-8") as fh:
+        print(fh.read())
+    return 0 if ok else 1
+
+
 def _cmd_study_homog(args):
     cfg = cfgmod.load_config(args.config)
     problem = cfgmod.build_two_scale_problem(cfg)
@@ -123,20 +139,14 @@ def _cmd_study_homog(args):
     st = cfg.get("study", {})
     eps_list = [float(e) for e in args.eps_list.split(",")] if args.eps_list \
         else [float(e) for e in st["eps_list"]]
-    qe = float("inf") if str(st.get("qe", "inf")) == "inf" else float(st["qe"])
     table = studies.run_homog_study(
         problem, eps_list, scheme=scheme,
-        a_eps=float(st.get("a_eps", 0.0)), qe=qe,
+        a_eps=float(st.get("a_eps", 0.0)), qe=_qe(st),
         t0_frac=float(st.get("t0_frac", 0.2)),
         thresholds=st.get("thresholds"),
         measure_floor_flag=bool(st.get("measure_floor", True)),
         jobs=args.jobs)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "homog_study.csv")
-    ok = studies.write_report(table, path)
-    with open(path + ".summary.txt", "r", encoding="utf-8") as fh:
-        print(fh.read())
-    return 0 if ok else 1
+    return _report(table, args.out, "homog_study.csv")
 
 
 def _cmd_study_lipschitz(args):
@@ -146,21 +156,15 @@ def _cmd_study_lipschitz(args):
     scheme = cfgmod.build_scheme(cfg["problem"])
     deltas = [st["delta0"] * 0.5 ** j for j in range(int(st.get("levels", 5)))]
     patterns = st.get("patterns", {})
-    qe = float("inf") if str(st.get("qe", "inf")) == "inf" else float(st["qe"])
 
     def perturb(spec, d):
         return cfgmod.perturbed_spec(spec, patterns, d)
 
     table = studies.run_lipschitz_study(
-        base, perturb, deltas, scheme=scheme, qe=qe,
+        base, perturb, deltas, scheme=scheme, qe=_qe(st),
         t0_frac=float(st.get("t0_frac", 0.2)),
         thresholds=st.get("thresholds"))
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "lipschitz_study.csv")
-    ok = studies.write_report(table, path)
-    with open(path + ".summary.txt", "r", encoding="utf-8") as fh:
-        print(fh.read())
-    return 0 if ok else 1
+    return _report(table, args.out, "lipschitz_study.csv")
 
 
 def main(argv=None):

@@ -31,9 +31,6 @@ class ScaledFn:
     def __call__(self, *args):
         return self.scale * np.asarray(self.fn(*args), dtype=float)
 
-    def __reduce__(self):
-        return (ScaledFn, (self.fn, self.scale))
-
 
 class ConstFn:
     def __init__(self, value):
@@ -42,9 +39,6 @@ class ConstFn:
     def __call__(self, *args):
         shape = np.broadcast(*[np.asarray(a, dtype=float) for a in args]).shape
         return np.full(shape, self.value)
-
-    def __reduce__(self):
-        return (ConstFn, (self.value,))
 
 
 def load_config(path):
@@ -152,8 +146,7 @@ def build_two_scale_problem(cfg):
         source=cfg)
 
 
-SCHEME_KEYS = {"max_picard": int, "tol": float, "dt_safety": int,
-               "positivity_floor": float, "store_stride": int, "dense_steps": int}
+SCHEME_KEYS = {"store_stride": int, "dense_steps": int}
 
 
 def build_scheme(cfg):

@@ -398,6 +398,3 @@ class ExprFn:
 
     def __call__(self, *args):
         return evaluate(self.expr, **dict(zip(self.variables, args)))
-
-    def __reduce__(self):
-        return (ExprFn, (self.source, self.variables))

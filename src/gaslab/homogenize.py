@@ -123,6 +123,12 @@ def solve_homogenized(problem, scheme=None):
     return HomogSolution(problem=problem, base=base, B_hat=B, it_binv_theta=it_bt)
 
 
+def _reconstruct(hs, e0):
+    """B * (e0 + (k/nu) I_t(B^{-1} theta)) from the initial profile e0 (nx,)."""
+    gas = hs.problem.gas
+    return hs.B_hat * (e0[None, :] + (gas.k / gas.nu) * hs.it_binv_theta)
+
+
 def reconstruct_eta(hs, eta0, xi):
     """eta(xi_k, x, t) for the requested xi samples: array (len(xi), ns, nx).
 
@@ -131,28 +137,22 @@ def reconstruct_eta(hs, eta0, xi):
     """
     xc = hs.grid.centers()
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    gas = hs.problem.gas
     out = np.empty((len(xi), ) + hs.B_hat.shape)
     for i, s in enumerate(xi):
-        e0 = eta0(np.full_like(xc, s), xc)
-        out[i] = hs.B_hat * (e0[None, :] + (gas.k / gas.nu) * hs.it_binv_theta)
+        out[i] = _reconstruct(hs, eta0(np.full_like(xc, s), xc))
     return out
 
 
 def mean_reconstructed_eta(hs, eta0):
     """<eta_recon>(x, t); by linearity of the reconstruction in eta0 this is
     the reconstruction started from <eta0>."""
-    e0m = xi_mean(eta0, hs.grid.centers())
-    gas = hs.problem.gas
-    return hs.B_hat * (e0m[None, :] + (gas.k / gas.nu) * hs.it_binv_theta)
+    return _reconstruct(hs, xi_mean(eta0, hs.grid.centers()))
 
 
 def eta_epsilon(hs, eta0, osc):
     """eta^(eps)(x, t) on the grid: reconstruction started from the realized
     initial profile.  At t = 0 this equals realize(eta0, osc) exactly."""
-    e0 = realize(eta0, osc, hs.grid.centers())
-    gas = hs.problem.gas
-    return hs.B_hat * (e0[None, :] + (gas.k / gas.nu) * hs.it_binv_theta)
+    return _reconstruct(hs, realize(eta0, osc, hs.grid.centers()))
 
 
 def perturbation_fields(hs, eta0, osc):

@@ -186,22 +186,28 @@ def validate(spec):
         if size > N:
             out.append(f"data magnitude {size:.3g} exceeds declared N={N:g} (C1)")
 
-    # (C2): sample the force terms on a probe set
+    # (C2): sample the force terms, and the perturbation terms, on a probe set;
+    # a non-finite sample is reported before the f >= 0 comparison it passes
     tt = grid.times()
     probe_t = tt[:: max(1, len(tt) // 32)]
     xc = grid.centers()
     xe = grid.edges()
-    chi_probe = np.linspace(-grid.X, 2 * grid.X, len(xc))
-    for t in probe_t:
-        fv = sample_field(spec.f, chi_probe, xc, t)
-        if fv.min() < 0.0:
-            out.append(f"f must be nonnegative, found {fv.min():.3g} at t={t:g} (C2)")
-            break
-    for t in probe_t:
-        gv = sample_field(spec.g, np.linspace(-grid.X, 2 * grid.X, len(xe)), xe, t)
-        if not np.all(np.isfinite(gv)):
-            out.append(f"g must be finite on the probe set, failed at t={t:g} (C2)")
-            break
+    chi_c = np.linspace(-grid.X, 2 * grid.X, len(xc))
+    chi_e = np.linspace(-grid.X, 2 * grid.X, len(xe))
+    pert = spec.perturbation if spec.perturbation is not None else PerturbationSpec()
+    probes = (("f", lambda t: sample_field(spec.f, chi_c, xc, t), " (C2)"),
+              ("g", lambda t: sample_field(spec.g, chi_e, xe, t), " (C2)"),
+              ("beta", lambda t: pert.beta_at(xc, t), ""),
+              ("gamma", lambda t: pert.gamma_at(xe, t), ""))
+    for name, probe, tag in probes:
+        for t in probe_t:
+            v = probe(t)
+            if not np.isfinite(v).all():
+                out.append(f"{name} must be finite on the probe set, failed at t={t:g}{tag}")
+                break
+            if name == "f" and v.min() < 0.0:
+                out.append(f"f must be nonnegative, found {v.min():.3g} at t={t:g} (C2)")
+                break
 
     # (C3)
     bc = spec.bc
@@ -233,9 +239,7 @@ def validate(spec):
             out.append(f"gas volume drops below 1/N at t={tt[n_bad]:g} (gas volume, m=1)")
 
     # perturbation split consistency
-    pert = spec.perturbation
-    if pert is not None and pert.beta1 is not None and pert.beta2 is not None \
-            and pert.beta is not None:
+    if pert.beta1 is not None and pert.beta2 is not None and pert.beta is not None:
         worst = 0.0
         for t in probe_t:
             b = pert.beta_at(xc, t)
@@ -250,8 +254,9 @@ def validate(spec):
 
 @dataclass
 class SolutionBundle:
-    """Trajectories stored at the snapshot times `times` (a subset of step
-    times), plus per-step scalar tracks at full step resolution.
+    """Trajectories stored at the snapshot steps `steps` (a subset of
+    0..nt, at times `times`), plus per-step scalar tracks at full step
+    resolution.
 
     it_sigma / it_p / it_g are trapezoid accumulations over every step,
     snapshotted together with the fields, so time primitives of the stress
@@ -259,7 +264,8 @@ class SolutionBundle:
     """
 
     grid: Grid
-    times: np.ndarray              # (ns,) snapshot times
+    steps: np.ndarray              # (ns,) step indices of the snapshots
+    times: np.ndarray              # (ns,) snapshot times, grid.times()[steps]
     eta: np.ndarray                # (ns, nx)
     u: np.ndarray                  # (ns, nx+1)
     theta: np.ndarray              # (ns, nx)

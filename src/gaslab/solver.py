@@ -60,18 +60,22 @@ class _Retry(Exception):
         self.sweeps = sweeps
 
 
+MAX_PICARD = 50                   # Picard sweeps per substep before a retry
+PICARD_TOL = 1e-10                # max |change| of u, eta, theta that ends the sweeps
+MAX_HALVINGS = 10                 # step halvings of a nominal step before giving up
+POSITIVITY_FLOOR = 1e-10          # eta and theta must stay above this
+
+
 @dataclass(frozen=True)
 class SchemeParams:
-    max_picard: int = 50
-    tol: float = 1e-10
-    dt_safety: int = 10               # max halvings of a nominal step
-    positivity_floor: float = 1e-10
     store_stride: int = 1
     dense_steps: int = 0              # additionally store the first K steps
 
     def __post_init__(self):
-        if self.tol <= 0 or self.positivity_floor <= 0:
-            raise ValueError("tolerance and positivity floor must be positive")
+        if self.store_stride < 1:
+            raise ValueError(f"store_stride must be at least 1, got {self.store_stride}")
+        if self.dense_steps < 0:
+            raise ValueError(f"dense_steps must be nonnegative, got {self.dense_steps}")
 
 
 class _Tridiagonal:
@@ -106,9 +110,8 @@ def _change(t, variable, new, old):
 
 
 class _Stepper:
-    def __init__(self, spec, scheme):
+    def __init__(self, spec):
         self.spec = spec
-        self.scheme = scheme
         self.grid = spec.grid
         self.gas = spec.gas
         self.bc = spec.bc
@@ -182,8 +185,7 @@ class _Stepper:
             before, h_prev = prev
             r = h / h_prev
             start = tuple(now + r * (now - old) for now, old in zip(state[:3], before))
-            floor = self.scheme.positivity_floor
-            if start[0].min() > floor and start[2].min() > floor:
+            if start[0].min() > POSITIVITY_FLOOR and start[2].min() > POSITIVITY_FLOOR:
                 try:
                     return self._iterate(state, t0, h, start)
                 except _Retry as retry:
@@ -196,7 +198,6 @@ class _Stepper:
         eta_n, u_n, theta_n, x_e_n = state
         g = self.grid
         gas = self.gas
-        sch = self.scheme
         t1 = t0 + h
         dx, dx2 = self.dx, self.dx2
         mom, ene = self.u_system, self.theta_system
@@ -212,7 +213,7 @@ class _Stepper:
         eta_s, u_s, theta_s = start
         x_e_s = x_e_n + h * u_n
 
-        for sweep in range(1, sch.max_picard + 1):
+        for sweep in range(1, MAX_PICARD + 1):
             rho_s = 1.0 / eta_s
             p_s = gas.k * rho_s * theta_s
 
@@ -249,7 +250,7 @@ class _Stepper:
             du_new = du_centers(g, u_new)
             eta_new = eta_n + h * (du_new + beta_1)
             change_eta = _change(t1, "eta", eta_new, eta_s)
-            if eta_new.min() <= sch.positivity_floor:
+            if eta_new.min() <= POSITIVITY_FLOOR:
                 raise _Retry("eta", t1, sweep)
             rho_new = 1.0 / eta_new
             x_e_new = x_e_n + 0.5 * h * (u_n + u_new)
@@ -280,15 +281,15 @@ class _Stepper:
 
             theta_new = ene.solve(t1, "theta")
             change_theta = _change(t1, "theta", theta_new, theta_s)
-            if theta_new.min() <= sch.positivity_floor:
+            if theta_new.min() <= POSITIVITY_FLOOR:
                 raise _Retry("theta", t1, sweep)
 
             change = max(change_u, change_eta, change_theta)
             eta_s, u_s, theta_s, x_e_s = eta_new, u_new, theta_new, x_e_new
-            if change < sch.tol:
+            if change < PICARD_TOL:
                 break
         else:
-            raise _Retry("picard", t1, sch.max_picard)
+            raise _Retry("picard", t1, MAX_PICARD)
 
         return (eta_s, u_s, theta_s, x_e_s), beta_1, sweep
 
@@ -296,7 +297,7 @@ class _Stepper:
 def _snapshot_indices(nt, stride, dense):
     keep = {0, nt}
     keep.update(range(1, min(dense, nt) + 1))
-    keep.update(range(0, nt + 1, max(1, stride)))
+    keep.update(range(0, nt + 1, stride))
     return sorted(keep)
 
 
@@ -342,7 +343,7 @@ def solve(spec, scheme=None):
     """
     if scheme is None:
         scheme = SchemeParams()
-    stepper = _Stepper(spec, scheme)
+    stepper = _Stepper(spec)
     g = spec.grid
     gas = spec.gas
     nt = g.nt
@@ -398,7 +399,7 @@ def solve(spec, scheme=None):
 
     for n in range(nt):
         t0 = n * dt
-        for level in range(scheme.dt_safety + 1):
+        for level in range(MAX_HALVINGS + 1):
             m_sub = 2 ** level
             h = dt / m_sub
             st, trial = state, rec.attempt()
@@ -451,7 +452,7 @@ def solve(spec, scheme=None):
         "boundary_and_source_work": it_work,
     }
     return SolutionBundle(
-        grid=g, times=g.times()[keep], **snap, volume=volume,
+        grid=g, steps=np.asarray(keep), times=g.times()[keep], **snap, volume=volume,
         it_boundary_du=it_bdu, it_beta_volume=it_bvol,
         min_eta=float(min_eta), min_theta=float(min_theta),
         substeps=substeps, picard_sweeps=picard_sweeps, gas_k=gas.k, energy=energy)
@@ -498,16 +499,15 @@ def diagnostics(sol, spec):
         rhs = i_bracket(g, u_dev, 1) + mean_omega(g, sol.it_sigma)[:, None]
     else:
         rhs = i_bracket(g, u_dev, m)
-        it_p0 = time_primitive(spec.bc.p0_t, tt)
-        it_pX = time_primitive(spec.bc.pX_t, tt)
-        idx = np.rint(sol.times / g.dt).astype(int)
+        it_p0 = time_primitive(spec.bc.p0_t, tt)[sol.steps]
+        it_pX = time_primitive(spec.bc.pX_t, tt)[sol.steps]
         if m == 2:
-            rhs = rhs - it_p0[idx][:, None]
+            rhs = rhs - it_p0[:, None]
         else:
             xc = g.centers()
             prof0 = (1.0 - xc / g.X)[None, :]
             profX = (xc / g.X)[None, :]
-            rhs = rhs - it_p0[idx][:, None] * prof0 - it_pX[idx][:, None] * profX
+            rhs = rhs - it_p0[:, None] * prof0 - it_pX[:, None] * profX
     res_stress = float(space_lq(g, sol.it_sigma - rhs, 2.0).max())
 
     return DiagnosticsReport(

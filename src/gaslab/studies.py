@@ -429,18 +429,6 @@ def _restrict_edge(a):
     return a[:, ::2]
 
 
-def _common_times(ta, tb, T):
-    ia, ib = [], []
-    j = 0
-    for i, t in enumerate(ta):
-        while j < len(tb) and tb[j] < t - 1e-12 * T:
-            j += 1
-        if j < len(tb) and abs(tb[j] - t) <= 1e-12 * T:
-            ia.append(i)
-            ib.append(j)
-    return np.asarray(ia), np.asarray(ib)
-
-
 def measure_floor(hs, scheme, m, qe, t0_frac=0.2):
     """Solver self-convergence floor of the averaged problem: difference
     between the (nx, nt) run `hs.base`, solved with `scheme`, and the
@@ -455,7 +443,9 @@ def measure_floor(hs, scheme, m, qe, t0_frac=0.2):
     fine = hs.base
     coarse = solve(coarse_problem.averaged_spec(), scheme2)
 
-    ia, ib = _common_times(fine.times, coarse.times, g.T)
+    # coarse step n is fine step 2n: pair the snapshots both runs stored
+    _, ia, ib = np.intersect1d(fine.steps, 2 * coarse.steps, assume_unique=True,
+                               return_indices=True)
     d = {
         "eta": _restrict_center(fine.eta[ia]) - coarse.eta[ib],
         "u": _restrict_edge(fine.u[ia]) - coarse.u[ib],

@@ -216,6 +216,7 @@ def count_solves(monkeypatch):
     ("data", "eta0", "eta0 must be finite"),
     ("data", "theta0", "theta0 must be finite"),
     ("bc", "pi0", "boundary entry pi0 must be finite"),
+    ("data", "f", "f must be finite on the probe set"),
 ])
 def test_solve_reports_non_finite_data_as_invalid_config(tmp_path, monkeypatch, capsys,
                                                          section, name, message):
@@ -228,7 +229,11 @@ def test_solve_reports_non_finite_data_as_invalid_config(tmp_path, monkeypatch, 
     assert calls == []
 
 
-@pytest.mark.parametrize("key,value", [("theta_implicitness", 0.5), ("store_strid", 4)])
+# the solver's Picard budget, tolerance, halving budget and positivity floor
+# are constants, so a config that still sets one fails loudly
+@pytest.mark.parametrize("key,value", [
+    ("theta_implicitness", 0.5), ("store_strid", 4), ("max_picard", 20), ("tol", 1e-10),
+    ("dt_safety", 3), ("positivity_floor", 1e-8)])
 def test_unknown_scheme_key_exits_before_solving(tmp_path, monkeypatch, capsys, key, value):
     calls = count_solves(monkeypatch)
     cfg_dict = small_problem_cfg()
@@ -236,6 +241,20 @@ def test_unknown_scheme_key_exits_before_solving(tmp_path, monkeypatch, capsys, 
     cfg = write_cfg(tmp_path, cfg_dict)
     assert main(["solve", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"unknown scheme key '{key}'" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("store_stride", 0, "store_stride must be at least 1"),
+    ("dense_steps", -1, "dense_steps must be nonnegative")])
+def test_invalid_scheme_value_exits_before_solving(tmp_path, monkeypatch, capsys, key,
+                                                   value, message):
+    calls = count_solves(monkeypatch)
+    cfg_dict = small_problem_cfg()
+    cfg_dict["scheme"] = {key: value}
+    cfg = write_cfg(tmp_path, cfg_dict)
+    assert main(["solve", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
     assert calls == []
 
 

@@ -79,15 +79,24 @@ def test_validate_flags_inactive_boundary_entries():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("name", ["eta0", "u0", "theta0", *BC_NAMES])
+@pytest.mark.parametrize("name", ["eta0", "u0", "theta0", *BC_NAMES, "f", "beta", "gamma"])
 def test_validate_reports_non_finite_samples(name, bad):
-    # one bad sample, which every comparison in the (C1)/(C3) checks would let pass
+    # one bad sample, which every comparison in the (C1)/(C2)/(C3) checks would let pass
     spec = constant_spec(m=3)
     if name in BC_NAMES:
         series = getattr(spec.bc, name + "_t").copy()
         series[5] = bad
         spec = replace(spec, bc=replace(spec.bc, **{name + "_t": series}))
         want = f"boundary entry {name} must be finite at every step time"
+    elif name in ("f", "beta", "gamma"):
+        def fn(*args):                   # arguments end in (x, t)
+            return np.where(args[-2] > 0.5, bad, 0.0)
+        if name == "f":
+            spec = replace(spec, f=fn)
+        else:
+            spec = replace(spec, perturbation=PerturbationSpec(**{name: fn}))
+        want = f"{name} must be finite on the probe set, failed at t=0" \
+            + (" (C2)" if name == "f" else "")
     else:
         samples = np.asarray(getattr(spec, name), dtype=float).copy()
         samples[3] = bad

@@ -218,7 +218,7 @@ def test_positivity_loss_reported():
     spec = ProblemSpec(grid=g, gas=GAS, bc=bc, eta0=np.ones(g.nx),
                        u0=np.zeros(g.nx + 1), theta0=np.ones(g.nx))
     with pytest.raises((PositivityLoss, NonlinearDivergence)):
-        solve(spec, SchemeParams(dt_safety=3))
+        solve(spec)
 
 
 def test_adaptive_substeps_recorded():
@@ -247,11 +247,20 @@ def test_energy_ledger_tracks_totals():
 @pytest.mark.parametrize("spec", [pulse_spec(64, 100, 3), halving_spec()],
                          ids=["pulse", "halving"])
 def test_picard_sweeps_recorded(spec):
-    scheme = SchemeParams()
-    sol = solve(spec, scheme)
+    sol = solve(spec)
     assert sol.picard_sweeps.shape == (spec.grid.nt,)
     assert np.all(sol.picard_sweeps >= sol.substeps)
-    assert np.all(sol.picard_sweeps <= scheme.max_picard * sol.substeps)
+    assert np.all(sol.picard_sweeps <= solver.MAX_PICARD * sol.substeps)
+
+
+def test_snapshot_steps_index_the_step_times():
+    # stride 4 plus a dense window of 8 steps: the bundle names the steps it stored
+    spec = pulse_spec(32, 40, 3, T=0.1)
+    sol = solve(spec, SchemeParams(store_stride=4, dense_steps=8))
+    g = spec.grid
+    assert sol.steps.tolist() == sorted(set(range(0, 41, 4)) | set(range(1, 9)))
+    assert np.array_equal(sol.times, g.times()[sol.steps])
+    assert sol.eta.shape == (len(sol.steps), g.nx)
 
 
 def test_predicted_start_matches_plain_start(monkeypatch):
