@@ -198,7 +198,11 @@ def validate(spec):
     probes = (("f", lambda t: sample_field(spec.f, chi_c, xc, t), " (C2)"),
               ("g", lambda t: sample_field(spec.g, chi_e, xe, t), " (C2)"),
               ("beta", lambda t: pert.beta_at(xc, t), ""),
-              ("gamma", lambda t: pert.gamma_at(xe, t), ""))
+              ("gamma", lambda t: pert.gamma_at(xe, t), ""),
+              ("beta1", lambda t: sample_field(pert.beta1, xc, t), ""),
+              ("beta2", lambda t: sample_field(pert.beta2, xc, t), ""),
+              ("g1", lambda t: sample_field(pert.g1, chi_e, xe, t), ""),
+              ("g2", lambda t: sample_field(pert.g2, chi_e, xe, t), ""))
     for name, probe, tag in probes:
         for t in probe_t:
             v = probe(t)

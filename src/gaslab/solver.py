@@ -100,6 +100,30 @@ class _Tridiagonal:
         return x
 
 
+def _extrapolate(state, history, h):
+    """First Picard iterate for the substep of size h from `state` at t: the
+    Lagrange extrapolation to t + h through `state` and the (eta, u, theta)
+    of `history`, ((eta, u, theta), h_k) pairs of the preceding substeps,
+    most recent first.  Two entries give the quadratic extrapolation (weights
+    3, -3, 1 for uniform steps), one the linear, none `state` itself."""
+    nodes = [0.0]
+    for _, h_k in history:
+        nodes.append(nodes[-1] - h_k)
+    points = [state[:3]] + [past for past, _ in history]
+    weights = [math.prod((h - t_j) / (t_i - t_j) for j, t_j in enumerate(nodes) if j != i)
+               for i, t_i in enumerate(nodes)]
+    return tuple(sum(w * point[k] for w, point in zip(weights, points)) for k in range(3))
+
+
+def _converged(change, prev_change):
+    """Stop test after a Picard sweep whose max |change| is `change`, after
+    one of `prev_change` (0.0 before the second sweep): the change is below
+    PICARD_TOL, or the sweeps contract at least twofold and the next change
+    they predict, change**2 / prev_change, is below PICARD_TOL / 10."""
+    return change < PICARD_TOL or (change <= prev_change / 2
+                                   and change * change / prev_change < PICARD_TOL / 10)
+
+
 def _change(t, variable, new, old):
     """max |new - old| between Picard iterates; NonFiniteState when `new`
     holds a NaN or an infinity (`old` is always finite)."""
@@ -125,6 +149,10 @@ class _Stepper:
         self.u_system = _Tridiagonal(self.grid.nx + 1)
         self.theta_system = _Tridiagonal(self.grid.nx)
         self._bc_time = self._bc_values = None
+        # absent data read as these shared zeros, never written
+        self.zero_c = np.zeros(self.grid.nx)
+        self.zero_e = np.zeros(self.grid.nx + 1)
+        self.zero_c.flags.writeable = self.zero_e.flags.writeable = False
 
     def boundary(self, t):
         """BoundaryData.at(step times, t), looked up once per distinct time:
@@ -133,18 +161,35 @@ class _Stepper:
             self._bc_time, self._bc_values = t, self.bc.at(self.times, t)
         return self._bc_values
 
+    # -- data samples ---------------------------------------------------
+
+    def beta_at(self, t):
+        return self.zero_c if self.pert.beta is None else self.pert.beta_at(self.xc, t)
+
+    def gamma_at(self, t):
+        return self.zero_e if self.pert.gamma is None else self.pert.gamma_at(self.xe, t)
+
+    def g_at(self, x_e, t):
+        return self.zero_e if self.spec.g is None else sample_field(self.spec.g, x_e, self.xe, t)
+
+    def f_at(self, x_e, t):
+        """f at the cell centers, its chi read off the edge coordinate x_e."""
+        if self.spec.f is None:
+            return self.zero_c
+        return sample_field(self.spec.f, edges_to_centers(x_e), self.xc, t)
+
     # -- instantaneous derived fields ------------------------------------
 
     def stress(self, eta, u, theta, t):
         rho = 1.0 / eta
-        beta = self.pert.beta_at(self.xc, t)
+        beta = self.beta_at(t)
         return self.gas.nu * rho * (du_centers(self.grid, u) + beta) \
             - self.gas.k * rho * theta
 
     def heat_flux(self, eta, theta, t):
         pi = np.empty(self.grid.nx + 1)
         rho_e = 2.0 / (eta[:-1] + eta[1:])
-        gamma = self.pert.gamma_at(self.xe, t)
+        gamma = self.gamma_at(t)
         pi[1:-1] = self.gas.lam * rho_e[:] * (dw_edges_interior(self.grid, theta)
                                               + gamma[1:-1])
         b = self.boundary(t)
@@ -163,28 +208,26 @@ class _Stepper:
         eta, u, theta, x_e = state
         sig = self.stress(eta, u, theta, t)
         pi = self.heat_flux(eta, theta, t)
-        return (sig, self.gas.k * theta / eta, sample_field(self.spec.g, x_e, self.xe, t),
-                pi, self.work_rate(sig, pi, u, t))
+        return (sig, self.gas.k * theta / eta, self.g_at(x_e, t), pi,
+                self.work_rate(sig, pi, u, t))
 
     # -- one substep of size h -------------------------------------------
 
-    def substep(self, state, t0, h, prev=None):
+    def substep(self, state, t0, h, history=()):
         """Advance `state` from t0 by h; returns (new state, beta at t0 + h,
         Picard sweeps).
 
-        prev = ((eta, u, theta), h_prev), the start and the size of the
-        substep that ended at `state`, starts the iteration at the linear
-        extrapolation state + (h / h_prev) * (state - prev).  Without prev, or
-        when the extrapolated eta or theta is not above the positivity floor,
-        the iteration starts at `state`.  A predicted start that ends in a
-        retry is discarded and the iteration rerun from `state`, so the
+        history holds up to two ((eta, u, theta), h_k) pairs, the starts and
+        sizes of the substeps that ended at `state`, most recent first.  With
+        any, the iteration starts at _extrapolate(state, history, h).  Without
+        history, or when the extrapolated eta or theta is not above the
+        positivity floor, it starts at `state`.  A predicted start that ends
+        in a retry is discarded and the iteration rerun from `state`, so the
         predictor never causes a retry; the discarded sweeps still count.
         """
         sweeps = 0
-        if prev is not None:
-            before, h_prev = prev
-            r = h / h_prev
-            start = tuple(now + r * (now - old) for now, old in zip(state[:3], before))
+        if history:
+            start = _extrapolate(state, history, h)
             if start[0].min() > POSITIVITY_FLOOR and start[2].min() > POSITIVITY_FLOOR:
                 try:
                     return self._iterate(state, t0, h, start)
@@ -203,15 +246,18 @@ class _Stepper:
         mom, ene = self.u_system, self.theta_system
 
         b1 = self.boundary(t1)
-        beta_1 = self.pert.beta_at(self.xc, t1)
-        gamma_1 = self.pert.gamma_at(self.xe, t1)
+        beta_1 = self.beta_at(t1)
+        gamma_1 = self.gamma_at(t1)
+        # x_e is formed inside the sweeps only when f or g reads it
+        track_x_e = self.spec.f is not None or self.spec.g is not None
         inv_h = 1.0 / h
         u_n_h = u_n / h
         theta_n_h = gas.cV * theta_n / h
         cV_h = gas.cV / h
 
         eta_s, u_s, theta_s = start
-        x_e_s = x_e_n + h * u_n
+        x_e_s = x_e_n + h * u_n if track_x_e else None
+        prev_change = 0.0
 
         for sweep in range(1, MAX_PICARD + 1):
             rho_s = 1.0 / eta_s
@@ -220,7 +266,7 @@ class _Stepper:
             # momentum: implicit viscous flux, lagged pressure/coefficients
             a = gas.nu * rho_s                           # per center
             S = a * beta_1 - p_s
-            g_edge = sample_field(self.spec.g, x_e_s, self.xe, t1)
+            g_edge = self.g_at(x_e_s, t1)
 
             mom.diag[1:-1] = inv_h + (a[1:] + a[:-1]) / dx2
             mom.upper[1:] = -a[1:] / dx2
@@ -253,14 +299,14 @@ class _Stepper:
             if eta_new.min() <= POSITIVITY_FLOOR:
                 raise _Retry("eta", t1, sweep)
             rho_new = 1.0 / eta_new
-            x_e_new = x_e_n + 0.5 * h * (u_n + u_new)
+            if track_x_e:
+                x_e_s = x_e_n + 0.5 * h * (u_n + u_new)
 
             # energy: implicit conduction with the fresh density, source with
             # the freshly updated velocity, pressure lagged one Picard sweep
             sigma_src = gas.nu * rho_new * (du_new + beta_1) \
                 - gas.k * rho_new * theta_s
-            f_cell = sample_field(self.spec.f, edges_to_centers(x_e_new), self.xc, t1)
-            source = sigma_src * du_new + f_cell
+            source = sigma_src * du_new + self.f_at(x_e_s, t1)
 
             b_e = gas.lam * 2.0 / (eta_new[:-1] + eta_new[1:])   # interior edges
             pi_gamma = b_e * gamma_1[1:-1]
@@ -285,13 +331,15 @@ class _Stepper:
                 raise _Retry("theta", t1, sweep)
 
             change = max(change_u, change_eta, change_theta)
-            eta_s, u_s, theta_s, x_e_s = eta_new, u_new, theta_new, x_e_new
-            if change < PICARD_TOL:
+            eta_s, u_s, theta_s = eta_new, u_new, theta_new
+            if _converged(change, prev_change):
                 break
+            prev_change = change
         else:
             raise _Retry("picard", t1, MAX_PICARD)
 
-        return (eta_s, u_s, theta_s, x_e_s), beta_1, sweep
+        x_e_1 = x_e_n + 0.5 * h * (u_n + u_s)
+        return (eta_s, u_s, theta_s, x_e_1), beta_1, sweep
 
 
 def _snapshot_indices(nt, stride, dense):
@@ -305,9 +353,10 @@ def _snapshot_indices(nt, stride, dense):
 class _StepRecord:
     """What solve() carries from substep to substep: the running trapezoid
     integrals I_t sigma, I_t p, I_t g, the rates at the end of the last
-    substep and the ((eta, u, theta), h) it started from, and the increments
-    of I_t(uX - u0), I_t int(beta) and the boundary work plus the positivity
-    minima and the Picard sweeps over the nominal step."""
+    substep, the ((eta, u, theta), h) starts of the last two substeps, most
+    recent first, and the increments of I_t(uX - u0), I_t int(beta) and the
+    boundary work plus the positivity minima and the Picard sweeps over the
+    nominal step."""
 
     it_sigma: np.ndarray
     it_p: np.ndarray
@@ -317,7 +366,7 @@ class _StepRecord:
     g: np.ndarray
     pi: np.ndarray
     work_rate: float
-    before: tuple = None
+    before: tuple = ()
     bdu: float = 0.0
     bvol: float = 0.0
     work: float = 0.0
@@ -406,9 +455,9 @@ def solve(spec, scheme=None):
             try:
                 for ksub in range(m_sub):
                     ts = t0 + ksub * h
-                    before = (st[:3], h)
+                    history = ((st[:3], h),) + trial.before[:1]
                     st, beta, sweeps = stepper.substep(st, ts, h, trial.before)
-                    trial.before = before
+                    trial.before = history
                     trial.sweeps += sweeps
                     e1, u1, th1, _ = st
                     sig1, p1, g1, pi1, wr1 = stepper.rates(st, ts + h)

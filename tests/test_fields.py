@@ -79,7 +79,8 @@ def test_validate_flags_inactive_boundary_entries():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("name", ["eta0", "u0", "theta0", *BC_NAMES, "f", "beta", "gamma"])
+@pytest.mark.parametrize("name", ["eta0", "u0", "theta0", *BC_NAMES, "f", "beta", "gamma",
+                                  "beta1", "beta2", "g1", "g2"])
 def test_validate_reports_non_finite_samples(name, bad):
     # one bad sample, which every comparison in the (C1)/(C2)/(C3) checks would let pass
     spec = constant_spec(m=3)
@@ -88,7 +89,7 @@ def test_validate_reports_non_finite_samples(name, bad):
         series[5] = bad
         spec = replace(spec, bc=replace(spec.bc, **{name + "_t": series}))
         want = f"boundary entry {name} must be finite at every step time"
-    elif name in ("f", "beta", "gamma"):
+    elif name in ("f", "beta", "gamma", "beta1", "beta2", "g1", "g2"):
         def fn(*args):                   # arguments end in (x, t)
             return np.where(args[-2] > 0.5, bad, 0.0)
         if name == "f":

@@ -1,12 +1,14 @@
 from dataclasses import replace
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from gaslab import solver
 from gaslab.grid import Grid, GasParams
 from gaslab.norms import lqr_norm
-from gaslab.problem import BoundaryData, PerturbationSpec, ProblemSpec
+from gaslab.problem import BoundaryData, PerturbationSpec, ProblemSpec, validate
 from gaslab.solver import (NonFiniteState, NonlinearDivergence, PositivityLoss,
                            SchemeParams, diagnostics, linf_velocity_check, solve)
 
@@ -36,6 +38,17 @@ def halving_spec():
     return ProblemSpec(grid=g, gas=GAS, bc=build_bc(g, 1), eta0=np.ones(g.nx),
                        u0=2.0 * np.sin(2.0 * np.pi * g.edges()),
                        theta0=np.ones(g.nx))
+
+
+def forced_spec():
+    # every data callable set: g, f, beta and gamma
+    spec = pulse_spec(64, 100, 1)
+    pert = PerturbationSpec(beta=lambda x, t: 0.05 * np.sin(2 * np.pi * x) * np.cos(3 * t),
+                            gamma=lambda x, t: 0.1 * x * (1.0 - x),
+                            beta_e=np.zeros(spec.grid.nx + 1))
+    return replace(spec, g=lambda chi, x, t: 0.5 * np.sin(2 * np.pi * chi),
+                   f=lambda chi, x, t: 0.5 + 0.25 * np.cos(2 * np.pi * chi),
+                   perturbation=pert)
 
 
 def test_equilibrium_is_exact():
@@ -271,13 +284,99 @@ def test_predicted_start_matches_plain_start(monkeypatch):
         substep = solver._Stepper.substep
         with monkeypatch.context() as mp:
             mp.setattr(solver._Stepper, "substep",
-                       lambda self, state, t0, h, prev=None: substep(self, state, t0, h))
+                       lambda self, state, t0, h, history=(): substep(self, state, t0, h))
             plain = solve(spec)
         assert predicted.substeps.tolist() == plain.substeps.tolist()
         assert predicted.picard_sweeps.sum() < plain.picard_sweeps.sum()
         for name in ("eta", "u", "theta", "x_e"):
             drift = np.abs(getattr(predicted, name) - getattr(plain, name)).max()
             assert drift <= 1e-9, (name, drift)
+
+
+def quadratic_states(times):
+    # (eta, u, theta) quadratic in t, one state per time
+    x = np.linspace(0.0, 1.0, 9)
+    return [(1.0 + t * x - 2.0 * t * t, np.sin(x) * t * t - 0.5 * t, 2.0 + 3.0 * t * t + x)
+            for t in times]
+
+
+@pytest.mark.parametrize("h_b, h_a, h", [(0.1, 0.1, 0.1), (0.1, 0.05, 0.05),
+                                         (0.05, 0.1, 0.025)],
+                         ids=["uniform", "after-halving", "mixed"])
+def test_extrapolate_is_exact_for_quadratics(h_b, h_a, h):
+    t = 0.3
+    b, a, now, target = quadratic_states([t - h_a - h_b, t - h_a, t, t + h])
+    state = (*now, None)
+    start = solver._extrapolate(state, ((a, h_a), (b, h_b)), h)
+    for got, want in zip(start, target):
+        assert np.abs(got - want).max() <= 1e-14
+    # one history entry: the linear extrapolation; none: the state itself
+    linear = solver._extrapolate(state, ((a, h_a),), h)
+    for got, x_now, x_a in zip(linear, now, a):
+        assert np.abs(got - (x_now + (h / h_a) * (x_now - x_a))).max() <= 1e-14
+    for got, x_now in zip(solver._extrapolate(state, (), h), now):
+        assert np.array_equal(got, x_now)
+
+
+# halving_spec contracts slowly (ratio about 0.45) at its first steps, so the
+# 50-sweep budget, and with it the halvings, depend on the tolerance below
+# 1e-12; its changes also stall at round-off near 1e-13
+@pytest.mark.parametrize("spec, ref_tol", [(pulse_spec(64, 100, 3), 1e-14),
+                                           (halving_spec(), 1e-12),
+                                           (forced_spec(), 1e-14)],
+                         ids=["pulse", "halving", "forced"])
+def test_contraction_stop_matches_tight_tolerance(spec, ref_tol, monkeypatch):
+    # the stop on the estimated next change ends the sweeps early but keeps
+    # the trajectory at Picard-tolerance distance from a tight-tolerance run
+    sol = solve(spec)
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "PICARD_TOL", ref_tol)
+        ref = solve(spec)
+    substep = solver._Stepper.substep
+    with monkeypatch.context() as mp:
+        mp.setattr(solver._Stepper, "substep", lambda self, state, t0, h, history=():
+                   substep(self, state, t0, h, history[:1]))
+        mp.setattr(solver, "_converged", lambda change, prev: change < solver.PICARD_TOL)
+        linear_plain = solve(spec)
+    assert sol.substeps.tolist() == ref.substeps.tolist() == linear_plain.substeps.tolist()
+    assert sol.picard_sweeps.sum() < linear_plain.picard_sweeps.sum()
+    for name in ("eta", "u", "theta", "x_e"):
+        drift = np.abs(getattr(sol, name) - getattr(ref, name)).max()
+        assert drift <= 1e-9, (name, drift)
+
+
+def test_zero_data_callables_match_absent_data():
+    # absent g, f, beta, gamma read as zeros: explicit zero callables give
+    # the same trajectory bit for bit
+    spec = pulse_spec(64, 100, 1, eta_jump=0.2)
+    zero = PerturbationSpec(beta=lambda x, t: np.zeros_like(x),
+                            gamma=lambda x, t: np.zeros_like(x),
+                            beta_e=np.zeros(spec.grid.nx + 1))
+    explicit = replace(spec, g=lambda chi, x, t: np.zeros_like(x),
+                       f=lambda chi, x, t: np.zeros_like(x), perturbation=zero)
+    a, b = solve(spec), solve(explicit)
+    for name in ("eta", "u", "theta", "x_e", "sigma", "pi", "it_sigma", "it_p", "it_g",
+                 "volume", "picard_sweeps"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@given(a_eta=st.floats(-0.3, 0.3), a_u=st.floats(-0.5, 0.5), a_theta=st.floats(-0.5, 0.5),
+       ub0=st.floats(-0.2, 0.2), ubX=st.floats(-0.2, 0.2))
+@settings(max_examples=20, deadline=None)
+def test_random_m1_data_keep_volume_positivity_and_sweep_bounds(a_eta, a_u, a_theta, ub0, ubX):
+    g = Grid(X=1.0, T=0.25, nx=32, nt=20)
+    xc, xe = g.centers(), g.edges()
+    spec = ProblemSpec(grid=g, gas=GAS,
+                       bc=BoundaryData.build(g, m=1, u0=ub0, uX=ubX, pi0=0.0, piX=0.0),
+                       eta0=1.0 + a_eta * np.sin(2 * np.pi * xc),
+                       u0=ub0 + (ubX - ub0) * xe + a_u * np.sin(np.pi * xe),
+                       theta0=1.0 + a_theta * np.cos(2 * np.pi * xc))
+    assert validate(spec) == []
+    sol = solve(spec)
+    assert diagnostics(sol, spec).volume_residual <= 1e-13
+    assert sol.min_eta > 0 and sol.min_theta > 0
+    assert np.all(sol.substeps <= sol.picard_sweeps)
+    assert np.all(sol.picard_sweeps <= solver.MAX_PICARD * sol.substeps)
 
 
 def test_non_finite_force_raises_at_once():
