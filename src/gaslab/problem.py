@@ -201,8 +201,8 @@ def validate(spec):
               ("gamma", lambda t: pert.gamma_at(xe, t), ""),
               ("beta1", lambda t: sample_field(pert.beta1, xc, t), ""),
               ("beta2", lambda t: sample_field(pert.beta2, xc, t), ""),
-              ("g1", lambda t: sample_field(pert.g1, chi_e, xe, t), ""),
-              ("g2", lambda t: sample_field(pert.g2, chi_e, xe, t), ""))
+              ("g1", lambda t: sample_field(pert.g1, chi_c, xc, t), ""),
+              ("g2", lambda t: sample_field(pert.g2, chi_c, xc, t), ""))
     for name, probe, tag in probes:
         for t in probe_t:
             v = probe(t)

@@ -90,8 +90,14 @@ def test_validate_reports_non_finite_samples(name, bad):
         spec = replace(spec, bc=replace(spec.bc, **{name + "_t": series}))
         want = f"boundary entry {name} must be finite at every step time"
     elif name in ("f", "beta", "gamma", "beta1", "beta2", "g1", "g2"):
+        grid = spec.grid
+        center = grid.centers()[grid.nx // 2]
+
         def fn(*args):                   # arguments end in (x, t)
-            return np.where(args[-2] > 0.5, bad, 0.0)
+            x = args[-2]
+            if name in ("g1", "g2"):     # read at the centers: bad at one center only
+                return np.where(np.abs(x - center) < 0.25 * grid.dx, bad, 0.0)
+            return np.where(x > 0.5, bad, 0.0)
         if name == "f":
             spec = replace(spec, f=fn)
         else:

@@ -321,13 +321,16 @@ def test_extrapolate_is_exact_for_quadratics(h_b, h_a, h):
 # halving_spec contracts slowly (ratio about 0.45) at its first steps, so the
 # 50-sweep budget, and with it the halvings, depend on the tolerance below
 # 1e-12; its changes also stall at round-off near 1e-13
-@pytest.mark.parametrize("spec, ref_tol", [(pulse_spec(64, 100, 3), 1e-14),
-                                           (halving_spec(), 1e-12),
-                                           (forced_spec(), 1e-14)],
-                         ids=["pulse", "halving", "forced"])
+STOP_CASES = pytest.mark.parametrize("spec, ref_tol", [(pulse_spec(64, 100, 3), 1e-14),
+                                                       (halving_spec(), 1e-12),
+                                                       (forced_spec(), 1e-14)],
+                                     ids=["pulse", "halving", "forced"])
+
+
+@STOP_CASES
 def test_contraction_stop_matches_tight_tolerance(spec, ref_tol, monkeypatch):
     # the stop on the estimated next change ends the sweeps early but keeps
-    # the trajectory at Picard-tolerance distance from a tight-tolerance run
+    # the trajectory within the Picard tolerance of a tight-tolerance run
     sol = solve(spec)
     with monkeypatch.context() as mp:
         mp.setattr(solver, "PICARD_TOL", ref_tol)
@@ -342,7 +345,29 @@ def test_contraction_stop_matches_tight_tolerance(spec, ref_tol, monkeypatch):
     assert sol.picard_sweeps.sum() < linear_plain.picard_sweeps.sum()
     for name in ("eta", "u", "theta", "x_e"):
         drift = np.abs(getattr(sol, name) - getattr(ref, name)).max()
-        assert drift <= 1e-9, (name, drift)
+        assert drift <= solver.PICARD_TOL, (name, drift)
+
+
+@STOP_CASES
+def test_plain_start_stops_on_the_change_alone(spec, ref_tol, monkeypatch):
+    # from the plain start the first change is the whole step increment, and
+    # a ratio over it misjudges the contraction: every substep started plain
+    # ends on change < PICARD_TOL alone and stays within the tolerance
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "PICARD_TOL", ref_tol)
+        ref = solve(spec)
+    substep = solver._Stepper.substep
+    monkeypatch.setattr(solver._Stepper, "substep",
+                        lambda self, state, t0, h, history=(): substep(self, state, t0, h))
+    sol = solve(spec)
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "_converged", lambda change, prev: change < solver.PICARD_TOL)
+        change_only = solve(spec)
+    for name in ("eta", "u", "theta", "x_e", "picard_sweeps"):
+        assert np.array_equal(getattr(sol, name), getattr(change_only, name)), name
+    for name in ("eta", "u", "theta", "x_e"):
+        drift = np.abs(getattr(sol, name) - getattr(ref, name)).max()
+        assert drift <= solver.PICARD_TOL, (name, drift)
 
 
 def test_zero_data_callables_match_absent_data():
