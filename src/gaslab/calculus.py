@@ -16,7 +16,6 @@ directly.
 """
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .grid import integrate_x
 
@@ -91,11 +90,14 @@ def time_primitive(b, times):
     """I_t b: cumulative trapezoid along axis 0, zero at t = 0.
 
     b may be a time series (nt+1,) or a space-time array (nt+1, nx[+1]);
-    times may be nonuniform (strided snapshot storage).
+    times may be nonuniform (strided snapshot storage).  The same expression,
+    and so the same bits, as scipy's cumulative_trapezoid(..., initial=0).
     """
     b = np.asarray(b, dtype=float)
-    times = np.asarray(times, dtype=float)
-    return cumulative_trapezoid(b, times, axis=0, initial=0.0)
+    dt = np.diff(np.asarray(times, dtype=float)).reshape((-1,) + (1,) * (b.ndim - 1))
+    out = np.zeros_like(b)
+    np.cumsum(dt * (b[1:] + b[:-1]) / 2.0, axis=0, out=out[1:])
+    return out
 
 
 def difference_quotient(grid, y, j):

@@ -23,22 +23,29 @@ from .solver import (NonFiniteState, NonlinearDivergence, PositivityLoss, diagno
 from .twoscale import OscillationSpec
 
 
-def _format_rows(t, *columns):
-    """CSV rows (t, columns[0][i], columns[1][i], ...) with every value as
-    %.17e, built by one % operation; the same bytes as f"{v:.17e}" per cell."""
-    rows = np.column_stack((np.full(len(columns[0]), t), *columns))
-    fmt = (",".join(["%.17e"] * rows.shape[1]) + "\n") * rows.shape[0]
-    return fmt % tuple(rows.ravel().tolist())
+def _row_formatter(x):
+    """rows(t, *columns): the CSV lines (t, x[i], columns[0][i], ...) with
+    every value as %.17e, the same bytes as f"{v:.17e}" per cell.  x is
+    formatted once here, t once per call and the columns by one % operation."""
+    x_cells = np.array(["%.17e," % v for v in x.tolist()], dtype=object)
+
+    def rows(t, *columns):
+        cells = np.empty((len(x_cells), len(columns) + 1), dtype=object)
+        cells[:, 0] = "%.17e," % t + x_cells
+        cells[:, 1:] = np.column_stack(columns)
+        fmt = ("%s" + ",".join(["%.17e"] * len(columns)) + "\n") * len(x_cells)
+        return fmt % tuple(cells.ravel().tolist())
+
+    return rows
 
 
 def _write_snapshots(path, grid, bundle, stride=1):
-    xc = grid.centers()
+    rows = _row_formatter(grid.centers())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,x,eta,u,theta,sigma,pi\n")
         for n in range(0, len(bundle.times), stride):
-            fh.write(_format_rows(bundle.times[n], xc, bundle.eta[n],
-                                  edges_to_centers(bundle.u[n]), bundle.theta[n],
-                                  bundle.sigma[n], edges_to_centers(bundle.pi[n])))
+            fh.write(rows(bundle.times[n], bundle.eta[n], edges_to_centers(bundle.u[n]),
+                          bundle.theta[n], bundle.sigma[n], edges_to_centers(bundle.pi[n])))
 
 
 def _cmd_solve(args):
@@ -82,7 +89,7 @@ def _cmd_homogenize(args):
     _write_snapshots(os.path.join(args.out, "averaged.csv"), problem.grid,
                      hs.base, stride=args.stride)
     a_eps = float(cfg.get("study", {}).get("a_eps", 0.0))
-    xc = problem.grid.centers()
+    rows = _row_formatter(problem.grid.centers())
     for eps in eps_list:
         osc = OscillationSpec(eps=eps, a_eps=a_eps)
         eta_eps = hmg.eta_epsilon(hs, problem.eta0, osc)
@@ -90,7 +97,7 @@ def _cmd_homogenize(args):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t,x,eta_recon\n")
             for n in range(0, len(hs.base.times), args.stride):
-                fh.write(_format_rows(hs.base.times[n], xc, eta_eps[n]))
+                fh.write(rows(hs.base.times[n], eta_eps[n]))
     print(f"homogenize: averaged run + {len(eps_list)} reconstructions -> {args.out}")
     return 0
 

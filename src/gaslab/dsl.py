@@ -4,11 +4,13 @@ Expressions are closed over the variables xi, x, t, chi, the binary operators
 + - * / ^, unary minus, and the functions sin, cos, exp, ln, abs, min, max,
 step, frac.  step(e) is 1.0 for e >= 0 and 0.0 otherwise (right-continuous at
 the switch), frac(e) is e - floor(e).  Evaluation is pure and vectorizes over
-numpy array bindings.
+numpy array bindings.  An ExprFn compiles its expression once, when it is
+built, to a chain of closures; evaluate() runs that chain.
 """
 
 from dataclasses import dataclass
 import math
+import operator
 
 import numpy as np
 
@@ -279,70 +281,80 @@ def free_variables(e):
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _eval(e, env):
+def _step(a):
+    return np.where(np.asarray(a) >= 0.0, 1.0, 0.0)
+
+
+def _frac(a):
+    return a - np.floor(a)
+
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": np.divide, "^": np.power}
+_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log, "abs": np.abs,
+              "step": _step, "frac": _frac, "min": np.minimum, "max": np.maximum}
+
+
+def _compile(e):
+    """Closure chain env -> value of `e`: operands evaluated left to right,
+    with the same Python operators and numpy functions a tree walk uses, so
+    results are bitwise those of walking the tree."""
     if isinstance(e, Num):
-        return e.value
+        value = e.value
+        return lambda env: value
     if isinstance(e, Var):
-        if e.name not in env:
-            raise UnboundVariable(e.name)
-        return env[e.name]
+        name = e.name
+
+        def var(env):
+            try:
+                return env[name]
+            except KeyError:
+                raise UnboundVariable(name) from None
+        return var
     if isinstance(e, Neg):
-        return -_eval(e.arg, env)
-    if isinstance(e, Bin):
-        a = _eval(e.lhs, env)
-        b = _eval(e.rhs, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            return np.divide(a, b)
-        if e.op == "^":
-            return np.power(a, b)
-        raise TypeError(f"unknown operator {e.op}")
-    if isinstance(e, Call):
-        args = [_eval(a, env) for a in e.args]
-        fn = e.fn
-        if fn == "sin":
-            return np.sin(args[0])
-        if fn == "cos":
-            return np.cos(args[0])
-        if fn == "exp":
-            return np.exp(args[0])
-        if fn == "ln":
-            return np.log(args[0])
-        if fn == "abs":
-            return np.abs(args[0])
-        if fn == "step":
-            return np.where(np.asarray(args[0]) >= 0.0, 1.0, 0.0)
-        if fn == "frac":
-            return args[0] - np.floor(args[0])
-        if fn == "min":
-            return np.minimum(args[0], args[1])
-        if fn == "max":
-            return np.maximum(args[0], args[1])
-        raise TypeError(f"unknown function {fn}")
-    raise TypeError(f"not an expression node: {e!r}")
+        fn, args = operator.neg, (e.arg,)
+    elif isinstance(e, Bin):
+        fn, args = _OPERATORS[e.op], (e.lhs, e.rhs)
+    elif isinstance(e, Call):
+        fn, args = _FUNCTIONS[e.fn], e.args
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    if len(args) == 1:
+        a = _compile(args[0])
+        return lambda env: fn(a(env))
+    a, b = map(_compile, args)
+    return lambda env: fn(a(env), b(env))
+
+
+class Compiled:
+    """An AST with its closure chain, built once; evaluate() takes it in
+    place of the AST."""
+
+    __slots__ = ("expr", "run")
+
+    def __init__(self, expr):
+        self.expr = expr
+        self.run = _compile(expr)
 
 
 def evaluate(e, **bindings):
-    """Evaluate an AST with the given variable bindings (scalars or arrays).
+    """Evaluate an AST, or its Compiled form, with the given variable
+    bindings (scalars or arrays).
 
     Raises UnboundVariable for missing variables and NonfiniteResult if any
     sample of the result is NaN or infinite.
     """
+    program = e if isinstance(e, Compiled) else Compiled(e)
     with np.errstate(all="ignore"):
-        out = _eval(e, bindings)
+        out = program.run(bindings)
     if np.isscalar(out) or np.ndim(out) == 0:
         out = float(out)
         if not math.isfinite(out):
-            raise NonfiniteResult(pretty(e))
+            raise NonfiniteResult(pretty(program.expr))
         return out
     out = np.asarray(out, dtype=float)
     if not np.all(np.isfinite(out)):
-        raise NonfiniteResult(pretty(e))
+        raise NonfiniteResult(pretty(program.expr))
     return out
 
 
@@ -382,8 +394,9 @@ def pretty(e, parent_prec=0):
 
 
 class ExprFn:
-    """Picklable callable over the declared variable tuple, backed by a parsed
-    expression; positional arguments bind to `variables` in order.
+    """Picklable callable over the declared variable tuple, backed by its
+    expression compiled once, here; positional arguments bind to `variables`
+    in order.
 
     Rejects expressions whose free variables are not a subset of `variables`.
     """
@@ -391,10 +404,15 @@ class ExprFn:
     def __init__(self, source, variables):
         self.source = source
         self.variables = tuple(variables)
-        self.expr = parse(source)
-        extra = free_variables(self.expr) - set(self.variables)
+        expr = parse(source)
+        extra = free_variables(expr) - set(self.variables)
         if extra:
             raise UnboundVariable(sorted(extra)[0])
+        self.program = Compiled(expr)
+
+    def __reduce__(self):
+        # the closure chain does not pickle; rebuild it from the source
+        return ExprFn, (self.source, self.variables)
 
     def __call__(self, *args):
-        return evaluate(self.expr, **dict(zip(self.variables, args)))
+        return evaluate(self.program, **dict(zip(self.variables, args)))

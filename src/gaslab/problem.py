@@ -33,11 +33,13 @@ ACTIVE_BC = {
 
 def sample_field(fn, *args):
     """fn(*args) for a data callable whose last two arguments are (x, t), as
-    a float array shaped like x; zeros when fn is None."""
+    a float array shaped like x; zeros when fn is None.  A sample that is
+    already shaped like x is returned as it is, not copied."""
     x = args[-2]
     if fn is None:
         return np.zeros_like(x)
-    return np.asarray(fn(*args), dtype=float) * np.ones_like(x)
+    out = np.asarray(fn(*args), dtype=float)
+    return out if out.shape == np.shape(x) else out * np.ones_like(x)
 
 
 def sample_field_times(fn, times, *args):

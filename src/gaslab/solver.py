@@ -148,26 +148,27 @@ class _Stepper:
         self.times = self.grid.times()
         self.u_system = _Tridiagonal(self.grid.nx + 1)
         self.theta_system = _Tridiagonal(self.grid.nx)
-        self._bc_time = self._bc_values = None
+        self._time = self._data = None
         # absent data read as these shared zeros, never written
         self.zero_c = np.zeros(self.grid.nx)
         self.zero_e = np.zeros(self.grid.nx + 1)
         self.zero_c.flags.writeable = self.zero_e.flags.writeable = False
 
-    def boundary(self, t):
-        """BoundaryData.at(step times, t), looked up once per distinct time:
-        the substep reaching t and the rates at t share one lookup."""
-        if t != self._bc_time:
-            self._bc_time, self._bc_values = t, self.bc.at(self.times, t)
-        return self._bc_values
+    def time_data(self, t):
+        """The data that depend on t alone: the BoundaryData.at(step times, t)
+        values plus "beta" at the centers and "gamma" at the edges, sampled
+        once per distinct time; the substep reaching t and the rates at t
+        share one record."""
+        if t != self._time:
+            data = self.bc.at(self.times, t)
+            data["beta"] = self.zero_c if self.pert.beta is None \
+                else self.pert.beta_at(self.xc, t)
+            data["gamma"] = self.zero_e if self.pert.gamma is None \
+                else self.pert.gamma_at(self.xe, t)
+            self._time, self._data = t, data
+        return self._data
 
     # -- data samples ---------------------------------------------------
-
-    def beta_at(self, t):
-        return self.zero_c if self.pert.beta is None else self.pert.beta_at(self.xc, t)
-
-    def gamma_at(self, t):
-        return self.zero_e if self.pert.gamma is None else self.pert.gamma_at(self.xe, t)
 
     def g_at(self, x_e, t):
         return self.zero_e if self.spec.g is None else sample_field(self.spec.g, x_e, self.xe, t)
@@ -182,23 +183,22 @@ class _Stepper:
 
     def stress(self, eta, u, theta, t):
         rho = 1.0 / eta
-        beta = self.beta_at(t)
+        beta = self.time_data(t)["beta"]
         return self.gas.nu * rho * (du_centers(self.grid, u) + beta) \
             - self.gas.k * rho * theta
 
     def heat_flux(self, eta, theta, t):
         pi = np.empty(self.grid.nx + 1)
         rho_e = 2.0 / (eta[:-1] + eta[1:])
-        gamma = self.gamma_at(t)
+        b = self.time_data(t)
         pi[1:-1] = self.gas.lam * rho_e[:] * (dw_edges_interior(self.grid, theta)
-                                              + gamma[1:-1])
-        b = self.boundary(t)
+                                              + b["gamma"][1:-1])
         pi[0] = b["pi0"]
         pi[-1] = b["piX"]
         return pi
 
     def work_rate(self, sig, pi, u, t):
-        b = self.boundary(t)
+        b = self.time_data(t)
         s0 = -b["p0"] if self.bc.m in (2, 3) else sig[0]
         sX = -b["pX"] if self.bc.m == 3 else sig[-1]
         return sX * u[-1] - s0 * u[0] + pi[-1] - pi[0]
@@ -214,8 +214,7 @@ class _Stepper:
     # -- one substep of size h -------------------------------------------
 
     def substep(self, state, t0, h, history=()):
-        """Advance `state` from t0 by h; returns (new state, beta at t0 + h,
-        Picard sweeps).
+        """Advance `state` from t0 by h; returns (new state, Picard sweeps).
 
         history holds up to two ((eta, u, theta), h_k) pairs, the starts and
         sizes of the substeps that ended at `state`, most recent first.  With
@@ -233,8 +232,8 @@ class _Stepper:
                     return self._iterate(state, t0, h, start, True)
                 except _Retry as retry:
                     sweeps = retry.sweeps
-        new, beta, k = self._iterate(state, t0, h, state[:3], False)
-        return new, beta, sweeps + k
+        new, k = self._iterate(state, t0, h, state[:3], False)
+        return new, sweeps + k
 
     def _iterate(self, state, t0, h, start, predicted):
         """Picard sweeps for one substep from the iterate `start`, predicted
@@ -246,9 +245,8 @@ class _Stepper:
         dx, dx2 = self.dx, self.dx2
         mom, ene = self.u_system, self.theta_system
 
-        b1 = self.boundary(t1)
-        beta_1 = self.beta_at(t1)
-        gamma_1 = self.gamma_at(t1)
+        b1 = self.time_data(t1)
+        beta_1, gamma_1 = b1["beta"], b1["gamma"]
         inv_h = 1.0 / h
         u_n_h = u_n / h
         theta_n_h = gas.cV * theta_n / h
@@ -343,7 +341,7 @@ class _Stepper:
         else:
             raise _Retry("picard", t1, MAX_PICARD)
 
-        return (eta_s, u_s, theta_s, x_e_s), beta_1, sweep
+        return (eta_s, u_s, theta_s, x_e_s), sweep
 
 
 def _snapshot_indices(nt, stride, dense):
@@ -460,7 +458,7 @@ def solve(spec, scheme=None):
                 for ksub in range(m_sub):
                     ts = t0 + ksub * h
                     history = ((st[:3], h),) + trial.before[:1]
-                    st, beta, sweeps = stepper.substep(st, ts, h, trial.before)
+                    st, sweeps = stepper.substep(st, ts, h, trial.before)
                     trial.before = history
                     trial.sweeps += sweeps
                     e1, u1, th1, _ = st
@@ -469,7 +467,7 @@ def solve(spec, scheme=None):
                     trial.it_p += 0.5 * h * (trial.p + p1)
                     trial.it_g += 0.5 * h * (trial.g + g1)
                     trial.bdu += h * (u1[-1] - u1[0])
-                    trial.bvol += h * integrate_center(g, beta)
+                    trial.bvol += h * integrate_center(g, stepper.time_data(ts + h)["beta"])
                     trial.work += 0.5 * h * (trial.work_rate + wr1)
                     trial.sigma, trial.p, trial.g, trial.pi, trial.work_rate = \
                         sig1, p1, g1, pi1, wr1

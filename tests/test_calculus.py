@@ -161,6 +161,20 @@ def test_time_primitive_shapes_and_values():
     assert np.allclose(itb, g.centers()[None, :] * t[:, None], atol=1e-12)
 
 
+@pytest.mark.parametrize("uniform", [True, False])
+@pytest.mark.parametrize("width", [None, 7])
+def test_time_primitive_is_bitwise_scipy_cumulative_trapezoid(uniform, width):
+    from scipy.integrate import cumulative_trapezoid
+
+    rng = np.random.default_rng(3)
+    t = np.linspace(0.0, 0.7, 41) if uniform else np.sort(rng.uniform(0.0, 0.7, 41))
+    b = rng.normal(size=(41,) if width is None else (41, width))
+    want = cumulative_trapezoid(b, t, axis=0, initial=0)
+    got = time_primitive(b, t)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_difference_quotient_linear_and_constant():
     g = make_grid()
     for j in (1, 5, 17):

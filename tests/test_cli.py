@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -182,7 +185,8 @@ def test_snapshot_rows_match_per_cell_format(tmp_path):
                         f"{bundle.sigma[n, i]:.17e},{pic[i]:.17e}\n")
     assert "-0.00000000000000000e+00" in "".join(want)
     assert path.read_bytes() == "".join(want).encode()
-    assert cli._format_rows(-0.0, np.array([-0.0, 1e-310]), np.array([np.inf, np.nan])) == \
+    rows = cli._row_formatter(np.array([-0.0, 1e-310]))
+    assert rows(-0.0, np.array([np.inf, np.nan])) == \
         "".join(f"{a:.17e},{b:.17e},{c:.17e}\n" for a, b, c in
                 ((-0.0, -0.0, np.inf), (-0.0, 1e-310, np.nan)))
 
@@ -275,3 +279,14 @@ def test_unused_boundary_pattern_exits_before_solving(tmp_path, monkeypatch, cap
     assert main(["study-lipschitz", path, "--out", str(tmp_path / "o")]) == 2
     assert "u0b" in capsys.readouterr().err
     assert calls == []
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # LAPACK dgtsv is the only scipy the program needs at import time
+    code = ("import sys, gaslab.cli; print(' '.join(m for m in ('scipy.integrate', "
+            "'scipy.special', 'scipy.optimize', 'scipy.sparse') if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    assert out.stdout.strip() == ""

@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from gaslab import dsl
@@ -137,3 +137,97 @@ def test_expr_fn_rejects_undeclared_variables():
     assert (back.source, back.variables) == (fn.source, fn.variables)
     x = np.linspace(0.0, 1.0, 11)
     assert np.array_equal(back(x, 0.5), fn(x, 0.5))
+
+
+# --- compiled evaluation against the tree walker -----------------------------
+
+def walk(e, env):
+    """Reference evaluator: a recursive walk over the AST."""
+    if isinstance(e, dsl.Num):
+        return e.value
+    if isinstance(e, dsl.Var):
+        if e.name not in env:
+            raise dsl.UnboundVariable(e.name)
+        return env[e.name]
+    if isinstance(e, dsl.Neg):
+        return -walk(e.arg, env)
+    if isinstance(e, dsl.Bin):
+        a = walk(e.lhs, env)
+        b = walk(e.rhs, env)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        if e.op == "/":
+            return np.divide(a, b)
+        return np.power(a, b)
+    args = [walk(a, env) for a in e.args]
+    fn = e.fn
+    if fn == "sin":
+        return np.sin(args[0])
+    if fn == "cos":
+        return np.cos(args[0])
+    if fn == "exp":
+        return np.exp(args[0])
+    if fn == "ln":
+        return np.log(args[0])
+    if fn == "abs":
+        return np.abs(args[0])
+    if fn == "step":
+        return np.where(np.asarray(args[0]) >= 0.0, 1.0, 0.0)
+    if fn == "frac":
+        return args[0] - np.floor(args[0])
+    if fn == "min":
+        return np.minimum(args[0], args[1])
+    return np.maximum(args[0], args[1])
+
+
+def oracle(e, **bindings):
+    """dsl.evaluate with the tree walker in place of the compiled chain."""
+    with np.errstate(all="ignore"):
+        out = walk(e, bindings)
+    if np.isscalar(out) or np.ndim(out) == 0:
+        out = float(out)
+        if not math.isfinite(out):
+            raise dsl.NonfiniteResult(dsl.pretty(e))
+        return out
+    out = np.asarray(out, dtype=float)
+    if not np.all(np.isfinite(out)):
+        raise dsl.NonfiniteResult(dsl.pretty(e))
+    return out
+
+
+def outcome(evaluate, e, bindings):
+    try:
+        out = evaluate(e, **bindings)
+    except (dsl.NonfiniteResult, dsl.UnboundVariable) as exc:
+        return type(exc), str(exc)
+    return type(out), np.shape(out), np.asarray(out).tobytes()
+
+
+scalar = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+
+
+@st.composite
+def bindings(draw):
+    """A subset of the variables, each a scalar or an array of 9 samples."""
+    out = {}
+    for name in dsl.VARIABLES:
+        kind = draw(st.sampled_from(["absent", "scalar", "array"]))
+        if kind == "scalar":
+            out[name] = draw(scalar)
+        elif kind == "array":
+            out[name] = np.array(draw(st.lists(scalar, min_size=9, max_size=9)))
+    return out
+
+
+@given(e=exprs(), env=bindings())
+@example(e=dsl.parse("x ^ t"), env={"x": -8.0, "t": 1.0 / 3.0})   # Python ** gives complex
+@example(e=dsl.parse("x ^ t"), env={"x": 10.0, "t": 400.0})       # Python ** overflows
+@settings(max_examples=300, deadline=None)
+def test_compiled_evaluation_matches_tree_walk_bitwise(e, env):
+    want = outcome(oracle, e, env)
+    assert outcome(dsl.evaluate, e, env) == want
+    assert outcome(dsl.evaluate, dsl.Compiled(e), env) == want

@@ -385,6 +385,29 @@ def test_zero_data_callables_match_absent_data():
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
+def test_beta_and_gamma_sampled_once_per_substep_time():
+    # the substep reaching t and the rates at t share one sample of each
+    spec = forced_spec()
+    pert = spec.perturbation
+    times = {"beta": [], "gamma": []}
+
+    def counting(name, fn):
+        def sample(x, t):
+            times[name].append(t)
+            return fn(x, t)
+        return sample
+
+    counted = replace(spec, perturbation=replace(
+        pert, beta=counting("beta", pert.beta), gamma=counting("gamma", pert.gamma)))
+    a, b = solve(spec), solve(counted)
+    assert np.all(b.substeps == 1)
+    for name in ("beta", "gamma"):
+        assert len(times[name]) == len(set(times[name])) == spec.grid.nt + 1, name
+    for name in ("eta", "u", "theta", "x_e", "sigma", "pi", "it_sigma", "it_p", "it_g",
+                 "volume", "it_boundary_du", "it_beta_volume", "picard_sweeps"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 @given(a_eta=st.floats(-0.3, 0.3), a_u=st.floats(-0.5, 0.5), a_theta=st.floats(-0.5, 0.5),
        ub0=st.floats(-0.2, 0.2), ubX=st.floats(-0.2, 0.2))
 @settings(max_examples=20, deadline=None)
