@@ -11,7 +11,7 @@ and homogenization-error rate studies), config and cli.
 from .grid import Grid, GasParams
 from .problem import (BoundaryData, PerturbationSpec, ProblemSpec,
                       SolutionBundle, validate)
-from .solver import SchemeParams, solve, diagnostics, linf_velocity_check
+from .solver import SchemeParams, solve, diagnostics
 from .twoscale import OscillationSpec, TwoScaleField
 from .homogenize import TwoScaleProblem, solve_homogenized
 from .studies import (ConvergenceTable, DeltaBreakdown, compute_delta,
@@ -21,7 +21,7 @@ from .studies import (ConvergenceTable, DeltaBreakdown, compute_delta,
 __all__ = [
     "Grid", "GasParams", "BoundaryData", "PerturbationSpec", "ProblemSpec",
     "SolutionBundle", "validate", "SchemeParams", "solve", "diagnostics",
-    "linf_velocity_check", "OscillationSpec", "TwoScaleField",
+    "OscillationSpec", "TwoScaleField",
     "TwoScaleProblem", "solve_homogenized", "ConvergenceTable",
     "DeltaBreakdown", "compute_delta", "compute_E0", "fit_rate",
     "run_homog_study", "run_lipschitz_study", "write_report",

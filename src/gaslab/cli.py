@@ -92,7 +92,7 @@ def _cmd_homogenize(args):
     rows = _row_formatter(problem.grid.centers())
     for eps in eps_list:
         osc = OscillationSpec(eps=eps, a_eps=a_eps)
-        eta_eps = hmg.eta_epsilon(hs, problem.eta0, osc)
+        eta_eps = hmg.eta_epsilon(hs, osc)
         path = os.path.join(args.out, f"eta_recon_eps_{eps:g}.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t,x,eta_recon\n")
@@ -111,9 +111,7 @@ def _cmd_norms(args):
         print(f"unknown norm tag '{tag}'; known: {sorted(NAMED_NORMS)}",
               file=sys.stderr)
         return 2
-    entry = cfg["field"]
-    fn = dsl.ExprFn(entry, ("x", "t")) if isinstance(entry, str) \
-        else cfgmod.ConstFn(float(entry))
+    fn = cfgmod.field_entry(cfg["field"], ("x", "t"))
     tt = grid.times()
     w = sample_field_times(fn, tt, grid.centers())
     kw = {k: (float("inf") if v == "inf" else v)

@@ -52,8 +52,9 @@ def save_config(cfg, path):
         fh.write("\n")
 
 
-def _field_entry(entry, variables):
-    """number | expression string -> callable over `variables` (or None)."""
+def field_entry(entry, variables):
+    """number | expression string -> callable over `variables`, None for null:
+    the one way a config entry becomes a callable."""
     if entry is None:
         return None
     if isinstance(entry, str):
@@ -61,13 +62,16 @@ def _field_entry(entry, variables):
     return ConstFn(float(entry))
 
 
-def _sample_x(entry, x, variables=("x",)):
-    if entry is None:
-        return np.zeros_like(x)
-    if isinstance(entry, str):
-        fn = dsl.ExprFn(entry, variables)
-        return np.asarray(fn(x), dtype=float) * np.ones_like(x)
-    return np.full_like(x, float(entry))
+def _sample_x(entry, x):
+    """Samples of an entry over x at the points x; a null entry reads as zero."""
+    fn = field_entry(0.0 if entry is None else entry, ("x",))
+    return np.asarray(fn(x), dtype=float) * np.ones_like(x)
+
+
+# the variables of each perturbation callable, in config trees and study patterns
+PERTURBATION_VARIABLES = {"beta": ("x", "t"), "gamma": ("x", "t"), "beta1": ("x", "t"),
+                          "beta2": ("x", "t"), "g1": ("chi", "x", "t"),
+                          "g2": ("chi", "x", "t")}
 
 
 def build_grid(cfg):
@@ -90,17 +94,11 @@ def build_bc(cfg, grid):
 
 
 def build_perturbation(cfg, grid):
-    p = cfg.get("perturbation")
-    if p is None:
-        return None
+    p = cfg.get("perturbation") or {}
     return PerturbationSpec(
-        beta=_field_entry(p.get("beta"), ("x", "t")),
-        gamma=_field_entry(p.get("gamma"), ("x", "t")),
         beta_e=_sample_x(p.get("beta_e"), grid.edges()),
-        beta1=_field_entry(p.get("beta1"), ("x", "t")),
-        beta2=_field_entry(p.get("beta2"), ("x", "t")),
-        g1=_field_entry(p.get("g1"), ("chi", "x", "t")),
-        g2=_field_entry(p.get("g2"), ("chi", "x", "t")))
+        **{key: field_entry(p.get(key), variables)
+           for key, variables in PERTURBATION_VARIABLES.items()})
 
 
 def build_problem(cfg):
@@ -112,8 +110,8 @@ def build_problem(cfg):
         eta0=_sample_x(data["eta0"], grid.centers()),
         u0=_sample_x(data["u0"], grid.edges()),
         theta0=_sample_x(data["theta0"], grid.centers()),
-        g=_field_entry(data.get("g"), ("chi", "x", "t")),
-        f=_field_entry(data.get("f"), ("chi", "x", "t")),
+        g=field_entry(data.get("g"), ("chi", "x", "t")),
+        f=field_entry(data.get("f"), ("chi", "x", "t")),
         perturbation=build_perturbation(cfg, grid),
         N=float(cfg.get("N", 10.0)),
         source=cfg)
@@ -128,19 +126,15 @@ def build_two_scale_problem(cfg):
     n_xi = int(cfg.get("nxi", 256))
 
     def ts_field(entry):
-        if isinstance(entry, str):
-            fn = dsl.ExprFn(entry, ("xi", "x"))
-        else:
-            fn = ConstFn(float(entry))
-        return TwoScaleField(fn, breakpoints=bp, n_xi=n_xi)
+        return TwoScaleField(field_entry(entry, ("xi", "x")), breakpoints=bp, n_xi=n_xi)
 
     return TwoScaleProblem(
         grid=grid, gas=build_gas(cfg), bc=build_bc(cfg, grid),
         eta0=ts_field(data["eta0"]),
         u0=ts_field(data["u0"]),
         theta0=ts_field(data["theta0"]),
-        g=_field_entry(data.get("g"), ("chi", "xi", "x", "t")),
-        f=_field_entry(data.get("f"), ("chi", "xi", "x", "t")),
+        g=field_entry(data.get("g"), ("chi", "xi", "x", "t")),
+        f=field_entry(data.get("f"), ("chi", "xi", "x", "t")),
         N=float(cfg.get("N", 10.0)),
         force_breakpoints=bp,
         source=cfg)
@@ -184,17 +178,12 @@ def perturbed_spec(base, patterns, delta):
     bc = BoundaryData(m=base.bc.m, **{name + "_t": shift_bc(name) for name in BC_NAMES})
 
     def scaled(key, variables):
-        fn = _field_entry(patterns.get(key), variables)
+        fn = field_entry(patterns.get(key), variables)
         return None if fn is None else ScaledFn(fn, delta)
 
     pert = PerturbationSpec(
-        beta=scaled("beta", ("x", "t")),
-        gamma=scaled("gamma", ("x", "t")),
         beta_e=delta * _sample_x(patterns.get("beta_e"), xe),
-        beta1=scaled("beta1", ("x", "t")),
-        beta2=scaled("beta2", ("x", "t")),
-        g1=scaled("g1", ("chi", "x", "t")),
-        g2=scaled("g2", ("chi", "x", "t")))
+        **{key: scaled(key, variables) for key, variables in PERTURBATION_VARIABLES.items()})
 
     return ProblemSpec(
         grid=grid, gas=base.gas, bc=bc,

@@ -23,7 +23,7 @@ import numpy as np
 from .calculus import time_primitive
 from .grid import Grid, GasParams, du_centers
 from .problem import BoundaryData, ProblemSpec
-from .solver import solve
+from .solver import SchemeParams, solve
 from .twoscale import (TwoScaleField, averaging_error, homogenized_theta0,
                        realize, xi_mean, xi_quadrature)
 
@@ -113,7 +113,7 @@ class HomogSolution:
         return self.problem.grid
 
 
-def solve_homogenized(problem, scheme=None):
+def solve_homogenized(problem, scheme=SchemeParams()):
     """Solve the averaged problem and precompute the reconstruction kernels."""
     spec = problem.averaged_spec()
     base = solve(spec, scheme)
@@ -129,33 +129,33 @@ def _reconstruct(hs, e0):
     return hs.B_hat * (e0[None, :] + (gas.k / gas.nu) * hs.it_binv_theta)
 
 
-def reconstruct_eta(hs, eta0, xi):
+def reconstruct_eta(hs, xi):
     """eta(xi_k, x, t) for the requested xi samples: array (len(xi), ns, nx).
 
-    Evaluated lazily per requested xi to bound memory; eta0 is the two-scale
-    initial profile the reconstruction starts from.
+    Evaluated lazily per requested xi to bound memory; the reconstruction
+    starts from the two-scale initial profile hs.problem.eta0.
     """
     xc = hs.grid.centers()
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     out = np.empty((len(xi), ) + hs.B_hat.shape)
     for i, s in enumerate(xi):
-        out[i] = _reconstruct(hs, eta0(np.full_like(xc, s), xc))
+        out[i] = _reconstruct(hs, hs.problem.eta0(np.full_like(xc, s), xc))
     return out
 
 
-def mean_reconstructed_eta(hs, eta0):
+def mean_reconstructed_eta(hs):
     """<eta_recon>(x, t); by linearity of the reconstruction in eta0 this is
     the reconstruction started from <eta0>."""
-    return _reconstruct(hs, xi_mean(eta0, hs.grid.centers()))
+    return _reconstruct(hs, xi_mean(hs.problem.eta0, hs.grid.centers()))
 
 
-def eta_epsilon(hs, eta0, osc):
-    """eta^(eps)(x, t) on the grid: reconstruction started from the realized
-    initial profile.  At t = 0 this equals realize(eta0, osc) exactly."""
-    return _reconstruct(hs, realize(eta0, osc, hs.grid.centers()))
+def eta_epsilon(hs, osc):
+    """eta^(eps)(x, t) on the grid: the reconstruction started from the realized
+    initial profile, equal to realize(hs.problem.eta0, osc) at t = 0 exactly."""
+    return _reconstruct(hs, realize(hs.problem.eta0, osc, hs.grid.centers()))
 
 
-def perturbation_fields(hs, eta0, osc):
+def perturbation_fields(hs, osc):
     """beta^(eps) = (1/nu) sigma R_eps(eta_recon) and
     gamma^(eps) = (1/lam) pi R_eps(eta_recon) on the snapshot grid.
 
@@ -165,7 +165,7 @@ def perturbation_fields(hs, eta0, osc):
     """
     xc = hs.grid.centers()
     gas = hs.problem.gas
-    r0 = averaging_error(eta0, osc, xc)
+    r0 = averaging_error(hs.problem.eta0, osc, xc)
     r_eta = hs.B_hat * r0[None, :]
     beta_eps = hs.base.sigma * r_eta / gas.nu
     pi_c = 0.5 * (hs.base.pi[:, 1:] + hs.base.pi[:, :-1])
@@ -173,12 +173,12 @@ def perturbation_fields(hs, eta0, osc):
     return beta_eps, gamma_eps
 
 
-def mass_residual_eps(hs, eta0, osc):
+def mass_residual_eps(hs, osc):
     """Residual of D_t eta^(eps) = Du + beta^(eps) at snapshot midpoints;
     decreases at scheme order under refinement."""
     g = hs.grid
-    eta_e = eta_epsilon(hs, eta0, osc)
-    beta_eps, _ = perturbation_fields(hs, eta0, osc)
+    eta_e = eta_epsilon(hs, osc)
+    beta_eps, _ = perturbation_fields(hs, osc)
     du = du_centers(g, hs.base.u)
     dt_eta = np.diff(eta_e, axis=0) / np.diff(hs.base.times)[:, None]
     rhs = 0.5 * (du[1:] + du[:-1]) + 0.5 * (beta_eps[1:] + beta_eps[:-1])

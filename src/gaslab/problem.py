@@ -12,7 +12,7 @@ Everything is value-semantic and immutable after construction; solver runs
 never mutate a spec, so specs can be shared across concurrent solves.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -124,9 +124,9 @@ class PerturbationSpec:
     def gamma_at(self, x, t):
         return sample_field(self.gamma, x, t)
 
-
-def zero_perturbation(grid):
-    return PerturbationSpec(beta=None, gamma=None, beta_e=np.zeros(grid.nx + 1))
+    def beta_e_on(self, grid):
+        """beta_e, or zeros at the edges of `grid` when it is absent."""
+        return np.zeros(grid.nx + 1) if self.beta_e is None else self.beta_e
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ class ProblemSpec:
     theta0: np.ndarray             # (nx,) cell centers
     g: object = None               # (chi, x, t) -> array, or None for zero
     f: object = None               # (chi, x, t) -> array, or None for zero
-    perturbation: PerturbationSpec = None
+    perturbation: PerturbationSpec = PerturbationSpec()
     N: float = 10.0
     source: dict = None            # config tree this spec was built from, if any
 
@@ -196,7 +196,7 @@ def validate(spec):
     xe = grid.edges()
     chi_c = np.linspace(-grid.X, 2 * grid.X, len(xc))
     chi_e = np.linspace(-grid.X, 2 * grid.X, len(xe))
-    pert = spec.perturbation if spec.perturbation is not None else PerturbationSpec()
+    pert = spec.perturbation
     probes = (("f", lambda t: sample_field(spec.f, chi_c, xc, t), " (C2)"),
               ("g", lambda t: sample_field(spec.g, chi_e, xe, t), " (C2)"),
               ("beta", lambda t: pert.beta_at(xc, t), ""),
@@ -288,9 +288,4 @@ class SolutionBundle:
     min_theta: float
     substeps: np.ndarray           # (nt,) effective substeps per nominal step
     picard_sweeps: np.ndarray      # (nt,) Picard sweeps over those substeps
-    gas_k: float = 1.0             # gas constant, for the derived pressure
-    energy: dict = field(default_factory=dict)
-
-    @property
-    def p(self):
-        return self.gas_k * self.theta / self.eta
+    energy: dict

@@ -26,7 +26,7 @@ from .calculus import primitive_at_edges, time_primitive, i_bracket, mean_omega
 from .grid import du_centers, dw_edges_interior, edges_to_centers, integrate_edge, \
     integrate_center
 from .norms import space_lq
-from .problem import SolutionBundle, sample_field, zero_perturbation
+from .problem import SolutionBundle, sample_field
 
 
 class PositivityLoss(RuntimeError):
@@ -139,8 +139,7 @@ class _Stepper:
         self.grid = spec.grid
         self.gas = spec.gas
         self.bc = spec.bc
-        self.pert = spec.perturbation if spec.perturbation is not None \
-            else zero_perturbation(spec.grid)
+        self.pert = spec.perturbation
         self.xc = self.grid.centers()
         self.xe = self.grid.edges()
         self.dx = self.grid.dx
@@ -356,9 +355,9 @@ class _StepRecord:
     """What solve() carries from substep to substep: the running trapezoid
     integrals I_t sigma, I_t p, I_t g, the rates at the end of the last
     substep, the ((eta, u, theta), h) starts of the last two substeps, most
-    recent first, and the increments of I_t(uX - u0), I_t int(beta) and the
-    boundary work plus the positivity minima and the Picard sweeps over the
-    nominal step."""
+    recent first, the running eta and theta minima, and the increments of
+    I_t(uX - u0), I_t int(beta) and the boundary work plus the Picard sweeps
+    over the nominal step."""
 
     it_sigma: np.ndarray
     it_p: np.ndarray
@@ -368,44 +367,40 @@ class _StepRecord:
     g: np.ndarray
     pi: np.ndarray
     work_rate: float
+    min_eta: float
+    min_theta: float
     before: tuple = ()
     bdu: float = 0.0
     bvol: float = 0.0
     work: float = 0.0
-    min_eta: float = np.inf
-    min_theta: float = np.inf
     sweeps: int = 0
 
     def attempt(self):
-        """Fresh record for one try at a nominal step: integrals copied, rates
-        and the last substep's start carried over, increments, minima and
+        """Fresh record for one try at a nominal step: integrals copied, rates,
+        minima and the last substep's start carried over, increments and
         sweeps reset."""
         return _StepRecord(self.it_sigma.copy(), self.it_p.copy(), self.it_g.copy(),
                            self.sigma, self.p, self.g, self.pi, self.work_rate,
-                           self.before)
+                           self.min_eta, self.min_theta, self.before)
 
 
-def solve(spec, scheme=None):
+def solve(spec, scheme=SchemeParams()):
     """Run the time stepper over (0, T); returns a SolutionBundle.
 
     Caller is responsible for spec admissibility (see problem.validate).
     Raises PositivityLoss or NonlinearDivergence when adaptive step halving
     is exhausted, and NonFiniteState at once on a NaN or an infinity.
     """
-    if scheme is None:
-        scheme = SchemeParams()
     stepper = _Stepper(spec)
     g = spec.grid
     gas = spec.gas
     nt = g.nt
     dt = g.dt
-    pert = stepper.pert
 
     eta = np.asarray(spec.eta0, dtype=float).copy()
     u = np.asarray(spec.u0, dtype=float).copy()
     theta = np.asarray(spec.theta0, dtype=float).copy()
-    beta_e = pert.beta_e if pert.beta_e is not None else np.zeros(g.nx + 1)
-    x_e = primitive_at_edges(g, eta) + beta_e
+    x_e = primitive_at_edges(g, eta) + spec.perturbation.beta_e_on(g)
     for name, arr in (("eta", eta), ("u", u), ("theta", theta)):
         if not np.isfinite(arr).all():
             raise NonFiniteState(0.0, name)
@@ -419,34 +414,28 @@ def solve(spec, scheme=None):
             ("eta", "theta", "sigma", "it_sigma", "it_p")}
     snap.update({name: np.empty((len(keep), g.nx + 1)) for name in
                  ("u", "x_e", "pi", "it_g")})
-
-    def store(n, state, rec):
-        if n not in slot:
-            return
-        eta, u, theta, x_e = state
-        for name, arr in (("eta", eta), ("theta", theta), ("u", u), ("x_e", x_e),
-                          ("sigma", rec.sigma), ("pi", rec.pi),
-                          ("it_sigma", rec.it_sigma), ("it_p", rec.it_p),
-                          ("it_g", rec.it_g)):
-            snap[name][slot[n]] = arr
-
-    volume = np.empty(nt + 1)
-    it_bdu = np.zeros(nt + 1)
-    it_bvol = np.zeros(nt + 1)
+    # volume, kinetic and internal energy, I_t(uX - u0), I_t int(beta), work
+    tracks = np.zeros((6, nt + 1))
     substeps = np.ones(nt, dtype=int)
     picard_sweeps = np.zeros(nt, dtype=int)
-    kinetic = np.empty(nt + 1)
-    internal = np.empty(nt + 1)
-    it_work = np.zeros(nt + 1)
+
+    def commit(n, state, rec):
+        """Write step n: the tracks, the last three by adding the record's
+        increments, and the snapshot when n is kept."""
+        eta, u, theta, _ = state
+        tracks[:3, n] = (integrate_center(g, eta), integrate_edge(g, 0.5 * u ** 2),
+                         integrate_center(g, gas.cV * theta))
+        if n:
+            tracks[3:, n] = tracks[3:, n - 1] + (rec.bdu, rec.bvol, rec.work)
+        if n in slot:
+            for name, arr in zip(("eta", "u", "theta", "x_e"), state):
+                snap[name][slot[n]] = arr
+            for name in ("sigma", "pi", "it_sigma", "it_p", "it_g"):
+                snap[name][slot[n]] = getattr(rec, name)
 
     rec = _StepRecord(np.zeros(g.nx), np.zeros(g.nx), np.zeros(g.nx + 1),
-                      *stepper.rates(state, 0.0))
-    min_eta = eta.min()
-    min_theta = theta.min()
-    volume[0] = integrate_center(g, eta)
-    kinetic[0] = integrate_edge(g, 0.5 * u ** 2)
-    internal[0] = integrate_center(g, gas.cV * theta)
-    store(0, state, rec)
+                      *stepper.rates(state, 0.0), eta.min(), theta.min())
+    commit(0, state, rec)
 
     for n in range(nt):
         t0 = n * dt
@@ -485,17 +474,9 @@ def solve(spec, scheme=None):
                 raise NonlinearDivergence(n + 1)
             raise PositivityLoss(last_retry.t, last_retry.kind)
 
-        it_bdu[n + 1] = it_bdu[n] + rec.bdu
-        it_bvol[n + 1] = it_bvol[n] + rec.bvol
-        it_work[n + 1] = it_work[n] + rec.work
-        min_eta = min(min_eta, rec.min_eta)
-        min_theta = min(min_theta, rec.min_theta)
-        eta, u, theta, x_e = state
-        volume[n + 1] = integrate_center(g, eta)
-        kinetic[n + 1] = integrate_edge(g, 0.5 * u ** 2)
-        internal[n + 1] = integrate_center(g, gas.cV * theta)
-        store(n + 1, state, rec)
+        commit(n + 1, state, rec)
 
+    volume, kinetic, internal, it_bdu, it_bvol, it_work = tracks
     energy = {
         "kinetic": kinetic,
         "internal": internal,
@@ -505,8 +486,8 @@ def solve(spec, scheme=None):
     return SolutionBundle(
         grid=g, steps=np.asarray(keep), times=g.times()[keep], **snap, volume=volume,
         it_boundary_du=it_bdu, it_beta_volume=it_bvol,
-        min_eta=float(min_eta), min_theta=float(min_theta),
-        substeps=substeps, picard_sweeps=picard_sweeps, gas_k=gas.k, energy=energy)
+        min_eta=float(rec.min_eta), min_theta=float(rec.min_theta),
+        substeps=substeps, picard_sweeps=picard_sweeps, energy=energy)
 
 
 @dataclass
@@ -569,8 +550,3 @@ def diagnostics(sol, spec):
         energy_ledger=sol.energy,
     )
 
-
-def linf_velocity_check(sol):
-    """Sup-norm of the stored velocity trajectory; monitored for boundedness
-    under refinement, never asserted against a specific constant."""
-    return float(np.abs(sol.u).max())

@@ -205,7 +205,7 @@ def compute_delta(base, perturbed, qe=INF):
     items["E0_hm13"] = h_minus_one(g, E0p - E0b, 3)
 
     pert = perturbed.perturbation
-    beta_e = np.zeros(g.nx + 1) if pert is None or pert.beta_e is None else pert.beta_e
+    beta_e = pert.beta_e_on(g)
     items["beta_e_lqe"] = float(space_lq(g, beta_e, qe))
 
     items["ub_w11"] = (w11_time_norm(perturbed.bc.u0_t - base.bc.u0_t, tt)
@@ -218,7 +218,7 @@ def compute_delta(base, perturbed, qe=INF):
     # mass-equation perturbation, split beta = beta1 + beta2 (caller's choice;
     # beta1 = 0 when no split is declared)
     b1 = b2 = np.zeros((len(tt), len(xc)))
-    if pert is not None and pert.beta is not None:
+    if pert.beta is not None:
         if pert.beta1 is not None or pert.beta2 is not None:
             b1 = sample_field_times(pert.beta1, tt, xc)
             b2 = sample_field_times(pert.beta2, tt, xc)
@@ -231,7 +231,7 @@ def compute_delta(base, perturbed, qe=INF):
         items["it_i1beta2_lqe_inf"] = lqr_norm(g, it_i1b2, qe, INF, tt)
     items["mean_beta2_l1"] = float(time_lr(mean_omega(g, b2), tt, 1.0))
 
-    gam = sample_field_times(None if pert is None else pert.gamma, tt, xc)
+    gam = sample_field_times(pert.gamma, tt, xc)
     items["gamma_v2star"] = v2star_majorant(g, gam, tt)
 
     # force differences g_hat - g = g1 + g2 along the perturbed Eulerian map
@@ -243,7 +243,7 @@ def compute_delta(base, perturbed, qe=INF):
             return np.zeros((len(tt), len(xc)))
         return sample_field_times(f_hat, tt, chi, xc) - sample_field_times(f, tt, chi, xc)
 
-    if pert is not None and (pert.g1 is not None or pert.g2 is not None):
+    if pert.g1 is not None or pert.g2 is not None:
         g1 = sample_field_times(pert.g1, tt, chi, xc)
         g2 = sample_field_times(pert.g2, tt, chi, xc)
     else:
@@ -347,7 +347,7 @@ def check_thresholds(table):
 # ---------------------------------------------------------------------------
 # Continuous-dependence study
 
-def run_lipschitz_study(base_spec, perturb, deltas, scheme=None, qe=INF,
+def run_lipschitz_study(base_spec, perturb, deltas, scheme=SchemeParams(), qe=INF,
                         t0_frac=0.2, thresholds=None):
     """Solve the base problem and a family of perturbed problems scaled by the
     delta sweep; tabulate solution-difference norms and the data bound Delta,
@@ -358,8 +358,6 @@ def run_lipschitz_study(base_spec, perturb, deltas, scheme=None, qe=INF,
     and a perturbation that perturb rejects, raise ValueError before any
     solve.
     """
-    if scheme is None:
-        scheme = SchemeParams()
     deltas = [float(d) for d in deltas]
     _require_rows(len(deltas))
     _require_halving(deltas)
@@ -462,22 +460,19 @@ def _rebuild_bc(bc, g_old, g_new):
         name + "_t": np.interp(tnew, told, getattr(bc, name + "_t")) for name in BC_NAMES})
 
 
-def _homog_columns_for_eps(problem, hs, eps, a_eps, scheme, qe, t0_frac):
-    osc = OscillationSpec(eps=eps, a_eps=a_eps)
-    eps_sol = solve(problem.realized_spec(osc), scheme)
-    eta_eps_recon = hmg.eta_epsilon(hs, problem.eta0, osc)
-    d = {
-        "eta": eta_eps_recon - eps_sol.eta,
-        "u": hs.base.u - eps_sol.u,
-        "theta": hs.base.theta - eps_sol.theta,
-        "x_e": hs.base.x_e - eps_sol.x_e,
-        "it_sigma": hs.base.it_sigma - eps_sol.it_sigma,
-    }
-    return difference_columns(problem.grid, d, hs.base.times,
-                              problem.bc.m, qe, t0_frac)
+def _homog_columns_for_eps(args):
+    """Study columns of the realized spec at scale osc against the averaged
+    run, the specific volume read off the reconstruction.  One argument, the
+    tuple (spec, hs, osc, scheme, qe, t0_frac), so a process pool can map it."""
+    spec, hs, osc, scheme, qe, t0_frac = args
+    eps_sol = solve(spec, scheme)
+    d = _bundle_difference(hs.base, eps_sol)
+    # eta is read off the reconstruction, into the buffer d already holds
+    np.subtract(hmg.eta_epsilon(hs, osc), eps_sol.eta, out=d["eta"])
+    return difference_columns(spec.grid, d, hs.base.times, spec.bc.m, qe, t0_frac)
 
 
-def run_homog_study(problem, eps_list, scheme=None, a_eps=0.0, qe=INF,
+def run_homog_study(problem, eps_list, scheme=SchemeParams(), a_eps=0.0, qe=INF,
                     t0_frac=0.2, thresholds=None, measure_floor_flag=True,
                     jobs=1):
     """Averaged problem once, oscillating problem per eps; tabulate the error
@@ -488,8 +483,6 @@ def run_homog_study(problem, eps_list, scheme=None, a_eps=0.0, qe=INF,
     sweep shorter than the four rows a rate fit needs or one that does not
     halve, all before any solve.
     """
-    if scheme is None:
-        scheme = SchemeParams()
     g = problem.grid
     eps_list = [float(e) for e in eps_list]
     if min(eps_list) / g.dx < 16.0 - 1e-12:
@@ -497,6 +490,8 @@ def run_homog_study(problem, eps_list, scheme=None, a_eps=0.0, qe=INF,
             f"eps_min/dx = {min(eps_list) / g.dx:.3g} < 16; refine the grid")
     _require_rows(len(eps_list))
     _require_halving(eps_list)
+    oscs = [OscillationSpec(eps=e, a_eps=a_eps) for e in eps_list]
+    eps_specs = [problem.realized_spec(osc) for osc in oscs]
 
     hs = hmg.solve_homogenized(problem, scheme)
     m = problem.bc.m
@@ -506,14 +501,13 @@ def run_homog_study(problem, eps_list, scheme=None, a_eps=0.0, qe=INF,
         floors = measure_floor(hs, scheme, m, qe, t0_frac)
 
     columns = {}
+    args = [(s, hs, osc, scheme, qe, t0_frac) for s, osc in zip(eps_specs, oscs)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        args = [(problem, hs, e, a_eps, scheme, qe, t0_frac) for e in eps_list]
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(_homog_worker, args))
+            results = list(ex.map(_homog_columns_for_eps, args))
     else:
-        results = [_homog_columns_for_eps(problem, hs, e, a_eps, scheme, qe,
-                                          t0_frac) for e in eps_list]
+        results = list(map(_homog_columns_for_eps, args))
     for cols in results:
         for k, v in cols.items():
             columns.setdefault(k, []).append(v)
@@ -525,33 +519,18 @@ def run_homog_study(problem, eps_list, scheme=None, a_eps=0.0, qe=INF,
             if vals[k + 1] > 1.25 * vals[k]:
                 flags.append(f"nonmonotone:{col}@eps={eps_list[k + 1]:g}")
 
-    # regularity norms of the averaged run, recorded for boundedness
-    # monitoring (never asserted against constants)
-    base = hs.base
-    averaged_norms = {
-        "u_Linf": float(np.abs(base.u).max()),
-        "theta_Linf": float(np.abs(base.theta).max()),
-        "Du_L2": lqr_norm(g, du_centers(g, base.u), 2.0, 2.0, base.times),
-        "itsigma_Linf": float(np.abs(base.it_sigma).max()),
-    }
-
     meta = {
         "study": "homogenization",
         "grid": f"nx={g.nx} nt={g.nt} X={g.X:g} T={g.T:g}",
         "m": m, "qe": str(qe), "a_eps": a_eps,
         "config_hash": _config_hash(problem.source),
         "decades_above_floor": decades,
-        "averaged_run_norms": averaged_norms,
     }
     return ConvergenceTable(
         param="eps", values=eps_list, columns=columns, slopes=slopes,
         floors=floors, flags=flags,
         thresholds=dict(thresholds or DEFAULT_THRESHOLDS_HOMOG),
         metadata=meta)
-
-
-def _homog_worker(args):
-    return _homog_columns_for_eps(*args)
 
 
 # ---------------------------------------------------------------------------

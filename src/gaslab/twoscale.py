@@ -106,11 +106,9 @@ def homogenized_theta0(u0, theta0, cV, x):
     The variance term is integrated as a square, so that0 >= <theta0> holds
     pointwise in floating point as well.
     """
-    x = np.asarray(x, dtype=float)
-    nodes_u, weights_u = u0.quadrature()
-    uvals = u0(nodes_u[:, None], x[None, :]) * np.ones((len(nodes_u), len(x)))
-    umean = weights_u @ uvals
-    variance = weights_u @ (uvals - umean[None, :]) ** 2
+    uvals, weights = xi_sample(u0, x)
+    umean = weights @ uvals
+    variance = weights @ (uvals - umean[None, :]) ** 2
     return variance / (2.0 * cV) + xi_mean(theta0, x)
 
 

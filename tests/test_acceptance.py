@@ -323,8 +323,7 @@ def test_criterion_09_reconstruction_consistency():
     problem = cfgmod.build_two_scale_problem(cfg)
     scheme = cfgmod.build_scheme(cfg)
     hs = solve_homogenized(problem, scheme)
-    err = c0l2_norm(problem.grid, mean_reconstructed_eta(hs, problem.eta0)
-                    - hs.base.eta)
+    err = c0l2_norm(problem.grid, mean_reconstructed_eta(hs) - hs.base.eta)
     floors = measure_floor(hs, scheme, problem.bc.m, float("inf"))
     assert err <= 3.0 * floors["eta_C0L2"], (err, floors["eta_C0L2"])
 

@@ -62,7 +62,7 @@ def test_reconstruction_with_zero_stress_kernel():
         B_hat=np.ones_like(hs.B_hat),
         it_binv_theta=theta_star * hs.base.times[:, None] * np.ones((ns, prob.grid.nx)))
     xi = np.array([0.2, 0.8])
-    eta = reconstruct_eta(synthetic, prob.eta0, xi)
+    eta = reconstruct_eta(synthetic, xi)
     xc = prob.grid.centers()
     for i, s in enumerate(xi):
         e0 = prob.eta0(np.full_like(xc, s), xc)
@@ -75,7 +75,7 @@ def test_reconstruction_with_zero_temperature_kernel():
     hs = solve_homogenized(prob)
     synthetic = HomogSolution(problem=prob, base=hs.base, B_hat=hs.B_hat,
                               it_binv_theta=np.zeros_like(hs.it_binv_theta))
-    eta = reconstruct_eta(synthetic, prob.eta0, np.array([0.6]))[0]
+    eta = reconstruct_eta(synthetic, np.array([0.6]))[0]
     xc = prob.grid.centers()
     e0 = prob.eta0(np.full_like(xc, 0.6), xc)
     assert np.abs(eta - hs.B_hat * e0[None, :]).max() < 1e-12
@@ -86,14 +86,14 @@ def test_reconstructed_mean_matches_solver_eta():
     # integrates theta/B over stored times), so keep stride 1 here
     prob = benchmark_problem(nx=256, nt=256)
     hs = solve_homogenized(prob, SchemeParams(store_stride=1))
-    mean_eta = mean_reconstructed_eta(hs, prob.eta0)
+    mean_eta = mean_reconstructed_eta(hs)
     err = c0l2_norm(prob.grid, mean_eta - hs.base.eta)
     # both routes are first order in dt; they agree well below field scale
     assert err < 5e-4
     # refined run: the disagreement shrinks at scheme order
     prob2 = benchmark_problem(nx=256, nt=1024)
     hs2 = solve_homogenized(prob2, SchemeParams(store_stride=1))
-    err2 = c0l2_norm(prob2.grid, mean_reconstructed_eta(hs2, prob2.eta0) - hs2.base.eta)
+    err2 = c0l2_norm(prob2.grid, mean_reconstructed_eta(hs2) - hs2.base.eta)
     assert err / err2 > 2.5
 
 
@@ -110,7 +110,7 @@ def test_eta_epsilon_at_t0_is_realization():
     prob = benchmark_problem(nx=256, nt=64)
     hs = solve_homogenized(prob)
     osc = OscillationSpec(1.0 / 16)
-    eta_eps = eta_epsilon(hs, prob.eta0, osc)
+    eta_eps = eta_epsilon(hs, osc)
     assert np.allclose(eta_eps[0], realize(prob.eta0, osc, prob.grid.centers()),
                        atol=1e-12)
 
@@ -119,7 +119,7 @@ def test_eta_epsilon_positive_and_bounded():
     prob = benchmark_problem(nx=256, nt=128)
     hs = solve_homogenized(prob)
     for eps in (1.0 / 16, 1.0 / 64):
-        eta_eps = eta_epsilon(hs, prob.eta0, OscillationSpec(eps))
+        eta_eps = eta_epsilon(hs, OscillationSpec(eps))
         assert eta_eps.min() > 0.5 and eta_eps.max() < 3.0
 
 
@@ -127,7 +127,7 @@ def test_xi_independent_eta0_reconstruction_matches_base():
     prob = benchmark_problem(nx=128, nt=128, osc_amp=0.0)
     hs = solve_homogenized(prob, SchemeParams(store_stride=4))
     for eps in (0.5, 0.125):
-        eta_eps = eta_epsilon(hs, prob.eta0, OscillationSpec(eps))
+        eta_eps = eta_epsilon(hs, OscillationSpec(eps))
         assert c0l2_norm(prob.grid, eta_eps - hs.base.eta) < 5e-3
 
 
@@ -136,7 +136,7 @@ def test_mass_equation_residual_refines():
     for nt in (64, 256):
         prob = benchmark_problem(nx=256, nt=nt)
         hs = solve_homogenized(prob, SchemeParams(store_stride=1))
-        r.append(mass_residual_eps(hs, prob.eta0, OscillationSpec(1.0 / 8)))
+        r.append(mass_residual_eps(hs, OscillationSpec(1.0 / 8)))
     assert r[0] / r[1] > 2.0
 
 
@@ -194,7 +194,7 @@ def test_perturbation_fields_scale_with_eps():
     from gaslab.calculus import primitive
     sups = []
     for eps in (1.0 / 32, 1.0 / 64):
-        beta_eps, gamma_eps = perturbation_fields(hs, prob.eta0, OscillationSpec(eps))
+        beta_eps, gamma_eps = perturbation_fields(hs, OscillationSpec(eps))
         ib = primitive(prob.grid, beta_eps)
         sups.append(np.abs(ib).max())
     assert sups[0] / sups[1] == pytest.approx(2.0, rel=0.25)
