@@ -6,6 +6,7 @@ error (bad config, solver abort, resolution guard, ...).
 """
 
 import argparse
+import inspect
 import os
 import sys
 
@@ -108,14 +109,18 @@ def _cmd_norms(args):
     spec = cfg["norm"]
     tag = spec["tag"]
     if tag not in NAMED_NORMS:
-        print(f"unknown norm tag '{tag}'; known: {sorted(NAMED_NORMS)}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown norm tag '{tag}'; known: {sorted(NAMED_NORMS)}")
+    params = inspect.signature(NAMED_NORMS[tag]).parameters
+    takes = [name for name, p in params.items()
+             if p.kind is p.POSITIONAL_OR_KEYWORD and name not in ("grid", "w", "times")]
+    kw = {k: (float("inf") if v == "inf" else v)
+          for k, v in spec.items() if k != "tag"}
+    for key in kw:
+        if key not in takes:
+            raise ValueError(f"norm '{tag}' takes no key '{key}'; it takes: {takes}")
     fn = cfgmod.field_entry(cfg["field"], ("x", "t"))
     tt = grid.times()
     w = sample_field_times(fn, tt, grid.centers())
-    kw = {k: (float("inf") if v == "inf" else v)
-          for k, v in spec.items() if k != "tag"}
     value = NAMED_NORMS[tag](grid, w, times=tt, **kw)
     print(f"{value:.17e}")
     return 0
@@ -172,29 +177,36 @@ def _cmd_study_lipschitz(args):
     return _report(table, args.out, "lipschitz_study.csv")
 
 
+FLAGS = {
+    "--out": {"default": "out", "help": "output directory"},
+    "--jobs": {"type": int, "default": 1, "help": "parallel solves"},
+    "--stride": {"type": int, "default": 1, "help": "snapshot stride"},
+    "--eps-list": {"help": "comma-separated eps values, overrides the config"},
+}
+
+# each subcommand registers the flags it reads; study-lipschitz also accepts
+# --jobs, which the benchmark harness passes to both studies, and ignores it
+SUBCOMMANDS = {
+    "solve": (_cmd_solve, ("--out", "--stride")),
+    "homogenize": (_cmd_homogenize, ("--out", "--stride", "--eps-list")),
+    "norms": (_cmd_norms, ()),
+    "study-homog": (_cmd_study_homog, ("--out", "--jobs", "--eps-list")),
+    "study-lipschitz": (_cmd_study_lipschitz, ("--out", "--jobs")),
+}
+
+
 def main(argv=None):
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--jobs", type=int, default=1, help="parallel solves")
-    common.add_argument("--stride", type=int, default=1, help="snapshot stride")
-    common.add_argument("--eps-list", default=None,
-                        help="comma-separated eps values, overrides the config")
     ap = argparse.ArgumentParser(prog="gaslab")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("solve", "homogenize", "norms", "study-homog", "study-lipschitz"):
-        sp = sub.add_parser(name, parents=[common])
+    for name, (handler, flags) in SUBCOMMANDS.items():
+        sp = sub.add_parser(name)
+        for flag in flags:
+            sp.add_argument(flag, **FLAGS[flag])
         sp.add_argument("config")
+        sp.set_defaults(handler=handler)
     args = ap.parse_args(argv)
-
-    handler = {
-        "solve": _cmd_solve,
-        "homogenize": _cmd_homogenize,
-        "norms": _cmd_norms,
-        "study-homog": _cmd_study_homog,
-        "study-lipschitz": _cmd_study_lipschitz,
-    }[args.command]
     try:
-        return handler(args)
+        return args.handler(args)
     except (ValueError, KeyError, OSError, dsl.ExprError, PositivityLoss,
             NonlinearDivergence, NonFiniteState) as exc:  # runtime failures: exit 2
         print(f"error: {exc}", file=sys.stderr)

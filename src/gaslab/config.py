@@ -126,7 +126,9 @@ def build_two_scale_problem(cfg):
     n_xi = int(cfg.get("nxi", 256))
 
     def ts_field(entry):
-        return TwoScaleField(field_entry(entry, ("xi", "x")), breakpoints=bp, n_xi=n_xi)
+        # a null entry reads as zero, as it does in a plain config
+        return TwoScaleField(field_entry(0.0 if entry is None else entry, ("xi", "x")),
+                             breakpoints=bp, n_xi=n_xi)
 
     return TwoScaleProblem(
         grid=grid, gas=build_gas(cfg), bc=build_bc(cfg, grid),

@@ -22,7 +22,7 @@ import numpy as np
 
 from .calculus import time_primitive
 from .grid import Grid, GasParams, du_centers
-from .problem import BoundaryData, ProblemSpec
+from .problem import BoundaryData, ProblemSpec, require_valid
 from .solver import SchemeParams, solve
 from .twoscale import (TwoScaleField, averaging_error, homogenized_theta0,
                        realize, xi_mean, xi_quadrature)
@@ -114,8 +114,10 @@ class HomogSolution:
 
 
 def solve_homogenized(problem, scheme=SchemeParams()):
-    """Solve the averaged problem and precompute the reconstruction kernels."""
+    """Solve the averaged problem and precompute the reconstruction kernels.
+    An averaged spec that problem.validate rejects raises ValueError first."""
     spec = problem.averaged_spec()
+    require_valid("averaged spec", spec)
     base = solve(spec, scheme)
     gas = problem.gas
     B = np.exp(base.it_sigma / gas.nu)

@@ -258,6 +258,14 @@ def validate(spec):
     return out
 
 
+def require_valid(name, spec):
+    """Raise ValueError naming the spec and its violations when validate
+    rejects it."""
+    problems = validate(spec)
+    if problems:
+        raise ValueError(f"{name} is inadmissible: " + "; ".join(problems))
+
+
 @dataclass
 class SolutionBundle:
     """Trajectories stored at the snapshot steps `steps` (a subset of

@@ -20,7 +20,7 @@ from .grid import Grid, du_centers, edges_to_centers
 from .norms import (INF, c0l2_norm, h21star_majorant, h_minus_one, lqr_norm,
                     space_lq, sup_t_h_minus_one, time_lr, v2star_majorant,
                     w11_time_norm)
-from .problem import BC_NAMES, BoundaryData, sample_field_times
+from .problem import BC_NAMES, BoundaryData, require_valid, sample_field_times
 from .solver import SchemeParams, solve
 from .twoscale import OscillationSpec
 from . import homogenize as hmg
@@ -355,13 +355,16 @@ def run_lipschitz_study(base_spec, perturb, deltas, scheme=SchemeParams(), qe=IN
 
     perturb: callable (base_spec, delta) -> perturbed ProblemSpec.  A sweep
     shorter than the four rows a rate fit needs or one that does not halve,
-    and a perturbation that perturb rejects, raise ValueError before any
-    solve.
+    a perturbation that perturb rejects, and a base or perturbed spec that
+    problem.validate rejects raise ValueError before any solve.
     """
     deltas = [float(d) for d in deltas]
     _require_rows(len(deltas))
     _require_halving(deltas)
     pspecs = [perturb(base_spec, d) for d in deltas]
+    require_valid("base spec", base_spec)
+    for d, pspec in zip(deltas, pspecs):
+        require_valid(f"delta={d:g} spec", pspec)
     base_sol = solve(base_spec, scheme)
     g = base_spec.grid
     m = base_spec.bc.m
@@ -481,7 +484,8 @@ def run_homog_study(problem, eps_list, scheme=SchemeParams(), a_eps=0.0, qe=INF,
     Enforces the resolution guard eps_min / dx >= 16 so the averaging error
     is not confounded with the spatial discretization error, then rejects a
     sweep shorter than the four rows a rate fit needs or one that does not
-    halve, all before any solve.
+    halve, and a realized or averaged spec that problem.validate rejects,
+    all before any solve.
     """
     g = problem.grid
     eps_list = [float(e) for e in eps_list]
@@ -492,8 +496,10 @@ def run_homog_study(problem, eps_list, scheme=SchemeParams(), a_eps=0.0, qe=INF,
     _require_halving(eps_list)
     oscs = [OscillationSpec(eps=e, a_eps=a_eps) for e in eps_list]
     eps_specs = [problem.realized_spec(osc) for osc in oscs]
+    for e, spec in zip(eps_list, eps_specs):
+        require_valid(f"eps={e:g} spec", spec)
 
-    hs = hmg.solve_homogenized(problem, scheme)
+    hs = hmg.solve_homogenized(problem, scheme)     # validates the averaged spec first
     m = problem.bc.m
 
     floors = {}

@@ -89,6 +89,38 @@ def test_norms_unknown_tag(tmp_path, capsys):
     assert main(["norms", cfg]) == 2
 
 
+def test_norms_rejects_a_key_the_norm_does_not_take(tmp_path, capsys):
+    cfg = {"domain": {"X": 1.0, "T": 1.0}, "grid": {"nx": 16, "nt": 4}, "field": "x*t",
+           "norm": {"tag": "Lqr", "qq": 7, "r": 2}}
+    assert main(["norms", write_cfg(tmp_path, cfg)]) == 2
+    assert "'qq'" in capsys.readouterr().err
+    cfg["norm"] = {"tag": "Lqr", "q": 7, "r": 2}
+    assert main(["norms", write_cfg(tmp_path, cfg)]) == 0
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("norms", "--stride"), ("norms", "--jobs"), ("solve", "--jobs"),
+    ("solve", "--eps-list"), ("homogenize", "--jobs"), ("study-homog", "--stride"),
+    ("study-lipschitz", "--eps-list")])
+def test_unread_flag_exits_2(command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "cfg.json", flag, "5"])
+    assert exc.value.code == 2
+
+
+def test_two_scale_null_entry_reads_as_zero(tmp_path):
+    cfg = two_scale_cfg([0.25])
+    for name, u0 in (("zero", "0"), ("null", None)):
+        cfg["data"]["u0"] = u0
+        assert main(["homogenize", write_cfg(tmp_path, cfg, name + ".json"),
+                     "--out", str(tmp_path / name), "--eps-list", "0.25"]) == 0
+    for report in ("averaged.csv", "eta_recon_eps_0.25.csv"):
+        assert (tmp_path / "zero" / report).read_bytes() \
+            == (tmp_path / "null" / report).read_bytes()
+    cfg["data"]["eta0"] = None
+    assert main(["homogenize", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+
+
 def test_homogenize_subcommand(tmp_path):
     cfg = write_cfg(tmp_path, {
         "domain": {"X": 1.0, "T": 0.1},
@@ -278,6 +310,29 @@ def test_unused_boundary_pattern_exits_before_solving(tmp_path, monkeypatch, cap
     })
     assert main(["study-lipschitz", path, "--out", str(tmp_path / "o")]) == 2
     assert "u0b" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_inadmissible_eps_spec_exits_before_solving(tmp_path, monkeypatch, capsys):
+    calls = count_solves(monkeypatch)
+    cfg = two_scale_cfg([1.0, 0.5, 0.25, 0.125])
+    cfg["grid"]["nx"] = 128
+    # the cell mean 0.25 is admissible, the realized minimum 0.05 < 1/N is not
+    cfg["data"]["eta0"] = "0.05 + 0.4*step(xi - 0.5)"
+    assert main(["study-homog", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "eps=1 spec is inadmissible: eta0 must satisfy" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_inadmissible_delta_spec_exits_before_solving(tmp_path, monkeypatch, capsys):
+    calls = count_solves(monkeypatch)
+    # eta0 = 1 - 9.5 delta falls below 1/N = 0.1 at delta = 0.1 only
+    path = write_cfg(tmp_path, {
+        "problem": small_problem_cfg(),
+        "study": {"delta0": 0.1, "levels": 4, "patterns": {"eta0": "-9.5"}},
+    })
+    assert main(["study-lipschitz", path, "--out", str(tmp_path / "o")]) == 2
+    assert "delta=0.1 spec is inadmissible: eta0 must satisfy" in capsys.readouterr().err
     assert calls == []
 
 

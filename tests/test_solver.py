@@ -147,13 +147,19 @@ def test_linf_velocity_stable_under_refinement():
 
 
 def test_zero_perturbation_bit_identical():
-    spec = pulse_spec(64, 100, 3, eta_jump=0.25)
-    pert = PerturbationSpec(beta=None, gamma=None,
-                            beta_e=np.zeros(spec.grid.nx + 1))
-    a = solve(spec)
-    b = solve(spec.with_perturbation(pert))
-    for name in ("eta", "u", "theta", "x_e", "sigma", "it_sigma"):
-        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    # halving_spec's halved steps exercise the minima each attempt carries
+    for spec in (pulse_spec(64, 100, 3, eta_jump=0.25), halving_spec()):
+        a = solve(spec)
+        for pert in (PerturbationSpec(beta=None, gamma=None,
+                                      beta_e=np.zeros(spec.grid.nx + 1)),
+                     PerturbationSpec()):
+            b = solve(spec.with_perturbation(pert))
+            for name in ("eta", "u", "theta", "x_e", "sigma", "it_sigma", "volume",
+                         "it_boundary_du", "it_beta_volume", "substeps", "picard_sweeps"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+            for name in a.energy:
+                assert a.energy[name].tobytes() == b.energy[name].tobytes(), name
+            assert (a.min_eta, a.min_theta) == (b.min_eta, b.min_theta)
 
 
 def test_perturbed_run_uses_beta_in_stress():

@@ -64,9 +64,10 @@ def test_E0_m1_affine_interpolant():
 
 def test_delta_zero_for_identical_specs():
     spec = spec_m(3)
-    br = compute_delta(spec, spec)
-    assert br.total == 0.0
-    assert all(v == 0.0 for v in br.items.values())
+    for other in (spec, spec.with_perturbation(PerturbationSpec())):
+        br = compute_delta(spec, other)
+        assert br.total == 0.0
+        assert all(v == 0.0 for v in br.items.values())
 
 
 def test_delta_rejects_mismatched_grids():
