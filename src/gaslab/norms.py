@@ -239,15 +239,15 @@ def w11_time_norm(b, times):
 
 
 NAMED_NORMS = {
-    "Lq": lambda grid, w, times=None, q=2.0, **_: float(space_lq(grid, np.asarray(w), q)) if np.ndim(w) == 1 else lqr_norm(grid, w, q, q, times),
-    "Lqr": lambda grid, w, times=None, q=2.0, r=2.0, **_: lqr_norm(grid, w, q, r, times),
-    "V2": lambda grid, w, times=None, **_: v2_norm(grid, w, times),
-    "Hm1": lambda grid, w, times=None, m=3, **_: h_minus_one(
+    "Lq": lambda grid, w, times=None, q=2.0: float(space_lq(grid, np.asarray(w), q)) if np.ndim(w) == 1 else lqr_norm(grid, w, q, q, times),
+    "Lqr": lambda grid, w, times=None, q=2.0, r=2.0: lqr_norm(grid, w, q, r, times),
+    "V2": lambda grid, w, times=None: v2_norm(grid, w, times),
+    "Hm1": lambda grid, w, times=None, m=3: h_minus_one(
         grid, np.asarray(w)[0] if np.ndim(w) == 2 else w, m),
-    "C0L2": lambda grid, w, times=None, **_: c0l2_norm(grid, w, times),
-    "LqInfty": lambda grid, w, times=None, q=2.0, **_: lqr_norm(grid, w, q, INF, times),
-    "WH": lambda grid, w, times=None, **_: wh_seminorm(grid, np.asarray(w)[0] if np.ndim(w) == 2 else w),
-    "WHst": lambda grid, w, times=None, r=1.0, **_: wh_spacetime_seminorm(grid, w, times, r),
-    "V2star": lambda grid, w, times=None, **_: v2star_majorant(grid, w, times),
-    "H21star": lambda grid, w, times=None, m=3, kappa_floor=1.0, **_: h21star_majorant(grid, w, m, kappa_floor, times),
+    "C0L2": lambda grid, w, times=None: c0l2_norm(grid, w, times),
+    "LqInfty": lambda grid, w, times=None, q=2.0: lqr_norm(grid, w, q, INF, times),
+    "WH": lambda grid, w, times=None: wh_seminorm(grid, np.asarray(w)[0] if np.ndim(w) == 2 else w),
+    "WHst": lambda grid, w, times=None, r=1.0: wh_spacetime_seminorm(grid, w, times, r),
+    "V2star": lambda grid, w, times=None: v2star_majorant(grid, w, times),
+    "H21star": lambda grid, w, times=None, m=3, kappa_floor=1.0: h21star_majorant(grid, w, m, kappa_floor, times),
 }

@@ -16,11 +16,12 @@ Discontinuous initial eta is run as-is: the mass equation is linear in eta
 and discontinuities persist by design.  No limiting or regularization.
 """
 
+import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from numpy.linalg import _umath_linalg
 
 from .calculus import primitive_at_edges, time_primitive, i_bracket, mean_omega
 from .grid import du_centers, dw_edges_interior, edges_to_centers, integrate_edge, \
@@ -78,10 +79,29 @@ class SchemeParams:
             raise ValueError(f"dense_steps must be nonnegative, got {self.dense_steps}")
 
 
+def _lapack_dgtsv():
+    """LAPACK dgtsv from the library numpy's linalg module links (dlsym also
+    searches its dependencies), and the C type of its integer arguments: the
+    ILP64 symbol of numpy's bundled OpenBLAS, else the LP64 one of a system LAPACK."""
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    for name, int_t in (("scipy_dgtsv_64_", ctypes.c_int64), ("dgtsv_", ctypes.c_int32)):
+        if hasattr(lib, name):
+            fn, p_int = getattr(lib, name), ctypes.POINTER(int_t)
+            # n, nrhs, dl, d, du, b, ldb, info
+            fn.argtypes = [p_int, p_int] + [ctypes.c_void_p] * 4 + [p_int, p_int]
+            fn.restype = None
+            return fn, int_t
+    raise ImportError(f"{_umath_linalg.__file__} exports neither scipy_dgtsv_64_ nor dgtsv_")
+
+
+_DGTSV, _LAPACK_INT = _lapack_dgtsv()
+
+
 class _Tridiagonal:
     """Bands and right-hand side of one tridiagonal system of size n, in one
     buffer [lower | diag | upper | rhs] allocated once and refilled every
-    sweep.  dgtsv factors the bands in place; the solution is a new array."""
+    sweep.  dgtsv factors the bands and overwrites the right-hand side in
+    place; the solution is returned as a copy."""
 
     def __init__(self, n):
         self.buf = np.empty(4 * n - 2)
@@ -89,15 +109,21 @@ class _Tridiagonal:
         self.diag = self.buf[n - 1:2 * n - 1]
         self.upper = self.buf[2 * n - 1:3 * n - 2]
         self.rhs = self.buf[3 * n - 2:]
+        size, one, self.info = _LAPACK_INT(n), _LAPACK_INT(1), _LAPACK_INT()
+        bands = [ctypes.c_void_p(a.ctypes.data)
+                 for a in (self.lower, self.diag, self.upper, self.rhs)]
+        self._args = (ctypes.byref(size), ctypes.byref(one), *bands,
+                      ctypes.byref(size), ctypes.byref(self.info))
 
     def solve(self, t, variable):
         if not np.isfinite(self.buf).all():
             raise NonFiniteState(t, variable)
-        _, _, _, x, info = dgtsv(self.lower, self.diag, self.upper, self.rhs,
-                                 True, True, True, False)
-        if info > 0:
-            raise np.linalg.LinAlgError("singular matrix")
-        return x
+        _DGTSV(*self._args)
+        if self.info.value > 0:
+            raise np.linalg.LinAlgError(f"singular {variable} system near t={t:.6g}")
+        if self.info.value < 0:
+            raise RuntimeError(f"dgtsv rejected argument {-self.info.value}")
+        return self.rhs.copy()
 
 
 def _extrapolate(state, history, h):

@@ -430,19 +430,26 @@ def _restrict_edge(a):
     return a[:, ::2]
 
 
-def measure_floor(hs, scheme, m, qe, t0_frac=0.2):
-    """Solver self-convergence floor of the averaged problem: difference
-    between the (nx, nt) run `hs.base`, solved with `scheme`, and the
-    (nx/2, nt/2) run restricted to the coarse grid, in every study column."""
-    problem = hs.problem
+def floor_spec(problem):
+    """The averaged spec of `problem` on the (nx/2, nt/2) grid, its boundary
+    series interpolated there: the coarse run of the floor measurement."""
     g = problem.grid
     if g.nx % 2 or g.nt % 2:
         raise ValueError("floor measurement needs even nx and nt")
     g2 = Grid(X=g.X, T=g.T, nx=g.nx // 2, nt=g.nt // 2)
-    coarse_problem = replace(problem, grid=g2, bc=_rebuild_bc(problem.bc, g, g2))
+    bc = BoundaryData(m=problem.bc.m, **{
+        name + "_t": np.interp(g2.times(), g.times(), getattr(problem.bc, name + "_t"))
+        for name in BC_NAMES})
+    return replace(problem, grid=g2, bc=bc).averaged_spec()
+
+
+def measure_floor(hs, coarse_spec, scheme, qe, t0_frac=0.2):
+    """Solver self-convergence floor of the averaged problem: difference between
+    the (nx, nt) run `hs.base`, solved with `scheme`, and the run of its
+    floor_spec `coarse_spec` restricted to the coarse grid, in every study column."""
     scheme2 = replace(scheme, store_stride=max(1, scheme.store_stride // 2))
     fine = hs.base
-    coarse = solve(coarse_problem.averaged_spec(), scheme2)
+    coarse = solve(coarse_spec, scheme2)
 
     # coarse step n is fine step 2n: pair the snapshots both runs stored
     _, ia, ib = np.intersect1d(fine.steps, 2 * coarse.steps, assume_unique=True,
@@ -454,13 +461,8 @@ def measure_floor(hs, scheme, m, qe, t0_frac=0.2):
         "x_e": _restrict_edge(fine.x_e[ia]) - coarse.x_e[ib],
         "it_sigma": _restrict_center(fine.it_sigma[ia]) - coarse.it_sigma[ib],
     }
-    return difference_columns(g2, d, coarse.times[ib], m, qe, t0_frac)
-
-
-def _rebuild_bc(bc, g_old, g_new):
-    told, tnew = g_old.times(), g_new.times()
-    return BoundaryData(m=bc.m, **{
-        name + "_t": np.interp(tnew, told, getattr(bc, name + "_t")) for name in BC_NAMES})
+    return difference_columns(coarse_spec.grid, d, coarse.times[ib], coarse_spec.bc.m,
+                              qe, t0_frac)
 
 
 def _homog_columns_for_eps(args):
@@ -484,8 +486,8 @@ def run_homog_study(problem, eps_list, scheme=SchemeParams(), a_eps=0.0, qe=INF,
     Enforces the resolution guard eps_min / dx >= 16 so the averaging error
     is not confounded with the spatial discretization error, then rejects a
     sweep shorter than the four rows a rate fit needs or one that does not
-    halve, and a realized or averaged spec that problem.validate rejects,
-    all before any solve.
+    halve, and a realized, averaged or floor spec that problem.validate
+    rejects, all before any solve.
     """
     g = problem.grid
     eps_list = [float(e) for e in eps_list]
@@ -498,13 +500,16 @@ def run_homog_study(problem, eps_list, scheme=SchemeParams(), a_eps=0.0, qe=INF,
     eps_specs = [problem.realized_spec(osc) for osc in oscs]
     for e, spec in zip(eps_list, eps_specs):
         require_valid(f"eps={e:g} spec", spec)
+    if measure_floor_flag:
+        coarse_spec = floor_spec(problem)
+        require_valid("floor spec", coarse_spec)
 
     hs = hmg.solve_homogenized(problem, scheme)     # validates the averaged spec first
     m = problem.bc.m
 
     floors = {}
     if measure_floor_flag:
-        floors = measure_floor(hs, scheme, m, qe, t0_frac)
+        floors = measure_floor(hs, coarse_spec, scheme, qe, t0_frac)
 
     columns = {}
     args = [(s, hs, osc, scheme, qe, t0_frac) for s, osc in zip(eps_specs, oscs)]

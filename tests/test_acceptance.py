@@ -19,8 +19,8 @@ from gaslab.norms import c0l2_norm, space_lq, wh_seminorm
 from gaslab.problem import BoundaryData, ProblemSpec
 from gaslab.solver import SchemeParams, diagnostics, solve
 from gaslab.studies import (HOMOG_BOUND_COLUMNS, LIPSCHITZ_BOUND_COLUMNS,
-                            fit_rate, measure_floor, run_homog_study,
-                            run_lipschitz_study)
+                            fit_rate, floor_spec, measure_floor,
+                            run_homog_study, run_lipschitz_study)
 from gaslab.twoscale import (OscillationSpec, TwoScaleField, averaging_error,
                              homogenized_theta0, xi_mean, xi_sample)
 
@@ -324,7 +324,7 @@ def test_criterion_09_reconstruction_consistency():
     scheme = cfgmod.build_scheme(cfg)
     hs = solve_homogenized(problem, scheme)
     err = c0l2_norm(problem.grid, mean_reconstructed_eta(hs) - hs.base.eta)
-    floors = measure_floor(hs, scheme, problem.bc.m, float("inf"))
+    floors = measure_floor(hs, floor_spec(problem), scheme, float("inf"))
     assert err <= 3.0 * floors["eta_C0L2"], (err, floors["eta_C0L2"])
 
     # closure identity at scheme order (here: exact discretely)

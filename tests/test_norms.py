@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -196,9 +198,20 @@ def test_named_norm_registry_evaluates_every_tag():
     g = make_grid(nx=32, nt=16)
     t = g.times()
     w = np.tile(np.sin(np.pi * g.centers()), (len(t), 1)) * (1 + t)[:, None]
+    keys = dict(q=2.0, r=2.0, m=3, kappa_floor=0.5)
     for tag, fn in NAMED_NORMS.items():
-        val = fn(g, w, times=t, q=2.0, r=2.0, m=3, kappa_floor=0.5)
+        takes = inspect.signature(fn).parameters
+        val = fn(g, w, times=t, **{k: v for k, v in keys.items() if k in takes})
         assert np.isfinite(val) and val >= 0.0, tag
+
+
+def test_named_norm_rejects_a_misspelled_key():
+    from gaslab.norms import NAMED_NORMS
+    g = make_grid(nx=32, nt=16)
+    t = g.times()
+    w = np.tile(np.sin(np.pi * g.centers()), (len(t), 1))
+    with pytest.raises(TypeError, match="qq"):
+        NAMED_NORMS["Lqr"](g, w, times=t, qq=7)
 
 
 # --- shared properties ------------------------------------------------------

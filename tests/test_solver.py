@@ -1,3 +1,4 @@
+import ctypes
 from dataclasses import replace
 
 import hypothesis.strategies as st
@@ -431,6 +432,56 @@ def test_random_m1_data_keep_volume_positivity_and_sweep_bounds(a_eta, a_u, a_th
     assert sol.min_eta > 0 and sol.min_theta > 0
     assert np.all(sol.substeps <= sol.picard_sweeps)
     assert np.all(sol.picard_sweeps <= solver.MAX_PICARD * sol.substeps)
+
+
+def _random_tridiagonal(n, pivoting, seed):
+    """A _Tridiagonal of size n with random bands: strictly diagonally dominant
+    (dgtsv swaps no rows), or with a weak diagonal that makes it swap rows."""
+    rng = np.random.default_rng(seed)
+    system = solver._Tridiagonal(n)
+    system.lower[:] = rng.uniform(-1.0, 1.0, n - 1)
+    system.upper[:] = rng.uniform(-1.0, 1.0, n - 1)
+    system.rhs[:] = rng.normal(size=n)
+    if pivoting:
+        system.diag[:] = rng.uniform(-0.5, 0.5, n)
+    else:
+        system.diag[:] = rng.choice([-1.0, 1.0], n) * rng.uniform(2.0, 3.0, n)
+    return system
+
+
+@pytest.mark.parametrize("pivoting", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 257, 4097])
+def test_tridiagonal_solve_is_bitwise_scipy_dgtsv(n, pivoting):
+    from scipy.linalg.lapack import dgtsv
+    system = _random_tridiagonal(n, pivoting, seed=n)
+    lower, diag, upper, x_ref, info = dgtsv(system.lower.copy(), system.diag.copy(),
+                                            system.upper.copy(), system.rhs.copy())
+    assert info == 0
+    x = system.solve(0.0, "u")
+    assert x.tobytes() == x_ref.tobytes()
+    for band, ref in ((system.lower, lower), (system.diag, diag), (system.upper, upper)):
+        assert band.tobytes() == ref.tobytes()
+    # a row swap leaves fill-in where dgtsv otherwise zeroes the lower band
+    assert system.lower[:-1].any() == (pivoting and n > 2)
+
+
+def test_tridiagonal_zero_pivot_names_the_system_and_time():
+    system = solver._Tridiagonal(3)
+    system.lower[:] = 0.0
+    system.diag[:] = [0.0, 1.0, 1.0]
+    system.upper[:] = 1.0
+    system.rhs[:] = 1.0
+    with pytest.raises(np.linalg.LinAlgError, match=r"singular theta system near t=0\.25"):
+        system.solve(0.25, "theta")
+
+
+def test_tridiagonal_illegal_argument_raises_runtime_error():
+    # dgtsv's info < 0 is a programming bug, kept out of the CLI's exit-2 path
+    system = solver._Tridiagonal(3)
+    system.buf[:] = 1.0
+    system._args = (ctypes.byref(solver._LAPACK_INT(-1)),) + system._args[1:]
+    with pytest.raises(RuntimeError, match="argument 1"):
+        system.solve(0.0, "u")
 
 
 def test_non_finite_force_raises_at_once():

@@ -301,6 +301,29 @@ def test_homog_study_rejects_short_sweep_before_solving(monkeypatch):
         run_homog_study(two_scale_problem(nx=256, nt=32), [0.5, 0.25, 0.125])
 
 
+def test_homog_study_validates_the_floor_spec_before_any_solve(monkeypatch):
+    class _StopAtSolve(Exception):
+        pass
+
+    events = []
+
+    def record_valid(name, spec):
+        events.append(("valid", name))
+
+    def stop_at_solve(*args, **kwargs):
+        events.append(("solve", None))
+        raise _StopAtSolve
+
+    monkeypatch.setattr(studies, "require_valid", record_valid)
+    monkeypatch.setattr(hmg, "require_valid", record_valid)
+    monkeypatch.setattr(studies, "solve", stop_at_solve)
+    monkeypatch.setattr(hmg, "solve", stop_at_solve)
+    with pytest.raises(_StopAtSolve):
+        run_homog_study(two_scale_problem(nx=256, nt=32), [0.5, 0.25, 0.125, 0.0625])
+    assert ("valid", "floor spec") in events
+    assert events.index(("valid", "floor spec")) < events.index(("solve", None))
+
+
 def test_homog_study_degenerate_for_xi_independent_data():
     prob = two_scale_problem(nx=256, nt=128, osc=0.0)
     table = run_homog_study(prob, [0.5, 0.25, 0.125, 0.0625],
