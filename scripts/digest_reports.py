@@ -9,6 +9,10 @@ the same lines exactly when their outputs agree byte for byte: diff the two
 printouts.  Each command runs with the temporary directory as its working
 directory and relative paths, so no absolute path reaches an output; its
 standard output is digested as `<name>.stdout`.
+
+Besides the shipped configs, `gaslab norms` runs once per `NAMED_NORMS` tag
+(and with a few non-default keys) on a field that is nonzero at t = 0, so the
+tags that read the first time slice see data.
 """
 
 import hashlib
@@ -19,6 +23,14 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from gaslab.norms import NAMED_NORMS  # noqa: E402
+
+NORM_FIELD = "0.5 + x*(1 - x)*cos(3*t) + 0.2*sin(7*x)"
+# (tag, keys) runs beyond each tag at its defaults
+NORM_VARIANTS = [("Lq", {"q": 3}), ("Lqr", {"q": 1.5, "r": "inf"}), ("Hm1", {"m": 1}),
+                 ("Hm1", {"m": 2}), ("WHst", {"r": "inf"})]
 
 
 def _config(name):
@@ -40,6 +52,9 @@ def _commands():
     homog.update(grid={"nx": 512, "nt": 256}, nxi=64,
                  scheme={"store_stride": 4, "dense_steps": 8})
     homog["study"]["eps_list"] = [0.25, 0.125, 0.0625, 0.03125]
+    norm_runs = [(tag, {}) for tag in sorted(NAMED_NORMS)] + NORM_VARIANTS
+    norm_cfgs = [dict(_config("norm_demo.json"), field=NORM_FIELD, norm=dict(keys, tag=tag))
+                 for tag, keys in norm_runs]
     return [
         ("solve_pulse_m3", "solve", _config("pulse.json"), ["--stride", "4"]),
         ("solve_m1", "solve", m1, []),
@@ -48,7 +63,8 @@ def _commands():
         ("norms", "norms", _config("norm_demo.json"), []),
         ("study_homog", "study-homog", homog, []),
         ("study_lipschitz", "study-lipschitz", _config("lipschitz_benchmark.json"), []),
-    ]
+    ] + [(f"norms_{i:02d}_{cfg['norm']['tag']}", "norms", cfg, [])
+         for i, cfg in enumerate(norm_cfgs)]
 
 
 def main():
