@@ -68,8 +68,8 @@ def _cmd_solve(args):
         fh.write(f"volume_residual,{rep.volume_residual:.17e}\n")
         fh.write(f"logvol_residual,{rep.logvol_residual:.17e}\n")
         fh.write(f"stress_repr_residual,{rep.stress_repr_residual:.17e}\n")
-        fh.write(f"min_eta,{rep.positivity_margins[0]:.17e}\n")
-        fh.write(f"min_theta,{rep.positivity_margins[1]:.17e}\n")
+        fh.write(f"min_eta,{sol.min_eta:.17e}\n")
+        fh.write(f"min_theta,{sol.min_theta:.17e}\n")
     print(f"solve: {len(sol.times)} snapshots -> {args.out}")
     print(f"  volume residual      {rep.volume_residual:.3e}")
     print(f"  logvol residual      {rep.logvol_residual:.3e}")
@@ -83,8 +83,7 @@ def _cmd_homogenize(args):
     cfg = cfgmod.load_config(args.config)
     problem = cfgmod.build_two_scale_problem(cfg)
     scheme = cfgmod.build_scheme(cfg)
-    eps_list = [float(e) for e in args.eps_list.split(",")] if args.eps_list \
-        else [float(e) for e in cfg.get("study", {}).get("eps_list", [0.125])]
+    eps_list = _eps_list(args, cfg.get("study", {}), [0.125])
     hs = hmg.solve_homogenized(problem, scheme)
     os.makedirs(args.out, exist_ok=True)
     _write_snapshots(os.path.join(args.out, "averaged.csv"), problem.grid,
@@ -113,8 +112,7 @@ def _cmd_norms(args):
     params = inspect.signature(NAMED_NORMS[tag]).parameters
     takes = [name for name, p in params.items()
              if p.kind is p.POSITIONAL_OR_KEYWORD and name not in ("grid", "w", "times")]
-    kw = {k: (float("inf") if v == "inf" else v)
-          for k, v in spec.items() if k != "tag"}
+    kw = {k: _number_or_inf(v) for k, v in spec.items() if k != "tag"}
     for key in kw:
         if key not in takes:
             raise ValueError(f"norm '{tag}' takes no key '{key}'; it takes: {takes}")
@@ -126,9 +124,18 @@ def _cmd_norms(args):
     return 0
 
 
-def _qe(study):
-    """The study's "qe" entry: a number or "inf" (the default)."""
-    return float("inf") if str(study.get("qe", "inf")) == "inf" else float(study["qe"])
+def _number_or_inf(value):
+    """A config entry that is a number or the string "inf"."""
+    return float("inf") if str(value) == "inf" else float(value)
+
+
+def _eps_list(args, study, default=None):
+    """The eps values of --eps-list, else of the study's "eps_list" entry, else
+    `default`; KeyError when all three are missing."""
+    if args.eps_list:
+        return [float(e) for e in args.eps_list.split(",")]
+    return [float(e) for e in (study["eps_list"] if default is None
+                               else study.get("eps_list", default))]
 
 
 def _report(table, out_dir, name):
@@ -147,11 +154,10 @@ def _cmd_study_homog(args):
     problem = cfgmod.build_two_scale_problem(cfg)
     scheme = cfgmod.build_scheme(cfg)
     st = cfg.get("study", {})
-    eps_list = [float(e) for e in args.eps_list.split(",")] if args.eps_list \
-        else [float(e) for e in st["eps_list"]]
+    eps_list = _eps_list(args, st)
     table = studies.run_homog_study(
         problem, eps_list, scheme=scheme,
-        a_eps=float(st.get("a_eps", 0.0)), qe=_qe(st),
+        a_eps=float(st.get("a_eps", 0.0)), qe=_number_or_inf(st.get("qe", "inf")),
         t0_frac=float(st.get("t0_frac", 0.2)),
         thresholds=st.get("thresholds"),
         measure_floor_flag=bool(st.get("measure_floor", True)),
@@ -171,7 +177,7 @@ def _cmd_study_lipschitz(args):
         return cfgmod.perturbed_spec(spec, patterns, d)
 
     table = studies.run_lipschitz_study(
-        base, perturb, deltas, scheme=scheme, qe=_qe(st),
+        base, perturb, deltas, scheme=scheme, qe=_number_or_inf(st.get("qe", "inf")),
         t0_frac=float(st.get("t0_frac", 0.2)),
         thresholds=st.get("thresholds"))
     return _report(table, args.out, "lipschitz_study.csv")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import time_primitive
-from .grid import Grid, GasParams, du_centers
+from .grid import Grid, GasParams, du_centers, edges_to_centers
 from .problem import BoundaryData, ProblemSpec, require_valid
 from .solver import SchemeParams, solve
 from .twoscale import (TwoScaleField, averaging_error, homogenized_theta0,
@@ -170,8 +170,7 @@ def perturbation_fields(hs, osc):
     r0 = averaging_error(hs.problem.eta0, osc, xc)
     r_eta = hs.B_hat * r0[None, :]
     beta_eps = hs.base.sigma * r_eta / gas.nu
-    pi_c = 0.5 * (hs.base.pi[:, 1:] + hs.base.pi[:, :-1])
-    gamma_eps = pi_c * r_eta / gas.lam
+    gamma_eps = edges_to_centers(hs.base.pi) * r_eta / gas.lam
     return beta_eps, gamma_eps
 
 

@@ -12,8 +12,8 @@ configs) for the essential-sup slots, which on grids are sample maxima.
 
 import numpy as np
 
-from .calculus import i_bracket, mean_omega, time_primitive
-from .grid import du_centers, dw_edges_interior, edges_to_centers
+from .calculus import difference_quotient, i_bracket, mean_omega, time_primitive
+from .grid import du_centers, dw_edges_interior, edges_to_centers, integrate_x
 
 INF = float("inf")
 
@@ -42,13 +42,9 @@ def space_lq(grid, y, q):
     y = np.abs(np.asarray(y, dtype=float))
     if q == INF:
         return y.max(axis=-1)
-    if y.shape[-1] == grid.nx:
-        return (grid.X * (y ** q).mean(axis=-1)) ** (1.0 / q)
-    if y.shape[-1] == grid.nx + 1:
-        w = np.ones(grid.nx + 1)
-        w[0] = w[-1] = 0.5
-        return (grid.X * ((y ** q) * w).sum(axis=-1) / grid.nx) ** (1.0 / q)
-    raise ValueError(f"field of length {y.shape[-1]} fits neither centers nor edges")
+    # np.power, not **: numpy's scalar ** rounds unlike its array power, and a
+    # row's norm must carry the same bits alone as inside a batch of rows
+    return np.power(integrate_x(grid, y ** q), 1.0 / q)
 
 
 def time_lr(s, times, r):
@@ -76,32 +72,28 @@ def lqr_norm(grid, w, q, r, times=None):
     return float(time_lr(inner, times, r))
 
 
-def c0l2_norm(grid, w, times=None):
+def c0l2_norm(grid, w):
     """C(0,T; L^2(Omega)) norm: max over stored times of the spatial L^2 norm."""
-    w = np.asarray(w, dtype=float)
-    if w.ndim == 1:
-        return float(space_lq(grid, w, 2.0))
-    return float(space_lq(grid, w, 2.0).max())
+    return lqr_norm(grid, w, 2.0, INF)
 
 
 def h_minus_one(grid, y, m):
     """Negative-order norm through primitives: ||I^<m> y||_{L^2} for m = 1, 2 and
-    ||Iy||_{L^2} + X |<y>| for m = 3.  Edge fields are averaged to centers first."""
+    ||Iy||_{L^2} + X |<y>| for m = 3, one value per row of y (last axis).  Edge
+    fields are averaged to centers first."""
     y = np.asarray(y, dtype=float)
     if y.shape[-1] == grid.nx + 1:
         y = edges_to_centers(y)
     if m in (1, 2):
-        return float(space_lq(grid, i_bracket(grid, y, m), 2.0))
+        return space_lq(grid, i_bracket(grid, y, m), 2.0)
     if m == 3:
-        return float(space_lq(grid, i_bracket(grid, y, 2), 2.0)
-                     + grid.X * abs(mean_omega(grid, y)))
+        return space_lq(grid, i_bracket(grid, y, 2), 2.0) + grid.X * np.abs(mean_omega(grid, y))
     raise ValueError(f"m must be 1, 2 or 3, got {m}")
 
 
 def sup_t_h_minus_one(grid, w, m):
     """max over stored times of the H^{-1;m} norm of each slice."""
-    w = np.asarray(w, dtype=float)
-    return max(h_minus_one(grid, w[n], m) for n in range(w.shape[0]))
+    return float(h_minus_one(grid, w, m).max())
 
 
 def _dx_field(grid, w):
@@ -157,24 +149,14 @@ def wh_seminorm(grid, y, xi_weights=None):
     first term takes sup over xi before the x integral.
     """
     y = np.asarray(y, dtype=float)
-    two_scale = y.ndim == 2
-    if two_scale:
-        if xi_weights is None:
-            xi_weights = np.full(y.shape[0], 1.0 / y.shape[0])
-        sup_xi = np.abs(y).max(axis=0)
-        term1 = grid.X * sup_xi.mean()
-    else:
-        term1 = grid.X * np.abs(y).mean()
-
-    term2 = 0.0
-    for j in _shift_ladder(grid.nx):
-        d = np.abs(y[..., j:] - y[..., :-j]) / (j * grid.dx)
-        # truncated domain (0, X - j dx): nx - j cells of width dx
-        if two_scale:
-            val = grid.dx * (xi_weights @ d).sum()
-        else:
-            val = grid.dx * d.sum()
-        term2 = max(term2, float(val))
+    if y.ndim == 1:
+        y, xi_weights = y[None, :], np.ones(1)
+    elif xi_weights is None:
+        xi_weights = np.full(y.shape[0], 1.0 / y.shape[0])
+    term1 = grid.X * np.abs(y).max(axis=0).mean()
+    # truncated domain (0, X - j dx): nx - j cells of width dx
+    term2 = max(grid.dx * (xi_weights @ np.abs(difference_quotient(grid, y, j))).sum()
+                for j in _shift_ladder(grid.nx))
     return float(term1 + term2)
 
 
@@ -193,11 +175,9 @@ def wh_spacetime_seminorm(grid, w, times, r=1.0, xi_weights=None):
     sup_xi = np.abs(w).max(axis=0)                  # (ntimes, nx)
     term1 = time_lr(grid.X * sup_xi.mean(axis=-1), times, r)
 
-    term2 = 0.0
-    for j in _shift_ladder(grid.nx):
-        d = np.abs(w[..., j:] - w[..., :-j]) / (j * grid.dx)
-        slab = grid.dx * np.einsum("i,itx->t", xi_weights, d)
-        term2 = max(term2, float(time_lr(slab, times, r)))
+    term2 = max(time_lr(grid.dx * np.einsum("i,itx->t", xi_weights,
+                                            np.abs(difference_quotient(grid, w, j))), times, r)
+                for j in _shift_ladder(grid.nx))
     return float(term1 + term2)
 
 
@@ -244,7 +224,7 @@ NAMED_NORMS = {
     "V2": lambda grid, w, times=None: v2_norm(grid, w, times),
     "Hm1": lambda grid, w, times=None, m=3: h_minus_one(
         grid, np.asarray(w)[0] if np.ndim(w) == 2 else w, m),
-    "C0L2": lambda grid, w, times=None: c0l2_norm(grid, w, times),
+    "C0L2": lambda grid, w, times=None: c0l2_norm(grid, w),
     "LqInfty": lambda grid, w, times=None, q=2.0: lqr_norm(grid, w, q, INF, times),
     "WH": lambda grid, w, times=None: wh_seminorm(grid, np.asarray(w)[0] if np.ndim(w) == 2 else w),
     "WHst": lambda grid, w, times=None, r=1.0: wh_spacetime_seminorm(grid, w, times, r),

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dsl
+from .calculus import time_primitive
 from .grid import Grid, GasParams, integrate_center
 from .norms import space_lq, time_lr, w11_time_norm
 
@@ -236,22 +237,19 @@ def validate(spec):
         out.append(f"boundary data magnitude {bsize:.3g} exceeds declared N={N:g} (C3)")
 
     if bc.m == 1:
-        vol0 = integrate_center(grid, eta0)
-        it_du = np.concatenate(([0.0], np.cumsum(
-            0.5 * grid.dt * ((bc.uX_t - bc.u0_t)[1:] + (bc.uX_t - bc.u0_t)[:-1]))))
-        vol = vol0 + it_du
+        vol = integrate_center(grid, eta0) + time_primitive(bc.uX_t - bc.u0_t, tt)
         if vol.min() < 1.0 / N:
             n_bad = int(np.argmax(vol < 1.0 / N))
             out.append(f"gas volume drops below 1/N at t={tt[n_bad]:g} (gas volume, m=1)")
 
     # perturbation split consistency
     if pert.beta1 is not None and pert.beta2 is not None and pert.beta is not None:
-        worst = 0.0
+        worst, scale = 0.0, 1.0
         for t in probe_t:
             b = pert.beta_at(xc, t)
             b12 = sample_field(pert.beta1, xc, t) + sample_field(pert.beta2, xc, t)
             worst = max(worst, float(np.abs(b - b12).max()))
-        scale = max(1.0, max(float(np.abs(pert.beta_at(xc, t)).max()) for t in probe_t))
+            scale = max(scale, float(np.abs(b).max()))
         if worst > 1e-12 * scale:
             out.append("beta1 + beta2 does not reproduce beta on the grid")
 

@@ -524,8 +524,6 @@ class DiagnosticsReport:
     volume_residual: float
     logvol_residual: float
     stress_repr_residual: float
-    positivity_margins: tuple
-    energy_ledger: dict
 
 
 def diagnostics(sol, spec):
@@ -572,7 +570,5 @@ def diagnostics(sol, spec):
         volume_residual=res_vol,
         logvol_residual=res_logvol,
         stress_repr_residual=res_stress,
-        positivity_margins=(sol.min_eta, sol.min_theta),
-        energy_ledger=sol.energy,
     )
 

@@ -295,9 +295,22 @@ def difference_columns(grid, d, times, m, qe, t0_frac=0.2):
     return cols
 
 
+def _restrict_center(a):
+    return 0.5 * (a[:, 0::2] + a[:, 1::2])
+
+
+def _restrict_edge(a):
+    return a[:, ::2]
+
+
+# the bundle fields difference_columns reads, each with its restriction from
+# the (nx, nt) grid to the (nx/2, nt/2) grid of the floor measurement
+DIFFERENCE_FIELDS = {"eta": _restrict_center, "u": _restrict_edge, "theta": _restrict_center,
+                     "x_e": _restrict_edge, "it_sigma": _restrict_center}
+
+
 def _bundle_difference(a, b):
-    return {"eta": a.eta - b.eta, "u": a.u - b.u, "theta": a.theta - b.theta,
-            "x_e": a.x_e - b.x_e, "it_sigma": a.it_sigma - b.it_sigma}
+    return {name: getattr(a, name) - getattr(b, name) for name in DIFFERENCE_FIELDS}
 
 
 def _fit_columns(columns, values, floors):
@@ -422,14 +435,6 @@ def run_lipschitz_study(base_spec, perturb, deltas, scheme=SchemeParams(), qe=IN
 # ---------------------------------------------------------------------------
 # Homogenization study
 
-def _restrict_center(a):
-    return 0.5 * (a[:, 0::2] + a[:, 1::2])
-
-
-def _restrict_edge(a):
-    return a[:, ::2]
-
-
 def floor_spec(problem):
     """The averaged spec of `problem` on the (nx/2, nt/2) grid, its boundary
     series interpolated there: the coarse run of the floor measurement."""
@@ -454,13 +459,8 @@ def measure_floor(hs, coarse_spec, scheme, qe, t0_frac=0.2):
     # coarse step n is fine step 2n: pair the snapshots both runs stored
     _, ia, ib = np.intersect1d(fine.steps, 2 * coarse.steps, assume_unique=True,
                                return_indices=True)
-    d = {
-        "eta": _restrict_center(fine.eta[ia]) - coarse.eta[ib],
-        "u": _restrict_edge(fine.u[ia]) - coarse.u[ib],
-        "theta": _restrict_center(fine.theta[ia]) - coarse.theta[ib],
-        "x_e": _restrict_edge(fine.x_e[ia]) - coarse.x_e[ib],
-        "it_sigma": _restrict_center(fine.it_sigma[ia]) - coarse.it_sigma[ib],
-    }
+    d = {name: restrict(getattr(fine, name)[ia]) - getattr(coarse, name)[ib]
+         for name, restrict in DIFFERENCE_FIELDS.items()}
     return difference_columns(coarse_spec.grid, d, coarse.times[ib], coarse_spec.bc.m,
                               qe, t0_frac)
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calculus import primitive_at_edges
+
 
 @dataclass(frozen=True)
 class OscillationSpec:
@@ -119,8 +121,5 @@ def beta_e_of(eta0, osc, grid):
     so the shift is the exact primitive of the sampled averaging error; its
     sup norm is O(eps) for profiles of bounded variation.
     """
-    r = averaging_error(eta0, osc, grid.centers())
-    out = np.zeros(grid.nx + 1)
-    out[1:] = -grid.dx * np.cumsum(r)
-    return out
+    return primitive_at_edges(grid, -averaging_error(eta0, osc, grid.centers()))
 

@@ -108,6 +108,24 @@ def test_unread_flag_exits_2(command, flag):
     assert exc.value.code == 2
 
 
+def test_one_reader_per_config_entry_kind():
+    assert cli._number_or_inf("inf") == float("inf")
+    assert cli._number_or_inf(2) == 2.0 and cli._number_or_inf("1.5") == 1.5
+    flag, no_flag = SimpleNamespace(eps_list="0.5,0.25"), SimpleNamespace(eps_list=None)
+    assert cli._eps_list(flag, {"eps_list": [1.0]}) == [0.5, 0.25]
+    assert cli._eps_list(no_flag, {"eps_list": [1, 0.5]}, [0.125]) == [1.0, 0.5]
+    assert cli._eps_list(no_flag, {}, [0.125]) == [0.125]
+    with pytest.raises(KeyError):
+        cli._eps_list(no_flag, {})
+
+
+def test_study_homog_without_eps_list_exits_2(tmp_path, capsys):
+    cfg = two_scale_cfg([0.25])
+    del cfg["study"]["eps_list"]
+    assert main(["study-homog", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "eps_list" in capsys.readouterr().err
+
+
 def test_two_scale_null_entry_reads_as_zero(tmp_path):
     cfg = two_scale_cfg([0.25])
     for name, u0 in (("zero", "0"), ("null", None)):

@@ -145,6 +145,23 @@ def test_validate_beta_split_mismatch():
     assert validate(good) == []
 
 
+def test_validate_samples_beta_once_per_probe_time():
+    # once for the finiteness probe and once for the split check
+    spec = constant_spec()
+    times = []
+
+    def beta(x, t):
+        times.append(t)
+        return np.sin(x)
+
+    pert = PerturbationSpec(beta=beta, beta1=lambda x, t: 0.5 * np.sin(x),
+                            beta2=lambda x, t: 0.5 * np.sin(x))
+    assert validate(spec.with_perturbation(pert)) == []
+    tt = spec.grid.times()
+    probe_t = tt[:: max(1, len(tt) // 32)]
+    assert times == list(probe_t) * 2
+
+
 def test_derived_fields_algebra():
     # sigma eta = nu (Du + beta) - k theta at every sample
     spec = constant_spec()

@@ -7,8 +7,9 @@ import hypothesis.strategies as st
 
 from gaslab.grid import Grid, du_centers, integrate_center
 from gaslab.calculus import i_bracket, mean_omega
+from gaslab import norms
 from gaslab.norms import (INF, BadExponent, c0l2_norm, h21star_majorant,
-                          h_minus_one, lqr_norm, space_lq, v2_norm,
+                          h_minus_one, lqr_norm, space_lq, sup_t_h_minus_one, v2_norm,
                           v2star_majorant, wh_seminorm, wh_spacetime_seminorm)
 from gaslab.twoscale import TwoScaleField, xi_sample
 
@@ -145,6 +146,73 @@ def test_wh_spacetime_seminorm_consistency():
     ref = wh_seminorm(g, g.centers())
     assert wh_spacetime_seminorm(g, w2, t, INF) == pytest.approx(g.T * ref,
                                                                  rel=1e-10)
+
+
+# --- whole-array norms against their per-row definitions --------------------
+
+def row_lq(g, y, q):
+    """Reference L^q(Omega) norm of one center or edge row: its own weights."""
+    y = np.abs(y)
+    if q == INF:
+        return y.max()
+    w = np.ones(len(y)) if len(y) == g.nx else np.r_[0.5, np.ones(g.nx - 1), 0.5]
+    return (g.dx * (w * y ** q).sum()) ** (1.0 / q)
+
+
+def row_c0l2(g, w):
+    """Reference C(0,T;L^2) norm: a loop over the rows."""
+    return max(float(space_lq(g, w[n], 2.0)) for n in range(w.shape[0]))
+
+
+def row_sup_hm1(g, w, m):
+    """Reference sup over time of H^{-1;m}: one h_minus_one call per row."""
+    return max(float(h_minus_one(g, w[n], m)) for n in range(w.shape[0]))
+
+
+def row_wh(g, y):
+    """Reference plain-field WH seminorm: its own difference quotients."""
+    term2 = 0.0
+    for j in norms._shift_ladder(g.nx):
+        d = np.abs(y[j:] - y[:-j]) / (j * g.dx)
+        term2 = max(term2, float(g.dx * d.sum()))
+    return float(g.X * np.abs(y).mean() + term2)
+
+
+def random_rows(nx, edges, seed, rows=9):
+    return np.random.default_rng(seed).normal(size=(rows, nx + edges))
+
+
+@pytest.mark.parametrize("nx", [5, 64, 257, 1024])
+@pytest.mark.parametrize("edges", [0, 1])
+def test_space_lq_matches_its_weighted_sum(nx, edges):
+    g = make_grid(nx=nx, X=2.0)
+    w = random_rows(nx, edges, nx)
+    for q in (1.0, 4.0 / 3.0, 2.0, 3.0, INF):
+        ref = [row_lq(g, row, q) for row in w]
+        assert np.allclose(space_lq(g, w, q), ref, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("nx", [5, 64, 257, 1024])
+@pytest.mark.parametrize("edges", [0, 1])
+def test_whole_array_norms_bitwise_equal_per_row_definitions(nx, edges):
+    g = make_grid(nx=nx, X=2.0)
+    for seed in range(5):
+        w = random_rows(nx, edges, 10 * nx + 2 * seed + edges)
+        for q in (1.0, 4.0 / 3.0, 2.0, 3.0):
+            assert space_lq(g, w, q).tolist() == [space_lq(g, row, q) for row in w]
+        assert c0l2_norm(g, w) == row_c0l2(g, w)
+        assert c0l2_norm(g, w[2]) == float(space_lq(g, w[2], 2.0))
+        for m in (1, 2, 3):
+            assert sup_t_h_minus_one(g, w, m) == row_sup_hm1(g, w, m)
+        if not edges:
+            for row in w:
+                assert wh_seminorm(g, row) == row_wh(g, row)
+
+
+def test_space_lq_rejects_a_length_of_neither_centers_nor_edges():
+    g = make_grid(nx=16)
+    with pytest.raises(ValueError, match="fits neither centers nor edges"):
+        space_lq(g, np.ones(18), 2.0)
 
 
 # --- dual-norm majorants ----------------------------------------------------

@@ -113,8 +113,9 @@ def test_positivity_margins_recorded():
     spec = pulse_spec(64, 100, 3)
     sol = solve(spec)
     assert sol.min_eta > 0 and sol.min_theta > 0
-    rep = diagnostics(sol, spec)
-    assert rep.positivity_margins == (sol.min_eta, sol.min_theta)
+    # no halved step, so every substep is a stored step
+    assert np.all(sol.substeps == 1)
+    assert (sol.min_eta, sol.min_theta) == (sol.eta.min(), sol.theta.min())
 
 
 def test_self_convergence_order_at_least_one():
