@@ -68,12 +68,14 @@ def _cmd_solve(args):
         fh.write(f"volume_residual,{rep.volume_residual:.17e}\n")
         fh.write(f"logvol_residual,{rep.logvol_residual:.17e}\n")
         fh.write(f"stress_repr_residual,{rep.stress_repr_residual:.17e}\n")
+        fh.write(f"energy_residual,{rep.energy_residual:.17e}\n")
         fh.write(f"min_eta,{sol.min_eta:.17e}\n")
         fh.write(f"min_theta,{sol.min_theta:.17e}\n")
     print(f"solve: {len(sol.times)} snapshots -> {args.out}")
     print(f"  volume residual      {rep.volume_residual:.3e}")
     print(f"  logvol residual      {rep.logvol_residual:.3e}")
     print(f"  stress repr residual {rep.stress_repr_residual:.3e}")
+    print(f"  energy residual      {rep.energy_residual:.3e}")
     print(f"  positivity margins   eta {sol.min_eta:.4g}, theta {sol.min_theta:.4g}")
     print(f"  picard sweeps        {sol.picard_sweeps.mean():.3f} per step")
     return 0

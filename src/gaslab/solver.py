@@ -222,24 +222,29 @@ class _Stepper:
         pi[-1] = b["piX"]
         return pi
 
-    def work_rate(self, sig, pi, u, t):
+    def work_rate(self, sig, pi, u, g, f, t):
+        """Rate of change of the total energy: the work of the boundary
+        stresses and heat fluxes, plus int g u and int f."""
         b = self.time_data(t)
         s0 = -b["p0"] if self.bc.m in (2, 3) else sig[0]
         sX = -b["pX"] if self.bc.m == 3 else sig[-1]
-        return sX * u[-1] - s0 * u[0] + pi[-1] - pi[0]
+        return sX * u[-1] - s0 * u[0] + pi[-1] - pi[0] \
+            + integrate_edge(self.grid, g * u) + integrate_center(self.grid, f)
 
-    def rates(self, state, t):
-        """(sigma, p, g, pi, work rate) of a state at time t."""
+    def rates(self, state, t, f):
+        """(sigma, p, g, pi, work rate) of a state at time t, whose heat
+        source sample is f."""
         eta, u, theta, x_e = state
         sig = self.stress(eta, u, theta, t)
         pi = self.heat_flux(eta, theta, t)
-        return (sig, self.gas.k * theta / eta, self.g_at(x_e, t), pi,
-                self.work_rate(sig, pi, u, t))
+        g = self.g_at(x_e, t)
+        return sig, self.gas.k * theta / eta, g, pi, self.work_rate(sig, pi, u, g, f, t)
 
     # -- one substep of size h -------------------------------------------
 
     def substep(self, state, t0, h, history=()):
-        """Advance `state` from t0 by h; returns (new state, Picard sweeps).
+        """Advance `state` from t0 by h; returns (new state, the heat source
+        sampled at it, Picard sweeps).
 
         history holds up to two ((eta, u, theta), h_k) pairs, the starts and
         sizes of the substeps that ended at `state`, most recent first.  With
@@ -257,8 +262,8 @@ class _Stepper:
                     return self._iterate(state, t0, h, start, True)
                 except _Retry as retry:
                     sweeps = retry.sweeps
-        new, k = self._iterate(state, t0, h, state[:3], False)
-        return new, sweeps + k
+        new, f, k = self._iterate(state, t0, h, state[:3], False)
+        return new, f, sweeps + k
 
     def _iterate(self, state, t0, h, start, predicted):
         """Picard sweeps for one substep from the iterate `start`, predicted
@@ -327,7 +332,8 @@ class _Stepper:
             # the freshly updated velocity, pressure lagged one Picard sweep
             sigma_src = gas.nu * rho_new * (du_new + beta_1) \
                 - gas.k * rho_new * theta_s
-            source = sigma_src * du_new + self.f_at(x_e_new, t1)
+            f_new = self.f_at(x_e_new, t1)
+            source = sigma_src * du_new + f_new
 
             b_e = gas.lam * 2.0 / (eta_new[:-1] + eta_new[1:])   # interior edges
             pi_gamma = b_e * gamma_1[1:-1]
@@ -366,7 +372,8 @@ class _Stepper:
         else:
             raise _Retry("picard", t1, MAX_PICARD)
 
-        return (eta_s, u_s, theta_s, x_e_s), sweep
+        # the last sweep sampled f at the x_e it returns
+        return (eta_s, u_s, theta_s, x_e_s), f_new, sweep
 
 
 def _snapshot_indices(nt, stride, dense):
@@ -382,8 +389,8 @@ class _StepRecord:
     integrals I_t sigma, I_t p, I_t g, the rates at the end of the last
     substep, the ((eta, u, theta), h) starts of the last two substeps, most
     recent first, the running eta and theta minima, and the increments of
-    I_t(uX - u0), I_t int(beta) and the boundary work plus the Picard sweeps
-    over the nominal step."""
+    I_t(uX - u0), I_t int(beta) and the boundary and source work plus the
+    Picard sweeps over the nominal step."""
 
     it_sigma: np.ndarray
     it_p: np.ndarray
@@ -460,7 +467,8 @@ def solve(spec, scheme=SchemeParams()):
                 snap[name][slot[n]] = getattr(rec, name)
 
     rec = _StepRecord(np.zeros(g.nx), np.zeros(g.nx), np.zeros(g.nx + 1),
-                      *stepper.rates(state, 0.0), eta.min(), theta.min())
+                      *stepper.rates(state, 0.0, stepper.f_at(x_e, 0.0)),
+                      eta.min(), theta.min())
     commit(0, state, rec)
 
     for n in range(nt):
@@ -473,11 +481,11 @@ def solve(spec, scheme=SchemeParams()):
                 for ksub in range(m_sub):
                     ts = t0 + ksub * h
                     history = ((st[:3], h),) + trial.before[:1]
-                    st, sweeps = stepper.substep(st, ts, h, trial.before)
+                    st, f1, sweeps = stepper.substep(st, ts, h, trial.before)
                     trial.before = history
                     trial.sweeps += sweeps
                     e1, u1, th1, _ = st
-                    sig1, p1, g1, pi1, wr1 = stepper.rates(st, ts + h)
+                    sig1, p1, g1, pi1, wr1 = stepper.rates(st, ts + h, f1)
                     trial.it_sigma += 0.5 * h * (trial.sigma + sig1)
                     trial.it_p += 0.5 * h * (trial.p + p1)
                     trial.it_g += 0.5 * h * (trial.g + g1)
@@ -524,6 +532,7 @@ class DiagnosticsReport:
     volume_residual: float
     logvol_residual: float
     stress_repr_residual: float
+    energy_residual: float
 
 
 def diagnostics(sol, spec):
@@ -534,6 +543,8 @@ def diagnostics(sol, spec):
     logvol_residual: C(0,T;L2) residual of nu*ln(eta) - nu*ln(eta0) - I_t(sigma+p).
     stress_repr_residual: C(0,T;L2) residual of the primitive-stress
     representation through I^<m> of (u - u0 - I_t g).
+    energy_residual: max over steps of |E_n - E_0 - W_n|, the total energy
+    against the boundary and source work; consistent at scheme order.
     """
     g = sol.grid
     gas = spec.gas
@@ -570,5 +581,7 @@ def diagnostics(sol, spec):
         volume_residual=res_vol,
         logvol_residual=res_logvol,
         stress_repr_residual=res_stress,
+        energy_residual=float(np.abs(sol.energy["total"] - sol.energy["total"][0]
+                                     - sol.energy["boundary_and_source_work"]).max()),
     )
 

@@ -54,8 +54,12 @@ def test_solve_subcommand(tmp_path, capsys):
     assert len(snap) > 32
     diag = (out / "diagnostics.csv").read_text()
     assert "logvol_residual" in diag
+    assert [row.split(",")[0] for row in diag.splitlines()] == [
+        "quantity", "volume_residual", "logvol_residual", "stress_repr_residual",
+        "energy_residual", "min_eta", "min_theta"]
     # sweeps are reported on stdout only, never in the CSV reports
-    assert "picard sweeps" in capsys.readouterr().out
+    stdout = capsys.readouterr().out
+    assert "picard sweeps" in stdout and "energy residual" in stdout
     assert "picard" not in diag and "picard" not in "\n".join(snap)
 
 

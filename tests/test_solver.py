@@ -265,6 +265,20 @@ def test_energy_ledger_tracks_totals():
     assert np.abs(drift).max() < 5e-3 * abs(led["total"][0])
 
 
+@pytest.mark.parametrize("source", ["f", "g"])
+def test_energy_residual_with_sources_at_scheme_order(source):
+    # the ledger counts int f and int g u, so with f = 0.5 or g = 0.5 x the
+    # residual decays with dt like the no-source run (5.8e-6 at nt = 200)
+    # instead of carrying the source work itself (0.125 for f, 6.4e-3 for g)
+    data = {"f": lambda chi, x, t: 0.5, "g": lambda chi, x, t: 0.5 * x}
+    res = []
+    for nt in (100, 200):
+        spec = replace(pulse_spec(64, nt, 3), **{source: data[source]})
+        res.append(diagnostics(solve(spec), spec).energy_residual)
+    assert res[1] < 2e-4
+    assert res[0] / res[1] > 1.8
+
+
 @pytest.mark.parametrize("spec", [pulse_spec(64, 100, 3), halving_spec()],
                          ids=["pulse", "halving"])
 def test_picard_sweeps_recorded(spec):
