@@ -85,7 +85,7 @@ def _cmd_homogenize(args):
     cfg = cfgmod.load_config(args.config)
     problem = cfgmod.build_two_scale_problem(cfg)
     scheme = cfgmod.build_scheme(cfg)
-    eps_list = _eps_list(args, cfg.get("study", {}), [0.125])
+    eps_list = _eps_list(args, {"eps_list": [0.125], **cfg.get("study", {})})
     hs = hmg.solve_homogenized(problem, scheme)
     os.makedirs(args.out, exist_ok=True)
     _write_snapshots(os.path.join(args.out, "averaged.csv"), problem.grid,
@@ -131,13 +131,11 @@ def _number_or_inf(value):
     return float("inf") if str(value) == "inf" else float(value)
 
 
-def _eps_list(args, study, default=None):
-    """The eps values of --eps-list, else of the study's "eps_list" entry, else
-    `default`; KeyError when all three are missing."""
+def _eps_list(args, study):
+    """The eps values of --eps-list, else of the study's "eps_list" entry."""
     if args.eps_list:
         return [float(e) for e in args.eps_list.split(",")]
-    return [float(e) for e in (study["eps_list"] if default is None
-                               else study.get("eps_list", default))]
+    return [float(e) for e in study["eps_list"]]
 
 
 def _report(table, out_dir, name):

@@ -117,8 +117,7 @@ def test_one_reader_per_config_entry_kind():
     assert cli._number_or_inf(2) == 2.0 and cli._number_or_inf("1.5") == 1.5
     flag, no_flag = SimpleNamespace(eps_list="0.5,0.25"), SimpleNamespace(eps_list=None)
     assert cli._eps_list(flag, {"eps_list": [1.0]}) == [0.5, 0.25]
-    assert cli._eps_list(no_flag, {"eps_list": [1, 0.5]}, [0.125]) == [1.0, 0.5]
-    assert cli._eps_list(no_flag, {}, [0.125]) == [0.125]
+    assert cli._eps_list(no_flag, {"eps_list": [1, 0.5]}) == [1.0, 0.5]
     with pytest.raises(KeyError):
         cli._eps_list(no_flag, {})
 
