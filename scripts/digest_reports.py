@@ -62,6 +62,8 @@ def _commands():
         ("homogenize", "homogenize", homog, ["--eps-list", "0.125,0.0625", "--stride", "2"]),
         ("norms", "norms", _config("norm_demo.json"), []),
         ("study_homog", "study-homog", homog, []),
+        # the process-pool path: its report must hash as the serial one does
+        ("study_homog_jobs2", "study-homog", homog, ["--jobs", "2"]),
         ("study_lipschitz", "study-lipschitz", _config("lipschitz_benchmark.json"), []),
     ] + [(f"norms_{i:02d}_{cfg['norm']['tag']}", "norms", cfg, [])
          for i, cfg in enumerate(norm_cfgs)]
