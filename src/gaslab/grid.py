@@ -7,6 +7,7 @@ for edge data.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,15 @@ class Grid:
     def times(self):
         return np.linspace(0.0, self.T, self.nt + 1)
 
+    @cached_property
+    def edge_weights(self):
+        """Trapezoid weights of the nx + 1 edges, halved at both ends; built
+        once per grid and read-only, as every integrate_edge call shares them."""
+        w = np.ones(self.nx + 1)
+        w[0] = w[-1] = 0.5
+        w.flags.writeable = False
+        return w
+
 
 @dataclass(frozen=True)
 class GasParams:
@@ -69,9 +79,7 @@ def integrate_center(grid, y):
 def integrate_edge(grid, y):
     """integral over Omega of a cell-edge field (trapezoid rule)."""
     y = np.asarray(y)
-    w = np.ones(grid.nx + 1)
-    w[0] = w[-1] = 0.5
-    return grid.X * (y * w).sum(axis=-1) / grid.nx
+    return grid.X * (y * grid.edge_weights).sum(axis=-1) / grid.nx
 
 
 def integrate_x(grid, y):

@@ -125,10 +125,11 @@ def solve_homogenized(problem, scheme=SchemeParams()):
     return HomogSolution(problem=problem, base=base, B_hat=B, it_binv_theta=it_bt)
 
 
-def _reconstruct(hs, e0):
-    """B * (e0 + (k/nu) I_t(B^{-1} theta)) from the initial profile e0 (nx,)."""
+def _reconstruct(hs, e0, rows=slice(None)):
+    """B * (e0 + (k/nu) I_t(B^{-1} theta)) from the initial profile e0 (nx,),
+    at the snapshot rows `rows`."""
     gas = hs.problem.gas
-    return hs.B_hat * (e0[None, :] + (gas.k / gas.nu) * hs.it_binv_theta)
+    return hs.B_hat[rows] * (e0[None, :] + (gas.k / gas.nu) * hs.it_binv_theta[rows])
 
 
 def reconstruct_eta(hs, xi):
@@ -151,10 +152,11 @@ def mean_reconstructed_eta(hs):
     return _reconstruct(hs, xi_mean(hs.problem.eta0, hs.grid.centers()))
 
 
-def eta_epsilon(hs, osc):
-    """eta^(eps)(x, t) on the grid: the reconstruction started from the realized
-    initial profile, equal to realize(hs.problem.eta0, osc) at t = 0 exactly."""
-    return _reconstruct(hs, realize(hs.problem.eta0, osc, hs.grid.centers()))
+def eta_epsilon(hs, osc, rows=slice(None)):
+    """eta^(eps)(x, t) on the grid at the snapshot rows `rows` (all by
+    default): the reconstruction started from the realized initial profile,
+    equal to realize(hs.problem.eta0, osc) at t = 0 exactly."""
+    return _reconstruct(hs, realize(hs.problem.eta0, osc, hs.grid.centers()), rows)
 
 
 def perturbation_fields(hs, osc):

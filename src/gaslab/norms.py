@@ -13,9 +13,12 @@ configs) for the essential-sup slots, which on grids are sample maxima.
 import numpy as np
 
 from .calculus import difference_quotient, i_bracket, mean_omega, time_primitive
-from .grid import du_centers, dw_edges_interior, edges_to_centers, integrate_x
+from .grid import dw_edges_interior, edges_to_centers, integrate_x
 
 INF = float("inf")
+
+# snapshot rows a post-solve pass holds at once (see per_row)
+ROW_BLOCK = 64
 
 # exponent pairs sampled for the [V2]* majorant: (q, r) with 1/(2q) + 1/r <= 5/4
 V2STAR_PAIRS = ((2.0, 1.0), (1.0, 4.0 / 3.0), (1.2, 1.2))
@@ -45,6 +48,16 @@ def space_lq(grid, y, q):
     # np.power, not **: numpy's scalar ** rounds unlike its array power, and a
     # row's norm must carry the same bits alone as inside a batch of rows
     return np.power(integrate_x(grid, y ** q), 1.0 / q)
+
+
+def per_row(n, rule):
+    """rule(rows) for consecutive slices `rows` of at most ROW_BLOCK of n
+    snapshot rows, joined along the last axis: one value per row (or a stack
+    of them) from a pass that holds a block of rows, never a whole
+    trajectory.  space_lq gives a row the same bits alone as inside a batch,
+    so a time reduction over the result equals the whole-array one."""
+    return np.concatenate([rule(slice(i, min(i + ROW_BLOCK, n)))
+                           for i in range(0, n, ROW_BLOCK)], axis=-1)
 
 
 def time_lr(s, times, r):
@@ -91,24 +104,13 @@ def h_minus_one(grid, y, m):
     raise ValueError(f"m must be 1, 2 or 3, got {m}")
 
 
-def sup_t_h_minus_one(grid, w, m):
-    """max over stored times of the H^{-1;m} norm of each slice."""
-    return float(h_minus_one(grid, w, m).max())
-
-
 def _dx_field(grid, w):
-    """Spatial derivative samples at all nx+1 edges.
-
-    Edge fields differentiate to centers (then back to edges by one-sided
-    extension); center fields differentiate to interior edges with linear
-    extrapolation at the boundary edges.  Keeps the L^2(Q) quadrature of Dw
-    second-order for smooth w.
+    """Spatial derivative samples of a center field at all nx+1 edges: the
+    interior edges by difference quotient, the boundary edges by linear
+    extrapolation.  Keeps the L^2(Q) quadrature of Dw second-order for
+    smooth w.
     """
-    w = np.asarray(w, dtype=float)
-    if w.shape[-1] == grid.nx + 1:
-        d = du_centers(grid, w)
-    else:
-        d = dw_edges_interior(grid, w)
+    d = dw_edges_interior(grid, w)
     out = np.empty(w.shape[:-1] + (d.shape[-1] + 2,))
     out[..., 1:-1] = d
     out[..., 0] = 2 * d[..., 0] - d[..., 1]
@@ -117,8 +119,12 @@ def _dx_field(grid, w):
 
 
 def v2_norm(grid, w, times=None):
-    """||w||_{L^{2,inf}(Q)} + ||Dw||_{L^2(Q)} with Dw from the scheme stencil."""
+    """||w||_{L^{2,inf}(Q)} + ||Dw||_{L^2(Q)} with Dw from the scheme stencil;
+    center fields only."""
     w = np.asarray(w, dtype=float)
+    if w.shape[-1] != grid.nx:
+        raise ValueError(f"v2_norm takes a center field of length nx = {grid.nx}, "
+                         f"got length {w.shape[-1]}")
     if w.ndim == 1:
         w = w[None, :]
     if times is None:

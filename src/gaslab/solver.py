@@ -26,7 +26,7 @@ from numpy.linalg import _umath_linalg
 from .calculus import primitive_at_edges, time_primitive, i_bracket, mean_omega
 from .grid import du_centers, dw_edges_interior, edges_to_centers, integrate_edge, \
     integrate_center
-from .norms import space_lq
+from .norms import per_row, space_lq
 from .problem import SolutionBundle, sample_field
 
 
@@ -545,6 +545,9 @@ def diagnostics(sol, spec):
     representation through I^<m> of (u - u0 - I_t g).
     energy_residual: max over steps of |E_n - E_0 - W_n|, the total energy
     against the boundary and source work; consistent at scheme order.
+
+    The two C(0,T;L2) residuals read the bundle in row blocks (norms.per_row),
+    so no temporary spans the whole trajectory.
     """
     g = sol.grid
     gas = spec.gas
@@ -555,27 +558,36 @@ def diagnostics(sol, spec):
     else:
         res_vol = 0.0
 
-    lhs = gas.nu * np.log(sol.eta) - gas.nu * np.log(sol.eta[0])[None, :] \
-        - sol.it_sigma - sol.it_p
-    res_logvol = float(space_lq(g, lhs, 2.0).max())
+    nu_log_eta0 = gas.nu * np.log(sol.eta[0])
 
-    u_dev = edges_to_centers(sol.u - sol.u[0][None, :] - sol.it_g)
+    def logvol(rows):
+        lhs = gas.nu * np.log(sol.eta[rows]) - nu_log_eta0[None, :] \
+            - sol.it_sigma[rows] - sol.it_p[rows]
+        return space_lq(g, lhs, 2.0)
+
     m = spec.bc.m
     tt = g.times()
-    if m == 1:
-        rhs = i_bracket(g, u_dev, 1) + mean_omega(g, sol.it_sigma)[:, None]
-    else:
-        rhs = i_bracket(g, u_dev, m)
-        it_p0 = time_primitive(spec.bc.p0_t, tt)[sol.steps]
-        it_pX = time_primitive(spec.bc.pX_t, tt)[sol.steps]
-        if m == 2:
-            rhs = rhs - it_p0[:, None]
+    it_p0 = time_primitive(spec.bc.p0_t, tt)[sol.steps]
+    it_pX = time_primitive(spec.bc.pX_t, tt)[sol.steps]
+    xc = g.centers()
+    prof0 = (1.0 - xc / g.X)[None, :]
+    profX = (xc / g.X)[None, :]
+
+    def stress_repr(rows):
+        it_sigma = sol.it_sigma[rows]
+        u_dev = edges_to_centers(sol.u[rows] - sol.u[0][None, :] - sol.it_g[rows])
+        if m == 1:
+            rhs = i_bracket(g, u_dev, 1) + mean_omega(g, it_sigma)[:, None]
+        elif m == 2:
+            rhs = i_bracket(g, u_dev, 2) - it_p0[rows, None]
         else:
-            xc = g.centers()
-            prof0 = (1.0 - xc / g.X)[None, :]
-            profX = (xc / g.X)[None, :]
-            rhs = rhs - it_p0[:, None] * prof0 - it_pX[:, None] * profX
-    res_stress = float(space_lq(g, sol.it_sigma - rhs, 2.0).max())
+            rhs = i_bracket(g, u_dev, 3) - it_p0[rows, None] * prof0 \
+                - it_pX[rows, None] * profX
+        return space_lq(g, it_sigma - rhs, 2.0)
+
+    n = len(sol.steps)
+    res_logvol = float(per_row(n, logvol).max())
+    res_stress = float(per_row(n, stress_repr).max())
 
     return DiagnosticsReport(
         volume_residual=res_vol,

@@ -17,9 +17,8 @@ import numpy as np
 
 from .calculus import i_bracket, mean_omega, primitive_at_edges, time_primitive
 from .grid import Grid, du_centers, edges_to_centers
-from .norms import (INF, c0l2_norm, h21star_majorant, h_minus_one, lqr_norm,
-                    space_lq, sup_t_h_minus_one, time_lr, v2star_majorant,
-                    w11_time_norm)
+from .norms import (INF, h21star_majorant, h_minus_one, lqr_norm, per_row,
+                    space_lq, time_lr, v2star_majorant, w11_time_norm)
 from .problem import BC_NAMES, BoundaryData, require_valid, sample_field_times
 from .solver import SchemeParams, solve
 from .twoscale import OscillationSpec
@@ -268,30 +267,56 @@ def _zeta(times, T, t0_frac):
     return np.minimum(np.asarray(times) / t0, 1.0)
 
 
-def difference_columns(grid, d, times, m, qe, t0_frac=0.2):
+# study columns, each a per-row space rule on one difference field, weighted
+# by zeta**power, followed by a time rule:
+#   (name, field, zeta power, space exponent or "qe" or "Hm1", time exponent)
+DIFFERENCE_COLUMNS = (
+    ("eta_C0L2", "eta", 0, 2.0, INF),
+    ("u_L2", "u", 0, 2.0, 2.0),
+    ("u_supHm1", "u", 0, "Hm1", INF),
+    ("theta_L2", "theta", 0, 2.0, 2.0),
+    ("xe_Lqe_inf", "x_e", 0, "qe", INF),
+    ("xe_Linf", "x_e", 0, INF, INF),
+    ("itsigma_C0L2", "it_sigma", 0, 2.0, INF),
+    ("eta_Linf", "eta", 0, INF, INF),
+    ("u_Linf2", "u", 0, INF, 2.0),
+    ("theta_Linf2", "theta", 0, INF, 2.0),
+    ("itsigma_CQ", "it_sigma", 0, INF, INF),
+    ("zeta_u_C0L2", "u", 1, 2.0, INF),
+    ("zeta2_theta_C0L2", "theta", 2, 2.0, INF),
+    ("zeta_u_CQ", "u", 1, INF, INF),
+    ("zeta2_theta_CQ", "theta", 2, INF, INF),
+)
+
+
+def difference_columns(grid, diff, times, m, qe, t0_frac=0.2):
     """Norm columns of solution differences.
 
-    d maps field names (eta, u, theta, x_e, it_sigma) to difference arrays on
-    the snapshot times.
+    diff(rows) maps a slice of snapshot rows to a dict of the difference
+    blocks of the fields (eta, u, theta, x_e, it_sigma) on those rows; the
+    columns are reduced block by block (norms.per_row), so no temporary spans
+    the whole trajectory.  u_L2_supHm1 is the sum of u_L2 and u_supHm1.
     """
     z = _zeta(times, grid.T, t0_frac)
+    zeta_pow = {1: z, 2: z ** 2}
+
+    def block(rows):
+        d = diff(rows)
+        out = []
+        for _, fld, power, space, _ in DIFFERENCE_COLUMNS:
+            y = d[fld] if power == 0 else zeta_pow[power][rows, None] * d[fld]
+            if space == "Hm1":
+                out.append(h_minus_one(grid, y, m))
+            else:
+                out.append(space_lq(grid, y, qe if space == "qe" else space))
+        return out
+
+    per = per_row(len(times), block)
     cols = {}
-    cols["eta_C0L2"] = c0l2_norm(grid, d["eta"])
-    cols["u_L2"] = lqr_norm(grid, d["u"], 2.0, 2.0, times)
-    cols["u_supHm1"] = sup_t_h_minus_one(grid, d["u"], m)
-    cols["u_L2_supHm1"] = cols["u_L2"] + cols["u_supHm1"]
-    cols["theta_L2"] = lqr_norm(grid, d["theta"], 2.0, 2.0, times)
-    cols["xe_Lqe_inf"] = lqr_norm(grid, d["x_e"], qe, INF, times)
-    cols["xe_Linf"] = lqr_norm(grid, d["x_e"], INF, INF, times)
-    cols["itsigma_C0L2"] = c0l2_norm(grid, d["it_sigma"])
-    cols["eta_Linf"] = float(np.abs(d["eta"]).max())
-    cols["u_Linf2"] = lqr_norm(grid, d["u"], INF, 2.0, times)
-    cols["theta_Linf2"] = lqr_norm(grid, d["theta"], INF, 2.0, times)
-    cols["itsigma_CQ"] = float(np.abs(d["it_sigma"]).max())
-    cols["zeta_u_C0L2"] = c0l2_norm(grid, z[:, None] * d["u"])
-    cols["zeta2_theta_C0L2"] = c0l2_norm(grid, (z ** 2)[:, None] * d["theta"])
-    cols["zeta_u_CQ"] = float(np.abs(z[:, None] * d["u"]).max())
-    cols["zeta2_theta_CQ"] = float(np.abs((z ** 2)[:, None] * d["theta"]).max())
+    for (col, _, _, _, r), vals in zip(DIFFERENCE_COLUMNS, per):
+        cols[col] = float(time_lr(vals, times, r))
+        if col == "u_supHm1":
+            cols["u_L2_supHm1"] = cols["u_L2"] + cols["u_supHm1"]
     return cols
 
 
@@ -310,7 +335,9 @@ DIFFERENCE_FIELDS = {"eta": _restrict_center, "u": _restrict_edge, "theta": _res
 
 
 def _bundle_difference(a, b):
-    return {name: getattr(a, name) - getattr(b, name) for name in DIFFERENCE_FIELDS}
+    """The diff(rows) reader of difference_columns for bundles a - b."""
+    return lambda rows: {name: getattr(a, name)[rows] - getattr(b, name)[rows]
+                         for name in DIFFERENCE_FIELDS}
 
 
 def _fit_columns(columns, values, floors):
@@ -388,8 +415,8 @@ def run_lipschitz_study(base_spec, perturb, deltas, scheme=SchemeParams(), qe=IN
     hyp_cols = {"hyp_u_Linf": [], "hyp_Du_L2": []}
     for pspec in pspecs:
         psol = solve(pspec, scheme)
-        diff = _bundle_difference(psol, base_sol)
-        cols = difference_columns(g, diff, base_sol.times, m, qe, t0_frac)
+        cols = difference_columns(g, _bundle_difference(psol, base_sol), base_sol.times,
+                                  m, qe, t0_frac)
         for k, v in cols.items():
             columns.setdefault(k, []).append(v)
         br = compute_delta(base_spec, pspec, qe=qe)
@@ -399,8 +426,9 @@ def run_lipschitz_study(base_spec, perturb, deltas, scheme=SchemeParams(), qe=IN
         # norms assumed bounded for the perturbed solution: recorded per run,
         # drift across the sweep is flagged but never fails the study
         hyp_cols["hyp_u_Linf"].append(float(np.abs(psol.u).max()))
-        hyp_cols["hyp_Du_L2"].append(
-            lqr_norm(g, du_centers(g, psol.u), 2.0, 2.0, psol.times))
+        du_l2 = per_row(len(psol.times),
+                        lambda rows: space_lq(g, du_centers(g, psol.u[rows]), 2.0))
+        hyp_cols["hyp_Du_L2"].append(float(time_lr(du_l2, psol.times, 2.0)))
 
     columns["Delta_total"] = delta_totals
     columns.update(item_cols)
@@ -459,22 +487,31 @@ def measure_floor(hs, coarse_spec, scheme, qe, t0_frac=0.2):
     # coarse step n is fine step 2n: pair the snapshots both runs stored
     _, ia, ib = np.intersect1d(fine.steps, 2 * coarse.steps, assume_unique=True,
                                return_indices=True)
-    d = {name: restrict(getattr(fine, name)[ia]) - getattr(coarse, name)[ib]
-         for name, restrict in DIFFERENCE_FIELDS.items()}
-    return difference_columns(coarse_spec.grid, d, coarse.times[ib], coarse_spec.bc.m,
+
+    def diff(rows):
+        return {name: restrict(getattr(fine, name)[ia[rows]]) - getattr(coarse, name)[ib[rows]]
+                for name, restrict in DIFFERENCE_FIELDS.items()}
+
+    return difference_columns(coarse_spec.grid, diff, coarse.times[ib], coarse_spec.bc.m,
                               qe, t0_frac)
 
 
 def _homog_columns_for_eps(args):
     """Study columns of the realized spec at scale osc against the averaged
-    run, the specific volume read off the reconstruction.  One argument, the
-    tuple (spec, hs, osc, scheme, qe, t0_frac), so a process pool can map it."""
+    run, the specific volume read off the reconstruction, which is evaluated
+    one row block at a time.  One argument, the tuple
+    (spec, hs, osc, scheme, qe, t0_frac), so a process pool can map it."""
     spec, hs, osc, scheme, qe, t0_frac = args
     eps_sol = solve(spec, scheme)
-    d = _bundle_difference(hs.base, eps_sol)
-    # eta is read off the reconstruction, into the buffer d already holds
-    np.subtract(hmg.eta_epsilon(hs, osc), eps_sol.eta, out=d["eta"])
-    return difference_columns(spec.grid, d, hs.base.times, spec.bc.m, qe, t0_frac)
+    base_minus_eps = _bundle_difference(hs.base, eps_sol)
+
+    def diff(rows):
+        d = base_minus_eps(rows)
+        # eta is the reconstruction's, not the averaged run's: overwrite its block
+        np.subtract(hmg.eta_epsilon(hs, osc, rows), eps_sol.eta[rows], out=d["eta"])
+        return d
+
+    return difference_columns(spec.grid, diff, hs.base.times, spec.bc.m, qe, t0_frac)
 
 
 def run_homog_study(problem, eps_list, scheme=SchemeParams(), a_eps=0.0, qe=INF,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gaslab import config as cfgmod
-from gaslab.grid import Grid, GasParams, du_centers, integrate_center
+from gaslab.grid import Grid, GasParams, du_centers, integrate_center, integrate_edge
 from gaslab.problem import BC_NAMES, BoundaryData, PerturbationSpec, ProblemSpec, validate
 from gaslab.solver import SchemeParams, solve
 
@@ -34,6 +34,19 @@ def test_grid_invariants():
         Grid(X=1.0, T=1.0, nx=2, nt=10)
     with pytest.raises(ValueError):
         Grid(X=-1.0, T=1.0, nx=8, nt=10)
+
+
+def test_integrate_edge_calls_share_one_weight_array():
+    g = basic_grid()
+    y = np.random.default_rng(5).standard_normal((7, g.nx + 1))
+    w = g.edge_weights
+    first, second = integrate_edge(g, y), integrate_edge(g, y[2])
+    assert g.edge_weights is w and not w.flags.writeable
+    # the weights built per call, as integrate_edge did before caching them
+    fresh = np.ones(g.nx + 1)
+    fresh[0] = fresh[-1] = 0.5
+    assert np.array_equal(first, g.X * (y * fresh).sum(axis=-1) / g.nx)
+    assert second == first[2]
 
 
 def test_gas_params_positive():

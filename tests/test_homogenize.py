@@ -113,6 +113,8 @@ def test_eta_epsilon_at_t0_is_realization():
     eta_eps = eta_epsilon(hs, osc)
     assert np.allclose(eta_eps[0], realize(prob.eta0, osc, prob.grid.centers()),
                        atol=1e-12)
+    # a block of rows reads the same bits as the whole trajectory
+    assert np.array_equal(eta_epsilon(hs, osc, slice(3, 9)), eta_eps[3:9])
 
 
 def test_eta_epsilon_positive_and_bounded():

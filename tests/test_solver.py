@@ -1,4 +1,5 @@
 import ctypes
+import tracemalloc
 from dataclasses import replace
 
 import hypothesis.strategies as st
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 
 from gaslab import solver
-from gaslab.grid import Grid, GasParams
-from gaslab.norms import lqr_norm
+from gaslab.calculus import i_bracket, mean_omega, time_primitive
+from gaslab.grid import Grid, GasParams, edges_to_centers
+from gaslab.norms import ROW_BLOCK, lqr_norm, space_lq
 from gaslab.problem import BoundaryData, PerturbationSpec, ProblemSpec, validate
 from gaslab.solver import (NonFiniteState, NonlinearDivergence, PositivityLoss,
                            SchemeParams, diagnostics, solve)
@@ -519,3 +521,79 @@ def test_non_finite_initial_data_raises():
     theta0[5] = np.inf
     with pytest.raises(NonFiniteState, match="theta"):
         solve(replace(spec, theta0=theta0))
+
+
+# --- blocked diagnostics against the whole-array passes ---------------------
+
+def whole_array_residuals(sol, spec):
+    """Reference: the logvol and stress-representation residuals computed on
+    the whole (ns, nx) trajectory at once, as diagnostics did before it read
+    the bundle in row blocks."""
+    g, gas = sol.grid, spec.gas
+    lhs = gas.nu * np.log(sol.eta) - gas.nu * np.log(sol.eta[0])[None, :] \
+        - sol.it_sigma - sol.it_p
+    res_logvol = float(space_lq(g, lhs, 2.0).max())
+
+    u_dev = edges_to_centers(sol.u - sol.u[0][None, :] - sol.it_g)
+    m = spec.bc.m
+    tt = g.times()
+    if m == 1:
+        rhs = i_bracket(g, u_dev, 1) + mean_omega(g, sol.it_sigma)[:, None]
+    else:
+        rhs = i_bracket(g, u_dev, m)
+        it_p0 = time_primitive(spec.bc.p0_t, tt)[sol.steps]
+        it_pX = time_primitive(spec.bc.pX_t, tt)[sol.steps]
+        if m == 2:
+            rhs = rhs - it_p0[:, None]
+        else:
+            xc = g.centers()
+            prof0 = (1.0 - xc / g.X)[None, :]
+            profX = (xc / g.X)[None, :]
+            rhs = rhs - it_p0[:, None] * prof0 - it_pX[:, None] * profX
+    res_stress = float(space_lq(g, sol.it_sigma - rhs, 2.0).max())
+    return res_logvol, res_stress
+
+
+SNAPSHOT_FIELDS = ("eta", "u", "theta", "x_e", "sigma", "pi", "it_sigma", "it_p", "it_g")
+
+
+def first_rows(sol, n):
+    """The bundle cut to its first n snapshots."""
+    return replace(sol, steps=sol.steps[:n], times=sol.times[:n],
+                   **{name: getattr(sol, name)[:n] for name in SNAPSHOT_FIELDS})
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_blocked_diagnostics_match_whole_array_passes(m):
+    # forced, with time-dependent boundary stresses; stride 2 over nt = 120
+    # with 8 dense steps stores B + 1 = 65 rows
+    g = Grid(X=1.0, T=0.1, nx=48, nt=120)
+    bc = {1: BoundaryData.build(g, m=1, u0="0.05*sin(9*t)", uX=0.0, pi0=0.0, piX=0.0),
+          2: BoundaryData.build(g, m=2, p0="1 + 0.1*sin(9*t)", uX=0.0, pi0=0.0, piX=0.0),
+          3: BoundaryData.build(g, m=3, p0="1 + 0.1*sin(9*t)", pX="1 - 0.1*t",
+                                pi0=0.0, piX=0.0)}[m]
+    spec = replace(pulse_spec(48, 120, m, T=0.1), bc=bc,
+                   g=lambda chi, x, t: 0.5 * np.sin(2 * np.pi * chi),
+                   f=lambda chi, x, t: 0.5 + 0.25 * np.cos(2 * np.pi * chi))
+    sol = solve(spec, SchemeParams(store_stride=2, dense_steps=8))
+    assert len(sol.steps) == ROW_BLOCK + 1
+    for n in (1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1):
+        part = first_rows(sol, n)
+        rep = diagnostics(part, spec)
+        assert (rep.logvol_residual, rep.stress_repr_residual) == \
+            whole_array_residuals(part, spec)
+
+
+def test_diagnostics_peak_memory_is_a_few_row_blocks():
+    # a stride-1 bundle of 2,000 steps is 18.5 MB; the whole-array passes
+    # allocated about half of that
+    spec = pulse_spec(128, 2000, 3)
+    sol = solve(spec, SchemeParams(store_stride=1))
+    block = ROW_BLOCK * (spec.grid.nx + 1) * 8
+    tracemalloc.start()
+    try:
+        diagnostics(sol, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * block

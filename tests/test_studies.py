@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from gaslab import config as cfgmod
 from gaslab import homogenize as hmg
 from gaslab import studies
 from gaslab.grid import Grid, GasParams
+from gaslab.norms import INF, ROW_BLOCK, c0l2_norm, h_minus_one, lqr_norm
 from gaslab.problem import BoundaryData, PerturbationSpec, ProblemSpec
 from gaslab.solver import SchemeParams
 from gaslab.studies import (ConvergenceTable, DegenerateFit, IncompatibleSpecs,
@@ -380,3 +383,85 @@ def test_homog_study_rejects_non_halving_sweep_before_solving(monkeypatch):
     monkeypatch.setattr(hmg, "solve_homogenized", _no_solve)
     with pytest.raises(ValueError, match="factors of 2"):
         run_homog_study(two_scale_problem(nx=256, nt=32), [0.5, 0.375, 0.25, 0.125])
+
+
+# --- blocked difference columns against the whole-array passes ---------------
+
+def whole_array_columns(grid, d, times, m, qe, t0_frac=0.2):
+    """Reference: the study columns of whole (ns, nx) difference arrays d, as
+    difference_columns computed them before it read row blocks."""
+    z = np.minimum(np.asarray(times) / (t0_frac * grid.T), 1.0)
+    cols = {}
+    cols["eta_C0L2"] = c0l2_norm(grid, d["eta"])
+    cols["u_L2"] = lqr_norm(grid, d["u"], 2.0, 2.0, times)
+    cols["u_supHm1"] = float(h_minus_one(grid, d["u"], m).max())
+    cols["u_L2_supHm1"] = cols["u_L2"] + cols["u_supHm1"]
+    cols["theta_L2"] = lqr_norm(grid, d["theta"], 2.0, 2.0, times)
+    cols["xe_Lqe_inf"] = lqr_norm(grid, d["x_e"], qe, INF, times)
+    cols["xe_Linf"] = lqr_norm(grid, d["x_e"], INF, INF, times)
+    cols["itsigma_C0L2"] = c0l2_norm(grid, d["it_sigma"])
+    cols["eta_Linf"] = float(np.abs(d["eta"]).max())
+    cols["u_Linf2"] = lqr_norm(grid, d["u"], INF, 2.0, times)
+    cols["theta_Linf2"] = lqr_norm(grid, d["theta"], INF, 2.0, times)
+    cols["itsigma_CQ"] = float(np.abs(d["it_sigma"]).max())
+    cols["zeta_u_C0L2"] = c0l2_norm(grid, z[:, None] * d["u"])
+    cols["zeta2_theta_C0L2"] = c0l2_norm(grid, (z ** 2)[:, None] * d["theta"])
+    cols["zeta_u_CQ"] = float(np.abs(z[:, None] * d["u"]).max())
+    cols["zeta2_theta_CQ"] = float(np.abs((z ** 2)[:, None] * d["theta"]).max())
+    return cols
+
+
+EDGE_FIELDS = ("u", "x_e")
+
+
+def random_fields(rng, nrows, nx):
+    return {name: rng.standard_normal((nrows, nx + (name in EDGE_FIELDS)))
+            for name in studies.DIFFERENCE_FIELDS}
+
+
+def random_times(rng, n, T):
+    """n increasing snapshot times from 0, unevenly spaced as dense steps
+    followed by a stride leave them."""
+    return np.concatenate([[0.0], np.sort(rng.uniform(0.0, T, n - 1))])[:n]
+
+
+def assert_same_columns(got, want):
+    assert list(got) == list(want)
+    assert got == want
+
+
+@pytest.mark.parametrize("nrows", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("m,qe", [(1, 2.0), (2, INF), (3, 4.0)])
+def test_blocked_difference_columns_match_whole_array_passes(nrows, m, qe):
+    rng = np.random.default_rng(1000 * m + nrows)
+    g = Grid(X=1.0, T=0.5, nx=40, nt=200)
+    d = random_fields(rng, nrows, g.nx)
+    times = random_times(rng, nrows, g.T)
+    got = studies.difference_columns(g, lambda rows: {k: v[rows] for k, v in d.items()},
+                                     times, m, qe, 0.2)
+    assert_same_columns(got, whole_array_columns(g, d, times, m, qe, 0.2))
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_blocked_measure_floor_matches_whole_array_pairing(monkeypatch, m):
+    # random fine and coarse bundles whose stored steps pair on 150 rows
+    rng = np.random.default_rng(m)
+    fine_grid = Grid(X=1.0, T=0.5, nx=32, nt=600)
+    coarse_grid = Grid(X=1.0, T=0.5, nx=16, nt=300)
+    fine_steps = np.union1d(np.arange(0, 601, 4), rng.choice(601, 40, replace=False))
+    coarse_steps = np.union1d(np.arange(0, 301, 2), rng.choice(301, 30, replace=False))
+    fine = SimpleNamespace(steps=fine_steps, times=fine_grid.times()[fine_steps],
+                           **random_fields(rng, len(fine_steps), fine_grid.nx))
+    coarse = SimpleNamespace(steps=coarse_steps, times=coarse_grid.times()[coarse_steps],
+                             **random_fields(rng, len(coarse_steps), coarse_grid.nx))
+    coarse_spec = SimpleNamespace(grid=coarse_grid, bc=SimpleNamespace(m=m))
+    monkeypatch.setattr(studies, "solve", lambda spec, scheme: coarse)
+    got = studies.measure_floor(SimpleNamespace(base=fine), coarse_spec,
+                                SchemeParams(store_stride=4), INF, 0.2)
+
+    _, ia, ib = np.intersect1d(fine.steps, 2 * coarse.steps, assume_unique=True,
+                               return_indices=True)
+    assert len(ia) > 2 * ROW_BLOCK
+    d = {name: restrict(getattr(fine, name)[ia]) - getattr(coarse, name)[ib]
+         for name, restrict in studies.DIFFERENCE_FIELDS.items()}
+    assert_same_columns(got, whole_array_columns(coarse_grid, d, coarse.times[ib], m, INF))
