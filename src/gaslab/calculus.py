@@ -1,14 +1,14 @@
-"""Discrete primitive, averaging and projection operators on the staggered grid.
+"""Discrete primitive and averaging operators on the staggered grid.
 
 For a cell-center field y the primitive is the exact integral of its
 piecewise-constant reconstruction evaluated at cell centers,
 
-    (Iy)_i = dx * (sum_{k<i} y_k + y_i / 2),
+    (Iy)_i = dx * (sum_{k<i} y_k + y_i / 2).
 
-and the co-primitive integrates from the right.  With midpoint quadrature
-this pairing makes the adjoint identities
+With midpoint quadrature this makes the adjoint identity of the mean-free
+primitives
 
-    int (Iy) z = int y (I*z),   int (I1 y) z = -int y (I3 z)
+    int (I1 y) z = -int y (I3 z)
 
 hold to round-off, not merely to O(dx^2); the property tests rely on that.
 All operators act on the last axis, so space-time arrays (nt+1, nx) work
@@ -18,10 +18,6 @@ directly.
 import numpy as np
 
 from .grid import integrate_x
-
-
-class NonpositiveWeight(ValueError):
-    pass
 
 
 class ShiftOutOfRange(IndexError):
@@ -42,13 +38,6 @@ def primitive_at_edges(grid, y):
     return out
 
 
-def coprimitive(grid, y):
-    """I*y at cell centers: integrates from x to X; Iy + I*y == Iy(X)."""
-    y = np.asarray(y, dtype=float)
-    rev = np.cumsum(y[..., ::-1], axis=-1)[..., ::-1]
-    return grid.dx * (rev - 0.5 * y)
-
-
 def mean_omega(grid, y):
     """<y>_Omega = Iy(X)/X."""
     return integrate_x(grid, y) / grid.X
@@ -66,24 +55,6 @@ def i_bracket(grid, y, m):
         y = np.asarray(y, dtype=float)
         return primitive(grid, y - mean_omega(grid, y)[..., None])
     raise ValueError(f"m must be 1, 2 or 3, got {m}")
-
-
-def weighted_mean(grid, z, kappa):
-    """<z>_{Omega,1/kappa} = <z/kappa> / <1/kappa>."""
-    kappa = np.asarray(kappa, dtype=float)
-    if kappa.min() <= 0:
-        raise NonpositiveWeight("weight kappa must be strictly positive")
-    return mean_omega(grid, z / kappa) / mean_omega(grid, 1.0 / kappa)
-
-
-def weighted_projection(grid, y, kappa):
-    """P_{1/kappa} y = y - (1/kappa)/<1/kappa> <y>; its mean vanishes exactly."""
-    kappa = np.asarray(kappa, dtype=float)
-    if kappa.min() <= 0:
-        raise NonpositiveWeight("weight kappa must be strictly positive")
-    y = np.asarray(y, dtype=float)
-    inv = 1.0 / kappa
-    return y - inv / mean_omega(grid, inv) * mean_omega(grid, y)[..., None]
 
 
 def time_primitive(b, times):

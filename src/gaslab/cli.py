@@ -92,14 +92,15 @@ def _cmd_homogenize(args):
                      hs.base, stride=args.stride)
     a_eps = float(cfg.get("study", {}).get("a_eps", 0.0))
     rows = _row_formatter(problem.grid.centers())
+    kept = slice(None, None, args.stride)
     for eps in eps_list:
         osc = OscillationSpec(eps=eps, a_eps=a_eps)
-        eta_eps = hmg.eta_epsilon(hs, osc)
+        eta_eps = hmg.eta_epsilon(hs, osc, kept)
         path = os.path.join(args.out, f"eta_recon_eps_{eps:g}.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t,x,eta_recon\n")
-            for n in range(0, len(hs.base.times), args.stride):
-                fh.write(rows(hs.base.times[n], eta_eps[n]))
+            for t, eta_row in zip(hs.base.times[kept], eta_eps):
+                fh.write(rows(t, eta_row))
     print(f"homogenize: averaged run + {len(eps_list)} reconstructions -> {args.out}")
     return 0
 
@@ -183,10 +184,17 @@ def _cmd_study_lipschitz(args):
     return _report(table, args.out, "lipschitz_study.csv")
 
 
+def _stride(text):
+    """A --stride value: an integer of at least 1."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 FLAGS = {
     "--out": {"default": "out", "help": "output directory"},
     "--jobs": {"type": int, "default": 1, "help": "parallel solves"},
-    "--stride": {"type": int, "default": 1, "help": "snapshot stride"},
+    "--stride": {"type": _stride, "default": 1, "help": "snapshot stride (>= 1)"},
     "--eps-list": {"help": "comma-separated eps values, overrides the config"},
 }
 

@@ -1,5 +1,5 @@
-"""Averaged problem assembly, closed-form reconstruction of the two-scale
-specific volume, and the derived perturbation fields beta^(eps), gamma^(eps).
+"""Averaged problem assembly and closed-form reconstruction of the two-scale
+specific volume.
 
 The two-scale system closes after cell averaging: the averaged unknowns
 (<eta>, u, theta, x_e) satisfy a plain problem of the solver's type with
@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import time_primitive
-from .grid import Grid, GasParams, du_centers, edges_to_centers
+from .grid import Grid, GasParams
 from .problem import BoundaryData, ProblemSpec, require_valid
 from .solver import SchemeParams, solve
-from .twoscale import (TwoScaleField, averaging_error, homogenized_theta0,
-                       realize, xi_mean, xi_quadrature)
+from .twoscale import (TwoScaleField, homogenized_theta0, realize, xi_mean,
+                       xi_quadrature)
 
 
 class _RealizedForce:
@@ -132,57 +132,8 @@ def _reconstruct(hs, e0, rows=slice(None)):
     return hs.B_hat[rows] * (e0[None, :] + (gas.k / gas.nu) * hs.it_binv_theta[rows])
 
 
-def reconstruct_eta(hs, xi):
-    """eta(xi_k, x, t) for the requested xi samples: array (len(xi), ns, nx).
-
-    Evaluated lazily per requested xi to bound memory; the reconstruction
-    starts from the two-scale initial profile hs.problem.eta0.
-    """
-    xc = hs.grid.centers()
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    out = np.empty((len(xi), ) + hs.B_hat.shape)
-    for i, s in enumerate(xi):
-        out[i] = _reconstruct(hs, hs.problem.eta0(np.full_like(xc, s), xc))
-    return out
-
-
-def mean_reconstructed_eta(hs):
-    """<eta_recon>(x, t); by linearity of the reconstruction in eta0 this is
-    the reconstruction started from <eta0>."""
-    return _reconstruct(hs, xi_mean(hs.problem.eta0, hs.grid.centers()))
-
-
 def eta_epsilon(hs, osc, rows=slice(None)):
     """eta^(eps)(x, t) on the grid at the snapshot rows `rows` (all by
     default): the reconstruction started from the realized initial profile,
     equal to realize(hs.problem.eta0, osc) at t = 0 exactly."""
     return _reconstruct(hs, realize(hs.problem.eta0, osc, hs.grid.centers()), rows)
-
-
-def perturbation_fields(hs, osc):
-    """beta^(eps) = (1/nu) sigma R_eps(eta_recon) and
-    gamma^(eps) = (1/lam) pi R_eps(eta_recon) on the snapshot grid.
-
-    Since the reconstruction is affine in eta0, R_eps(eta_recon) = B R_eps(eta0).
-    beta^(eps) lives at centers; gamma^(eps) is reported at centers as well
-    (it feeds norm majorants, not the stepper).
-    """
-    xc = hs.grid.centers()
-    gas = hs.problem.gas
-    r0 = averaging_error(hs.problem.eta0, osc, xc)
-    r_eta = hs.B_hat * r0[None, :]
-    beta_eps = hs.base.sigma * r_eta / gas.nu
-    gamma_eps = edges_to_centers(hs.base.pi) * r_eta / gas.lam
-    return beta_eps, gamma_eps
-
-
-def mass_residual_eps(hs, osc):
-    """Residual of D_t eta^(eps) = Du + beta^(eps) at snapshot midpoints;
-    decreases at scheme order under refinement."""
-    g = hs.grid
-    eta_e = eta_epsilon(hs, osc)
-    beta_eps, _ = perturbation_fields(hs, osc)
-    du = du_centers(g, hs.base.u)
-    dt_eta = np.diff(eta_e, axis=0) / np.diff(hs.base.times)[:, None]
-    rhs = 0.5 * (du[1:] + du[:-1]) + 0.5 * (beta_eps[1:] + beta_eps[:-1])
-    return float(np.abs(dt_eta - rhs).max())

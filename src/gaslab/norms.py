@@ -69,25 +69,15 @@ def time_lr(s, times, r):
     return np.trapezoid(s ** r, np.asarray(times)) ** (1.0 / r)
 
 
-def lqr_norm(grid, w, q, r, times=None):
-    """Anisotropic norm || ||w(.,t)||_{L^q(Omega)} ||_{L^r(0,T)}.
-
-    w has shape (ntimes, nx[+1]); a 1D field is treated as constant in time.
-    """
-    w = np.asarray(w, dtype=float)
-    if w.ndim == 1:
-        w = w[None, :]
-        times = np.array([0.0, grid.T]) if times is None else times
-        w = np.repeat(w, len(np.atleast_1d(times)), axis=0)
-    if times is None:
-        times = np.linspace(0.0, grid.T, w.shape[0])
-    inner = space_lq(grid, w, q)
-    return float(time_lr(inner, times, r))
+def lqr_norm(grid, w, q, r, times):
+    """Anisotropic norm || ||w(.,t)||_{L^q(Omega)} ||_{L^r(0,T)} of w, shape
+    (ntimes, nx[+1]), sampled at `times`."""
+    return float(time_lr(space_lq(grid, w, q), times, r))
 
 
 def c0l2_norm(grid, w):
     """C(0,T; L^2(Omega)) norm: max over stored times of the spatial L^2 norm."""
-    return lqr_norm(grid, w, 2.0, INF)
+    return float(space_lq(grid, w, 2.0).max())
 
 
 def h_minus_one(grid, y, m):
@@ -118,17 +108,13 @@ def _dx_field(grid, w):
     return out
 
 
-def v2_norm(grid, w, times=None):
+def v2_norm(grid, w, times):
     """||w||_{L^{2,inf}(Q)} + ||Dw||_{L^2(Q)} with Dw from the scheme stencil;
     center fields only."""
     w = np.asarray(w, dtype=float)
     if w.shape[-1] != grid.nx:
         raise ValueError(f"v2_norm takes a center field of length nx = {grid.nx}, "
                          f"got length {w.shape[-1]}")
-    if w.ndim == 1:
-        w = w[None, :]
-    if times is None:
-        times = np.linspace(0.0, grid.T, w.shape[0])
     dw = _dx_field(grid, w)
     # edge-located derivative samples but only nx+1-2 interior are second
     # order; the extrapolated ends keep the trapezoid weights consistent
@@ -151,14 +137,12 @@ def wh_seminorm(grid, y, xi_weights=None):
     the L^1 norm of the difference quotient in x.
 
     y is (nx,) for plain fields or (n_xi, nx) for two-scale samples; in the
-    two-scale case xi_weights (summing to 1) weight the xi quadrature and the
-    first term takes sup over xi before the x integral.
+    two-scale case xi_weights (required, summing to 1) weight the xi
+    quadrature and the first term takes sup over xi before the x integral.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
         y, xi_weights = y[None, :], np.ones(1)
-    elif xi_weights is None:
-        xi_weights = np.full(y.shape[0], 1.0 / y.shape[0])
     term1 = grid.X * np.abs(y).max(axis=0).mean()
     # truncated domain (0, X - j dx): nx - j cells of width dx
     term2 = max(grid.dx * (xi_weights @ np.abs(difference_quotient(grid, y, j))).sum()
@@ -187,13 +171,13 @@ def wh_spacetime_seminorm(grid, w, times, r=1.0, xi_weights=None):
     return float(term1 + term2)
 
 
-def v2star_majorant(grid, w, times=None):
+def v2star_majorant(grid, w, times):
     """Computable stand-in for the [V2(Q)]* norm: min over the sampled
     anisotropic exponent pairs."""
     return min(lqr_norm(grid, w, q, r, times) for q, r in V2STAR_PAIRS)
 
 
-def h21star_majorant(grid, F, m, kappa_floor, times=None):
+def h21star_majorant(grid, F, m, kappa_floor, times):
     """Majorant for the dual norm of the space used in the energy bound.
 
     Two routes, minimum taken: the L^1(Q) route scaled by N = 1/kappa_floor,
@@ -203,10 +187,6 @@ def h21star_majorant(grid, F, m, kappa_floor, times=None):
     if kappa_floor <= 0:
         raise NonpositiveFloor("kappa_floor must be positive")
     F = np.asarray(F, dtype=float)
-    if F.ndim == 1:
-        F = F[None, :].repeat(2, axis=0)
-    if times is None:
-        times = np.linspace(0.0, grid.T, F.shape[0])
     N = 1.0 / kappa_floor
     route_l1 = N * lqr_norm(grid, F, 1.0, 1.0, times)
     ibf = i_bracket(grid, F, m)
@@ -225,15 +205,14 @@ def w11_time_norm(b, times):
 
 
 NAMED_NORMS = {
-    "Lq": lambda grid, w, times=None, q=2.0: float(space_lq(grid, np.asarray(w), q)) if np.ndim(w) == 1 else lqr_norm(grid, w, q, q, times),
-    "Lqr": lambda grid, w, times=None, q=2.0, r=2.0: lqr_norm(grid, w, q, r, times),
-    "V2": lambda grid, w, times=None: v2_norm(grid, w, times),
-    "Hm1": lambda grid, w, times=None, m=3: h_minus_one(
-        grid, np.asarray(w)[0] if np.ndim(w) == 2 else w, m),
-    "C0L2": lambda grid, w, times=None: c0l2_norm(grid, w),
-    "LqInfty": lambda grid, w, times=None, q=2.0: lqr_norm(grid, w, q, INF, times),
-    "WH": lambda grid, w, times=None: wh_seminorm(grid, np.asarray(w)[0] if np.ndim(w) == 2 else w),
-    "WHst": lambda grid, w, times=None, r=1.0: wh_spacetime_seminorm(grid, w, times, r),
-    "V2star": lambda grid, w, times=None: v2star_majorant(grid, w, times),
-    "H21star": lambda grid, w, times=None, m=3, kappa_floor=1.0: h21star_majorant(grid, w, m, kappa_floor, times),
+    "Lq": lambda grid, w, times, q=2.0: lqr_norm(grid, w, q, q, times),
+    "Lqr": lambda grid, w, times, q=2.0, r=2.0: lqr_norm(grid, w, q, r, times),
+    "V2": lambda grid, w, times: v2_norm(grid, w, times),
+    "Hm1": lambda grid, w, times, m=3: h_minus_one(grid, w[0], m),
+    "C0L2": lambda grid, w, times: c0l2_norm(grid, w),
+    "LqInfty": lambda grid, w, times, q=2.0: lqr_norm(grid, w, q, INF, times),
+    "WH": lambda grid, w, times: wh_seminorm(grid, w[0]),
+    "WHst": lambda grid, w, times, r=1.0: wh_spacetime_seminorm(grid, w, times, r),
+    "V2star": lambda grid, w, times: v2star_majorant(grid, w, times),
+    "H21star": lambda grid, w, times, m=3, kappa_floor=1.0: h21star_majorant(grid, w, m, kappa_floor, times),
 }

@@ -12,7 +12,7 @@ Everything is value-semantic and immutable after construction; solver runs
 never mutate a spec, so specs can be shared across concurrent solves.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,9 +143,6 @@ class ProblemSpec:
     perturbation: PerturbationSpec = PerturbationSpec()
     N: float = 10.0
     source: dict = None            # config tree this spec was built from, if any
-
-    def with_perturbation(self, pert):
-        return replace(self, perturbation=pert)
 
 
 def validate(spec):

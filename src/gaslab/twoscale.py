@@ -1,6 +1,6 @@
 """Two-scale fields w(xi, x) with a periodic cell variable xi in (0, 1):
-realization at scale eps, cell averaging, the averaging-error operator, and
-the energy-consistent homogenized initial temperature.
+realization at scale eps, cell averaging and the energy-consistent
+homogenized initial temperature.
 
 A field carries a certificate of piecewise continuity in xi (its breakpoint
 list); jumps are evaluated with the right-continuous convention (step taking
@@ -11,8 +11,6 @@ breakpoint, so step profiles average exactly.
 from dataclasses import dataclass
 
 import numpy as np
-
-from .calculus import primitive_at_edges
 
 
 @dataclass(frozen=True)
@@ -94,11 +92,6 @@ def xi_sample(w, x):
     return w(nodes[:, None], x[None, :]) * np.ones((len(nodes), len(x))), weights
 
 
-def averaging_error(w, osc, x):
-    """R_eps w = w^(eps) - <w>, pointwise on the sample set."""
-    return realize(w, osc, x) - xi_mean(w, x)
-
-
 def homogenized_theta0(u0, theta0, cV, x):
     """Initial temperature of the averaged problem, obtained by averaging the
     total energy rather than the temperature:
@@ -112,14 +105,3 @@ def homogenized_theta0(u0, theta0, cV, x):
     umean = weights @ uvals
     variance = weights @ (uvals - umean[None, :]) ** 2
     return variance / (2.0 * cV) + xi_mean(theta0, x)
-
-
-def beta_e_of(eta0, osc, grid):
-    """Initial Eulerian-coordinate shift -I(R_eps eta0) at cell edges.
-
-    The integrand is sampled at cell centers (matching the mass quadrature),
-    so the shift is the exact primitive of the sampled averaging error; its
-    sup norm is O(eps) for profiles of bounded variation.
-    """
-    return primitive_at_edges(grid, -averaging_error(eta0, osc, grid.centers()))
-

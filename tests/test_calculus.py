@@ -4,10 +4,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from gaslab.grid import Grid, integrate_center
-from gaslab.calculus import (coprimitive, difference_quotient, i_bracket,
-                             mean_omega, primitive, primitive_at_edges,
-                             time_primitive, weighted_mean,
-                             weighted_projection, NonpositiveWeight,
+from gaslab.calculus import (difference_quotient, i_bracket, mean_omega,
+                             primitive, primitive_at_edges, time_primitive,
                              ShiftOutOfRange)
 
 
@@ -43,28 +41,6 @@ def test_primitive_at_edges_endpoints():
     ie = primitive_at_edges(g, y)
     assert ie[0] == 0.0
     assert np.isclose(ie[-1], integrate_center(g, y), rtol=1e-14)
-
-
-def test_coprimitive_of_one():
-    g = make_grid()
-    iy = coprimitive(g, np.ones(g.nx))
-    assert np.allclose(iy, 1.0 - g.centers(), atol=1e-14)
-
-
-def test_coprimitive_on_stretched_domain():
-    g = make_grid(X=2.0)
-    istar = coprimitive(g, g.centers())
-    # int_1^2 x dx = 3/2
-    i_mid = np.interp(1.0, g.centers(), istar)
-    assert abs(i_mid - 1.5) < g.dx ** 2
-
-
-def test_primitive_coprimitive_sum_is_total():
-    g = make_grid()
-    rng = np.random.default_rng(1)
-    y = rng.normal(size=g.nx)
-    total = integrate_center(g, y)
-    assert np.abs(primitive(g, y) + coprimitive(g, y) - total).max() < 1e-13
 
 
 def test_mean_omega():
@@ -119,38 +95,6 @@ def test_idp_residual_decays_second_order():
     assert errs[0] / errs[1] > 3.5 and errs[1] / errs[2] > 3.5
 
 
-def test_weighted_projection_unit_weight():
-    g = make_grid()
-    rng = np.random.default_rng(3)
-    y = rng.normal(size=g.nx)
-    p = weighted_projection(g, y, np.ones(g.nx))
-    assert np.allclose(p, y - mean_omega(g, y), atol=1e-14)
-
-
-def test_weighted_projection_zero_field():
-    g = make_grid()
-    p = weighted_projection(g, np.zeros(g.nx), 1.0 + g.centers())
-    assert np.abs(p).max() == 0.0
-
-
-def test_weighted_projection_log_weight_oracle():
-    g = make_grid()
-    x = g.centers()
-    p = weighted_projection(g, np.ones(g.nx), 1.0 + x)
-    exact = 1.0 - 1.0 / ((1.0 + x) * np.log(2.0))
-    assert np.abs(p - exact).max() < 5 * g.dx ** 2
-
-
-def test_weighted_projection_rejects_nonpositive_weight():
-    g = make_grid()
-    kappa = np.ones(g.nx)
-    kappa[3] = 0.0
-    with pytest.raises(NonpositiveWeight):
-        weighted_projection(g, np.ones(g.nx), kappa)
-    with pytest.raises(NonpositiveWeight):
-        weighted_mean(g, np.ones(g.nx), -kappa)
-
-
 def test_time_primitive_shapes_and_values():
     t = np.linspace(0.0, 1.0, 101)
     assert np.allclose(time_primitive(np.ones_like(t), t), t, atol=1e-14)
@@ -203,7 +147,7 @@ def test_difference_quotient_shift_bounds():
         difference_quotient(g, np.ones(g.nx), g.nx)
 
 
-# --- adjoint / projection identities on random fields ----------------------
+# --- adjoint identities on random fields -----------------------------------
 
 fields = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
@@ -211,11 +155,12 @@ fields = st.integers(min_value=0, max_value=2 ** 32 - 1)
 @given(seed=fields)
 @settings(max_examples=30, deadline=None)
 def test_adjoint_identity_I_Istar(seed):
+    # I*z = Iz(X) - Iz integrates from the right
     g = make_grid(nx=128)
     rng = np.random.default_rng(seed)
     y, z = rng.normal(size=(2, g.nx))
     lhs = integrate_center(g, primitive(g, y) * z)
-    rhs = integrate_center(g, y * coprimitive(g, z))
+    rhs = integrate_center(g, y * (integrate_center(g, z) - primitive(g, z)))
     scale = max(1e-30, np.abs(y).max() * np.abs(z).max())
     assert abs(lhs - rhs) < 1e-12 * scale
 
@@ -231,17 +176,3 @@ def test_adjoint_identity_I1_I3(seed):
     scale = max(1e-30, np.abs(y).max() * np.abs(z).max())
     assert abs(lhs - rhs) < 1e-12 * scale
 
-
-@given(seed=fields)
-@settings(max_examples=30, deadline=None)
-def test_weighted_projection_identities(seed):
-    g = make_grid(nx=128)
-    rng = np.random.default_rng(seed)
-    y, z = rng.normal(size=(2, g.nx))
-    kappa = 0.5 + rng.random(g.nx)
-    p = weighted_projection(g, y, kappa)
-    assert abs(mean_omega(g, p)) < 1e-13 * max(1.0, np.abs(y).max())
-    lhs = integrate_center(g, p * z)
-    rhs = integrate_center(g, y * (z - weighted_mean(g, z, kappa)))
-    scale = max(1e-30, np.abs(y).max() * np.abs(z).max())
-    assert abs(lhs - rhs) < 1e-12 * scale

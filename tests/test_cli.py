@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from gaslab import cli, studies
+from gaslab import config as cfgmod
 from gaslab import homogenize as hmg
 from gaslab.cli import main
 from gaslab.grid import Grid, edges_to_centers
 from gaslab.solver import NonFiniteState
+from gaslab.twoscale import OscillationSpec
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -160,6 +162,21 @@ def test_homogenize_subcommand(tmp_path):
     assert (out / "averaged.csv").exists()
     assert (out / "eta_recon_eps_0.25.csv").exists()
     assert (out / "eta_recon_eps_0.125.csv").exists()
+
+
+def test_homogenize_writes_every_stride_th_row_of_the_reconstruction(tmp_path):
+    cfg = two_scale_cfg([0.25])
+    path = write_cfg(tmp_path, cfg)
+    assert main(["homogenize", path, "--out", str(tmp_path / "o"), "--stride", "3"]) == 0
+    problem = cfgmod.build_two_scale_problem(cfg)
+    hs = hmg.solve_homogenized(problem, cfgmod.build_scheme(cfg))
+    eta = hmg.eta_epsilon(hs, OscillationSpec(0.25))
+    xc = problem.grid.centers()
+    want = ["t,x,eta_recon\n"] + [
+        f"{hs.base.times[n]:.17e},{xc[i]:.17e},{eta[n, i]:.17e}\n"
+        for n in range(0, len(hs.base.times), 3) for i in range(len(xc))]
+    assert len(want) > 1 + 2 * len(xc)
+    assert (tmp_path / "o" / "eta_recon_eps_0.25.csv").read_text() == "".join(want)
 
 
 def test_study_homog_guard_exit_code(tmp_path, capsys):
@@ -313,6 +330,20 @@ def test_invalid_scheme_value_exits_before_solving(tmp_path, monkeypatch, capsys
     assert main(["solve", cfg, "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("stride", ["0", "-1"])
+@pytest.mark.parametrize("command", ["solve", "homogenize"])
+def test_stride_below_one_is_a_usage_error_before_solving(tmp_path, monkeypatch, capsys,
+                                                          command, stride):
+    calls = count_solves(monkeypatch)
+    cfg = small_problem_cfg() if command == "solve" else two_scale_cfg([0.25])
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([command, write_cfg(tmp_path, cfg), "--out", str(out), f"--stride={stride}"])
+    assert exc.value.code == 2
+    assert "argument --stride: must be an integer >= 1" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
 
 
 def test_non_halving_sweep_exits_before_solving(tmp_path, monkeypatch, capsys):

@@ -148,9 +148,9 @@ def test_validate_beta_split_mismatch():
         beta1=lambda x, t: 0.5 * np.sin(x),
         beta2=lambda x, t: 0.2 * np.sin(x),
         beta_e=np.zeros(spec.grid.nx + 1))
-    bad = spec.with_perturbation(pert)
+    bad = replace(spec, perturbation=pert)
     assert any("beta1 + beta2" in m for m in validate(bad))
-    good = spec.with_perturbation(PerturbationSpec(
+    good = replace(spec, perturbation=PerturbationSpec(
         beta=lambda x, t: np.sin(x),
         beta1=lambda x, t: 0.5 * np.sin(x),
         beta2=lambda x, t: 0.5 * np.sin(x),
@@ -169,7 +169,7 @@ def test_validate_samples_beta_once_per_probe_time():
 
     pert = PerturbationSpec(beta=beta, beta1=lambda x, t: 0.5 * np.sin(x),
                             beta2=lambda x, t: 0.5 * np.sin(x))
-    assert validate(spec.with_perturbation(pert)) == []
+    assert validate(replace(spec, perturbation=pert)) == []
     tt = spec.grid.times()
     probe_t = tt[:: max(1, len(tt) // 32)]
     assert times == list(probe_t) * 2

@@ -28,24 +28,25 @@ def xt_field(grid, fn):
 def test_lqr_constant_fields():
     g = make_grid(T=2.0)
     w = np.full((g.nt + 1, g.nx), -3.0)
-    assert lqr_norm(g, w, 2.0, INF) == pytest.approx(3.0, rel=1e-12)
-    assert lqr_norm(g, w, INF, 1.0) == pytest.approx(6.0, rel=1e-12)
+    assert lqr_norm(g, w, 2.0, INF, g.times()) == pytest.approx(3.0, rel=1e-12)
+    assert lqr_norm(g, w, INF, 1.0, g.times()) == pytest.approx(6.0, rel=1e-12)
 
 
 def test_lqr_separable_product():
     g = make_grid(T=2.0)
     w = xt_field(g, lambda x, t: x * t)
     # ||x||_L2(0,1) * ||t||_L2(0,2) = sqrt(1/3) * sqrt(8/3)
-    assert lqr_norm(g, w, 2.0, 2.0) == pytest.approx(np.sqrt(8.0) / 3.0, rel=1e-4)
+    assert lqr_norm(g, w, 2.0, 2.0, g.times()) == pytest.approx(np.sqrt(8.0) / 3.0,
+                                                                rel=1e-4)
 
 
 def test_lqr_rejects_bad_exponents():
     g = make_grid()
     w = np.ones((g.nt + 1, g.nx))
     with pytest.raises(BadExponent):
-        lqr_norm(g, w, 0.5, 2.0)
+        lqr_norm(g, w, 0.5, 2.0, g.times())
     with pytest.raises(BadExponent):
-        lqr_norm(g, w, 2.0, 0.0)
+        lqr_norm(g, w, 2.0, 0.0, g.times())
 
 
 # --- negative-order norms ---------------------------------------------------
@@ -92,26 +93,26 @@ def test_h_minus_one_nesting_regression():
 def test_v2_norm_constant():
     g = make_grid()
     w = np.full((g.nt + 1, g.nx), 2.5)
-    assert v2_norm(g, w) == pytest.approx(2.5, rel=1e-10)
+    assert v2_norm(g, w, g.times()) == pytest.approx(2.5, rel=1e-10)
 
 
 def test_v2_norm_linear_in_x():
     g = make_grid()
     w = np.tile(g.centers(), (g.nt + 1, 1))
-    assert v2_norm(g, w) == pytest.approx(1.0 / np.sqrt(3.0) + 1.0, rel=1e-3)
+    assert v2_norm(g, w, g.times()) == pytest.approx(1.0 / np.sqrt(3.0) + 1.0, rel=1e-3)
 
 
 def test_v2_norm_separable_oracle():
     g = make_grid()
     w = xt_field(g, lambda x, t: np.sin(np.pi * x) * t)
     expect = 1.0 / np.sqrt(2.0) + np.pi / np.sqrt(6.0)
-    assert v2_norm(g, w) == pytest.approx(expect, rel=1e-3)
+    assert v2_norm(g, w, g.times()) == pytest.approx(expect, rel=1e-3)
 
 
 def test_v2_norm_rejects_an_edge_field():
     g = make_grid()
     with pytest.raises(ValueError, match=f"center field of length nx = {g.nx}"):
-        v2_norm(g, np.ones((9, g.nx + 1)))
+        v2_norm(g, np.ones((g.nt + 1, g.nx + 1)), g.times())
 
 
 # --- bounded-variation seminorm --------------------------------------------
@@ -221,8 +222,8 @@ def test_space_lq_rejects_a_length_of_neither_centers_nor_edges():
 def test_v2star_majorant_zero_and_unit():
     g = make_grid()
     w = np.zeros((g.nt + 1, g.nx))
-    assert v2star_majorant(g, w) == 0.0
-    assert v2star_majorant(g, np.ones_like(w)) == pytest.approx(1.0, rel=1e-12)
+    assert v2star_majorant(g, w, g.times()) == 0.0
+    assert v2star_majorant(g, np.ones_like(w), g.times()) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_v2star_majorant_spike_selects_l21():
@@ -241,7 +242,7 @@ def test_v2star_majorant_spike_selects_l21():
 
 def test_h21star_zero():
     g = make_grid(nx=64, nt=64)
-    assert h21star_majorant(g, np.zeros((g.nt + 1, g.nx)), 3, 0.1) == 0.0
+    assert h21star_majorant(g, np.zeros((g.nt + 1, g.nx)), 3, 0.1, g.times()) == 0.0
 
 
 def test_h21star_constant_m3():
@@ -249,17 +250,17 @@ def test_h21star_constant_m3():
     # min(N * 1, sqrt(X) ||t||_L2) = 1/sqrt(3) on the unit square with N = 1
     g = make_grid(nx=128, nt=512)
     F = np.ones((g.nt + 1, g.nx))
-    val = h21star_majorant(g, F, 3, 1.0)
+    val = h21star_majorant(g, F, 3, 1.0, g.times())
     assert val == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-4)
 
 
 def test_h21star_sine_m1():
     g = make_grid(nx=128, nt=128)
     F = np.tile(np.sin(2 * np.pi * g.centers()), (g.nt + 1, 1))
-    val = h21star_majorant(g, F, 1, 1.0)
+    val = h21star_majorant(g, F, 1, 1.0, g.times())
     # primitive route wins: ||I^<1> sin(2 pi x)||_{L2} = 1/(2 sqrt(2) pi)
     assert val == pytest.approx(1.0 / (2.0 * np.sqrt(2.0) * np.pi), rel=1e-3)
-    assert val < lqr_norm(g, F, 1.0, 1.0)
+    assert val < lqr_norm(g, F, 1.0, 1.0, g.times())
 
 
 def test_named_norm_registry_evaluates_every_tag():

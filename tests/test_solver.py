@@ -157,7 +157,7 @@ def test_zero_perturbation_bit_identical():
         for pert in (PerturbationSpec(beta=None, gamma=None,
                                       beta_e=np.zeros(spec.grid.nx + 1)),
                      PerturbationSpec()):
-            b = solve(spec.with_perturbation(pert))
+            b = solve(replace(spec, perturbation=pert))
             for name in ("eta", "u", "theta", "x_e", "sigma", "it_sigma", "volume",
                          "it_boundary_du", "it_beta_volume", "substeps", "picard_sweeps"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
@@ -196,7 +196,7 @@ def test_beta_e_shifts_initial_x_e():
     g = spec.grid
     shift = 0.01 * np.sin(np.pi * g.edges())
     pert = PerturbationSpec(beta_e=shift)
-    sol = solve(spec.with_perturbation(pert))
+    sol = solve(replace(spec, perturbation=pert))
     from gaslab.calculus import primitive_at_edges
     assert np.allclose(sol.x_e[0], primitive_at_edges(g, spec.eta0) + shift,
                        atol=1e-14)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -67,7 +68,7 @@ def test_E0_m1_affine_interpolant():
 
 def test_delta_zero_for_identical_specs():
     spec = spec_m(3)
-    for other in (spec, spec.with_perturbation(PerturbationSpec())):
+    for other in (spec, replace(spec, perturbation=PerturbationSpec())):
         br = compute_delta(spec, other)
         assert br.total == 0.0
         assert all(v == 0.0 for v in br.items.values())
@@ -142,7 +143,7 @@ def test_perturbed_spec_shifts_boundary_by_table_pattern():
 
 def test_delta_qe2_drops_primitive_beta_item():
     base = spec_m(3)
-    pert = base.with_perturbation(PerturbationSpec(
+    pert = replace(base, perturbation=PerturbationSpec(
         beta=lambda x, t: np.sin(2 * np.pi * x),
         beta_e=np.zeros(base.grid.nx + 1)))
     br_inf = compute_delta(base, pert, qe=float("inf"))
