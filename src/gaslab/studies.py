@@ -85,9 +85,6 @@ class DeltaBreakdown:
     def total(self):
         return float(sum(self.items.values()))
 
-    def __getitem__(self, key):
-        return self.items[key]
-
 
 @dataclass
 class ConvergenceTable:

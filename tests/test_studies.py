@@ -88,7 +88,7 @@ def test_delta_single_item_benchmark():
                        eta0=base.eta0 + 0.01 * np.sin(2 * np.pi * g.centers()),
                        u0=base.u0, theta0=base.theta0)
     br = compute_delta(base, pert)
-    assert br["eta0_l2"] == pytest.approx(0.01 / np.sqrt(2.0), rel=1e-10)
+    assert br.items["eta0_l2"] == pytest.approx(0.01 / np.sqrt(2.0), rel=1e-10)
     others = {k: v for k, v in br.items.items() if k != "eta0_l2"}
     assert all(v < 1e-14 for v in others.values())
     assert br.total == pytest.approx(0.01 / np.sqrt(2.0), rel=1e-8)
@@ -117,8 +117,8 @@ def test_delta_degree_one_homogeneity():
     b3 = compute_delta(base, family(3.0))
     assert b3.total == pytest.approx(3.0 * b1.total, rel=1e-10)
     for key in b1.items:
-        if b1[key] > 1e-14:
-            assert b3[key] / b1[key] == pytest.approx(3.0, rel=1e-10)
+        if b1.items[key] > 1e-14:
+            assert b3.items[key] / b1.items[key] == pytest.approx(3.0, rel=1e-10)
     # the velocity item itself is linear as well
     shifted = ProblemSpec(grid=g, gas=GAS, bc=base.bc, eta0=base.eta0,
                           u0=base.u0 + 0.1 * np.sin(np.pi * g.edges()),
@@ -126,7 +126,8 @@ def test_delta_degree_one_homogeneity():
     shifted3 = ProblemSpec(grid=g, gas=GAS, bc=base.bc, eta0=base.eta0,
                            u0=base.u0 + 0.3 * np.sin(np.pi * g.edges()),
                            theta0=base.theta0)
-    r = compute_delta(base, shifted3)["u0_hm1"] / compute_delta(base, shifted)["u0_hm1"]
+    r = (compute_delta(base, shifted3).items["u0_hm1"]
+         / compute_delta(base, shifted).items["u0_hm1"])
     assert r == pytest.approx(3.0, rel=1e-10)
 
 
