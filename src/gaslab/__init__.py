@@ -14,15 +14,14 @@ from .problem import (BoundaryData, PerturbationSpec, ProblemSpec,
 from .solver import SchemeParams, solve, diagnostics
 from .twoscale import OscillationSpec, TwoScaleField
 from .homogenize import TwoScaleProblem, solve_homogenized
-from .studies import (ConvergenceTable, DeltaBreakdown, compute_delta,
-                      compute_E0, fit_rate, run_homog_study,
-                      run_lipschitz_study, write_report)
+from .studies import (ConvergenceTable, compute_delta, compute_E0, fit_rate,
+                      run_homog_study, run_lipschitz_study, write_report)
 
 __all__ = [
     "Grid", "GasParams", "BoundaryData", "PerturbationSpec", "ProblemSpec",
     "SolutionBundle", "validate", "SchemeParams", "solve", "diagnostics",
     "OscillationSpec", "TwoScaleField",
     "TwoScaleProblem", "solve_homogenized", "ConvergenceTable",
-    "DeltaBreakdown", "compute_delta", "compute_E0", "fit_rate",
+    "compute_delta", "compute_E0", "fit_rate",
     "run_homog_study", "run_lipschitz_study", "write_report",
 ]

@@ -85,17 +85,17 @@ def _cmd_homogenize(args):
     cfg = cfgmod.load_config(args.config)
     problem = cfgmod.build_two_scale_problem(cfg)
     scheme = cfgmod.build_scheme(cfg)
-    eps_list = _eps_list(args, {"eps_list": [0.125], **cfg.get("study", {})})
+    study = cfgmod.read_table(cfg.get("study", {}), cfgmod.HOMOG_STUDY_KEYS, "study")
+    eps_list = (cfgmod.float_list(args.eps_list.split(",")) if args.eps_list
+                else study.get("eps_list", [0.125]))
     hs = hmg.solve_homogenized(problem, scheme)
     os.makedirs(args.out, exist_ok=True)
     _write_snapshots(os.path.join(args.out, "averaged.csv"), problem.grid,
                      hs.base, stride=args.stride)
-    a_eps = float(cfg.get("study", {}).get("a_eps", 0.0))
     rows = _row_formatter(problem.grid.centers())
     kept = slice(None, None, args.stride)
     for eps in eps_list:
-        osc = OscillationSpec(eps=eps, a_eps=a_eps)
-        eta_eps = hmg.eta_epsilon(hs, osc, kept)
+        eta_eps = hmg.eta_epsilon(hs, OscillationSpec(eps=eps), kept)
         path = os.path.join(args.out, f"eta_recon_eps_{eps:g}.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t,x,eta_recon\n")
@@ -115,7 +115,7 @@ def _cmd_norms(args):
     params = inspect.signature(NAMED_NORMS[tag]).parameters
     takes = [name for name, p in params.items()
              if p.kind is p.POSITIONAL_OR_KEYWORD and name not in ("grid", "w", "times")]
-    kw = {k: _number_or_inf(v) for k, v in spec.items() if k != "tag"}
+    kw = {k: cfgmod.number_or_inf(v) for k, v in spec.items() if k != "tag"}
     for key in kw:
         if key not in takes:
             raise ValueError(f"norm '{tag}' takes no key '{key}'; it takes: {takes}")
@@ -125,18 +125,6 @@ def _cmd_norms(args):
     value = NAMED_NORMS[tag](grid, w, times=tt, **kw)
     print(f"{value:.17e}")
     return 0
-
-
-def _number_or_inf(value):
-    """A config entry that is a number or the string "inf"."""
-    return float("inf") if str(value) == "inf" else float(value)
-
-
-def _eps_list(args, study):
-    """The eps values of --eps-list, else of the study's "eps_list" entry."""
-    if args.eps_list:
-        return [float(e) for e in args.eps_list.split(",")]
-    return [float(e) for e in study["eps_list"]]
 
 
 def _report(table, out_dir, name):
@@ -154,33 +142,23 @@ def _cmd_study_homog(args):
     cfg = cfgmod.load_config(args.config)
     problem = cfgmod.build_two_scale_problem(cfg)
     scheme = cfgmod.build_scheme(cfg)
-    st = cfg.get("study", {})
-    eps_list = _eps_list(args, st)
-    table = studies.run_homog_study(
-        problem, eps_list, scheme=scheme,
-        a_eps=float(st.get("a_eps", 0.0)), qe=_number_or_inf(st.get("qe", "inf")),
-        t0_frac=float(st.get("t0_frac", 0.2)),
-        thresholds=st.get("thresholds"),
-        measure_floor_flag=bool(st.get("measure_floor", True)),
-        jobs=args.jobs)
+    study = cfgmod.read_table(cfg["study"], cfgmod.HOMOG_STUDY_KEYS, "study", ("eps_list",))
+    table = studies.run_homog_study(problem, scheme=scheme, jobs=args.jobs, **study)
     return _report(table, args.out, "homog_study.csv")
 
 
 def _cmd_study_lipschitz(args):
     cfg = cfgmod.load_config(args.config)
     base = cfgmod.build_problem(cfg["problem"])
-    st = cfg["study"]
     scheme = cfgmod.build_scheme(cfg["problem"])
-    deltas = [st["delta0"] * 0.5 ** j for j in range(int(st.get("levels", 5)))]
-    patterns = st.get("patterns", {})
+    study = cfgmod.read_table(cfg["study"], cfgmod.LIPSCHITZ_STUDY_KEYS, "study",
+                              ("delta0", "patterns"))
+    patterns = study.pop("patterns")
 
     def perturb(spec, d):
         return cfgmod.perturbed_spec(spec, patterns, d)
 
-    table = studies.run_lipschitz_study(
-        base, perturb, deltas, scheme=scheme, qe=_number_or_inf(st.get("qe", "inf")),
-        t0_frac=float(st.get("t0_frac", 0.2)),
-        thresholds=st.get("thresholds"))
+    table = studies.run_lipschitz_study(base, perturb, scheme=scheme, **study)
     return _report(table, args.out, "lipschitz_study.csv")
 
 
@@ -204,7 +182,7 @@ SUBCOMMANDS = {
     "solve": (_cmd_solve, ("--out", "--stride")),
     "homogenize": (_cmd_homogenize, ("--out", "--stride", "--eps-list")),
     "norms": (_cmd_norms, ()),
-    "study-homog": (_cmd_study_homog, ("--out", "--jobs", "--eps-list")),
+    "study-homog": (_cmd_study_homog, ("--out", "--jobs")),
     "study-lipschitz": (_cmd_study_lipschitz, ("--out", "--jobs")),
 }
 

@@ -1,6 +1,6 @@
 """Config-file layer: JSON trees with scalar / table / expression entries are
 turned into problem specs, two-scale problems, scheme parameters and study
-descriptions.
+settings.
 
 Field entries accept a number (constant), a [[t, v], ...] table (boundary
 series, linear interpolation) or an expression string in the field's
@@ -60,6 +60,11 @@ def field_entry(entry, variables):
     if isinstance(entry, str):
         return dsl.ExprFn(entry, variables)
     return ConstFn(float(entry))
+
+
+def number_or_inf(value):
+    """A config entry that is a number or the string "inf"."""
+    return float("inf") if str(value) == "inf" else float(value)
 
 
 def _sample_x(entry, x):
@@ -142,17 +147,35 @@ def build_two_scale_problem(cfg):
         source=cfg)
 
 
+def float_list(entry):
+    return [float(v) for v in entry]
+
+
 SCHEME_KEYS = {"store_stride": int, "dense_steps": int}
+
+# the keys of each "study" table with their readers; they are the argument
+# names of studies.run_homog_study and run_lipschitz_study, whose defaults
+# hold for a key the table omits
+HOMOG_STUDY_KEYS = {"eps_list": float_list, "qe": number_or_inf, "thresholds": dict}
+LIPSCHITZ_STUDY_KEYS = {"delta0": float, "levels": int, "qe": number_or_inf,
+                        "patterns": dict, "thresholds": dict}
+
+
+def read_table(table, readers, kind, required=()):
+    """{key: reader(value)} over a config table, one reader per key; an unknown
+    key, or a required key the table lacks, raises ValueError naming it."""
+    for key in table:
+        if key not in readers:
+            raise ValueError(f"unknown {kind} key '{key}'; known: {', '.join(readers)}")
+    for key in required:
+        if key not in table:
+            raise ValueError(f"{kind} table lacks key '{key}'")
+    return {key: readers[key](value) for key, value in table.items()}
 
 
 def build_scheme(cfg):
-    """SchemeParams from the optional "scheme" table; a key it does not know
-    raises ValueError naming the key."""
-    s = cfg.get("scheme", {})
-    for key in s:
-        if key not in SCHEME_KEYS:
-            raise ValueError(f"unknown scheme key '{key}'; known: {', '.join(SCHEME_KEYS)}")
-    return SchemeParams(**{key: SCHEME_KEYS[key](value) for key, value in s.items()})
+    """SchemeParams from the optional "scheme" table."""
+    return SchemeParams(**read_table(cfg.get("scheme", {}), SCHEME_KEYS, "scheme"))
 
 
 def perturbed_spec(base, patterns, delta):

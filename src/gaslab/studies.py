@@ -76,17 +76,6 @@ HOMOG_BOUND_COLUMNS = ("eta_C0L2", "u_L2_supHm1", "theta_L2", "xe_Linf",
 
 
 @dataclass
-class DeltaBreakdown:
-    """Itemized right-hand side of the continuous-dependence bound."""
-
-    items: dict
-
-    @property
-    def total(self):
-        return float(sum(self.items.values()))
-
-
-@dataclass
 class ConvergenceTable:
     param: str                     # "eps" or "delta"
     values: list
@@ -171,7 +160,8 @@ def compute_E0(grid, u0, theta0, eta0, bc, cV, m):
 
 
 def compute_delta(base, perturbed, qe=INF):
-    """Itemize the data-difference bound between two problem specs.
+    """Itemize the data-difference bound between two problem specs; the sum
+    of the items is Delta.
 
     Every item is a norm of a data difference (degree-1 homogeneous); dual
     norms enter through their computable majorants.  The force-composition
@@ -253,14 +243,18 @@ def compute_delta(base, perturbed, qe=INF):
     fdiff = force_diff(perturbed.f, base.f)
     items["f_h21star"] = h21star_majorant(g, fdiff, m, 1.0 / base.N, tt)
 
-    return DeltaBreakdown(items=items)
+    return items
 
 
 # ---------------------------------------------------------------------------
 # Difference columns shared by both studies
 
-def _zeta(times, T, t0_frac):
-    t0 = t0_frac * T
+# the zeta columns weight by zeta(t) = min(t / t0, 1), t0 = T0_FRAC * T
+T0_FRAC = 0.2
+
+
+def _zeta(times, T):
+    t0 = T0_FRAC * T
     return np.minimum(np.asarray(times) / t0, 1.0)
 
 
@@ -286,7 +280,7 @@ DIFFERENCE_COLUMNS = (
 )
 
 
-def difference_columns(grid, diff, times, m, qe, t0_frac=0.2):
+def difference_columns(grid, diff, times, m, qe):
     """Norm columns of solution differences.
 
     diff(rows) maps a slice of snapshot rows to a dict of the difference
@@ -294,7 +288,7 @@ def difference_columns(grid, diff, times, m, qe, t0_frac=0.2):
     columns are reduced block by block (norms.per_row), so no temporary spans
     the whole trajectory.  u_L2_supHm1 is the sum of u_L2 and u_supHm1.
     """
-    z = _zeta(times, grid.T, t0_frac)
+    z = _zeta(times, grid.T)
     zeta_pow = {1: z, 2: z ** 2}
 
     def block(rows):
@@ -359,6 +353,11 @@ def _fit_columns(columns, values, floors):
     return slopes, flags, decades
 
 
+def _stack(rows):
+    """{column: [row[column] for each row]} over rows with the same keys."""
+    return {col: [row[col] for row in rows] for col in rows[0]}
+
+
 def check_thresholds(table):
     """Evaluate threshold rules against fitted slopes; returns (ok, messages)."""
     ok = True
@@ -384,20 +383,20 @@ def check_thresholds(table):
 # ---------------------------------------------------------------------------
 # Continuous-dependence study
 
-def run_lipschitz_study(base_spec, perturb, deltas, scheme=SchemeParams(), qe=INF,
-                        t0_frac=0.2, thresholds=None):
+def run_lipschitz_study(base_spec, perturb, delta0, levels=5, scheme=SchemeParams(),
+                        qe=INF, thresholds=None):
     """Solve the base problem and a family of perturbed problems scaled by the
-    delta sweep; tabulate solution-difference norms and the data bound Delta,
-    and fit each column's log-log slope against Delta.
+    delta sweep delta0 * 2**-j, j < levels; tabulate solution-difference
+    norms and the data bound Delta, and fit each column's log-log slope
+    against Delta.
 
     perturb: callable (base_spec, delta) -> perturbed ProblemSpec.  A sweep
-    shorter than the four rows a rate fit needs or one that does not halve,
-    a perturbation that perturb rejects, and a base or perturbed spec that
-    problem.validate rejects raise ValueError before any solve.
+    shorter than the four rows a rate fit needs, a perturbation that perturb
+    rejects, and a base or perturbed spec that problem.validate rejects raise
+    ValueError before any solve.
     """
-    deltas = [float(d) for d in deltas]
+    deltas = [float(delta0) * 0.5 ** j for j in range(levels)]
     _require_rows(len(deltas))
-    _require_halving(deltas)
     pspecs = [perturb(base_spec, d) for d in deltas]
     require_valid("base spec", base_spec)
     for d, pspec in zip(deltas, pspecs):
@@ -406,34 +405,28 @@ def run_lipschitz_study(base_spec, perturb, deltas, scheme=SchemeParams(), qe=IN
     g = base_spec.grid
     m = base_spec.bc.m
 
-    columns = {}
-    delta_totals = []
-    item_cols = {}
-    hyp_cols = {"hyp_u_Linf": [], "hyp_Du_L2": []}
+    members = []
     for pspec in pspecs:
         psol = solve(pspec, scheme)
-        cols = difference_columns(g, _bundle_difference(psol, base_sol), base_sol.times,
-                                  m, qe, t0_frac)
-        for k, v in cols.items():
-            columns.setdefault(k, []).append(v)
-        br = compute_delta(base_spec, pspec, qe=qe)
-        delta_totals.append(br.total)
-        for k, v in br.items.items():
-            item_cols.setdefault("Delta_" + k, []).append(v)
+        row = difference_columns(g, _bundle_difference(psol, base_sol), base_sol.times,
+                                 m, qe)
+        items = compute_delta(base_spec, pspec, qe=qe)
+        row["Delta_total"] = float(sum(items.values()))
+        row.update({"Delta_" + k: v for k, v in items.items()})
         # norms assumed bounded for the perturbed solution: recorded per run,
         # drift across the sweep is flagged but never fails the study
-        hyp_cols["hyp_u_Linf"].append(float(np.abs(psol.u).max()))
+        row["hyp_u_Linf"] = float(np.abs(psol.u).max())
         du_l2 = per_row(len(psol.times),
                         lambda rows: space_lq(g, du_centers(g, psol.u[rows]), 2.0))
-        hyp_cols["hyp_Du_L2"].append(float(time_lr(du_l2, psol.times, 2.0)))
-
-    columns["Delta_total"] = delta_totals
-    columns.update(item_cols)
-    columns.update(hyp_cols)
+        row["hyp_Du_L2"] = float(time_lr(du_l2, psol.times, 2.0))
+        members.append(row)
+    columns = _stack(members)
+    delta_totals = columns["Delta_total"]
 
     fitted = {c: v for c, v in columns.items() if not c.startswith(("Delta", "hyp_"))}
     slopes, flags, _ = _fit_columns(fitted, delta_totals, {})
-    for name, vals in hyp_cols.items():
+    for name in ("hyp_u_Linf", "hyp_Du_L2"):
+        vals = columns[name]
         if min(vals) > 0 and max(vals) / min(vals) > 1.5:
             flags.append(f"hypothesis-drift:{name}")
 
@@ -447,7 +440,6 @@ def run_lipschitz_study(base_spec, perturb, deltas, scheme=SchemeParams(), qe=IN
     meta = {
         "study": "lipschitz",
         "grid": f"nx={g.nx} nt={g.nt} X={g.X:g} T={g.T:g}",
-        "m": m, "qe": str(qe),
         "config_hash": _config_hash(base_spec.source),
         "ratio_spread": ratio_spread,
     }
@@ -473,7 +465,7 @@ def floor_spec(problem):
     return replace(problem, grid=g2, bc=bc).averaged_spec()
 
 
-def measure_floor(hs, coarse_spec, scheme, qe, t0_frac=0.2):
+def measure_floor(hs, coarse_spec, scheme, qe):
     """Solver self-convergence floor of the averaged problem: difference between
     the (nx, nt) run `hs.base`, solved with `scheme`, and the run of its
     floor_spec `coarse_spec` restricted to the coarse grid, in every study column."""
@@ -490,15 +482,15 @@ def measure_floor(hs, coarse_spec, scheme, qe, t0_frac=0.2):
                 for name, restrict in DIFFERENCE_FIELDS.items()}
 
     return difference_columns(coarse_spec.grid, diff, coarse.times[ib], coarse_spec.bc.m,
-                              qe, t0_frac)
+                              qe)
 
 
 def _homog_columns_for_eps(args):
     """Study columns of the realized spec at scale osc against the averaged
     run, the specific volume read off the reconstruction, which is evaluated
     one row block at a time.  One argument, the tuple
-    (spec, hs, osc, scheme, qe, t0_frac), so a process pool can map it."""
-    spec, hs, osc, scheme, qe, t0_frac = args
+    (spec, hs, osc, scheme, qe), so a process pool can map it."""
+    spec, hs, osc, scheme, qe = args
     eps_sol = solve(spec, scheme)
     base_minus_eps = _bundle_difference(hs.base, eps_sol)
 
@@ -508,14 +500,13 @@ def _homog_columns_for_eps(args):
         np.subtract(hmg.eta_epsilon(hs, osc, rows), eps_sol.eta[rows], out=d["eta"])
         return d
 
-    return difference_columns(spec.grid, diff, hs.base.times, spec.bc.m, qe, t0_frac)
+    return difference_columns(spec.grid, diff, hs.base.times, spec.bc.m, qe)
 
 
-def run_homog_study(problem, eps_list, scheme=SchemeParams(), a_eps=0.0, qe=INF,
-                    t0_frac=0.2, thresholds=None, measure_floor_flag=True,
+def run_homog_study(problem, eps_list, scheme=SchemeParams(), qe=INF, thresholds=None,
                     jobs=1):
     """Averaged problem once, oscillating problem per eps; tabulate the error
-    columns and fit slopes against eps.
+    columns against the measured solver floor and fit slopes against eps.
 
     Enforces the resolution guard eps_min / dx >= 16 so the averaging error
     is not confounded with the spatial discretization error, then rejects a
@@ -530,32 +521,24 @@ def run_homog_study(problem, eps_list, scheme=SchemeParams(), a_eps=0.0, qe=INF,
             f"eps_min/dx = {min(eps_list) / g.dx:.3g} < 16; refine the grid")
     _require_rows(len(eps_list))
     _require_halving(eps_list)
-    oscs = [OscillationSpec(eps=e, a_eps=a_eps) for e in eps_list]
+    oscs = [OscillationSpec(eps=e) for e in eps_list]
     eps_specs = [problem.realized_spec(osc) for osc in oscs]
     for e, spec in zip(eps_list, eps_specs):
         require_valid(f"eps={e:g} spec", spec)
-    if measure_floor_flag:
-        coarse_spec = floor_spec(problem)
-        require_valid("floor spec", coarse_spec)
+    coarse_spec = floor_spec(problem)
+    require_valid("floor spec", coarse_spec)
 
     hs = hmg.solve_homogenized(problem, scheme)     # validates the averaged spec first
-    m = problem.bc.m
+    floors = measure_floor(hs, coarse_spec, scheme, qe)
 
-    floors = {}
-    if measure_floor_flag:
-        floors = measure_floor(hs, coarse_spec, scheme, qe, t0_frac)
-
-    columns = {}
-    args = [(s, hs, osc, scheme, qe, t0_frac) for s, osc in zip(eps_specs, oscs)]
+    args = [(s, hs, osc, scheme, qe) for s, osc in zip(eps_specs, oscs)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             results = list(ex.map(_homog_columns_for_eps, args))
     else:
         results = list(map(_homog_columns_for_eps, args))
-    for cols in results:
-        for k, v in cols.items():
-            columns.setdefault(k, []).append(v)
+    columns = _stack(results)
 
     slopes, flags, decades = _fit_columns(columns, eps_list, floors)
     for col in HOMOG_BOUND_COLUMNS:
@@ -567,15 +550,13 @@ def run_homog_study(problem, eps_list, scheme=SchemeParams(), a_eps=0.0, qe=INF,
     meta = {
         "study": "homogenization",
         "grid": f"nx={g.nx} nt={g.nt} X={g.X:g} T={g.T:g}",
-        "m": m, "qe": str(qe), "a_eps": a_eps,
         "config_hash": _config_hash(problem.source),
         "decades_above_floor": decades,
     }
     return ConvergenceTable(
         param="eps", values=eps_list, columns=columns, slopes=slopes,
         floors=floors, flags=flags,
-        thresholds=dict(thresholds or DEFAULT_THRESHOLDS_HOMOG),
-        metadata=meta)
+        thresholds=dict(thresholds or DEFAULT_THRESHOLDS_HOMOG), metadata=meta)
 
 
 # ---------------------------------------------------------------------------

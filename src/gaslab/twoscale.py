@@ -16,15 +16,14 @@ import numpy as np
 @dataclass(frozen=True)
 class OscillationSpec:
     eps: float
-    a_eps: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.eps <= 1.0:
             raise ValueError(f"eps must lie in (0, 1], got {self.eps}")
 
     def cell_coordinate(self, x):
-        """xi = fractional part of x/eps - a_eps."""
-        s = np.asarray(x, dtype=float) / self.eps - self.a_eps
+        """xi = fractional part of x/eps."""
+        s = np.asarray(x, dtype=float) / self.eps
         return s - np.floor(s)
 
 
@@ -71,7 +70,7 @@ class TwoScaleField:
 
 
 def realize(w, osc, x):
-    """w^(eps)(x) = w({x/eps - a_eps}, x) sampled at the given points."""
+    """w^(eps)(x) = w({x/eps}, x) sampled at the given points."""
     x = np.asarray(x, dtype=float)
     return w(osc.cell_coordinate(x), x) * np.ones_like(x)
 

@@ -200,9 +200,7 @@ def homog_benchmark():
     scheme = cfgmod.build_scheme(cfg)
     st = cfg["study"]
     t0 = time.time()
-    table = run_homog_study(problem, st["eps_list"], scheme=scheme,
-                            a_eps=st["a_eps"], qe=float("inf"),
-                            t0_frac=st["t0_frac"])
+    table = run_homog_study(problem, st["eps_list"], scheme=scheme, qe=float("inf"))
     return table, time.time() - t0
 
 
@@ -252,8 +250,7 @@ def test_criterion_07_lipschitz_dependence():
     def perturb(spec, d):
         return cfgmod.perturbed_spec(spec, patterns, d)
 
-    deltas = [0.1 * 0.5 ** j for j in range(5)]
-    table = run_lipschitz_study(base, perturb, deltas,
+    table = run_lipschitz_study(base, perturb, st["delta0"], levels=st["levels"],
                                 scheme=cfgmod.build_scheme(cfg["problem"]))
     details = []
     for col in LIPSCHITZ_BOUND_COLUMNS:

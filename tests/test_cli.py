@@ -107,7 +107,7 @@ def test_norms_rejects_a_key_the_norm_does_not_take(tmp_path, capsys):
 @pytest.mark.parametrize("command,flag", [
     ("norms", "--stride"), ("norms", "--jobs"), ("solve", "--jobs"),
     ("solve", "--eps-list"), ("homogenize", "--jobs"), ("study-homog", "--stride"),
-    ("study-lipschitz", "--eps-list")])
+    ("study-homog", "--eps-list"), ("study-lipschitz", "--eps-list")])
 def test_unread_flag_exits_2(command, flag):
     with pytest.raises(SystemExit) as exc:
         main([command, "cfg.json", flag, "5"])
@@ -115,13 +115,13 @@ def test_unread_flag_exits_2(command, flag):
 
 
 def test_one_reader_per_config_entry_kind():
-    assert cli._number_or_inf("inf") == float("inf")
-    assert cli._number_or_inf(2) == 2.0 and cli._number_or_inf("1.5") == 1.5
-    flag, no_flag = SimpleNamespace(eps_list="0.5,0.25"), SimpleNamespace(eps_list=None)
-    assert cli._eps_list(flag, {"eps_list": [1.0]}) == [0.5, 0.25]
-    assert cli._eps_list(no_flag, {"eps_list": [1, 0.5]}) == [1.0, 0.5]
-    with pytest.raises(KeyError):
-        cli._eps_list(no_flag, {})
+    assert cfgmod.number_or_inf("inf") == float("inf")
+    assert cfgmod.number_or_inf(2) == 2.0 and cfgmod.number_or_inf("1.5") == 1.5
+    read = cfgmod.read_table({"eps_list": [1, 0.5], "qe": "inf"}, cfgmod.HOMOG_STUDY_KEYS,
+                             "study", ("eps_list",))
+    assert read == {"eps_list": [1.0, 0.5], "qe": float("inf")}
+    with pytest.raises(ValueError, match="study table lacks key 'eps_list'"):
+        cfgmod.read_table({}, cfgmod.HOMOG_STUDY_KEYS, "study", ("eps_list",))
 
 
 def test_study_homog_without_eps_list_exits_2(tmp_path, capsys):
@@ -344,6 +344,27 @@ def test_stride_below_one_is_a_usage_error_before_solving(tmp_path, monkeypatch,
     assert exc.value.code == 2
     assert "argument --stride: must be an integer >= 1" in capsys.readouterr().err
     assert calls == [] and not out.exists()
+
+
+def lipschitz_cfg(**study):
+    return {"problem": small_problem_cfg(),
+            "study": {"delta0": 0.1, "levels": 4,
+                      "patterns": {"eta0": "0.5*sin(2*3.141592653589793*x)"}, **study}}
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("study-homog", "a_eps", 0.0), ("study-homog", "t0_frac", 0.2),
+    ("study-homog", "measure_floor", True), ("study-homog", "levels", 4),
+    ("study-lipschitz", "t0_frac", 0.2), ("study-lipschitz", "eps_list", [0.5])])
+def test_unknown_study_key_exits_before_solving(tmp_path, monkeypatch, capsys, command,
+                                                key, value):
+    calls = count_solves(monkeypatch)
+    cfg = two_scale_cfg([1.0, 0.5, 0.25, 0.125]) if command == "study-homog" \
+        else lipschitz_cfg()
+    cfg["study"][key] = value
+    assert main([command, write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"unknown study key '{key}'" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_non_halving_sweep_exits_before_solving(tmp_path, monkeypatch, capsys):

@@ -206,8 +206,7 @@ def test_study_with_forces_runs():
         * np.ones_like(x) / (1 + chi ** 2),
         force_breakpoints=(0.5,))
     table = run_homog_study(prob, [0.5, 0.25, 0.125, 0.0625],
-                            scheme=SchemeParams(store_stride=2),
-                            measure_floor_flag=False)
+                            scheme=SchemeParams(store_stride=2))
     for col in ("eta_C0L2", "u_L2", "theta_L2"):
         vals = table.columns[col]
         assert all(np.isfinite(v) and v > 0 for v in vals)

@@ -69,9 +69,9 @@ def test_E0_m1_affine_interpolant():
 def test_delta_zero_for_identical_specs():
     spec = spec_m(3)
     for other in (spec, replace(spec, perturbation=PerturbationSpec())):
-        br = compute_delta(spec, other)
-        assert br.total == 0.0
-        assert all(v == 0.0 for v in br.items.values())
+        items = compute_delta(spec, other)
+        assert sum(items.values()) == 0.0
+        assert all(v == 0.0 for v in items.values())
 
 
 def test_delta_rejects_mismatched_grids():
@@ -87,11 +87,11 @@ def test_delta_single_item_benchmark():
     pert = ProblemSpec(grid=g, gas=GAS, bc=base.bc,
                        eta0=base.eta0 + 0.01 * np.sin(2 * np.pi * g.centers()),
                        u0=base.u0, theta0=base.theta0)
-    br = compute_delta(base, pert)
-    assert br.items["eta0_l2"] == pytest.approx(0.01 / np.sqrt(2.0), rel=1e-10)
-    others = {k: v for k, v in br.items.items() if k != "eta0_l2"}
+    items = compute_delta(base, pert)
+    assert items["eta0_l2"] == pytest.approx(0.01 / np.sqrt(2.0), rel=1e-10)
+    others = {k: v for k, v in items.items() if k != "eta0_l2"}
     assert all(v < 1e-14 for v in others.values())
-    assert br.total == pytest.approx(0.01 / np.sqrt(2.0), rel=1e-8)
+    assert sum(items.values()) == pytest.approx(0.01 / np.sqrt(2.0), rel=1e-8)
 
 
 def test_delta_degree_one_homogeneity():
@@ -115,10 +115,10 @@ def test_delta_degree_one_homogeneity():
 
     b1 = compute_delta(base, family(1.0))
     b3 = compute_delta(base, family(3.0))
-    assert b3.total == pytest.approx(3.0 * b1.total, rel=1e-10)
-    for key in b1.items:
-        if b1.items[key] > 1e-14:
-            assert b3.items[key] / b1.items[key] == pytest.approx(3.0, rel=1e-10)
+    assert sum(b3.values()) == pytest.approx(3.0 * sum(b1.values()), rel=1e-10)
+    for key in b1:
+        if b1[key] > 1e-14:
+            assert b3[key] / b1[key] == pytest.approx(3.0, rel=1e-10)
     # the velocity item itself is linear as well
     shifted = ProblemSpec(grid=g, gas=GAS, bc=base.bc, eta0=base.eta0,
                           u0=base.u0 + 0.1 * np.sin(np.pi * g.edges()),
@@ -126,8 +126,8 @@ def test_delta_degree_one_homogeneity():
     shifted3 = ProblemSpec(grid=g, gas=GAS, bc=base.bc, eta0=base.eta0,
                            u0=base.u0 + 0.3 * np.sin(np.pi * g.edges()),
                            theta0=base.theta0)
-    r = (compute_delta(base, shifted3).items["u0_hm1"]
-         / compute_delta(base, shifted).items["u0_hm1"])
+    r = (compute_delta(base, shifted3)["u0_hm1"]
+         / compute_delta(base, shifted)["u0_hm1"])
     assert r == pytest.approx(3.0, rel=1e-10)
 
 
@@ -149,8 +149,8 @@ def test_delta_qe2_drops_primitive_beta_item():
         beta_e=np.zeros(base.grid.nx + 1)))
     br_inf = compute_delta(base, pert, qe=float("inf"))
     br_2 = compute_delta(base, pert, qe=2.0)
-    assert "it_i1beta2_lqe_inf" in br_inf.items
-    assert "it_i1beta2_lqe_inf" not in br_2.items
+    assert "it_i1beta2_lqe_inf" in br_inf
+    assert "it_i1beta2_lqe_inf" not in br_2
 
 
 # --- rate fitting ------------------------------------------------------------
@@ -242,8 +242,7 @@ def test_lipschitz_study_small():
     def perturb(spec, d):
         return cfgmod.perturbed_spec(spec, patterns, d)
 
-    deltas = [0.1 * 0.5 ** j for j in range(4)]
-    table = run_lipschitz_study(base, perturb, deltas,
+    table = run_lipschitz_study(base, perturb, 0.1, levels=4,
                                 scheme=SchemeParams(store_stride=2))
     for col in ("eta_C0L2", "u_L2", "theta_L2", "itsigma_C0L2"):
         s = table.slopes[col][0]
@@ -252,7 +251,8 @@ def test_lipschitz_study_small():
     assert max(spread.values()) < 3.0
     assert table.columns["Delta_total"][0] > 0
     # solution-regularity hypotheses recorded per run, no drift on this family
-    assert len(table.columns["hyp_Du_L2"]) == len(deltas)
+    assert table.values == [0.1 * 0.5 ** j for j in range(4)]
+    assert len(table.columns["hyp_Du_L2"]) == 4
     assert not any(f.startswith("hypothesis-drift") for f in table.flags)
 
 
@@ -265,9 +265,8 @@ def test_lipschitz_study_deterministic():
     def perturb(spec, d):
         return cfgmod.perturbed_spec(spec, patterns, d)
 
-    deltas = [0.1 * 0.5 ** j for j in range(4)]
-    t1 = run_lipschitz_study(base, perturb, deltas)
-    t2 = run_lipschitz_study(base, perturb, deltas)
+    t1 = run_lipschitz_study(base, perturb, 0.1, levels=4)
+    t2 = run_lipschitz_study(base, perturb, 0.1, levels=4)
     assert t1.columns == t2.columns
 
 
@@ -286,7 +285,7 @@ def two_scale_problem(nx, nt, osc=0.4):
 def test_homog_study_resolution_guard():
     prob = two_scale_problem(nx=64, nt=32)
     with pytest.raises(ResolutionGuard):
-        run_homog_study(prob, [1.0 / 8, 1.0 / 16], measure_floor_flag=False)
+        run_homog_study(prob, [1.0 / 8, 1.0 / 16])
 
 
 def _no_solve(*args, **kwargs):
@@ -296,7 +295,7 @@ def _no_solve(*args, **kwargs):
 def test_lipschitz_study_rejects_short_sweep_before_solving(monkeypatch):
     monkeypatch.setattr(studies, "solve", _no_solve)
     with pytest.raises(ValueError, match="at least 4 rows"):
-        run_lipschitz_study(spec_m(3), lambda spec, d: spec, [0.1, 0.05, 0.025])
+        run_lipschitz_study(spec_m(3), lambda spec, d: spec, 0.1, levels=3)
 
 
 def test_homog_study_rejects_short_sweep_before_solving(monkeypatch):
@@ -360,10 +359,8 @@ def test_homog_study_parallel_jobs_match_serial():
     }
     prob = cfgmod.build_two_scale_problem(cfg)
     eps = [0.5, 0.25, 0.125, 0.0625]
-    serial = run_homog_study(prob, eps, scheme=SchemeParams(store_stride=4),
-                             measure_floor_flag=False)
-    parallel = run_homog_study(prob, eps, scheme=SchemeParams(store_stride=4),
-                               measure_floor_flag=False, jobs=2)
+    serial = run_homog_study(prob, eps, scheme=SchemeParams(store_stride=4))
+    parallel = run_homog_study(prob, eps, scheme=SchemeParams(store_stride=4), jobs=2)
     assert serial.columns == parallel.columns
 
 
@@ -372,12 +369,6 @@ def test_perturbed_spec_rejects_pattern_on_unused_boundary_entry():
         cfgmod.perturbed_spec(spec_m(3), {"u0b": 1.0}, 0.1)
     with pytest.raises(ValueError, match="pXb"):
         cfgmod.perturbed_spec(spec_m(2), {"pXb": "0.2*t"}, 0.1)
-
-
-def test_lipschitz_study_rejects_non_halving_sweep_before_solving(monkeypatch):
-    monkeypatch.setattr(studies, "solve", _no_solve)
-    with pytest.raises(ValueError, match="factors of 2"):
-        run_lipschitz_study(spec_m(3), lambda spec, d: spec, [0.1, 0.075, 0.05, 0.025])
 
 
 def test_homog_study_rejects_non_halving_sweep_before_solving(monkeypatch):
@@ -389,10 +380,10 @@ def test_homog_study_rejects_non_halving_sweep_before_solving(monkeypatch):
 
 # --- blocked difference columns against the whole-array passes ---------------
 
-def whole_array_columns(grid, d, times, m, qe, t0_frac=0.2):
+def whole_array_columns(grid, d, times, m, qe):
     """Reference: the study columns of whole (ns, nx) difference arrays d, as
     difference_columns computed them before it read row blocks."""
-    z = np.minimum(np.asarray(times) / (t0_frac * grid.T), 1.0)
+    z = np.minimum(np.asarray(times) / (studies.T0_FRAC * grid.T), 1.0)
     cols = {}
     cols["eta_C0L2"] = c0l2_norm(grid, d["eta"])
     cols["u_L2"] = lqr_norm(grid, d["u"], 2.0, 2.0, times)
@@ -440,8 +431,8 @@ def test_blocked_difference_columns_match_whole_array_passes(nrows, m, qe):
     d = random_fields(rng, nrows, g.nx)
     times = random_times(rng, nrows, g.T)
     got = studies.difference_columns(g, lambda rows: {k: v[rows] for k, v in d.items()},
-                                     times, m, qe, 0.2)
-    assert_same_columns(got, whole_array_columns(g, d, times, m, qe, 0.2))
+                                     times, m, qe)
+    assert_same_columns(got, whole_array_columns(g, d, times, m, qe))
 
 
 @pytest.mark.parametrize("m", [1, 3])
@@ -459,7 +450,7 @@ def test_blocked_measure_floor_matches_whole_array_pairing(monkeypatch, m):
     coarse_spec = SimpleNamespace(grid=coarse_grid, bc=SimpleNamespace(m=m))
     monkeypatch.setattr(studies, "solve", lambda spec, scheme: coarse)
     got = studies.measure_floor(SimpleNamespace(base=fine), coarse_spec,
-                                SchemeParams(store_stride=4), INF, 0.2)
+                                SchemeParams(store_stride=4), INF)
 
     _, ia, ib = np.intersect1d(fine.steps, 2 * coarse.steps, assume_unique=True,
                                return_indices=True)

@@ -33,8 +33,6 @@ def test_oscillation_spec_validation():
         OscillationSpec(eps=0.0)
     with pytest.raises(ValueError):
         OscillationSpec(eps=1.5)
-    osc = OscillationSpec(eps=0.25, a_eps=0.1)
-    assert osc.cell_coordinate(0.25 * (0.1 + 0.3)) == pytest.approx(0.3)
 
 
 def test_field_breakpoint_certificate_checked():
