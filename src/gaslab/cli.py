@@ -162,8 +162,8 @@ def _cmd_study_lipschitz(args):
     return _report(table, args.out, "lipschitz_study.csv")
 
 
-def _stride(text):
-    """A --stride value: an integer of at least 1."""
+def _positive_int(text):
+    """A --stride or --jobs value: an integer of at least 1."""
     if not text.strip().isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return int(text)
@@ -171,8 +171,8 @@ def _stride(text):
 
 FLAGS = {
     "--out": {"default": "out", "help": "output directory"},
-    "--jobs": {"type": int, "default": 1, "help": "parallel solves"},
-    "--stride": {"type": _stride, "default": 1, "help": "snapshot stride (>= 1)"},
+    "--jobs": {"type": _positive_int, "default": 1, "help": "parallel solves (>= 1)"},
+    "--stride": {"type": _positive_int, "default": 1, "help": "snapshot stride (>= 1)"},
     "--eps-list": {"help": "comma-separated eps values, overrides the config"},
 }
 
@@ -199,7 +199,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, KeyError, OSError, dsl.ExprError, PositivityLoss,
+    except (ValueError, OSError, dsl.ExprError, PositivityLoss,
             NonlinearDivergence, NonFiniteState) as exc:  # runtime failures: exit 2
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,6 +1,7 @@
 """Config-file layer: JSON trees with scalar / table / expression entries are
 turned into problem specs, two-scale problems, scheme parameters and study
-settings.
+settings.  A table that lacks a key the reader asks for raises ValueError
+naming the key.
 
 Field entries accept a number (constant), a [[t, v], ...] table (boundary
 series, linear interpolation) or an expression string in the field's
@@ -18,6 +19,7 @@ from .homogenize import TwoScaleProblem
 from .problem import (ACTIVE_BC, BC_NAMES, BoundaryData, PerturbationSpec, ProblemSpec,
                       sample_boundary)
 from .solver import SchemeParams
+from .studies import DIFFERENCE_COLUMNS
 from .twoscale import TwoScaleField
 
 
@@ -41,9 +43,16 @@ class ConstFn:
         return np.full(shape, self.value)
 
 
+class Table(dict):
+    """A JSON object of a config file: a key it lacks raises ValueError."""
+
+    def __missing__(self, key):
+        raise ValueError(f"config table lacks key '{key}'")
+
+
 def load_config(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, object_hook=Table)
 
 
 def save_config(cfg, path):
@@ -148,25 +157,52 @@ def build_two_scale_problem(cfg):
 
 
 def float_list(entry):
+    """A config entry that is a list of numbers."""
     return [float(v) for v in entry]
+
+
+def threshold_rules(table):
+    """A "thresholds" table: {column: ["ge", x] | ["band", lo, hi]}, each
+    column one the studies fit; any other entry raises ValueError."""
+    fitted = [col for col, *_ in DIFFERENCE_COLUMNS] + ["u_L2_supHm1"]
+    rules = dict(table)
+    for col, rule in rules.items():
+        if col not in fitted:
+            raise ValueError(f"threshold on '{col}', a column no study fits")
+        if not (isinstance(rule, list) and len(rule) in (2, 3)
+                and rule[0] == ("ge" if len(rule) == 2 else "band")
+                and all(isinstance(v, (int, float)) for v in rule[1:])):
+            raise ValueError(f"threshold on '{col}' is not [\"ge\", x] or "
+                             f"[\"band\", lo, hi]: {rule!r}")
+    return rules
 
 
 SCHEME_KEYS = {"store_stride": int, "dense_steps": int}
 
 # the keys of each "study" table with their readers; they are the argument
-# names of studies.run_homog_study and run_lipschitz_study, whose defaults
-# hold for a key the table omits
-HOMOG_STUDY_KEYS = {"eps_list": float_list, "qe": number_or_inf, "thresholds": dict}
+# names of studies.run_homog_study and run_lipschitz_study (whose perturb the
+# CLI builds from patterns), and those defaults hold for a key the table omits
+HOMOG_STUDY_KEYS = {"eps_list": float_list, "qe": number_or_inf,
+                    "thresholds": threshold_rules}
 LIPSCHITZ_STUDY_KEYS = {"delta0": float, "levels": int, "qe": number_or_inf,
-                        "patterns": dict, "thresholds": dict}
+                        "patterns": dict, "thresholds": threshold_rules}
+
+# the pattern keys perturbed_spec reads: initial-data shifts, boundary-series
+# shifts (<entry>b) and the perturbation terms
+PATTERN_KEYS = ("eta0", "u0", "theta0", *(name + "b" for name in BC_NAMES), "beta_e",
+                *PERTURBATION_VARIABLES)
+
+
+def _check_keys(table, known, kind):
+    for key in table:
+        if key not in known:
+            raise ValueError(f"unknown {kind} key '{key}'; known: {', '.join(known)}")
 
 
 def read_table(table, readers, kind, required=()):
     """{key: reader(value)} over a config table, one reader per key; an unknown
     key, or a required key the table lacks, raises ValueError naming it."""
-    for key in table:
-        if key not in readers:
-            raise ValueError(f"unknown {kind} key '{key}'; known: {', '.join(readers)}")
+    _check_keys(table, readers, kind)
     for key in required:
         if key not in table:
             raise ValueError(f"{kind} table lacks key '{key}'")
@@ -181,8 +217,11 @@ def build_scheme(cfg):
 def perturbed_spec(base, patterns, delta):
     """Scale the study's perturbation patterns by delta and apply to the base
     spec: initial-data shifts, boundary-data shifts, and the extra terms.  A
-    boundary pattern on an entry the bc family does not use raises
-    ValueError."""
+    key it does not read, a table with no pattern and a boundary pattern on an
+    entry the bc family does not use raise ValueError."""
+    _check_keys(patterns, PATTERN_KEYS, "pattern")
+    if all(entry is None for entry in patterns.values()):
+        raise ValueError("the study perturbs nothing: its patterns table holds no pattern")
     for name in BC_NAMES:
         if patterns.get(name + "b") is not None and name not in ACTIVE_BC[base.bc.m]:
             raise ValueError(f"pattern {name}b shifts boundary entry {name}, which "

@@ -214,17 +214,26 @@ def test_short_sweep_exit_code(tmp_path, capsys):
 
 
 def test_programming_errors_are_not_runtime_errors(tmp_path, monkeypatch):
-    def broken(*args, **kwargs):
-        raise TypeError("float() argument must be a string or a real number")
-
-    monkeypatch.setattr(studies, "run_lipschitz_study", broken)
     path = write_cfg(tmp_path, {
         "problem": small_problem_cfg(),
         "study": {"delta0": 0.1, "levels": 4,
                   "patterns": {"eta0": "0.5*sin(2*3.141592653589793*x)"}},
     })
-    with pytest.raises(TypeError):
-        main(["study-lipschitz", path, "--out", str(tmp_path / "o")])
+    for error in (TypeError("float() argument must be a string or a real number"),
+                  KeyError("eta_C0L2")):
+        def broken(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(studies, "run_lipschitz_study", broken)
+        with pytest.raises(type(error)):
+            main(["study-lipschitz", path, "--out", str(tmp_path / "o")])
+
+
+def test_config_table_without_a_key_exits_2(tmp_path, capsys):
+    cfg = small_problem_cfg()
+    del cfg["gas"]["nu"]
+    assert main(["solve", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "config table lacks key 'nu'" in capsys.readouterr().err
 
 
 def test_snapshot_rows_match_per_cell_format(tmp_path):
@@ -352,6 +361,20 @@ def lipschitz_cfg(**study):
                       "patterns": {"eta0": "0.5*sin(2*3.141592653589793*x)"}, **study}}
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("command", ["study-homog", "study-lipschitz"])
+def test_jobs_below_one_is_a_usage_error_before_solving(tmp_path, monkeypatch, capsys,
+                                                        command, jobs):
+    calls = count_solves(monkeypatch)
+    cfg = two_scale_cfg([0.25]) if command == "study-homog" else lipschitz_cfg()
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([command, write_cfg(tmp_path, cfg), "--out", str(out), f"--jobs={jobs}"])
+    assert exc.value.code == 2
+    assert "argument --jobs: must be an integer >= 1" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 @pytest.mark.parametrize("command,key,value", [
     ("study-homog", "a_eps", 0.0), ("study-homog", "t0_frac", 0.2),
     ("study-homog", "measure_floor", True), ("study-homog", "levels", 4),
@@ -364,6 +387,43 @@ def test_unknown_study_key_exits_before_solving(tmp_path, monkeypatch, capsys, c
     cfg["study"][key] = value
     assert main([command, write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
     assert f"unknown study key '{key}'" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("patterns,message", [
+    ({"theta_0": "1"}, "unknown pattern key 'theta_0'"),
+    ({"eta0": "0.5", "uXb_": 1.0}, "unknown pattern key 'uXb_'"),
+    ({}, "perturbs nothing"), ({"eta0": None}, "perturbs nothing"),
+    (None, "study table lacks key 'patterns'")])
+def test_lipschitz_pattern_error_exits_before_solving(tmp_path, monkeypatch, capsys,
+                                                      patterns, message):
+    calls = count_solves(monkeypatch)
+    cfg = lipschitz_cfg(patterns=patterns)
+    if patterns is None:
+        del cfg["study"]["patterns"]
+    assert main(["study-lipschitz", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) \
+        == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["study-homog", "study-lipschitz"])
+@pytest.mark.parametrize("thresholds,message", [
+    ({"eta_C0l2": ["ge", 0.9]}, "threshold on 'eta_C0l2', a column no study fits"),
+    ({"Delta_total": ["ge", 0.9]}, "threshold on 'Delta_total', a column no study fits"),
+    ({"eta_C0L2": ["gt", 0.9]}, "threshold on 'eta_C0L2' is not"),
+    ({"eta_C0L2": ["band", 0.9]}, "threshold on 'eta_C0L2' is not"),
+    ({"eta_C0L2": ["ge", "0.9"]}, "threshold on 'eta_C0L2' is not"),
+    ({"eta_C0L2": 0.9}, "threshold on 'eta_C0L2' is not"),
+    ([["ge", 0.9]], "threshold on 'ge', a column no study fits")])
+def test_bad_threshold_exits_before_solving(tmp_path, monkeypatch, capsys, command,
+                                            thresholds, message):
+    calls = count_solves(monkeypatch)
+    cfg = two_scale_cfg([1.0, 0.5, 0.25, 0.125]) if command == "study-homog" \
+        else lipschitz_cfg()
+    cfg["study"]["thresholds"] = thresholds
+    assert main([command, write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
     assert calls == []
 
 
