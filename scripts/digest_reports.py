@@ -52,6 +52,11 @@ def _commands():
     homog.update(grid={"nx": 512, "nt": 256}, nxi=64,
                  scheme={"store_stride": 4, "dense_steps": 8})
     homog["study"]["eps_list"] = [0.25, 0.125, 0.0625, 0.03125]
+    # a forced two-scale run puts the realized and cell-averaged forces, and a
+    # constant one, in the Picard loop
+    forced_homog = json.loads(json.dumps(homog))
+    forced_homog["data"].update(
+        g="0.2*sin(3.141592653589793*chi)*(1 + 0.5*step(xi - 0.5))", f="0.3")
     norm_runs = [(tag, {}) for tag in sorted(NAMED_NORMS)] + NORM_VARIANTS
     norm_cfgs = [dict(_config("norm_demo.json"), field=NORM_FIELD, norm=dict(keys, tag=tag))
                  for tag, keys in norm_runs]
@@ -64,6 +69,9 @@ def _commands():
         ("study_homog", "study-homog", homog, []),
         # the process-pool path: its report must hash as the serial one does
         ("study_homog_jobs2", "study-homog", homog, ["--jobs", "2"]),
+        ("homogenize_forced", "homogenize", forced_homog,
+         ["--eps-list", "0.125", "--stride", "4"]),
+        ("study_homog_forced", "study-homog", forced_homog, []),
         ("study_lipschitz", "study-lipschitz", _config("lipschitz_benchmark.json"), []),
     ] + [(f"norms_{i:02d}_{cfg['norm']['tag']}", "norms", cfg, [])
          for i, cfg in enumerate(norm_cfgs)]
