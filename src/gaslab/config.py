@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from . import dsl
-from .grid import Grid, GasParams
+from .grid import Grid, GasParams, sample_field
 from .homogenize import TwoScaleProblem
 from .problem import (ACTIVE_BC, BC_NAMES, BoundaryData, PerturbationSpec, ProblemSpec,
                       sample_boundary)
@@ -39,8 +39,7 @@ class ConstFn:
         self.value = float(value)
 
     def __call__(self, *args):
-        shape = np.broadcast(*[np.asarray(a, dtype=float) for a in args]).shape
-        return np.full(shape, self.value)
+        return self.value
 
 
 class Table(dict):
@@ -78,8 +77,7 @@ def number_or_inf(value):
 
 def _sample_x(entry, x):
     """Samples of an entry over x at the points x; a null entry reads as zero."""
-    fn = field_entry(0.0 if entry is None else entry, ("x",))
-    return np.asarray(fn(x), dtype=float) * np.ones_like(x)
+    return sample_field(field_entry(entry, ("x",)), x)
 
 
 # the variables of each perturbation callable, in config trees and study patterns

@@ -70,6 +70,17 @@ class GasParams:
                 raise ValueError(f"gas parameter {name} must be > 0")
 
 
+def sample_field(fn, *args):
+    """fn(*args) for a data callable, as a float array of the broadcast shape
+    of its arguments; zeros when fn is None.  A sample that already has that
+    shape is returned as it is, not copied: the one way data are sampled."""
+    shape = np.broadcast(*args).shape
+    if fn is None:
+        return np.zeros(shape)
+    out = np.asarray(fn(*args), dtype=float)
+    return out if out.shape == shape else out * np.ones(shape)
+
+
 def integrate_center(grid, y):
     """integral over Omega of a cell-center field (midpoint rule); exact X for y == 1."""
     y = np.asarray(y)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import time_primitive
-from .grid import Grid, GasParams
+from .grid import Grid, GasParams, sample_field
 from .problem import BoundaryData, ProblemSpec, require_valid
 from .solver import SchemeParams, solve
 from .twoscale import (TwoScaleField, homogenized_theta0, realize, xi_mean,
@@ -48,11 +48,8 @@ class _AveragedForce:
         self.nodes, self.weights = xi_quadrature(breakpoints, n_xi)
 
     def __call__(self, chi, x, t):
-        x = np.asarray(x, dtype=float)
-        chi = np.asarray(chi, dtype=float) * np.ones_like(x)
-        vals = self.fn(chi[None, :], self.nodes[:, None], x[None, :], t)
-        vals = vals * np.ones((len(self.nodes), x.size))
-        return self.weights @ vals
+        return self.weights @ sample_field(self.fn, chi[None, :], self.nodes[:, None],
+                                           x[None, :], t)
 
 
 @dataclass(frozen=True)

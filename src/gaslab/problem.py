@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dsl
 from .calculus import time_primitive
-from .grid import Grid, GasParams, integrate_center
+from .grid import Grid, GasParams, integrate_center, sample_field
 from .norms import space_lq, time_lr, w11_time_norm
 
 
@@ -32,47 +32,31 @@ ACTIVE_BC = {
 }
 
 
-def sample_field(fn, *args):
-    """fn(*args) for a data callable whose last two arguments are (x, t), as
-    a float array shaped like x; zeros when fn is None.  A sample that is
-    already shaped like x is returned as it is, not copied."""
-    x = args[-2]
-    if fn is None:
-        return np.zeros_like(x)
-    out = np.asarray(fn(*args), dtype=float)
-    return out if out.shape == np.shape(x) else out * np.ones_like(x)
-
-
 def sample_field_times(fn, times, *args):
     """sample_field(fn, *args, t) stacked over `times`: array (len(times), len(x))
     with x = args[-1]."""
     out = np.zeros((len(times), len(args[-1])))
-    if fn is not None:
-        for n, t in enumerate(times):
-            out[n] = sample_field(fn, *args, t)
+    for n, t in enumerate(times):
+        out[n] = sample_field(fn, *args, t)
     return out
 
 
 def sample_boundary(entry, times):
-    """Boundary entry -> samples at `times`.  Accepts None (zeros), a number,
-    an expression string in t, a [[t, v], ...] table (linear interpolation),
-    a callable of t, or an array with one sample per time."""
-    if entry is None:
-        return np.zeros(len(times))
-    if isinstance(entry, str):
-        values = dsl.ExprFn(entry, ("t",))(times)
-        return np.asarray(values, dtype=float) * np.ones(len(times))
-    if callable(entry):
-        return np.asarray([float(entry(t)) for t in times])
-    arr = np.asarray(entry, dtype=float)
-    if arr.ndim == 0:
-        return np.full(len(times), float(arr))
-    if arr.ndim == 2 and arr.shape[1] == 2:
-        return np.interp(times, arr[:, 0], arr[:, 1])
-    if arr.shape != (len(times),):
-        raise ValueError(f"boundary series has shape {arr.shape}; expected a "
-                         f"[[t, v], ...] table or {len(times)} samples")
-    return arr
+    """Boundary entry -> samples at `times`: None (zeros), a number, an
+    expression string in t or a [[t, v], ...] table (linear interpolation).
+    Any other entry raises ValueError."""
+    if entry is None or isinstance(entry, str):
+        return sample_field(None if entry is None else dsl.ExprFn(entry, ("t",)), times)
+    try:
+        table = np.asarray(entry, dtype=float)
+    except (TypeError, ValueError):
+        table = np.empty(0)
+    if table.ndim == 0:
+        return np.full(len(times), float(table))
+    if table.ndim == 2 and table.shape[1] == 2:
+        return np.interp(times, table[:, 0], table[:, 1])
+    raise ValueError(f"boundary entry {entry!r} is not null, a number, an expression "
+                     "in t or a [[t, v], ...] table")
 
 
 @dataclass(frozen=True)
@@ -98,10 +82,9 @@ class BoundaryData:
             for name in BC_NAMES})
 
     def at(self, times, t):
-        """Interpolated boundary values at an arbitrary time (substeps);
-        `times` are the step times, grid.times()."""
-        return {name: float(np.interp(t, times, getattr(self, name + "_t")))
-                for name in BC_NAMES}
+        """Interpolated boundary values at a time t (substeps) or an array of
+        times; `times` are the step times, grid.times()."""
+        return {name: np.interp(t, times, getattr(self, name + "_t")) for name in BC_NAMES}
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,9 @@ from numpy.linalg import _umath_linalg
 
 from .calculus import primitive_at_edges, time_primitive, i_bracket, mean_omega
 from .grid import du_centers, dw_edges_interior, edges_to_centers, integrate_edge, \
-    integrate_center
+    integrate_center, sample_field
 from .norms import per_row, space_lq
-from .problem import SolutionBundle, sample_field
+from .problem import SolutionBundle
 
 
 class PositivityLoss(RuntimeError):

@@ -19,7 +19,7 @@ from .calculus import i_bracket, mean_omega, primitive_at_edges, time_primitive
 from .grid import Grid, du_centers, edges_to_centers
 from .norms import (INF, h21star_majorant, h_minus_one, lqr_norm, per_row,
                     space_lq, time_lr, v2star_majorant, w11_time_norm)
-from .problem import BC_NAMES, BoundaryData, require_valid, sample_field_times
+from .problem import BoundaryData, require_valid, sample_field_times
 from .solver import SchemeParams, solve
 from .twoscale import OscillationSpec
 from . import homogenize as hmg
@@ -460,8 +460,7 @@ def floor_spec(problem):
         raise ValueError("floor measurement needs even nx and nt")
     g2 = Grid(X=g.X, T=g.T, nx=g.nx // 2, nt=g.nt // 2)
     bc = BoundaryData(m=problem.bc.m, **{
-        name + "_t": np.interp(g2.times(), g.times(), getattr(problem.bc, name + "_t"))
-        for name in BC_NAMES})
+        name + "_t": v for name, v in problem.bc.at(g.times(), g2.times()).items()})
     return replace(problem, grid=g2, bc=bc).averaged_spec()
 
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import sample_field
+
 
 @dataclass(frozen=True)
 class OscillationSpec:
@@ -71,24 +73,20 @@ class TwoScaleField:
 
 def realize(w, osc, x):
     """w^(eps)(x) = w({x/eps}, x) sampled at the given points."""
-    x = np.asarray(x, dtype=float)
-    return w(osc.cell_coordinate(x), x) * np.ones_like(x)
+    return sample_field(w, osc.cell_coordinate(x), x)
 
 
 def xi_mean(w, x):
     """<w>(x): per-sample quadrature over the periodic cell."""
-    x = np.asarray(x, dtype=float)
     nodes, weights = w.quadrature()
-    vals = w(nodes[:, None], x[None, :]) * np.ones((len(nodes), len(x)))
-    return weights @ vals
+    return weights @ sample_field(w, nodes[:, None], x[None, :])
 
 
 def xi_sample(w, x):
     """Samples of w on the quadrature lattice: array (n_nodes, len(x)) plus
     the weights; used for seminorms of two-scale data."""
-    x = np.asarray(x, dtype=float)
     nodes, weights = w.quadrature()
-    return w(nodes[:, None], x[None, :]) * np.ones((len(nodes), len(x))), weights
+    return sample_field(w, nodes[:, None], x[None, :]), weights
 
 
 def homogenized_theta0(u0, theta0, cV, x):

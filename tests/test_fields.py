@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from gaslab import config as cfgmod
-from gaslab.grid import Grid, GasParams, du_centers, integrate_center, integrate_edge
-from gaslab.problem import BC_NAMES, BoundaryData, PerturbationSpec, ProblemSpec, validate
+from gaslab.grid import (Grid, GasParams, du_centers, integrate_center, integrate_edge,
+                         sample_field)
+from gaslab.homogenize import _AveragedForce
+from gaslab.problem import (BC_NAMES, BoundaryData, PerturbationSpec, ProblemSpec,
+                            sample_boundary, validate)
 from gaslab.solver import SchemeParams, solve
+from gaslab.twoscale import OscillationSpec, TwoScaleField, realize, xi_mean
 
 
 def basic_grid():
@@ -212,8 +216,6 @@ BC_ENTRY_KINDS = {
     "number": (0.25, lambda t: 0.25 + 0.0 * t),
     "expression": ("1 + 2*t", lambda t: 1.0 + 2.0 * t),
     "table": ([[0.0, 1.0], [0.5, 2.0]], lambda t: 1.0 + 2.0 * t),
-    "callable": (lambda t: 1.0 + 2.0 * t, lambda t: 1.0 + 2.0 * t),
-    "array": (np.linspace(1.0, 2.0, 101), lambda t: 1.0 + 2.0 * t),
 }
 
 
@@ -225,8 +227,8 @@ def test_boundary_table_entries(kind):
     bc = BoundaryData.build(g, m=1, u0=entry, uX=0.0, pX=entry, pi0=0.0, piX=0.0)
     assert np.allclose(bc.u0_t, expected(g.times()), rtol=0.0, atol=1e-14)
     assert not np.any(bc.pX_t)
-    for bad in (np.ones(g.nt), [[0.0, 1.0, 2.0], [0.5, 2.0, 3.0]]):
-        with pytest.raises(ValueError):
+    for bad in (np.ones(g.nt), [[0.0, 1.0, 2.0], [0.5, 2.0, 3.0]], lambda t: 1.0):
+        with pytest.raises(ValueError, match="a number, an expression in t or a"):
             BoundaryData.build(g, m=1, u0=bad, uX=0.0)
 
 
@@ -235,3 +237,32 @@ def test_boundary_interpolation_between_steps():
     bc = BoundaryData.build(g, m=3, p0="1 + t", pX=1.0, pi0=0.0, piX=0.0)
     mid = bc.at(g.times(), 0.5 * g.dt)
     assert mid["p0"] == pytest.approx(1.0 + 0.5 * g.dt, rel=1e-12)
+    both = bc.at(g.times(), np.array([0.5 * g.dt, 0.25]))
+    assert both["p0"].tolist() == [mid["p0"], bc.at(g.times(), 0.25)["p0"]]
+
+
+# (constant, x-only, full) entries over each sampler's variables; a boundary
+# series has t alone, so its "x-only" entry is in t
+SAMPLER_ENTRIES = {"constant": (0.5, 0.5, 0.5, 0.5),
+                   "x-only": ("1 + t", "1 + x", "1 + x", "1 + x"),
+                   "full": ("1 + t", "1 + x", "1 + x*step(xi - 0.5)", "1 + chi*xi*x*t")}
+
+
+@pytest.mark.parametrize("kind", list(SAMPLER_ENTRIES))
+def test_every_sampler_returns_the_full_sample_shape(kind):
+    g = basic_grid()
+    xc, xe = g.centers(), g.edges()
+    in_t, in_x, in_xi_x, in_all = SAMPLER_ENTRIES[kind]
+    w = TwoScaleField(cfgmod.field_entry(in_xi_x, ("xi", "x")), breakpoints=(0.5,))
+    force = _AveragedForce(cfgmod.field_entry(in_all, ("chi", "xi", "x", "t")), (0.5,))
+    samples = [(sample_boundary(in_t, g.times()), g.nt + 1),
+               (cfgmod._sample_x(in_x, xc), g.nx),
+               (realize(w, OscillationSpec(0.25), xc), g.nx),
+               (xi_mean(w, xc), g.nx),
+               (force(np.linspace(0.0, 2.0, g.nx + 1), xe, 0.3), g.nx + 1)]
+    for values, n in samples:
+        assert values.shape == (n,) and values.dtype == float
+        if kind == "constant":
+            assert np.allclose(values, 0.5, rtol=1e-15, atol=0.0)
+    assert sample_field(None, xc, 0.3).tolist() == [0.0] * g.nx
+    assert cfgmod._sample_x(None, xe).tolist() == [0.0] * (g.nx + 1)

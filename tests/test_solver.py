@@ -78,8 +78,7 @@ def test_gas_volume_identity_m1_exact():
 
 def test_gas_volume_identity_m1_with_moving_boundaries():
     g = Grid(X=1.0, T=0.25, nx=64, nt=200)
-    bc = BoundaryData.build(g, m=1, u0=lambda t: 0.05 * np.sin(6 * t),
-                            uX=lambda t: -0.02 * t, pi0=0.0, piX=0.0)
+    bc = BoundaryData.build(g, m=1, u0="0.05*sin(6*t)", uX="-0.02*t", pi0=0.0, piX=0.0)
     spec = ProblemSpec(grid=g, gas=GAS, bc=bc, eta0=np.ones(g.nx),
                        u0=np.zeros(g.nx + 1), theta0=np.ones(g.nx))
     sol = solve(spec)
@@ -236,8 +235,7 @@ def test_heat_source_raises_temperature():
 def test_positivity_loss_reported():
     # strong imposed rarefaction at both ends empties the gas volume
     g = Grid(X=1.0, T=2.0, nx=32, nt=40)
-    bc = BoundaryData.build(g, m=1, u0=lambda t: 2.0, uX=lambda t: -2.0,
-                            pi0=0.0, piX=0.0)
+    bc = BoundaryData.build(g, m=1, u0=2.0, uX=-2.0, pi0=0.0, piX=0.0)
     spec = ProblemSpec(grid=g, gas=GAS, bc=bc, eta0=np.ones(g.nx),
                        u0=np.zeros(g.nx + 1), theta0=np.ones(g.nx))
     with pytest.raises((PositivityLoss, NonlinearDivergence)):
