@@ -86,27 +86,38 @@ PERTURBATION_VARIABLES = {"beta": ("x", "t"), "gamma": ("x", "t"), "beta1": ("x"
                           "g2": ("chi", "x", "t")}
 
 
+# the keys the plain and the two-scale builders read from a "data" table
+DATA_KEYS = ("eta0", "u0", "theta0", "g", "f")
+
+
+def _table(cfg, name, known):
+    """cfg[name], checked to be a JSON object holding only keys in `known`."""
+    _check_keys(cfg[name], known, name)
+    return cfg[name]
+
+
 def build_grid(cfg):
-    dom = cfg["domain"]
-    gr = cfg["grid"]
+    dom = _table(cfg, "domain", ("X", "T"))
+    gr = _table(cfg, "grid", ("nx", "nt"))
     return Grid(X=float(dom["X"]), T=float(dom["T"]),
                 nx=int(gr["nx"]), nt=int(gr["nt"]))
 
 
 def build_gas(cfg):
-    gas = cfg["gas"]
+    gas = _table(cfg, "gas", ("nu", "k", "cV", "lambda"))
     return GasParams(nu=float(gas["nu"]), k=float(gas["k"]),
                      cV=float(gas["cV"]), lam=float(gas["lambda"]))
 
 
 def build_bc(cfg, grid):
-    bc = cfg["bc"]
+    bc = _table(cfg, "bc", ("m", *BC_NAMES))
     return BoundaryData.build(grid, m=int(bc["m"]),
                               **{name: bc.get(name) for name in BC_NAMES})
 
 
 def build_perturbation(cfg, grid):
     p = cfg.get("perturbation") or {}
+    _check_keys(p, ("beta_e", *PERTURBATION_VARIABLES), "perturbation")
     return PerturbationSpec(
         beta_e=_sample_x(p.get("beta_e"), grid.edges()),
         **{key: field_entry(p.get(key), variables)
@@ -116,7 +127,7 @@ def build_perturbation(cfg, grid):
 def build_problem(cfg):
     """Plain (single-scale) problem from a config tree."""
     grid = build_grid(cfg)
-    data = cfg["data"]
+    data = _table(cfg, "data", DATA_KEYS)
     return ProblemSpec(
         grid=grid, gas=build_gas(cfg), bc=build_bc(cfg, grid),
         eta0=_sample_x(data["eta0"], grid.centers()),
@@ -133,7 +144,7 @@ def build_two_scale_problem(cfg):
     """Two-scale problem: data expressions over (xi, x), forces over
     (chi, xi, x, t), with the declared xi breakpoints."""
     grid = build_grid(cfg)
-    data = cfg["data"]
+    data = _table(cfg, "data", DATA_KEYS)
     bp = tuple(cfg.get("breakpoints_xi", ()))
     n_xi = int(cfg.get("nxi", 256))
 
@@ -192,6 +203,8 @@ PATTERN_KEYS = ("eta0", "u0", "theta0", *(name + "b" for name in BC_NAMES), "bet
 
 
 def _check_keys(table, known, kind):
+    if not isinstance(table, dict):
+        raise ValueError(f"{kind} table is not a JSON object: {table!r}")
     for key in table:
         if key not in known:
             raise ValueError(f"unknown {kind} key '{key}'; known: {', '.join(known)}")
@@ -199,12 +212,19 @@ def _check_keys(table, known, kind):
 
 def read_table(table, readers, kind, required=()):
     """{key: reader(value)} over a config table, one reader per key; an unknown
-    key, or a required key the table lacks, raises ValueError naming it."""
+    key, a required key the table lacks or a value its reader cannot read
+    raises ValueError naming it."""
     _check_keys(table, readers, kind)
     for key in required:
         if key not in table:
             raise ValueError(f"{kind} table lacks key '{key}'")
-    return {key: readers[key](value) for key, value in table.items()}
+    out = {}
+    for key, value in table.items():
+        try:
+            out[key] = readers[key](value)
+        except TypeError as exc:
+            raise ValueError(f"{kind} key '{key}' cannot read {value!r}: {exc}") from None
+    return out
 
 
 def build_scheme(cfg):

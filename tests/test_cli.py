@@ -327,6 +327,54 @@ def test_unknown_scheme_key_exits_before_solving(tmp_path, monkeypatch, capsys, 
     assert calls == []
 
 
+# a key no builder reads is a typo that would silently drop a datum
+@pytest.mark.parametrize("section,key", [
+    ("data", "F"), ("perturbation", "gama"), ("bc", "piO"), ("gas", "lamda"),
+    ("domain", "L"), ("grid", "ny")])
+def test_unknown_table_key_exits_before_solving(tmp_path, monkeypatch, capsys, section,
+                                                key):
+    calls = count_solves(monkeypatch)
+    cfg_dict = small_problem_cfg()
+    cfg_dict.setdefault(section, {})[key] = 0.1
+    cfg = write_cfg(tmp_path, cfg_dict)
+    assert main(["solve", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"unknown {section} key '{key}'" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_unknown_two_scale_data_key_exits_before_solving(tmp_path, monkeypatch, capsys):
+    calls = count_solves(monkeypatch)
+    cfg = two_scale_cfg([1.0, 0.5, 0.25, 0.125])
+    cfg["data"]["F"] = "0.3"
+    assert main(["study-homog", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown data key 'F'" in capsys.readouterr().err
+    assert calls == []
+
+
+# a table or a study value of the wrong JSON shape is a config error (exit 2),
+# not a TypeError that ends the run with the threshold-failure code 1
+@pytest.mark.parametrize("command,where,value,message", [
+    ("study-homog", ("study", "eps_list"), 0.25, "study key 'eps_list' cannot read 0.25"),
+    ("study-homog", ("scheme",), 5, "scheme table is not a JSON object: 5"),
+    ("study-homog", ("study",), [0.25], "study table is not a JSON object"),
+    ("study-lipschitz", ("study", "delta0"), [0.1], "study key 'delta0' cannot read [0.1]"),
+    ("study-lipschitz", ("study", "patterns"), 5, "study key 'patterns' cannot read 5"),
+    ("solve", ("gas",), [0.1, 1.0, 1.0, 0.1], "gas table is not a JSON object"),
+    ("solve", ("perturbation",), "0.1", "perturbation table is not a JSON object")])
+def test_bad_table_shape_exits_before_solving(tmp_path, monkeypatch, capsys, command, where,
+                                              value, message):
+    calls = count_solves(monkeypatch)
+    cfg = {"solve": small_problem_cfg, "study-lipschitz": lipschitz_cfg,
+           "study-homog": lambda: two_scale_cfg([1.0, 0.5, 0.25, 0.125])}[command]()
+    table = cfg
+    for key in where[:-1]:
+        table = table[key]
+    table[where[-1]] = value
+    assert main([command, write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
+
+
 @pytest.mark.parametrize("key,value,message", [
     ("store_stride", 0, "store_stride must be at least 1"),
     ("dense_steps", -1, "dense_steps must be nonnegative")])
