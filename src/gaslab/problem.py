@@ -36,8 +36,9 @@ def sample_field_times(fn, times, *args):
     """sample_field(fn, *args, t) stacked over `times`: array (len(times), len(x))
     with x = args[-1]."""
     out = np.zeros((len(times), len(args[-1])))
-    for n, t in enumerate(times):
-        out[n] = sample_field(fn, *args, t)
+    if fn is not None:
+        for n, t in enumerate(times):
+            out[n] = sample_field(fn, *args, t)
     return out
 
 
