@@ -42,6 +42,19 @@ def _commands():
     """(name, subcommand, config tree, arguments after the config path)."""
     m1 = _config("conservation_m1.json")
     m1["grid"] = {"nx": 128, "nt": 250}
+    # every absent-data shortcut of the stepper off: perturbation terms and forces
+    perturbed_m1 = json.loads(json.dumps(m1))
+    perturbed_m1["perturbation"] = {"beta": "0.05*sin(2*3.141592653589793*x)*cos(3*t)",
+                                    "gamma": "0.1*x*(1 - x)",
+                                    "beta_e": "0.02*sin(3.141592653589793*x)"}
+    perturbed_m1["data"].update(g="0.3*sin(3.141592653589793*chi)*cos(6*t)",
+                                f="0.2*(1 + 0.5*cos(chi))")
+    # a velocity pulse on a coarse step: its substeps are [2, 4, 4, 4, 2, 2, 1, 1],
+    # so the retry path and the halved attempts are under the byte check
+    halving_m1 = json.loads(json.dumps(m1))
+    halving_m1.update(domain={"X": 1.0, "T": 0.25}, grid={"nx": 32, "nt": 8})
+    halving_m1["data"] = {"eta0": 1.0, "u0": "2*sin(2*3.141592653589793*x)", "theta0": 1.0}
+    halving_m1["scheme"] = {"store_stride": 1}
     forced_m2 = _config("pulse.json")
     forced_m2["grid"] = {"nx": 128, "nt": 200}
     forced_m2["bc"] = {"m": 2, "p0": "1 + 0.1*sin(6*t)", "uX": "0.03*sin(6*t)",
@@ -64,6 +77,8 @@ def _commands():
         ("solve_pulse_m3", "solve", _config("pulse.json"), ["--stride", "4"]),
         ("solve_m1", "solve", m1, []),
         ("solve_forced_m2", "solve", forced_m2, ["--stride", "2"]),
+        ("solve_perturbed_m1", "solve", perturbed_m1, ["--stride", "4"]),
+        ("solve_halving_m1", "solve", halving_m1, []),
         ("homogenize", "homogenize", homog, ["--eps-list", "0.125,0.0625", "--stride", "2"]),
         ("norms", "norms", _config("norm_demo.json"), []),
         ("study_homog", "study-homog", homog, []),
