@@ -17,15 +17,17 @@ and discontinuities persist by design.  No limiting or regularization.
 """
 
 import ctypes
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .calculus import primitive_at_edges, time_primitive, i_bracket, mean_omega
-from .grid import du_centers, dw_edges_interior, edges_to_centers, integrate_edge, \
-    integrate_center, sample_field
+from .grid import du_centers, edges_to_centers, integrate_edge, integrate_center, \
+    sample_field
 from .norms import per_row, space_lq
 from .problem import SolutionBundle
 
@@ -126,19 +128,27 @@ class _Tridiagonal:
         return self.rhs.copy()
 
 
+@functools.lru_cache(maxsize=64)
+def _lagrange_weights(h, steps):
+    """Weights of the Lagrange extrapolation to h through the nodes 0, -steps[0],
+    -steps[0] - steps[1], ..."""
+    nodes = [0.0]
+    for h_k in steps:
+        nodes.append(nodes[-1] - h_k)
+    return tuple(math.prod((h - t_j) / (t_i - t_j) for j, t_j in enumerate(nodes) if j != i)
+                 for i, t_i in enumerate(nodes))
+
+
 def _extrapolate(state, history, h):
     """First Picard iterate for the substep of size h from `state` at t: the
     Lagrange extrapolation to t + h through `state` and the (eta, u, theta)
     of `history`, ((eta, u, theta), h_k) pairs of the preceding substeps,
     most recent first.  Two entries give the quadratic extrapolation (weights
-    3, -3, 1 for uniform steps), one the linear, none `state` itself."""
-    nodes = [0.0]
-    for _, h_k in history:
-        nodes.append(nodes[-1] - h_k)
+    3, -3, 1 for uniform steps), one the linear, none a copy of `state`."""
+    weights = _lagrange_weights(h, tuple(h_k for _, h_k in history))
     points = [state[:3]] + [past for past, _ in history]
-    weights = [math.prod((h - t_j) / (t_i - t_j) for j, t_j in enumerate(nodes) if j != i)
-               for i, t_i in enumerate(nodes)]
-    return tuple(sum(w * point[k] for w, point in zip(weights, points)) for k in range(3))
+    return tuple(sum((point[k] * w for w, point in zip(weights[1:], points[1:])),
+                     points[0][k] * weights[0]) for k in range(3))
 
 
 def _converged(change, prev_change):
@@ -150,16 +160,34 @@ def _converged(change, prev_change):
                                    and change * change / prev_change < PICARD_TOL / 10)
 
 
-def _change(t, variable, new, old):
-    """max |new - old| between Picard iterates; NonFiniteState when `new`
-    holds a NaN or an infinity (`old` is always finite)."""
-    change = np.abs(new - old).max()
+def _change(t, variable, new, old, work):
+    """max |new - old| between Picard iterates, formed in the buffer `work`;
+    NonFiniteState when `new` holds a NaN or an infinity (`old` is always
+    finite)."""
+    np.subtract(new, old, out=work)
+    change = np.abs(work, out=work).max()
     if not math.isfinite(change):
         raise NonFiniteState(t, variable)
     return change
 
 
+class _Parts(NamedTuple):
+    """What a Picard sweep leaves for rates() and solve() at its new state."""
+
+    visc: np.ndarray               # nu rho (Du + beta) at the centers
+    minus_k_rho: np.ndarray        # -k rho at the centers
+    edge_sum: np.ndarray           # eta_j + eta_{j+1} at the interior edges
+    f: np.ndarray                  # the heat source sampled at the state
+    min_eta: float
+    min_theta: float
+
+
 class _Stepper:
+    """One spec's substeps.  Each Picard sweep fills the bands and right-hand
+    sides in place, and forms its coefficients and differences in work
+    buffers allocated here once; the terms of absent beta, gamma, g and f are
+    skipped, which gives the bits that adding their zeros gives."""
+
     def __init__(self, spec):
         self.spec = spec
         self.grid = spec.grid
@@ -171,13 +199,26 @@ class _Stepper:
         self.dx = self.grid.dx
         self.dx2 = self.dx ** 2
         self.times = self.grid.times()
-        self.u_system = _Tridiagonal(self.grid.nx + 1)
-        self.theta_system = _Tridiagonal(self.grid.nx)
+        nx = self.grid.nx
+        self.u_system = _Tridiagonal(nx + 1)
+        self.theta_system = _Tridiagonal(nx)
         self._time = self._data = None
+        self.has_beta = self.pert.beta is not None
+        self.has_gamma = self.pert.gamma is not None
+        self.has_g = spec.g is not None
+        self.has_f = spec.f is not None
         # absent data read as these shared zeros, never written
-        self.zero_c = np.zeros(self.grid.nx)
-        self.zero_e = np.zeros(self.grid.nx + 1)
+        self.zero_c = np.zeros(nx)
+        self.zero_e = np.zeros(nx + 1)
         self.zero_c.flags.writeable = self.zero_e.flags.writeable = False
+        # work buffers of the sweeps: 1 / eta, nu / eta, -k / eta, -p + nu beta / eta,
+        # Du, Du + beta, nu (Du + beta) / eta and a scratch array at the centers;
+        # the edge sums of eta, lambda rho_e and pi_gamma / dx at the interior
+        # edges; a scratch array at the edges
+        self.rho, self.nu_rho, self.minus_k_rho, self.stress_lag, self.du, self.du_beta, \
+            self.visc, self.work_c = np.empty((8, nx))
+        self.edge_sum, self.lam_rho_e, self.pi_gamma_dx = np.empty((3, nx - 1))
+        self.work_e = np.empty(nx + 1)
 
     def time_data(self, t):
         """The data that depend on t alone: the BoundaryData.at(step times, t)
@@ -186,65 +227,71 @@ class _Stepper:
         share one record."""
         if t != self._time:
             data = self.bc.at(self.times, t)
-            data["beta"] = self.zero_c if self.pert.beta is None \
-                else self.pert.beta_at(self.xc, t)
-            data["gamma"] = self.zero_e if self.pert.gamma is None \
-                else self.pert.gamma_at(self.xe, t)
+            data["beta"] = self.pert.beta_at(self.xc, t) if self.has_beta else self.zero_c
+            data["gamma"] = self.pert.gamma_at(self.xe, t) if self.has_gamma else self.zero_e
             self._time, self._data = t, data
         return self._data
 
     # -- data samples ---------------------------------------------------
 
     def g_at(self, x_e, t):
-        return self.zero_e if self.spec.g is None else sample_field(self.spec.g, x_e, self.xe, t)
+        return sample_field(self.spec.g, x_e, self.xe, t) if self.has_g else self.zero_e
 
     def f_at(self, x_e, t):
         """f at the cell centers, its chi read off the edge coordinate x_e."""
-        if self.spec.f is None:
+        if not self.has_f:
             return self.zero_c
         return sample_field(self.spec.f, edges_to_centers(x_e), self.xc, t)
 
     # -- instantaneous derived fields ------------------------------------
 
-    def stress(self, eta, u, theta, t):
-        rho = 1.0 / eta
-        beta = self.time_data(t)["beta"]
-        return self.gas.nu * rho * (du_centers(self.grid, u) + beta) \
-            - self.gas.k * rho * theta
+    def rates(self, state, t, parts=None):
+        """(sigma, p, g, pi, work rate) of a state at time t: the stress, the
+        pressure, the body force, the heat flux and the rate of change of the
+        total energy (the work of the boundary stresses and heat fluxes, plus
+        int g u and int f).
 
-    def heat_flux(self, eta, theta, t):
-        pi = np.empty(self.grid.nx + 1)
-        rho_e = 2.0 / (eta[:-1] + eta[1:])
+        `parts` are the _Parts that the last Picard sweep left at the state;
+        without them (at t = 0) they are built from the state, to the same
+        bits.  They may be views of work buffers, which the next substep
+        overwrites."""
+        eta, u, theta, x_e = state
+        gas = self.gas
         b = self.time_data(t)
-        pi[1:-1] = self.gas.lam * rho_e[:] * (dw_edges_interior(self.grid, theta)
-                                              + b["gamma"][1:-1])
+        if parts is None:
+            rho = 1.0 / eta
+            du_beta = du_centers(self.grid, u)
+            if self.has_beta:
+                du_beta += b["beta"]
+            parts = _Parts(gas.nu * rho * du_beta, -gas.k * rho, eta[:-1] + eta[1:],
+                           self.f_at(x_e, t), eta.min(), theta.min())
+        sig = parts.visc + parts.minus_k_rho * theta
+        p = gas.k * theta / eta
+        pi = np.empty(self.grid.nx + 1)
+        flux = pi[1:-1]
+        np.subtract(theta[1:], theta[:-1], out=flux)
+        flux /= self.dx
+        if self.has_gamma:
+            flux += b["gamma"][1:-1]
+        flux *= gas.lam * (2.0 / parts.edge_sum)
         pi[0] = b["pi0"]
         pi[-1] = b["piX"]
-        return pi
+        g = self.g_at(x_e, t)
 
-    def work_rate(self, sig, pi, u, g, f, t):
-        """Rate of change of the total energy: the work of the boundary
-        stresses and heat fluxes, plus int g u and int f."""
-        b = self.time_data(t)
         s0 = -b["p0"] if self.bc.m in (2, 3) else sig[0]
         sX = -b["pX"] if self.bc.m == 3 else sig[-1]
-        return sX * u[-1] - s0 * u[0] + pi[-1] - pi[0] \
-            + integrate_edge(self.grid, g * u) + integrate_center(self.grid, f)
-
-    def rates(self, state, t, f):
-        """(sigma, p, g, pi, work rate) of a state at time t, whose heat
-        source sample is f."""
-        eta, u, theta, x_e = state
-        sig = self.stress(eta, u, theta, t)
-        pi = self.heat_flux(eta, theta, t)
-        g = self.g_at(x_e, t)
-        return sig, self.gas.k * theta / eta, g, pi, self.work_rate(sig, pi, u, g, f, t)
+        work_rate = sX * u[-1] - s0 * u[0] + pi[-1] - pi[0]
+        if self.has_g:
+            work_rate += integrate_edge(self.grid, g * u)
+        if self.has_f:
+            work_rate += integrate_center(self.grid, parts.f)
+        return sig, p, g, pi, work_rate
 
     # -- one substep of size h -------------------------------------------
 
     def substep(self, state, t0, h, history=()):
-        """Advance `state` from t0 by h; returns (new state, the heat source
-        sampled at it, Picard sweeps).
+        """Advance `state` from t0 by h; returns (new state, its _Parts,
+        Picard sweeps).
 
         history holds up to two ((eta, u, theta), h_k) pairs, the starts and
         sizes of the substeps that ended at `state`, most recent first.  With
@@ -262,103 +309,140 @@ class _Stepper:
                     return self._iterate(state, t0, h, start, True)
                 except _Retry as retry:
                     sweeps = retry.sweeps
-        new, f, k = self._iterate(state, t0, h, state[:3], False)
-        return new, f, sweeps + k
+        new, parts, k = self._iterate(state, t0, h, state[:3], False)
+        return new, parts, sweeps + k
+
+    def _coefficients(self, eta):
+        """1 / eta, nu / eta and -k / eta into their work buffers."""
+        np.divide(1.0, eta, out=self.rho)
+        np.multiply(self.rho, self.gas.nu, out=self.nu_rho)
+        np.multiply(self.rho, -self.gas.k, out=self.minus_k_rho)
 
     def _iterate(self, state, t0, h, start, predicted):
         """Picard sweeps for one substep from the iterate `start`, predicted
-        by _extrapolate or (predicted False) the state itself."""
+        by _extrapolate or (predicted False) the state itself.
+
+        The expressions are those of backward Euler with lagged pressure and
+        coefficients, rearranged only where IEEE arithmetic gives the same
+        bits: x - y as -y + x, -a / c as a / -c, and the sweep's 1 / eta,
+        nu / eta and -k / eta reused as the next sweep's."""
         eta_n, u_n, theta_n, x_e_n = state
-        g = self.grid
         gas = self.gas
+        m = self.bc.m
         t1 = t0 + h
         dx, dx2 = self.dx, self.dx2
         mom, ene = self.u_system, self.theta_system
+        nu_rho, minus_k_rho, lag, du, visc, work_c = \
+            self.nu_rho, self.minus_k_rho, self.stress_lag, self.du, self.visc, self.work_c
+        reads_x_e = self.has_g or self.has_f
 
         b1 = self.time_data(t1)
         beta_1, gamma_1 = b1["beta"], b1["gamma"]
         inv_h = 1.0 / h
+        half_h = 0.5 * h
         u_n_h = u_n / h
         theta_n_h = gas.cV * theta_n / h
         cV_h = gas.cV / h
+        g_edge, f_new = self.zero_e, self.zero_c
 
         eta_s, u_s, theta_s = start
-        x_e_s = x_e_n + h * u_n
+        x_e_s = x_e_n + h * u_n if self.has_g else None
+        self._coefficients(eta_s)
         prev_change = 0.0
 
         for sweep in range(1, MAX_PICARD + 1):
-            rho_s = 1.0 / eta_s
-            p_s = gas.k * rho_s * theta_s
+            # momentum: implicit viscous flux, lagged pressure/coefficients;
+            # lag = nu rho beta - p
+            np.multiply(minus_k_rho, theta_s, out=lag)
+            if self.has_beta:
+                lag += np.multiply(nu_rho, beta_1, out=work_c)
+            if self.has_g:
+                g_edge = self.g_at(x_e_s, t1)
 
-            # momentum: implicit viscous flux, lagged pressure/coefficients
-            a = gas.nu * rho_s                           # per center
-            S = a * beta_1 - p_s
-            g_edge = self.g_at(x_e_s, t1)
+            np.divide(nu_rho, -dx2, out=mom.lower)
+            mom.upper[:] = mom.lower
+            diag = mom.diag[1:-1]
+            np.add(nu_rho[1:], nu_rho[:-1], out=diag)
+            diag /= dx2
+            diag += inv_h
+            rhs = mom.rhs[1:-1]
+            np.subtract(lag[1:], lag[:-1], out=rhs)
+            rhs /= dx
+            rhs += u_n_h[1:-1]
+            if self.has_g:
+                rhs += g_edge[1:-1]
 
-            mom.diag[1:-1] = inv_h + (a[1:] + a[:-1]) / dx2
-            mom.upper[1:] = -a[1:] / dx2
-            mom.lower[:-1] = -a[:-1] / dx2
-            mom.rhs[1:-1] = u_n_h[1:-1] + (S[1:] - S[:-1]) / dx + g_edge[1:-1]
-
-            if self.bc.m == 1:
+            if m == 1:
                 mom.diag[0] = 1.0
                 mom.upper[0] = 0.0
                 mom.rhs[0] = b1["u0"]
             else:
-                mom.diag[0] = inv_h + 2.0 * a[0] / dx2
-                mom.upper[0] = -2.0 * a[0] / dx2
-                mom.rhs[0] = u_n_h[0] + (2.0 / dx) * (S[0] + b1["p0"]) + g_edge[0]
-            if self.bc.m in (1, 2):
+                mom.diag[0] = inv_h + 2.0 * nu_rho[0] / dx2
+                mom.upper[0] = -2.0 * nu_rho[0] / dx2
+                mom.rhs[0] = u_n_h[0] + (2.0 / dx) * (lag[0] + b1["p0"]) + g_edge[0]
+            if m in (1, 2):
                 mom.diag[-1] = 1.0
                 mom.lower[-1] = 0.0
                 mom.rhs[-1] = b1["uX"]
             else:
-                mom.diag[-1] = inv_h + 2.0 * a[-1] / dx2
-                mom.lower[-1] = -2.0 * a[-1] / dx2
-                mom.rhs[-1] = u_n_h[-1] + (2.0 / dx) * (-b1["pX"] - S[-1]) + g_edge[-1]
+                mom.diag[-1] = inv_h + 2.0 * nu_rho[-1] / dx2
+                mom.lower[-1] = -2.0 * nu_rho[-1] / dx2
+                mom.rhs[-1] = u_n_h[-1] + (2.0 / dx) * (-b1["pX"] - lag[-1]) + g_edge[-1]
 
             u_new = mom.solve(t1, "u")
-            change_u = _change(t1, "u", u_new, u_s)
+            change_u = _change(t1, "u", u_new, u_s, self.work_e)
 
-            du_new = du_centers(g, u_new)
-            eta_new = eta_n + h * (du_new + beta_1)
-            change_eta = _change(t1, "eta", eta_new, eta_s)
-            if eta_new.min() <= POSITIVITY_FLOOR:
+            np.subtract(u_new[1:], u_new[:-1], out=du)
+            du /= dx
+            du_beta = np.add(du, beta_1, out=self.du_beta) if self.has_beta else du
+            eta_new = eta_n + np.multiply(du_beta, h, out=work_c)
+            change_eta = _change(t1, "eta", eta_new, eta_s, work_c)
+            min_eta = eta_new.min()
+            if min_eta <= POSITIVITY_FLOOR:
                 raise _Retry("eta", t1, sweep)
-            rho_new = 1.0 / eta_new
-            x_e_new = x_e_n + 0.5 * h * (u_n + u_new)
+            self._coefficients(eta_new)
+            if reads_x_e:
+                x_e_new = x_e_n + half_h * (u_n + u_new)
 
             # energy: implicit conduction with the fresh density, source with
             # the freshly updated velocity, pressure lagged one Picard sweep
-            sigma_src = gas.nu * rho_new * (du_new + beta_1) \
-                - gas.k * rho_new * theta_s
-            f_new = self.f_at(x_e_new, t1)
-            source = sigma_src * du_new + f_new
+            np.multiply(nu_rho, du_beta, out=visc)
+            source = ene.rhs
+            np.multiply(minus_k_rho, theta_s, out=source)
+            source += visc
+            source *= du
+            if self.has_f:
+                f_new = self.f_at(x_e_new, t1)
+                source += f_new
+            source += theta_n_h
 
-            b_e = gas.lam * 2.0 / (eta_new[:-1] + eta_new[1:])   # interior edges
-            pi_gamma = b_e * gamma_1[1:-1]
-
-            cond = b_e / dx2
-            ene.diag[:] = cV_h
-            ene.diag[:-1] += cond
-            ene.diag[1:] += cond
-            np.negative(cond, out=ene.upper)
-            np.negative(cond, out=ene.lower)
+            np.add(eta_new[:-1], eta_new[1:], out=self.edge_sum)
+            lam_rho_e = np.divide(gas.lam * 2.0, self.edge_sum, out=self.lam_rho_e)
+            np.divide(lam_rho_e, -dx2, out=ene.upper)
+            np.subtract(cV_h, ene.upper, out=ene.diag[:-1])
+            ene.diag[-1] = cV_h
+            np.subtract(ene.diag[1:], ene.upper, out=ene.diag[1:])
+            ene.lower[:] = ene.upper
 
             rhs_t = ene.rhs
-            np.add(theta_n_h, source, out=rhs_t)
-            rhs_t[:-1] += pi_gamma / dx
-            rhs_t[1:] -= pi_gamma / dx
+            if self.has_gamma:
+                pi_gamma_dx = np.multiply(lam_rho_e, gamma_1[1:-1], out=self.pi_gamma_dx)
+                pi_gamma_dx /= dx
+                rhs_t[:-1] += pi_gamma_dx
+                rhs_t[1:] -= pi_gamma_dx
             rhs_t[0] -= b1["pi0"] / dx
             rhs_t[-1] += b1["piX"] / dx
 
             theta_new = ene.solve(t1, "theta")
-            change_theta = _change(t1, "theta", theta_new, theta_s)
-            if theta_new.min() <= POSITIVITY_FLOOR:
+            change_theta = _change(t1, "theta", theta_new, theta_s, work_c)
+            min_theta = theta_new.min()
+            if min_theta <= POSITIVITY_FLOOR:
                 raise _Retry("theta", t1, sweep)
 
             change = max(change_u, change_eta, change_theta)
-            eta_s, u_s, theta_s, x_e_s = eta_new, u_new, theta_new, x_e_new
+            eta_s, u_s, theta_s = eta_new, u_new, theta_new
+            if reads_x_e:
+                x_e_s = x_e_new
             if _converged(change, prev_change):
                 break
             # the contraction test reads a ratio of two changes of Picard
@@ -372,8 +456,11 @@ class _Stepper:
         else:
             raise _Retry("picard", t1, MAX_PICARD)
 
+        if not reads_x_e:
+            x_e_s = x_e_n + half_h * (u_n + u_s)
         # the last sweep sampled f at the x_e it returns
-        return (eta_s, u_s, theta_s, x_e_s), f_new, sweep
+        parts = _Parts(visc, minus_k_rho, self.edge_sum, f_new, min_eta, min_theta)
+        return (eta_s, u_s, theta_s, x_e_s), parts, sweep
 
 
 def _snapshot_indices(nt, stride, dense):
@@ -390,7 +477,8 @@ class _StepRecord:
     substep, the ((eta, u, theta), h) starts of the last two substeps, most
     recent first, the running eta and theta minima, and the increments of
     I_t(uX - u0), I_t int(beta) and the boundary and source work plus the
-    Picard sweeps over the nominal step."""
+    Picard sweeps over the nominal step.  Every array is rebound, never
+    written, so records share them."""
 
     it_sigma: np.ndarray
     it_p: np.ndarray
@@ -409,12 +497,19 @@ class _StepRecord:
     sweeps: int = 0
 
     def attempt(self):
-        """Fresh record for one try at a nominal step: integrals copied, rates,
+        """Fresh record for one try at a nominal step: integrals, rates,
         minima and the last substep's start carried over, increments and
         sweeps reset."""
-        return _StepRecord(self.it_sigma.copy(), self.it_p.copy(), self.it_g.copy(),
-                           self.sigma, self.p, self.g, self.pi, self.work_rate,
-                           self.min_eta, self.min_theta, self.before)
+        return _StepRecord(self.it_sigma, self.it_p, self.it_g, self.sigma, self.p, self.g,
+                           self.pi, self.work_rate, self.min_eta, self.min_theta, self.before)
+
+
+def _trapezoid(total, half_h, a, b):
+    """total + half_h * (a + b) as a new array."""
+    out = np.add(a, b)
+    out *= half_h
+    out += total
+    return out
 
 
 def solve(spec, scheme=SchemeParams()):
@@ -467,8 +562,7 @@ def solve(spec, scheme=SchemeParams()):
                 snap[name][slot[n]] = getattr(rec, name)
 
     rec = _StepRecord(np.zeros(g.nx), np.zeros(g.nx), np.zeros(g.nx + 1),
-                      *stepper.rates(state, 0.0, stepper.f_at(x_e, 0.0)),
-                      eta.min(), theta.min())
+                      *stepper.rates(state, 0.0), eta.min(), theta.min())
     commit(0, state, rec)
 
     for n in range(nt):
@@ -476,26 +570,30 @@ def solve(spec, scheme=SchemeParams()):
         for level in range(MAX_HALVINGS + 1):
             m_sub = 2 ** level
             h = dt / m_sub
+            half_h = 0.5 * h
             st, trial = state, rec.attempt()
             try:
                 for ksub in range(m_sub):
                     ts = t0 + ksub * h
                     history = ((st[:3], h),) + trial.before[:1]
-                    st, f1, sweeps = stepper.substep(st, ts, h, trial.before)
+                    st, parts, sweeps = stepper.substep(st, ts, h, trial.before)
                     trial.before = history
                     trial.sweeps += sweeps
-                    e1, u1, th1, _ = st
-                    sig1, p1, g1, pi1, wr1 = stepper.rates(st, ts + h, f1)
-                    trial.it_sigma += 0.5 * h * (trial.sigma + sig1)
-                    trial.it_p += 0.5 * h * (trial.p + p1)
-                    trial.it_g += 0.5 * h * (trial.g + g1)
+                    u1 = st[1]
+                    sig1, p1, g1, pi1, wr1 = stepper.rates(st, ts + h, parts)
+                    trial.it_sigma = _trapezoid(trial.it_sigma, half_h, trial.sigma, sig1)
+                    trial.it_p = _trapezoid(trial.it_p, half_h, trial.p, p1)
+                    if stepper.has_g:
+                        trial.it_g = _trapezoid(trial.it_g, half_h, trial.g, g1)
                     trial.bdu += h * (u1[-1] - u1[0])
-                    trial.bvol += h * integrate_center(g, stepper.time_data(ts + h)["beta"])
-                    trial.work += 0.5 * h * (trial.work_rate + wr1)
+                    if stepper.has_beta:
+                        trial.bvol += h * integrate_center(
+                            g, stepper.time_data(ts + h)["beta"])
+                    trial.work += half_h * (trial.work_rate + wr1)
                     trial.sigma, trial.p, trial.g, trial.pi, trial.work_rate = \
                         sig1, p1, g1, pi1, wr1
-                    trial.min_eta = min(trial.min_eta, e1.min())
-                    trial.min_theta = min(trial.min_theta, th1.min())
+                    trial.min_eta = min(trial.min_eta, parts.min_eta)
+                    trial.min_theta = min(trial.min_theta, parts.min_theta)
             except _Retry as r:
                 last_retry = r
                 continue

@@ -1,4 +1,6 @@
 import ctypes
+import dataclasses
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from gaslab import solver
-from gaslab.calculus import i_bracket, mean_omega, time_primitive
+from gaslab.calculus import i_bracket, mean_omega, primitive_at_edges, time_primitive
 from gaslab.grid import Grid, GasParams, edges_to_centers
 from gaslab.norms import ROW_BLOCK, lqr_norm, space_lq
 from gaslab.problem import BoundaryData, PerturbationSpec, ProblemSpec, validate
@@ -390,6 +392,84 @@ def test_plain_start_stops_on_the_change_alone(spec, ref_tol, monkeypatch):
     for name in ("eta", "u", "theta", "x_e"):
         drift = np.abs(getattr(sol, name) - getattr(ref, name)).max()
         assert drift <= solver.PICARD_TOL, (name, drift)
+
+
+def data_variant(m, present):
+    """A pulse of family m with the data callables of forced_spec named in
+    `present` (of "beta", "gamma", "g", "f") set, and the others absent."""
+    spec = pulse_spec(32, 20, m, eta_jump=0.2)
+    forced = forced_spec()
+    pert = PerturbationSpec(beta_e=np.zeros(spec.grid.nx + 1), **{
+        name: getattr(forced.perturbation, name) for name in ("beta", "gamma")
+        if name in present})
+    return replace(spec, perturbation=pert,
+                   **{name: getattr(forced, name) for name in ("g", "f") if name in present})
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_rates_fed_the_last_sweep_match_rates_from_the_state(m):
+    # the parts the last Picard sweep leaves at a state give rates() the bits
+    # that it builds from the state alone, with each of beta, gamma, g and f
+    # absent or present, from a plain start and from predicted ones
+    names = ("beta", "gamma", "g", "f")
+    for present in itertools.chain.from_iterable(
+            itertools.combinations(names, k) for k in range(len(names) + 1)):
+        spec = data_variant(m, present)
+        g = spec.grid
+        stepper = solver._Stepper(spec)
+        state = (spec.eta0, spec.u0, spec.theta0, primitive_at_edges(g, spec.eta0))
+        history = ()
+        for n in range(3):
+            t1 = (n + 1) * g.dt
+            new, parts, _ = stepper.substep(state, n * g.dt, g.dt, history)
+            fed = stepper.rates(new, t1, parts)
+            rebuilt = stepper.rates(new, t1)
+            assert (parts.min_eta, parts.min_theta) == (new[0].min(), new[2].min())
+            for name, a, b in zip(("sigma", "p", "g", "pi", "work_rate"), fed, rebuilt):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (present, n, name)
+            history = ((state[:3], g.dt),) + history[:1]
+            state = new
+
+
+def assert_same_bundle(a, b):
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, dict):
+            assert x.keys() == y.keys()
+            for key in x:
+                assert np.array_equal(x[key], y[key]), (field.name, key)
+        elif isinstance(x, np.ndarray):
+            assert np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
+
+
+@pytest.mark.parametrize("spec", [pulse_spec(64, 40, 3), forced_spec()],
+                         ids=["pulse", "forced"])
+def test_failed_partial_attempt_leaves_the_step_record(spec, monkeypatch):
+    # step 5 fails its full step and then one substep of its halved attempt:
+    # the second (run A, after the first has advanced the attempt's record)
+    # or the first (run B).  Both accept the quartered attempt, so their
+    # bundles agree only if the failed attempt left the step record as it was
+    g = spec.grid
+    t0, dt = 5 * g.dt, g.dt
+    substep = solver._Stepper.substep
+
+    def run(fail):
+        def forced(self, state, t, h, history=()):
+            if (t, h) in fail:
+                raise solver._Retry("theta", t + h, 1)
+            return substep(self, state, t, h, history)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(solver._Stepper, "substep", forced)
+            return solve(spec)
+
+    a = run({(t0, dt), (t0 + dt / 2, dt / 2)})
+    b = run({(t0, dt), (t0, dt / 2)})
+    assert a.substeps[5] == b.substeps[5] == 4
+    assert np.sum(a.substeps != 1) == 1
+    assert_same_bundle(a, b)
 
 
 def test_zero_data_callables_match_absent_data():
