@@ -107,6 +107,7 @@ def _cmd_homogenize(args):
 
 def _cmd_norms(args):
     cfg = cfgmod.load_config(args.config)
+    cfgmod.check_top_level(cfg, cfgmod.NORM_KEYS)
     grid = cfgmod.build_grid(cfg)
     spec = cfg["norm"]
     tag = spec["tag"]
@@ -149,6 +150,7 @@ def _cmd_study_homog(args):
 
 def _cmd_study_lipschitz(args):
     cfg = cfgmod.load_config(args.config)
+    cfgmod.check_top_level(cfg, cfgmod.LIPSCHITZ_KEYS)
     base = cfgmod.build_problem(cfg["problem"])
     scheme = cfgmod.build_scheme(cfg["problem"])
     study = cfgmod.read_table(cfg["study"], cfgmod.LIPSCHITZ_STUDY_KEYS, "study",

@@ -1,7 +1,7 @@
 """Config-file layer: JSON trees with scalar / table / expression entries are
 turned into problem specs, two-scale problems, scheme parameters and study
-settings.  A table that lacks a key the reader asks for raises ValueError
-naming the key.
+settings.  A table that lacks a key the reader asks for, or holds one no
+reader reads (the top level included), raises ValueError naming the key.
 
 Field entries accept a number (constant), a [[t, v], ...] table (boundary
 series, linear interpolation) or an expression string in the field's
@@ -90,6 +90,22 @@ PERTURBATION_VARIABLES = {"beta": ("x", "t"), "gamma": ("x", "t"), "beta1": ("x"
 DATA_KEYS = ("eta0", "u0", "theta0", "g", "f")
 
 
+# the top-level keys of each command's config tree: a plain problem (solve,
+# and the "problem" tree of study-lipschitz), a two-scale problem with the
+# "study" table that homogenize and study-homog read, a Lipschitz study and a
+# norm evaluation
+PROBLEM_KEYS = ("domain", "grid", "gas", "bc", "data", "perturbation", "N", "scheme")
+TWO_SCALE_KEYS = ("domain", "grid", "gas", "bc", "data", "breakpoints_xi", "nxi", "N",
+                  "scheme", "study")
+LIPSCHITZ_KEYS = ("problem", "study")
+NORM_KEYS = ("domain", "grid", "field", "norm")
+
+
+def check_top_level(cfg, known):
+    """ValueError naming the first top-level key of cfg not in `known`."""
+    _check_keys(cfg, known, "top-level")
+
+
 def _table(cfg, name, known):
     """cfg[name], checked to be a JSON object holding only keys in `known`."""
     _check_keys(cfg[name], known, name)
@@ -126,6 +142,7 @@ def build_perturbation(cfg, grid):
 
 def build_problem(cfg):
     """Plain (single-scale) problem from a config tree."""
+    check_top_level(cfg, PROBLEM_KEYS)
     grid = build_grid(cfg)
     data = _table(cfg, "data", DATA_KEYS)
     return ProblemSpec(
@@ -143,6 +160,7 @@ def build_problem(cfg):
 def build_two_scale_problem(cfg):
     """Two-scale problem: data expressions over (xi, x), forces over
     (chi, xi, x, t), with the declared xi breakpoints."""
+    check_top_level(cfg, TWO_SCALE_KEYS)
     grid = build_grid(cfg)
     data = _table(cfg, "data", DATA_KEYS)
     bp = tuple(cfg.get("breakpoints_xi", ()))

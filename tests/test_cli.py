@@ -438,6 +438,37 @@ def test_unknown_study_key_exits_before_solving(tmp_path, monkeypatch, capsys, c
     assert calls == []
 
 
+def norm_cfg():
+    return {"domain": {"X": 1.0, "T": 1.0}, "grid": {"nx": 16, "nt": 4}, "field": "x*t",
+            "norm": {"tag": "Lqr", "q": 2, "r": 2}}
+
+
+# a top-level key no command reads is a typo that would drop a whole table:
+# "schem" left the default scheme in force, "n_xi" the default nxi
+@pytest.mark.parametrize("command,where,key", [
+    ("solve", (), "schem"), ("solve", (), "n_xi"),
+    ("homogenize", (), "n_xi"), ("homogenize", (), "schem"),
+    ("study-homog", (), "n_xi"), ("study-homog", (), "perturbation"),
+    ("study-lipschitz", (), "schem"), ("study-lipschitz", ("problem",), "schem"),
+    ("study-lipschitz", ("problem",), "study"), ("norms", (), "schem")])
+def test_unknown_top_level_key_exits_before_solving(tmp_path, monkeypatch, capsys, command,
+                                                    where, key):
+    calls = count_solves(monkeypatch)
+    cfg = {"solve": small_problem_cfg, "study-lipschitz": lipschitz_cfg, "norms": norm_cfg,
+           "homogenize": lambda: two_scale_cfg([0.25]),
+           "study-homog": lambda: two_scale_cfg([1.0, 0.5, 0.25, 0.125])}[command]()
+    table = cfg
+    for name in where:
+        table = table[name]
+    table[key] = {"store_stride": 4}
+    argv = [command, write_cfg(tmp_path, cfg)]
+    if command != "norms":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert f"unknown top-level key '{key}'" in capsys.readouterr().err
+    assert calls == [] and not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("patterns,message", [
     ({"theta_0": "1"}, "unknown pattern key 'theta_0'"),
     ({"eta0": "0.5", "uXb_": 1.0}, "unknown pattern key 'uXb_'"),
