@@ -67,7 +67,11 @@ def time_primitive(b, times):
     b = np.asarray(b, dtype=float)
     dt = np.diff(np.asarray(times, dtype=float)).reshape((-1,) + (1,) * (b.ndim - 1))
     out = np.zeros_like(b)
-    np.cumsum(dt * (b[1:] + b[:-1]) / 2.0, axis=0, out=out[1:])
+    # the increments dt * (b[1:] + b[:-1]) / 2.0, summed in place in out
+    inc = np.add(b[1:], b[:-1], out=out[1:])
+    inc *= dt
+    inc /= 2.0
+    np.cumsum(inc, axis=0, out=inc)
     return out
 
 

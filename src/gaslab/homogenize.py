@@ -116,9 +116,10 @@ def solve_homogenized(problem, scheme=SchemeParams()):
     spec = problem.averaged_spec()
     require_valid("averaged spec", spec)
     base = solve(spec, scheme)
-    gas = problem.gas
-    B = np.exp(base.it_sigma / gas.nu)
-    it_bt = time_primitive(base.theta / B, base.times)
+    # in place, so the kernels hold one trajectory-sized temporary
+    B = np.divide(base.it_sigma, problem.gas.nu)
+    np.exp(B, out=B)
+    it_bt = time_primitive(np.divide(base.theta, B), base.times)
     return HomogSolution(problem=problem, base=base, B_hat=B, it_binv_theta=it_bt)
 
 
