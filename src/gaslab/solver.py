@@ -211,10 +211,10 @@ class _Stepper:
         self.zero_c = np.zeros(nx)
         self.zero_e = np.zeros(nx + 1)
         self.zero_c.flags.writeable = self.zero_e.flags.writeable = False
-        # work buffers of the sweeps: 1 / eta, nu / eta, -k / eta, -p + nu beta / eta,
-        # Du, Du + beta, nu (Du + beta) / eta and a scratch array at the centers;
-        # the edge sums of eta, lambda rho_e and pi_gamma / dx at the interior
-        # edges; a scratch array at the edges
+        # work buffers of the sweeps, at the centers: 1/eta, nu/eta, -k/eta, the
+        # lagged stress nu beta/eta - p, Du, Du + beta, nu (Du + beta)/eta and a
+        # scratch array; at the interior edges: the sums of eta, 2 lambda / sum
+        # and pi_gamma / dx; a scratch array at the edges
         self.rho, self.nu_rho, self.minus_k_rho, self.stress_lag, self.du, self.du_beta, \
             self.visc, self.work_c = np.empty((8, nx))
         self.edge_sum, self.lam_rho_e, self.pi_gamma_dx = np.empty((3, nx - 1))
@@ -406,15 +406,16 @@ class _Stepper:
 
             # energy: implicit conduction with the fresh density, source with
             # the freshly updated velocity, pressure lagged one Picard sweep
+            # source: the stress with the lagged pressure times Du, plus f
             np.multiply(nu_rho, du_beta, out=visc)
-            source = ene.rhs
-            np.multiply(minus_k_rho, theta_s, out=source)
-            source += visc
-            source *= du
+            rhs_t = ene.rhs
+            np.multiply(minus_k_rho, theta_s, out=rhs_t)
+            rhs_t += visc
+            rhs_t *= du
             if self.has_f:
                 f_new = self.f_at(x_e_new, t1)
-                source += f_new
-            source += theta_n_h
+                rhs_t += f_new
+            rhs_t += theta_n_h
 
             np.add(eta_new[:-1], eta_new[1:], out=self.edge_sum)
             lam_rho_e = np.divide(gas.lam * 2.0, self.edge_sum, out=self.lam_rho_e)
@@ -424,7 +425,6 @@ class _Stepper:
             np.subtract(ene.diag[1:], ene.upper, out=ene.diag[1:])
             ene.lower[:] = ene.upper
 
-            rhs_t = ene.rhs
             if self.has_gamma:
                 pi_gamma_dx = np.multiply(lam_rho_e, gamma_1[1:-1], out=self.pi_gamma_dx)
                 pi_gamma_dx /= dx
@@ -504,14 +504,6 @@ class _StepRecord:
                            self.pi, self.work_rate, self.min_eta, self.min_theta, self.before)
 
 
-def _trapezoid(total, half_h, a, b):
-    """total + half_h * (a + b) as a new array."""
-    out = np.add(a, b)
-    out *= half_h
-    out += total
-    return out
-
-
 def solve(spec, scheme=SchemeParams()):
     """Run the time stepper over (0, T); returns a SolutionBundle.
 
@@ -581,10 +573,10 @@ def solve(spec, scheme=SchemeParams()):
                     trial.sweeps += sweeps
                     u1 = st[1]
                     sig1, p1, g1, pi1, wr1 = stepper.rates(st, ts + h, parts)
-                    trial.it_sigma = _trapezoid(trial.it_sigma, half_h, trial.sigma, sig1)
-                    trial.it_p = _trapezoid(trial.it_p, half_h, trial.p, p1)
+                    trial.it_sigma = trial.it_sigma + half_h * (trial.sigma + sig1)
+                    trial.it_p = trial.it_p + half_h * (trial.p + p1)
                     if stepper.has_g:
-                        trial.it_g = _trapezoid(trial.it_g, half_h, trial.g, g1)
+                        trial.it_g = trial.it_g + half_h * (trial.g + g1)
                     trial.bdu += h * (u1[-1] - u1[0])
                     if stepper.has_beta:
                         trial.bvol += h * integrate_center(
