@@ -55,6 +55,11 @@ def _commands():
     halving_m1.update(domain={"X": 1.0, "T": 0.25}, grid={"nx": 32, "nt": 8})
     halving_m1["data"] = {"eta0": 1.0, "u0": "2*sin(2*3.141592653589793*x)", "theta0": 1.0}
     halving_m1["scheme"] = {"store_stride": 1}
+    # the same halvings with beta and gamma in (x, t): the inner substep times of a
+    # halved step are sampled off the nominal step-end times
+    perturbed_halving_m1 = json.loads(json.dumps(halving_m1))
+    perturbed_halving_m1["perturbation"] = {
+        "beta": "0.05*sin(2*3.141592653589793*x)*cos(3*t)", "gamma": "0.1*x*(1 - x)*(1 + t)"}
     forced_m2 = _config("pulse.json")
     forced_m2["grid"] = {"nx": 128, "nt": 200}
     forced_m2["bc"] = {"m": 2, "p0": "1 + 0.1*sin(6*t)", "uX": "0.03*sin(6*t)",
@@ -79,6 +84,7 @@ def _commands():
         ("solve_forced_m2", "solve", forced_m2, ["--stride", "2"]),
         ("solve_perturbed_m1", "solve", perturbed_m1, ["--stride", "4"]),
         ("solve_halving_m1", "solve", halving_m1, []),
+        ("solve_perturbed_halving_m1", "solve", perturbed_halving_m1, []),
         ("homogenize", "homogenize", homog, ["--eps-list", "0.125,0.0625", "--stride", "2"]),
         ("norms", "norms", _config("norm_demo.json"), []),
         ("study_homog", "study-homog", homog, []),
