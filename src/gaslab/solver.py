@@ -28,7 +28,7 @@ from numpy.linalg import _umath_linalg
 from .calculus import primitive_at_edges, time_primitive, i_bracket, mean_omega
 from .grid import du_centers, edges_to_centers, integrate_edge, integrate_center, \
     sample_field
-from .norms import per_row, space_lq
+from .norms import ROW_BLOCK, per_row, space_lq
 from .problem import SolutionBundle
 
 
@@ -118,7 +118,7 @@ class _Tridiagonal:
                       ctypes.byref(size), ctypes.byref(self.info))
 
     def solve(self, t, variable):
-        if not np.isfinite(self.buf).all():
+        if not np.logical_and.reduce(np.isfinite(self.buf)):
             raise NonFiniteState(t, variable)
         _DGTSV(*self._args)
         if self.info.value > 0:
@@ -165,7 +165,7 @@ def _change(t, variable, new, old, work):
     NonFiniteState when `new` holds a NaN or an infinity (`old` is always
     finite)."""
     np.subtract(new, old, out=work)
-    change = np.abs(work, out=work).max()
+    change = np.maximum.reduce(np.abs(work, out=work))
     if not math.isfinite(change):
         raise NonFiniteState(t, variable)
     return change
@@ -202,7 +202,9 @@ class _Stepper:
         nx = self.grid.nx
         self.u_system = _Tridiagonal(nx + 1)
         self.theta_system = _Tridiagonal(nx)
+        self.dt = self.grid.dt
         self._time = self._data = None
+        self._block = {}
         self.has_beta = self.pert.beta is not None
         self.has_gamma = self.pert.gamma is not None
         self.has_g = spec.g is not None
@@ -222,15 +224,40 @@ class _Stepper:
 
     def time_data(self, t):
         """The data that depend on t alone: the BoundaryData.at(step times, t)
-        values plus "beta" at the centers and "gamma" at the edges, sampled
-        once per distinct time; the substep reaching t and the rates at t
-        share one record."""
+        values, "beta" at the centers, "gamma" at the edges and "int_beta",
+        the integral of beta.  A nominal step-end time n*dt + dt is sampled
+        with the next ROW_BLOCK - 1 of them at once, any other time (t = 0,
+        the inner ends of a halved step) alone; the substep reaching t and
+        the rates at t share one record."""
         if t != self._time:
-            data = self.bc.at(self.times, t)
-            data["beta"] = self.pert.beta_at(self.xc, t) if self.has_beta else self.zero_c
-            data["gamma"] = self.pert.gamma_at(self.xe, t) if self.has_gamma else self.zero_e
+            data = self._block.get(t)
+            if data is None:
+                n = round(t / self.dt) - 1
+                ends = np.arange(n, min(n + ROW_BLOCK, self.grid.nt)) * self.dt + self.dt
+                if 0 <= n < self.grid.nt and ends[0] == t:
+                    self._block = self._sample(ends)
+                    data = self._block[t]
+                else:
+                    data = self._sample(np.array([t]))[t]
             self._time, self._data = t, data
         return self._data
+
+    def _sample(self, times):
+        """time_data records of `times`, keyed by time, from one
+        BoundaryData.at call and one broadcast sample of beta and of gamma;
+        a row holds the bits the row's time alone gives."""
+        k = len(times)
+        bc = self.bc.at(self.times, times)
+        if self.has_beta:
+            beta = self.pert.beta_at(self.xc, times[:, None])
+            int_beta = integrate_center(self.grid, beta)
+        else:
+            beta, int_beta = [self.zero_c] * k, [0.0] * k
+        gamma = self.pert.gamma_at(self.xe, times[:, None]) if self.has_gamma \
+            else [self.zero_e] * k
+        return {t: dict({name: values[i] for name, values in bc.items()},
+                        beta=beta[i], int_beta=int_beta[i], gamma=gamma[i])
+                for i, t in enumerate(times.tolist())}
 
     # -- data samples ---------------------------------------------------
 
@@ -264,7 +291,8 @@ class _Stepper:
             if self.has_beta:
                 du_beta += b["beta"]
             parts = _Parts(gas.nu * rho * du_beta, -gas.k * rho, eta[:-1] + eta[1:],
-                           self.f_at(x_e, t), eta.min(), theta.min())
+                           self.f_at(x_e, t), np.minimum.reduce(eta),
+                           np.minimum.reduce(theta))
         sig = parts.visc + parts.minus_k_rho * theta
         p = gas.k * theta / eta
         pi = np.empty(self.grid.nx + 1)
@@ -304,7 +332,8 @@ class _Stepper:
         sweeps = 0
         if history:
             start = _extrapolate(state, history, h)
-            if start[0].min() > POSITIVITY_FLOOR and start[2].min() > POSITIVITY_FLOOR:
+            if np.minimum.reduce(start[0]) > POSITIVITY_FLOOR \
+                    and np.minimum.reduce(start[2]) > POSITIVITY_FLOOR:
                 try:
                     return self._iterate(state, t0, h, start, True)
                 except _Retry as retry:
@@ -397,7 +426,7 @@ class _Stepper:
             du_beta = np.add(du, beta_1, out=self.du_beta) if self.has_beta else du
             eta_new = eta_n + np.multiply(du_beta, h, out=work_c)
             change_eta = _change(t1, "eta", eta_new, eta_s, work_c)
-            min_eta = eta_new.min()
+            min_eta = np.minimum.reduce(eta_new)
             if min_eta <= POSITIVITY_FLOOR:
                 raise _Retry("eta", t1, sweep)
             self._coefficients(eta_new)
@@ -435,7 +464,7 @@ class _Stepper:
 
             theta_new = ene.solve(t1, "theta")
             change_theta = _change(t1, "theta", theta_new, theta_s, work_c)
-            min_theta = theta_new.min()
+            min_theta = np.minimum.reduce(theta_new)
             if min_theta <= POSITIVITY_FLOOR:
                 raise _Retry("theta", t1, sweep)
 
@@ -579,8 +608,7 @@ def solve(spec, scheme=SchemeParams()):
                         trial.it_g = trial.it_g + half_h * (trial.g + g1)
                     trial.bdu += h * (u1[-1] - u1[0])
                     if stepper.has_beta:
-                        trial.bvol += h * integrate_center(
-                            g, stepper.time_data(ts + h)["beta"])
+                        trial.bvol += h * stepper.time_data(ts + h)["int_beta"]
                     trial.work += half_h * (trial.work_rate + wr1)
                     trial.sigma, trial.p, trial.g, trial.pi, trial.work_rate = \
                         sig1, p1, g1, pi1, wr1

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from gaslab import config as cfgmod
+from gaslab.dsl import ExprFn
 from gaslab.grid import (Grid, GasParams, du_centers, integrate_center, integrate_edge,
                          sample_field)
 from gaslab.homogenize import _AveragedForce
 from gaslab.problem import (BC_NAMES, BoundaryData, PerturbationSpec, ProblemSpec,
-                            sample_boundary, validate)
+                            sample_boundary, sample_field_times, validate)
 from gaslab.solver import SchemeParams, solve
 from gaslab.twoscale import OscillationSpec, TwoScaleField, realize, xi_mean
 
@@ -239,6 +240,38 @@ def test_boundary_interpolation_between_steps():
     assert mid["p0"] == pytest.approx(1.0 + 0.5 * g.dt, rel=1e-12)
     both = bc.at(g.times(), np.array([0.5 * g.dt, 0.25]))
     assert both["p0"].tolist() == [mid["p0"], bc.at(g.times(), 0.25)["p0"]]
+
+
+def _sample_field_times_per_time(fn, times, *args):
+    """The per-time loop sample_field_times replaced: one call per time."""
+    out = np.zeros((len(times), len(args[-1])))
+    if fn is not None:
+        for n, t in enumerate(times):
+            out[n] = sample_field(fn, *args, t)
+    return out
+
+
+def test_sample_field_times_is_bitwise_the_per_time_loop():
+    g = Grid(X=1.0, T=0.5, nx=61, nt=97)
+    xc = g.centers()
+    chi = np.linspace(-0.5, 1.5, g.nx)
+    in_xt = ExprFn("sin(3*x + t)*cos(2*t) + exp(-t)*ln(1 + x + t) + step(t - 0.25)",
+                   ("x", "t"))
+    cases = [(in_xt, (xc,)),
+             (ExprFn("exp(t)*step(t - 0.2) + cos(5*t)", ("x", "t")), (xc,)),
+             (cfgmod.ScaledFn(in_xt, 0.3), (xc,)),
+             (cfgmod.ConstFn(0.7), (xc,)),
+             (None, (xc,)),
+             (lambda x, t: np.sin(np.pi * x) * np.exp(-t), (xc,)),
+             (ExprFn("chi*x*cos(5*t) + step(chi - t)*ln(2 + t)", ("chi", "x", "t")),
+              (chi, xc))]
+    rng = np.random.default_rng(3)
+    for times in (g.times(), rng.uniform(0.0, g.T, 70)):
+        for fn, args in cases:
+            got = sample_field_times(fn, times, *args)
+            want = _sample_field_times_per_time(fn, times, *args)
+            assert got.shape == want.shape == (len(times), g.nx)
+            assert got.tobytes() == want.tobytes(), fn
 
 
 # (constant, x-only, full) entries over each sampler's variables; a boundary

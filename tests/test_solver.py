@@ -11,7 +11,8 @@ from hypothesis import given, settings
 
 from gaslab import solver
 from gaslab.calculus import i_bracket, mean_omega, primitive_at_edges, time_primitive
-from gaslab.grid import Grid, GasParams, edges_to_centers
+from gaslab.dsl import ExprFn
+from gaslab.grid import Grid, GasParams, edges_to_centers, sample_field
 from gaslab.norms import ROW_BLOCK, lqr_norm, space_lq
 from gaslab.problem import BoundaryData, PerturbationSpec, ProblemSpec, validate
 from gaslab.solver import (NonFiniteState, NonlinearDivergence, PositivityLoss,
@@ -488,14 +489,15 @@ def test_zero_data_callables_match_absent_data():
 
 
 def test_beta_and_gamma_sampled_once_per_substep_time():
-    # the substep reaching t and the rates at t share one sample of each
+    # the substep reaching t and the rates at t share one sample of each; a
+    # call samples a block of times, so the times are counted one by one
     spec = forced_spec()
     pert = spec.perturbation
     times = {"beta": [], "gamma": []}
 
     def counting(name, fn):
         def sample(x, t):
-            times[name].append(t)
+            times[name].extend(np.ravel(t).tolist())
             return fn(x, t)
         return sample
 
@@ -508,6 +510,31 @@ def test_beta_and_gamma_sampled_once_per_substep_time():
     for name in ("eta", "u", "theta", "x_e", "sigma", "pi", "it_sigma", "it_p", "it_g",
                  "volume", "it_boundary_du", "it_beta_volume", "picard_sweeps"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def one_time_at_a_time(fn):
+    """fn sampled at each time of a block alone, as a Python float, and the
+    rows stacked: the per-time sampling the stepper did before it sampled
+    blocks of times."""
+    def sample(x, t):
+        return np.stack([sample_field(fn, x, tk) for tk in np.ravel(t).tolist()])
+    return sample
+
+
+def test_block_sampled_time_data_match_per_time_samples():
+    # beta and gamma in (x, t) on halving_spec: the halved steps sample their
+    # inner substep times off the nominal block, and t = 0 alone
+    spec = halving_spec()
+    pert = PerturbationSpec(
+        beta=ExprFn("0.05*sin(2*3.141592653589793*x)*cos(3*t)", ("x", "t")),
+        gamma=ExprFn("0.1*x*(1 - x)*(1 + t)", ("x", "t")))
+    blocked = replace(spec, perturbation=pert)
+    single = replace(spec, perturbation=replace(pert, beta=one_time_at_a_time(pert.beta),
+                                                gamma=one_time_at_a_time(pert.gamma)))
+    a, b = solve(blocked), solve(single)
+    assert a.substeps.tolist() == [2, 4, 4, 4, 2, 2, 1, 1]
+    assert a.it_beta_volume.any()
+    assert_same_bundle(a, b)
 
 
 @given(a_eta=st.floats(-0.3, 0.3), a_u=st.floats(-0.5, 0.5), a_theta=st.floats(-0.5, 0.5),
