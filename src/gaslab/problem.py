@@ -169,7 +169,8 @@ def validate(spec):
             out.append(f"data magnitude {size:.3g} exceeds declared N={N:g} (C1)")
 
     # (C2): sample the force terms, and the perturbation terms, on a probe set;
-    # a non-finite sample is reported before the f >= 0 comparison it passes
+    # a non-finite sample, or an expression that refuses to produce one, is
+    # reported before the f >= 0 comparison it passes
     tt = grid.times()
     probe_t = tt[:: max(1, len(tt) // 32)]
     xc = grid.centers()
@@ -187,7 +188,10 @@ def validate(spec):
               ("g2", lambda t: sample_field(pert.g2, chi_c, xc, t), ""))
     for name, probe, tag in probes:
         for t in probe_t:
-            v = probe(t)
+            try:
+                v = probe(t)
+            except dsl.NonfiniteResult:
+                v = np.nan
             if not np.isfinite(v).all():
                 out.append(f"{name} must be finite on the probe set, failed at t={t:g}{tag}")
                 break
@@ -221,16 +225,21 @@ def validate(spec):
             n_bad = int(np.argmax(vol < 1.0 / N))
             out.append(f"gas volume drops below 1/N at t={tt[n_bad]:g} (gas volume, m=1)")
 
-    # perturbation split consistency
+    # perturbation split consistency; a non-finite sample is already reported
+    # by the probe loop, which samples the same callables at the same times
     if pert.beta1 is not None and pert.beta2 is not None and pert.beta is not None:
         worst, scale = 0.0, 1.0
-        for t in probe_t:
-            b = pert.beta_at(xc, t)
-            b12 = sample_field(pert.beta1, xc, t) + sample_field(pert.beta2, xc, t)
-            worst = max(worst, float(np.abs(b - b12).max()))
-            scale = max(scale, float(np.abs(b).max()))
-        if worst > 1e-12 * scale:
-            out.append("beta1 + beta2 does not reproduce beta on the grid")
+        try:
+            for t in probe_t:
+                b = pert.beta_at(xc, t)
+                b12 = sample_field(pert.beta1, xc, t) + sample_field(pert.beta2, xc, t)
+                worst = max(worst, float(np.abs(b - b12).max()))
+                scale = max(scale, float(np.abs(b).max()))
+        except dsl.NonfiniteResult:
+            pass
+        else:
+            if worst > 1e-12 * scale:
+                out.append("beta1 + beta2 does not reproduce beta on the grid")
 
     return out
 

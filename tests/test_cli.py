@@ -312,6 +312,19 @@ def test_solve_reports_non_finite_data_as_invalid_config(tmp_path, monkeypatch, 
     assert calls == []
 
 
+def test_solve_reports_a_refused_force_expression_as_invalid_config(tmp_path, monkeypatch,
+                                                                    capsys):
+    # the DSL refuses f at t = 0.125 with NonfiniteResult; validate reports it
+    calls = count_solves(monkeypatch)
+    cfg_dict = cfgmod.load_config("configs/pulse.json")
+    cfg_dict["data"]["f"] = "1/(t - 0.125)^2"
+    cfg = write_cfg(tmp_path, cfg_dict)
+    assert main(["solve", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.strip() == \
+        "invalid config: f must be finite on the probe set, failed at t=0.125 (C2)"
+    assert calls == []
+
+
 # the solver's Picard budget, tolerance, halving budget and positivity floor
 # are constants, so a config that still sets one fails loudly
 @pytest.mark.parametrize("key,value", [

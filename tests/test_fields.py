@@ -130,6 +130,26 @@ def test_validate_reports_non_finite_samples(name, bad):
     assert validate(spec) == [want]
 
 
+@pytest.mark.parametrize("name", ["f", "g", "beta", "beta1", "gamma", "g2"])
+def test_validate_reports_a_refused_expression(name):
+    # an expression whose sample is not finite raises dsl.NonfiniteResult;
+    # validate reports it as the non-finite sample it is.  beta, beta1 and
+    # beta2 are all set, so the split check meets the refusal too
+    spec = constant_spec(m=3)
+    tt = spec.grid.times()
+    t_bad = float(tt[:: max(1, len(tt) // 32)][4])
+    variables = ("chi", "x", "t") if name in ("f", "g", "g1", "g2") else ("x", "t")
+    fns = {"beta": ExprFn("x", ("x", "t")), "beta1": ExprFn("0.5*x", ("x", "t")),
+           "beta2": ExprFn("0.5*x", ("x", "t")),
+           name: ExprFn(f"1/(t - {t_bad!r})^2", variables)}
+    if name in ("f", "g"):
+        spec = replace(spec, **{name: fns.pop(name)})
+    spec = replace(spec, perturbation=PerturbationSpec(**fns))
+    want = f"{name} must be finite on the probe set, failed at t={t_bad:g}" \
+        + (" (C2)" if name in ("f", "g") else "")
+    assert validate(spec) == [want]
+
+
 def test_validate_pressure_floor_m3():
     spec = constant_spec(m=3)
     bc = BoundaryData.build(spec.grid, m=3, p0=0.01, pX=1.0, pi0=0.0, piX=0.0)
