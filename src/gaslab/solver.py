@@ -202,7 +202,6 @@ class _Stepper:
         nx = self.grid.nx
         self.u_system = _Tridiagonal(nx + 1)
         self.theta_system = _Tridiagonal(nx)
-        self.dt = self.grid.dt
         self._time = self._data = None
         self._block = {}
         self.has_beta = self.pert.beta is not None
@@ -232,9 +231,10 @@ class _Stepper:
         if t != self._time:
             data = self._block.get(t)
             if data is None:
-                n = round(t / self.dt) - 1
-                ends = np.arange(n, min(n + ROW_BLOCK, self.grid.nt)) * self.dt + self.dt
-                if 0 <= n < self.grid.nt and ends[0] == t:
+                dt, nt = self.grid.dt, self.grid.nt
+                n = round(t / dt) - 1
+                ends = np.arange(n, min(n + ROW_BLOCK, nt)) * dt + dt
+                if 0 <= n < nt and ends[0] == t:
                     self._block = self._sample(ends)
                     data = self._block[t]
                 else:
