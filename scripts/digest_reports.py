@@ -75,6 +75,12 @@ def _commands():
     forced_homog = json.loads(json.dumps(homog))
     forced_homog["data"].update(
         g="0.2*sin(3.141592653589793*chi)*(1 + 0.5*step(xi - 0.5))", f="0.3")
+    # the homogenize runs hold their --eps-list values in the study table as well,
+    # so they print the same lines with the flag or without it
+    homog_run = json.loads(json.dumps(homog))
+    homog_run["study"]["eps_list"] = [0.125, 0.0625]
+    forced_homog_run = json.loads(json.dumps(forced_homog))
+    forced_homog_run["study"]["eps_list"] = [0.125]
     norm_runs = [(tag, {}) for tag in sorted(NAMED_NORMS)] + NORM_VARIANTS
     norm_cfgs = [dict(_config("norm_demo.json"), field=NORM_FIELD, norm=dict(keys, tag=tag))
                  for tag, keys in norm_runs]
@@ -85,12 +91,12 @@ def _commands():
         ("solve_perturbed_m1", "solve", perturbed_m1, ["--stride", "4"]),
         ("solve_halving_m1", "solve", halving_m1, []),
         ("solve_perturbed_halving_m1", "solve", perturbed_halving_m1, []),
-        ("homogenize", "homogenize", homog, ["--eps-list", "0.125,0.0625", "--stride", "2"]),
+        ("homogenize", "homogenize", homog_run, ["--eps-list", "0.125,0.0625", "--stride", "2"]),
         ("norms", "norms", _config("norm_demo.json"), []),
         ("study_homog", "study-homog", homog, []),
         # the process-pool path: its report must hash as the serial one does
         ("study_homog_jobs2", "study-homog", homog, ["--jobs", "2"]),
-        ("homogenize_forced", "homogenize", forced_homog,
+        ("homogenize_forced", "homogenize", forced_homog_run,
          ["--eps-list", "0.125", "--stride", "4"]),
         ("study_homog_forced", "study-homog", forced_homog, []),
         ("study_lipschitz", "study-lipschitz", _config("lipschitz_benchmark.json"), []),
