@@ -107,24 +107,23 @@ def _cmd_homogenize(args):
 
 def _cmd_norms(args):
     cfg = cfgmod.load_config(args.config)
-    cfgmod.check_top_level(cfg, cfgmod.NORM_KEYS)
-    grid = cfgmod.build_grid(cfg)
-    spec = cfg["norm"]
-    tag = spec["tag"]
-    if tag not in NAMED_NORMS:
-        raise ValueError(f"unknown norm tag '{tag}'; known: {sorted(NAMED_NORMS)}")
-    params = inspect.signature(NAMED_NORMS[tag]).parameters
-    takes = [name for name, p in params.items()
-             if p.kind is p.POSITIONAL_OR_KEYWORD and name not in ("grid", "w", "times")]
-    kw = {k: cfgmod.number_or_inf(v) for k, v in spec.items() if k != "tag"}
-    for key in kw:
-        if key not in takes:
-            raise ValueError(f"norm '{tag}' takes no key '{key}'; it takes: {takes}")
-    fn = cfgmod.field_entry(cfg["field"], ("x", "t"))
+    top = cfgmod.read_table(cfg, cfgmod.NORM_KEYS, "top-level", tuple(cfgmod.NORM_KEYS))
+    grid = cfgmod.build_grid(top)
+    # "tag" names the norm; every other key is a keyword argument it takes
+    table = top["norm"]
+    tag = table.get("tag") if isinstance(table, dict) else None
+    norm = NAMED_NORMS.get(tag) if isinstance(tag, str) else None
+    if norm is None:
+        raise ValueError(f"norm key 'tag' cannot read {tag!r}: known tags are "
+                         f"{sorted(NAMED_NORMS)}")
+    readers = {name: cfgmod.number_or_inf
+               for name, p in inspect.signature(norm).parameters.items()
+               if p.kind is p.POSITIONAL_OR_KEYWORD and name not in ("grid", "w", "times")}
+    kw = cfgmod.read_table(table, {"tag": str, **readers}, f"norm '{tag}'")
+    del kw["tag"]
     tt = grid.times()
-    w = sample_field_times(fn, tt, grid.centers())
-    value = NAMED_NORMS[tag](grid, w, times=tt, **kw)
-    print(f"{value:.17e}")
+    w = sample_field_times(top["field"], tt, grid.centers())
+    print(f"{norm(grid, w, times=tt, **kw):.17e}")
     return 0
 
 
@@ -143,17 +142,18 @@ def _cmd_study_homog(args):
     cfg = cfgmod.load_config(args.config)
     problem = cfgmod.build_two_scale_problem(cfg)
     scheme = cfgmod.build_scheme(cfg)
-    study = cfgmod.read_table(cfg["study"], cfgmod.HOMOG_STUDY_KEYS, "study", ("eps_list",))
+    study = cfgmod.read_table(cfg.get("study", {}), cfgmod.HOMOG_STUDY_KEYS, "study",
+                              ("eps_list",))
     table = studies.run_homog_study(problem, scheme=scheme, jobs=args.jobs, **study)
     return _report(table, args.out, "homog_study.csv")
 
 
 def _cmd_study_lipschitz(args):
     cfg = cfgmod.load_config(args.config)
-    cfgmod.check_top_level(cfg, cfgmod.LIPSCHITZ_KEYS)
-    base = cfgmod.build_problem(cfg["problem"])
-    scheme = cfgmod.build_scheme(cfg["problem"])
-    study = cfgmod.read_table(cfg["study"], cfgmod.LIPSCHITZ_STUDY_KEYS, "study",
+    top = cfgmod.read_table(cfg, cfgmod.LIPSCHITZ_KEYS, "top-level", ("problem", "study"))
+    base = cfgmod.build_problem(top["problem"])
+    scheme = cfgmod.build_scheme(top["problem"])
+    study = cfgmod.read_table(top["study"], cfgmod.LIPSCHITZ_STUDY_KEYS, "study",
                               ("delta0", "patterns"))
     patterns = study.pop("patterns")
 

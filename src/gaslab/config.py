@@ -1,7 +1,7 @@
-"""Config-file layer: JSON trees with scalar / table / expression entries are
-turned into problem specs, two-scale problems, scheme parameters and study
-settings.  A table that lacks a key the reader asks for, or holds one no
-reader reads (the top level included), raises ValueError naming the key.
+"""Config-file layer: JSON trees are turned into problem specs, two-scale
+problems, scheme parameters and study settings.  read_table reads every
+table, the top level included, with one reader per key; an unknown key, a
+missing required key or a value its reader cannot read raises ValueError.
 
 Field entries accept a number (constant), a [[t, v], ...] table (boundary
 series, linear interpolation) or an expression string in the field's
@@ -10,6 +10,7 @@ xi,x for two-scale data; chi,[xi,]x,t for force terms).
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -42,22 +43,52 @@ class ConstFn:
         return self.value
 
 
-class Table(dict):
-    """A JSON object of a config file: a key it lacks raises ValueError."""
-
-    def __missing__(self, key):
-        raise ValueError(f"config table lacks key '{key}'")
-
-
 def load_config(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, object_hook=Table)
+        return json.load(fh)
 
 
 def save_config(cfg, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(cfg, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+# the readers: each takes one JSON value and returns it read, or raises
+# TypeError or ValueError, which read_table reports with the table and the key
+def number(value):
+    """A finite number: a JSON number or a numeric string, not a boolean."""
+    if isinstance(value, bool):
+        raise TypeError("a boolean is not a number")
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError("not a finite number")
+    return out
+
+
+def count(value):
+    """A whole number: a number without a fraction."""
+    out = number(value)
+    if not out.is_integer():
+        raise ValueError("not a whole number")
+    return int(out)
+
+
+def number_or_inf(value):
+    """A number, or the string "inf" for infinity."""
+    return float("inf") if value == "inf" else number(value)
+
+
+def float_list(value):
+    """A JSON list of numbers."""
+    if not isinstance(value, list):
+        raise TypeError("not a list")
+    return [number(v) for v in value]
+
+
+def subtable(value):
+    """A table of the top level, read by its own read_table call."""
+    return value
 
 
 def field_entry(entry, variables):
@@ -67,125 +98,17 @@ def field_entry(entry, variables):
         return None
     if isinstance(entry, str):
         return dsl.ExprFn(entry, variables)
-    return ConstFn(float(entry))
+    return ConstFn(number(entry))
 
 
-def number_or_inf(value):
-    """A config entry that is a number or the string "inf"."""
-    return float("inf") if str(value) == "inf" else float(value)
+def over(variables):
+    """The reader of a field entry over `variables`."""
+    return lambda entry: field_entry(entry, variables)
 
 
-def _sample_x(entry, x):
-    """Samples of an entry over x at the points x; a null entry reads as zero."""
-    return sample_field(field_entry(entry, ("x",)), x)
-
-
-# the variables of each perturbation callable, in config trees and study patterns
-PERTURBATION_VARIABLES = {"beta": ("x", "t"), "gamma": ("x", "t"), "beta1": ("x", "t"),
-                          "beta2": ("x", "t"), "g1": ("chi", "x", "t"),
-                          "g2": ("chi", "x", "t")}
-
-
-# the keys the plain and the two-scale builders read from a "data" table
-DATA_KEYS = ("eta0", "u0", "theta0", "g", "f")
-
-
-# the top-level keys of each command's config tree: a plain problem (solve,
-# and the "problem" tree of study-lipschitz), a two-scale problem with the
-# "study" table that homogenize and study-homog read, a Lipschitz study and a
-# norm evaluation
-PROBLEM_KEYS = ("domain", "grid", "gas", "bc", "data", "perturbation", "N", "scheme")
-TWO_SCALE_KEYS = ("domain", "grid", "gas", "bc", "data", "breakpoints_xi", "nxi", "N",
-                  "scheme", "study")
-LIPSCHITZ_KEYS = ("problem", "study")
-NORM_KEYS = ("domain", "grid", "field", "norm")
-
-
-def check_top_level(cfg, known):
-    """ValueError naming the first top-level key of cfg not in `known`."""
-    _check_keys(cfg, known, "top-level")
-
-
-def _table(cfg, name, known):
-    """cfg[name], checked to be a JSON object holding only keys in `known`."""
-    _check_keys(cfg[name], known, name)
-    return cfg[name]
-
-
-def build_grid(cfg):
-    dom = _table(cfg, "domain", ("X", "T"))
-    gr = _table(cfg, "grid", ("nx", "nt"))
-    return Grid(X=float(dom["X"]), T=float(dom["T"]),
-                nx=int(gr["nx"]), nt=int(gr["nt"]))
-
-
-def build_gas(cfg):
-    gas = _table(cfg, "gas", ("nu", "k", "cV", "lambda"))
-    return GasParams(nu=float(gas["nu"]), k=float(gas["k"]),
-                     cV=float(gas["cV"]), lam=float(gas["lambda"]))
-
-
-def build_bc(cfg, grid):
-    bc = _table(cfg, "bc", ("m", *BC_NAMES))
-    return BoundaryData.build(grid, m=int(bc["m"]),
-                              **{name: bc.get(name) for name in BC_NAMES})
-
-
-def build_perturbation(cfg, grid):
-    p = cfg.get("perturbation") or {}
-    _check_keys(p, ("beta_e", *PERTURBATION_VARIABLES), "perturbation")
-    return PerturbationSpec(
-        beta_e=_sample_x(p.get("beta_e"), grid.edges()),
-        **{key: field_entry(p.get(key), variables)
-           for key, variables in PERTURBATION_VARIABLES.items()})
-
-
-def build_problem(cfg):
-    """Plain (single-scale) problem from a config tree."""
-    check_top_level(cfg, PROBLEM_KEYS)
-    grid = build_grid(cfg)
-    data = _table(cfg, "data", DATA_KEYS)
-    return ProblemSpec(
-        grid=grid, gas=build_gas(cfg), bc=build_bc(cfg, grid),
-        eta0=_sample_x(data["eta0"], grid.centers()),
-        u0=_sample_x(data["u0"], grid.edges()),
-        theta0=_sample_x(data["theta0"], grid.centers()),
-        g=field_entry(data.get("g"), ("chi", "x", "t")),
-        f=field_entry(data.get("f"), ("chi", "x", "t")),
-        perturbation=build_perturbation(cfg, grid),
-        N=float(cfg.get("N", 10.0)),
-        source=cfg)
-
-
-def build_two_scale_problem(cfg):
-    """Two-scale problem: data expressions over (xi, x), forces over
-    (chi, xi, x, t), with the declared xi breakpoints."""
-    check_top_level(cfg, TWO_SCALE_KEYS)
-    grid = build_grid(cfg)
-    data = _table(cfg, "data", DATA_KEYS)
-    bp = tuple(cfg.get("breakpoints_xi", ()))
-    n_xi = int(cfg.get("nxi", 256))
-
-    def ts_field(entry):
-        # a null entry reads as zero, as it does in a plain config
-        return TwoScaleField(field_entry(0.0 if entry is None else entry, ("xi", "x")),
-                             breakpoints=bp, n_xi=n_xi)
-
-    return TwoScaleProblem(
-        grid=grid, gas=build_gas(cfg), bc=build_bc(cfg, grid),
-        eta0=ts_field(data["eta0"]),
-        u0=ts_field(data["u0"]),
-        theta0=ts_field(data["theta0"]),
-        g=field_entry(data.get("g"), ("chi", "xi", "x", "t")),
-        f=field_entry(data.get("f"), ("chi", "xi", "x", "t")),
-        N=float(cfg.get("N", 10.0)),
-        force_breakpoints=bp,
-        source=cfg)
-
-
-def float_list(entry):
-    """A config entry that is a list of numbers."""
-    return [float(v) for v in entry]
+def sampled(x):
+    """The reader of an entry in x: its samples at the points x, zeros for null."""
+    return lambda entry: sample_field(field_entry(entry, ("x",)), x)
 
 
 def threshold_rules(table):
@@ -198,41 +121,22 @@ def threshold_rules(table):
             raise ValueError(f"threshold on '{col}', a column no study fits")
         if not (isinstance(rule, list) and len(rule) in (2, 3)
                 and rule[0] == ("ge" if len(rule) == 2 else "band")
-                and all(isinstance(v, (int, float)) for v in rule[1:])):
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                        for v in rule[1:])):
             raise ValueError(f"threshold on '{col}' is not [\"ge\", x] or "
                              f"[\"band\", lo, hi]: {rule!r}")
     return rules
 
 
-SCHEME_KEYS = {"store_stride": int, "dense_steps": int}
-
-# the keys of each "study" table with their readers; they are the argument
-# names of studies.run_homog_study and run_lipschitz_study (whose perturb the
-# CLI builds from patterns), and those defaults hold for a key the table omits
-HOMOG_STUDY_KEYS = {"eps_list": float_list, "qe": number_or_inf,
-                    "thresholds": threshold_rules}
-LIPSCHITZ_STUDY_KEYS = {"delta0": float, "levels": int, "qe": number_or_inf,
-                        "patterns": dict, "thresholds": threshold_rules}
-
-# the pattern keys perturbed_spec reads: initial-data shifts, boundary-series
-# shifts (<entry>b) and the perturbation terms
-PATTERN_KEYS = ("eta0", "u0", "theta0", *(name + "b" for name in BC_NAMES), "beta_e",
-                *PERTURBATION_VARIABLES)
-
-
-def _check_keys(table, known, kind):
-    if not isinstance(table, dict):
-        raise ValueError(f"{kind} table is not a JSON object: {table!r}")
-    for key in table:
-        if key not in known:
-            raise ValueError(f"unknown {kind} key '{key}'; known: {', '.join(known)}")
-
-
 def read_table(table, readers, kind, required=()):
     """{key: reader(value)} over a config table, one reader per key; an unknown
     key, a required key the table lacks or a value its reader cannot read
-    raises ValueError naming it."""
-    _check_keys(table, readers, kind)
+    raises ValueError naming the table and the key."""
+    if not isinstance(table, dict):
+        raise ValueError(f"{kind} table is not a JSON object: {table!r}")
+    for key in table:
+        if key not in readers:
+            raise ValueError(f"unknown {kind} key '{key}'; known: {', '.join(readers)}")
     for key in required:
         if key not in table:
             raise ValueError(f"{kind} table lacks key '{key}'")
@@ -240,9 +144,98 @@ def read_table(table, readers, kind, required=()):
     for key, value in table.items():
         try:
             out[key] = readers[key](value)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"{kind} key '{key}' cannot read {value!r}: {exc}") from None
     return out
+
+
+DOMAIN_KEYS = {"X": number, "T": number}
+GRID_KEYS = {"nx": count, "nt": count}
+GAS_KEYS = {"nu": number, "k": number, "cV": number, "lambda": number}
+SCHEME_KEYS = {"store_stride": count, "dense_steps": count}
+
+# the initial data every "data" table holds, and the readers of the
+# perturbation callables, in config trees and study patterns
+INITIAL_DATA = ("eta0", "u0", "theta0")
+PERTURBATION_KEYS = {"beta": over(("x", "t")), "gamma": over(("x", "t")),
+                     "beta1": over(("x", "t")), "beta2": over(("x", "t")),
+                     "g1": over(("chi", "x", "t")), "g2": over(("chi", "x", "t"))}
+
+# the top level of each command's config tree: a plain problem (solve, and
+# the "problem" tree of study-lipschitz), a two-scale problem with the
+# "study" table that homogenize and study-homog read, a Lipschitz study and a
+# norm evaluation; every problem tree holds the PROBLEM_TABLES
+PROBLEM_TABLES = ("domain", "grid", "gas", "bc", "data")
+PROBLEM_KEYS = {**dict.fromkeys(PROBLEM_TABLES + ("perturbation", "scheme"), subtable),
+                "N": number}
+TWO_SCALE_KEYS = {**dict.fromkeys(PROBLEM_TABLES + ("scheme", "study"), subtable),
+                  "breakpoints_xi": float_list, "nxi": count, "N": number}
+LIPSCHITZ_KEYS = {"problem": subtable, "study": subtable}
+NORM_KEYS = {"domain": subtable, "grid": subtable, "field": over(("x", "t")),
+             "norm": subtable}
+
+# the keys of each "study" table with their readers; they are the argument
+# names of studies.run_homog_study and run_lipschitz_study (whose perturb the
+# CLI builds from patterns, which perturbed_spec reads), and those defaults
+# hold for a key the table omits
+HOMOG_STUDY_KEYS = {"eps_list": float_list, "qe": number_or_inf,
+                    "thresholds": threshold_rules}
+LIPSCHITZ_STUDY_KEYS = {"delta0": number, "levels": count, "qe": number_or_inf,
+                        "patterns": dict, "thresholds": threshold_rules}
+
+
+def build_grid(top):
+    """Grid from the "domain" and "grid" tables of a top level."""
+    return Grid(**read_table(top["domain"], DOMAIN_KEYS, "domain", tuple(DOMAIN_KEYS)),
+                **read_table(top["grid"], GRID_KEYS, "grid", tuple(GRID_KEYS)))
+
+
+def _read_problem_tree(cfg, top_readers):
+    """The top level of a problem tree, read by top_readers, and the grid, gas
+    and bc every problem tree holds: (top level, grid, gas, bc)."""
+    top = read_table(cfg, top_readers, "top-level", PROBLEM_TABLES)
+    grid = build_grid(top)
+    gas = read_table(top["gas"], GAS_KEYS, "gas", tuple(GAS_KEYS))
+    tt = grid.times()
+
+    def boundary_entry(entry):
+        sample_boundary(entry, tt)       # raises on an entry it cannot sample
+        return entry
+
+    bc = read_table(top["bc"], {"m": count, **dict.fromkeys(BC_NAMES, boundary_entry)},
+                    "bc", ("m",))
+    return (top, grid, GasParams(nu=gas["nu"], k=gas["k"], cV=gas["cV"], lam=gas["lambda"]),
+            BoundaryData.build(grid, **bc))
+
+
+def build_problem(cfg):
+    """Plain (single-scale) problem from a config tree."""
+    top, grid, gas, bc = _read_problem_tree(cfg, PROBLEM_KEYS)
+    xc, xe = grid.centers(), grid.edges()
+    force = over(("chi", "x", "t"))
+    data = read_table(top["data"], {"eta0": sampled(xc), "u0": sampled(xe),
+                                    "theta0": sampled(xc), "g": force, "f": force},
+                      "data", INITIAL_DATA)
+    perturbation = read_table(top.get("perturbation", {}),
+                              {"beta_e": sampled(xe), **PERTURBATION_KEYS}, "perturbation")
+    return ProblemSpec(grid=grid, gas=gas, bc=bc, **data,
+                       perturbation=PerturbationSpec(**perturbation),
+                       N=top.get("N", 10.0), source=cfg)
+
+
+def build_two_scale_problem(cfg):
+    """Two-scale problem: data expressions over (xi, x), forces over
+    (chi, xi, x, t), with the declared xi breakpoints."""
+    top, grid, gas, bc = _read_problem_tree(cfg, TWO_SCALE_KEYS)
+    bp = tuple(top.get("breakpoints_xi", ()))
+    force = over(("chi", "xi", "x", "t"))
+    data = read_table(top["data"], {**dict.fromkeys(INITIAL_DATA, over(("xi", "x"))),
+                                    "g": force, "f": force}, "data", INITIAL_DATA)
+    for name in INITIAL_DATA:    # a null entry reads as zero, as in a plain config
+        fn = ConstFn(0.0) if data[name] is None else data[name]
+        data[name] = TwoScaleField(fn, breakpoints=bp, n_xi=top.get("nxi", 256))
+    return TwoScaleProblem(grid=grid, gas=gas, bc=bc, **data, N=top.get("N", 10.0),
+                           force_breakpoints=bp, source=cfg)
 
 
 def build_scheme(cfg):
@@ -253,37 +246,42 @@ def build_scheme(cfg):
 def perturbed_spec(base, patterns, delta):
     """Scale the study's perturbation patterns by delta and apply to the base
     spec: initial-data shifts, boundary-data shifts, and the extra terms.  A
-    key it does not read, a table with no pattern and a boundary pattern on an
-    entry the bc family does not use raise ValueError."""
-    _check_keys(patterns, PATTERN_KEYS, "pattern")
-    if all(entry is None for entry in patterns.values()):
-        raise ValueError("the study perturbs nothing: its patterns table holds no pattern")
-    for name in BC_NAMES:
-        if patterns.get(name + "b") is not None and name not in ACTIVE_BC[base.bc.m]:
-            raise ValueError(f"pattern {name}b shifts boundary entry {name}, which "
-                             f"family m={base.bc.m} does not use")
+    key it does not read, a pattern it cannot read, a table with no pattern
+    and a boundary pattern on an entry the bc family does not use raise
+    ValueError."""
     grid = base.grid
     xc, xe, tt = grid.centers(), grid.edges(), grid.times()
 
+    def boundary_shift(entry):
+        return None if entry is None else sample_boundary(entry, tt)
+
+    read = read_table(patterns, {
+        **dict.fromkeys(("eta0", "u0", "theta0", "beta_e"), over(("x",))),
+        **dict.fromkeys((name + "b" for name in BC_NAMES), boundary_shift),
+        **PERTURBATION_KEYS}, "pattern")
+    if all(entry is None for entry in read.values()):
+        raise ValueError("the study perturbs nothing: its patterns table holds no pattern")
+    for name in BC_NAMES:
+        if read.get(name + "b") is not None and name not in ACTIVE_BC[base.bc.m]:
+            raise ValueError(f"pattern {name}b shifts boundary entry {name}, which "
+                             f"family m={base.bc.m} does not use")
+
     def shift(vals, key, x):
-        if key not in patterns or patterns[key] is None:
-            return vals
-        return vals + delta * _sample_x(patterns[key], x)
+        fn = read.get(key)
+        return vals if fn is None else vals + delta * sample_field(fn, x)
 
     def shift_bc(name):
-        series = getattr(base.bc, name + "_t")
-        entry = patterns.get(name + "b")
-        return series if entry is None else series + delta * sample_boundary(entry, tt)
+        series, offset = getattr(base.bc, name + "_t"), read.get(name + "b")
+        return series if offset is None else series + delta * offset
 
     bc = BoundaryData(m=base.bc.m, **{name + "_t": shift_bc(name) for name in BC_NAMES})
 
-    def scaled(key, variables):
-        fn = field_entry(patterns.get(key), variables)
+    def scaled(key):
+        fn = read.get(key)
         return None if fn is None else ScaledFn(fn, delta)
 
-    pert = PerturbationSpec(
-        beta_e=delta * _sample_x(patterns.get("beta_e"), xe),
-        **{key: scaled(key, variables) for key, variables in PERTURBATION_VARIABLES.items()})
+    pert = PerturbationSpec(beta_e=delta * sample_field(read.get("beta_e"), xe),
+                            **{key: scaled(key) for key in PERTURBATION_KEYS})
 
     return ProblemSpec(
         grid=grid, gas=base.gas, bc=bc,

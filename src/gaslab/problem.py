@@ -50,7 +50,7 @@ def sample_boundary(entry, times):
         table = np.asarray(entry, dtype=float)
     except (TypeError, ValueError):
         table = np.empty(0)
-    if table.ndim == 0:
+    if table.ndim == 0 and not isinstance(entry, bool):
         return np.full(len(times), float(table))
     if table.ndim == 2 and table.shape[1] == 2:
         return np.interp(times, table[:, 0], table[:, 1])
@@ -77,8 +77,7 @@ class BoundaryData:
         given = {"u0": u0, "uX": uX, "p0": p0, "pX": pX, "pi0": pi0, "piX": piX}
         t = grid.times()
         return cls(m=m, **{
-            name + "_t": sample_boundary(given[name] if name in ACTIVE_BC[m] else None, t)
-            for name in BC_NAMES})
+            name + "_t": sample_boundary(given[name], t) for name in BC_NAMES})
 
     def at(self, times, t):
         """Interpolated boundary values at a time t (substeps) or an array of
@@ -130,8 +129,11 @@ class ProblemSpec:
 def validate(spec):
     """Check the admissibility conditions on the data; returns a list of
     violation strings (empty means valid).  Never raises."""
-    out = []
     grid, N = spec.grid, spec.N
+    # every bound below compares against N or 1/N, which a NaN passes silently
+    if not (np.isfinite(N) and N > 0):
+        return [f"N must be a finite positive number, got {N!r}"]
+    out = []
     eta0 = np.asarray(spec.eta0, dtype=float)
     u0 = np.asarray(spec.u0, dtype=float)
     theta0 = np.asarray(spec.theta0, dtype=float)

@@ -233,7 +233,7 @@ def test_config_table_without_a_key_exits_2(tmp_path, capsys):
     cfg = small_problem_cfg()
     del cfg["gas"]["nu"]
     assert main(["solve", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "config table lacks key 'nu'" in capsys.readouterr().err
+    assert "gas table lacks key 'nu'" in capsys.readouterr().err
 
 
 def test_snapshot_rows_match_per_cell_format(tmp_path):
@@ -296,10 +296,7 @@ def count_solves(monkeypatch):
 
 
 @pytest.mark.parametrize("section,name,message", [
-    ("data", "eta0", "eta0 must be finite"),
-    ("data", "theta0", "theta0 must be finite"),
     ("bc", "pi0", "boundary entry pi0 must be finite"),
-    ("data", "f", "f must be finite on the probe set"),
 ])
 def test_solve_reports_non_finite_data_as_invalid_config(tmp_path, monkeypatch, capsys,
                                                          section, name, message):
@@ -309,6 +306,19 @@ def test_solve_reports_non_finite_data_as_invalid_config(tmp_path, monkeypatch, 
     cfg = write_cfg(tmp_path, cfg_dict)
     assert main(["solve", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"invalid config: {message}" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["eta0", "theta0", "f"])
+def test_non_finite_data_constant_exits_2_naming_its_key(tmp_path, monkeypatch, capsys, name):
+    # a constant field entry is read as a number, which must be finite
+    calls = count_solves(monkeypatch)
+    cfg_dict = small_problem_cfg()
+    cfg_dict["data"][name] = float("nan")
+    cfg = write_cfg(tmp_path, cfg_dict)
+    assert main(["solve", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.strip() == \
+        f"error: data key '{name}' cannot read nan: not a finite number"
     assert calls == []
 
 
@@ -506,6 +516,7 @@ def test_lipschitz_pattern_error_exits_before_solving(tmp_path, monkeypatch, cap
     ({"eta_C0L2": ["gt", 0.9]}, "threshold on 'eta_C0L2' is not"),
     ({"eta_C0L2": ["band", 0.9]}, "threshold on 'eta_C0L2' is not"),
     ({"eta_C0L2": ["ge", "0.9"]}, "threshold on 'eta_C0L2' is not"),
+    ({"eta_C0L2": ["ge", True]}, "threshold on 'eta_C0L2' is not"),
     ({"eta_C0L2": 0.9}, "threshold on 'eta_C0L2' is not"),
     ([["ge", 0.9]], "threshold on 'ge', a column no study fits")])
 def test_bad_threshold_exits_before_solving(tmp_path, monkeypatch, capsys, command,
@@ -573,3 +584,68 @@ def test_cli_solve_loads_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, cfg, str(tmp_path / "o")],
                          capture_output=True, text=True, env=env, check=True, timeout=120)
     assert out.stdout.splitlines()[-1] == "scipy modules: []"
+
+
+def test_boundary_entry_the_family_does_not_use_exits_2(tmp_path, monkeypatch, capsys):
+    calls = count_solves(monkeypatch)
+    cfg = cfgmod.load_config("configs/pulse.json")
+    cfg["bc"]["u0"] = 0.5                 # family m = 3 prescribes stresses at both ends
+    assert main(["solve", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.strip() == ("invalid config: boundary entry u0 is not "
+                                               "used by family m=3 and must be identically zero")
+    assert calls == []
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+COMMAND_OF = {"conservation_m1.json": "solve", "equilibrium.json": "solve",
+              "pulse.json": "solve", "homog_benchmark.json": "study-homog",
+              "lipschitz_benchmark.json": "study-lipschitz", "norm_demo.json": "norms"}
+
+
+def leaves(tree, path=()):
+    """(path, value) of each leaf of a config tree, the elements of a list of
+    numbers included."""
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield from leaves(value, path + (key,))
+    elif isinstance(tree, list) and all(isinstance(v, (int, float)) for v in tree):
+        for i, value in enumerate(tree):
+            yield path + (i,), value
+    else:
+        yield path, tree
+
+
+WRONG_KIND_CASES = [
+    pytest.param(name, path, wrong,
+                 id=f"{name[:-5]}-{'.'.join(map(str, path))}-{'true' if wrong is True else 'list'}")
+    for name in sorted(COMMAND_OF)
+    for path, value in leaves(cfgmod.load_config(os.path.join(CONFIGS, name)))
+    for wrong in (True, [value])]
+
+
+def test_every_shipped_config_is_walked():
+    assert sorted(os.listdir(CONFIGS)) == sorted(COMMAND_OF)
+
+
+# a value of the wrong JSON kind is a config error naming its key (exit 2),
+# never a value read in silence nor a TypeError that ends with exit 1
+@pytest.mark.parametrize("name,path,wrong", WRONG_KIND_CASES)
+def test_every_shipped_config_value_of_the_wrong_kind_exits_2(tmp_path, monkeypatch, capsys,
+                                                               name, path, wrong):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a config holding a value of the wrong kind reached a solve")
+
+    for module in (cli, studies, hmg):
+        monkeypatch.setattr(module, "solve", refuse)
+    cfg = cfgmod.load_config(os.path.join(CONFIGS, name))
+    table = cfg
+    for key in path[:-1]:
+        table = table[key]
+    table[path[-1]] = wrong
+    command = COMMAND_OF[name]
+    argv = [command, write_cfg(tmp_path, cfg)]
+    if command != "norms":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    key = [step for step in path if isinstance(step, str)][-1]
+    assert f"key '{key}'" in capsys.readouterr().err

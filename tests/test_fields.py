@@ -96,6 +96,13 @@ def test_validate_flags_inactive_boundary_entries():
     assert any("not used by family" in m for m in msgs)
 
 
+@pytest.mark.parametrize("N", [np.nan, np.inf, -np.inf, 0.0, -10.0])
+def test_validate_reports_a_non_finite_or_non_positive_N(N):
+    # a NaN N passes every (C1)/(C3) comparison, and 1/N is undefined at N = 0
+    spec = replace(constant_spec(), N=N)
+    assert validate(spec) == [f"N must be a finite positive number, got {N!r}"]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("name", ["eta0", "u0", "theta0", *BC_NAMES, "f", "beta", "gamma",
                                   "beta1", "beta2", "g1", "g2"])
@@ -244,11 +251,14 @@ BC_ENTRY_KINDS = {
 def test_boundary_table_entries(kind):
     g = basic_grid()
     entry, expected = BC_ENTRY_KINDS[kind]
-    # pX is not used by family m = 1: whatever it is given, it stays zero
+    # pX is not used by family m = 1: it is sampled as given, and validate
+    # reports any nonzero sample
     bc = BoundaryData.build(g, m=1, u0=entry, uX=0.0, pX=entry, pi0=0.0, piX=0.0)
     assert np.allclose(bc.u0_t, expected(g.times()), rtol=0.0, atol=1e-14)
-    assert not np.any(bc.pX_t)
-    for bad in (np.ones(g.nt), [[0.0, 1.0, 2.0], [0.5, 2.0, 3.0]], lambda t: 1.0):
+    assert np.allclose(bc.pX_t, expected(g.times()), rtol=0.0, atol=1e-14)
+    unused = "boundary entry pX is not used by family m=1 and must be identically zero"
+    assert (unused in validate(replace(constant_spec(m=1), bc=bc))) == (entry is not None)
+    for bad in (np.ones(g.nt), [[0.0, 1.0, 2.0], [0.5, 2.0, 3.0]], lambda t: 1.0, True):
         with pytest.raises(ValueError, match="a number, an expression in t or a"):
             BoundaryData.build(g, m=1, u0=bad, uX=0.0)
 
@@ -309,7 +319,7 @@ def test_every_sampler_returns_the_full_sample_shape(kind):
     w = TwoScaleField(cfgmod.field_entry(in_xi_x, ("xi", "x")), breakpoints=(0.5,))
     force = _AveragedForce(cfgmod.field_entry(in_all, ("chi", "xi", "x", "t")), (0.5,))
     samples = [(sample_boundary(in_t, g.times()), g.nt + 1),
-               (cfgmod._sample_x(in_x, xc), g.nx),
+               (sample_field(cfgmod.field_entry(in_x, ("x",)), xc), g.nx),
                (realize(w, OscillationSpec(0.25), xc), g.nx),
                (xi_mean(w, xc), g.nx),
                (force(np.linspace(0.0, 2.0, g.nx + 1), xe, 0.3), g.nx + 1)]
@@ -318,4 +328,4 @@ def test_every_sampler_returns_the_full_sample_shape(kind):
         if kind == "constant":
             assert np.allclose(values, 0.5, rtol=1e-15, atol=0.0)
     assert sample_field(None, xc, 0.3).tolist() == [0.0] * g.nx
-    assert cfgmod._sample_x(None, xe).tolist() == [0.0] * (g.nx + 1)
+    assert sample_field(cfgmod.field_entry(None, ("x",)), xe).tolist() == [0.0] * (g.nx + 1)
