@@ -54,8 +54,8 @@ def save_config(cfg, path):
         fh.write("\n")
 
 
-# the readers: each takes one JSON value and returns it read, or raises
-# TypeError or ValueError, which read_table reports with the table and the key
+# the readers: each takes one JSON value and returns it read, or raises an
+# error that read_table reports with the table and the key
 def number(value):
     """A finite number: a JSON number or a numeric string, not a boolean."""
     if isinstance(value, bool):
@@ -144,7 +144,7 @@ def read_table(table, readers, kind, required=()):
     for key, value in table.items():
         try:
             out[key] = readers[key](value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{kind} key '{key}' cannot read {value!r}: {exc}") from None
     return out
 

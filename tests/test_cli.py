@@ -383,7 +383,11 @@ def test_unknown_two_scale_data_key_exits_before_solving(tmp_path, monkeypatch, 
     ("study-lipschitz", ("study", "delta0"), [0.1], "study key 'delta0' cannot read [0.1]"),
     ("study-lipschitz", ("study", "patterns"), 5, "study key 'patterns' cannot read 5"),
     ("solve", ("gas",), [0.1, 1.0, 1.0, 0.1], "gas table is not a JSON object"),
-    ("solve", ("perturbation",), "0.1", "perturbation table is not a JSON object")])
+    ("solve", ("perturbation",), "0.1", "perturbation table is not a JSON object"),
+    ("solve", ("N",), "nan", "top-level key 'N' cannot read 'nan': not a finite number"),
+    ("solve", ("grid", "nx"), 10 ** 400, "grid key 'nx' cannot read 1000"),
+    ("study-lipschitz", ("study", "levels"), 4.5,
+     "study key 'levels' cannot read 4.5: not a whole number")])
 def test_bad_table_shape_exits_before_solving(tmp_path, monkeypatch, capsys, command, where,
                                               value, message):
     calls = count_solves(monkeypatch)
