@@ -520,9 +520,9 @@ def test_lipschitz_pattern_error_exits_before_solving(tmp_path, monkeypatch, cap
     ({"eta_C0L2": ["gt", 0.9]}, "threshold on 'eta_C0L2' is not"),
     ({"eta_C0L2": ["band", 0.9]}, "threshold on 'eta_C0L2' is not"),
     ({"eta_C0L2": ["ge", "0.9"]}, "threshold on 'eta_C0L2' is not"),
-    ({"eta_C0L2": ["ge", True]}, "threshold on 'eta_C0L2' is not"),
     ({"eta_C0L2": 0.9}, "threshold on 'eta_C0L2' is not"),
-    ([["ge", 0.9]], "threshold on 'ge', a column no study fits")])
+    ([["ge", 0.9]], "threshold on 'ge', a column no study fits"),
+    ({"eta_C0L2": ["ge", True]}, "threshold on 'eta_C0L2' is not")])
 def test_bad_threshold_exits_before_solving(tmp_path, monkeypatch, capsys, command,
                                             thresholds, message):
     calls = count_solves(monkeypatch)
