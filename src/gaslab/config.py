@@ -74,6 +74,14 @@ def count(value):
     return int(out)
 
 
+def positive_count(value):
+    """A whole number of at least 1."""
+    out = count(value)
+    if out < 1:
+        raise ValueError("not a whole number >= 1")
+    return out
+
+
 def number_or_inf(value):
     """A number, or the string "inf" for infinity."""
     return float("inf") if value == "inf" else number(value)
@@ -144,7 +152,7 @@ def read_table(table, readers, kind, required=()):
     for key, value in table.items():
         try:
             out[key] = readers[key](value)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError, OverflowError, dsl.ExprError) as exc:
             raise ValueError(f"{kind} key '{key}' cannot read {value!r}: {exc}") from None
     return out
 
@@ -169,7 +177,7 @@ PROBLEM_TABLES = ("domain", "grid", "gas", "bc", "data")
 PROBLEM_KEYS = {**dict.fromkeys(PROBLEM_TABLES + ("perturbation", "scheme"), subtable),
                 "N": number}
 TWO_SCALE_KEYS = {**dict.fromkeys(PROBLEM_TABLES + ("scheme", "study"), subtable),
-                  "breakpoints_xi": float_list, "nxi": count, "N": number}
+                  "breakpoints_xi": float_list, "nxi": positive_count, "N": number}
 LIPSCHITZ_KEYS = {"problem": subtable, "study": subtable}
 NORM_KEYS = {"domain": subtable, "grid": subtable, "field": over(("x", "t")),
              "norm": subtable}

@@ -2,10 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from gaslab import cli, studies
 from gaslab import config as cfgmod
@@ -264,10 +267,64 @@ def test_snapshot_rows_match_per_cell_format(tmp_path):
                         f"{bundle.sigma[n, i]:.17e},{pic[i]:.17e}\n")
     assert "-0.00000000000000000e+00" in "".join(want)
     assert path.read_bytes() == "".join(want).encode()
-    rows = cli._row_formatter(np.array([-0.0, 1e-310]))
-    assert rows(-0.0, np.array([np.inf, np.nan])) == \
-        "".join(f"{a:.17e},{b:.17e},{c:.17e}\n" for a, b, c in
-                ((-0.0, -0.0, np.inf), (-0.0, 1e-310, np.nan)))
+    cells = ((-0.0, -0.0, np.inf), (-0.0, 1e-310, np.nan))
+    assert cli._csv_bytes(np.array(cells)) == \
+        "".join(f"{a:.17e},{b:.17e},{c:.17e}\n" for a, b, c in cells).encode()
+
+
+def per_cell_csv(block):
+    """The reference of cli._csv_bytes: one % per cell."""
+    return "".join(",".join("%.17e" % v for v in row) + "\n"
+                   for row in block.tolist()).encode()
+
+
+@given(patterns=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64),
+       cols=st.integers(1, 7))
+@settings(max_examples=300, deadline=None)
+def test_csv_bytes_equal_per_cell_format_on_raw_bit_patterns(patterns, cols):
+    patterns = patterns + [0] * (-len(patterns) % cols)
+    block = np.array(patterns, dtype=np.uint64).view(np.float64).reshape(-1, cols)
+    assert cli._csv_bytes(block) == per_cell_csv(block)
+
+
+def odd_sixteenths():
+    """N / 16 for odd N in [1.6e15, 9.0e15): 19 significant digits ending in
+    5, so each is an exact tie at the 18th digit, which % rounds half to even."""
+    n = np.arange(1_600_000_000_000_001, 9_000_000_000_000_000, 2_000_000_000_002)
+    return np.concatenate([n, n + 2]) / 16
+
+
+POWERS = 10.0 ** np.arange(-30, 31)
+PINNED_CELLS = {
+    "ties": odd_sixteenths(),
+    "powers_of_ten": np.concatenate([np.nextafter(POWERS, np.inf), POWERS,
+                                     np.nextafter(POWERS, -np.inf)]),
+    # 1e153 is the only double below a power of ten whose 18 digits round up to it
+    "rounds_up_to_a_power_of_ten": np.array([1e153, -1e153, np.nextafter(1e153, np.inf)]),
+    "edges": np.array([1.5e-150, -3.25e200, 1e100, 9.999e99, 1e-100, 1e-280, 1e280,
+                       np.nextafter(1e-280, 0), np.nextafter(1e280, np.inf),
+                       1.7976931348623157e308, 2.2250738585072014e-308, 1e-310, -5e-324,
+                       0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 0.5, 1.0, 9.5]),
+}
+
+
+@pytest.mark.parametrize("group", sorted(PINNED_CELLS))
+def test_csv_bytes_equal_per_cell_format_on_pinned_cells(group):
+    cells = PINNED_CELLS[group]
+    for cols in (1, 3):
+        block = np.resize(np.concatenate([cells, -cells]), (-(-2 * len(cells) // cols), cols))
+        assert cli._csv_bytes(block) == per_cell_csv(block)
+
+
+def test_formatting_one_snapshot_allocates_under_2_mib():
+    block = np.random.default_rng(0).normal(size=(4096, 7))
+    tracemalloc.start()
+    try:
+        cli._csv_bytes(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_non_finite_state_exit_code(tmp_path, monkeypatch, capsys):
@@ -653,3 +710,26 @@ def test_every_shipped_config_value_of_the_wrong_kind_exits_2(tmp_path, monkeypa
     assert main(argv) == 2
     key = [step for step in path if isinstance(step, str)][-1]
     assert f"key '{key}'" in capsys.readouterr().err
+
+
+def test_expression_error_in_a_field_entry_exits_2_naming_its_key(tmp_path, monkeypatch,
+                                                                   capsys):
+    calls = count_solves(monkeypatch)
+    cfg = cfgmod.load_config(os.path.join(CONFIGS, "pulse.json"))
+    cfg["data"]["eta0"] = "1 +"
+    assert main(["solve", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "data key 'eta0' cannot read '1 +': 1:4: expected a factor" in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("nxi", [0, -4])
+@pytest.mark.parametrize("command", ["homogenize", "study-homog"])
+def test_nxi_below_one_exits_before_solving(tmp_path, monkeypatch, capsys, command, nxi):
+    calls = count_solves(monkeypatch)
+    cfg = two_scale_cfg([0.25])
+    cfg["nxi"] = nxi
+    assert main([command, write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"top-level key 'nxi' cannot read {nxi}: not a whole number >= 1" \
+        in capsys.readouterr().err
+    assert calls == []
