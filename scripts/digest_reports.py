@@ -29,8 +29,9 @@ from gaslab.norms import NAMED_NORMS  # noqa: E402
 
 NORM_FIELD = "0.5 + x*(1 - x)*cos(3*t) + 0.2*sin(7*x)"
 # (tag, keys) runs beyond each tag at its defaults
-NORM_VARIANTS = [("Lq", {"q": 3}), ("Lqr", {"q": 1.5, "r": "inf"}), ("Hm1", {"m": 1}),
-                 ("Hm1", {"m": 2}), ("WHst", {"r": "inf"})]
+NORM_VARIANTS = [("Lqr", {"q": 3, "r": 3}), ("Lqr", {"q": 1.5, "r": "inf"}),
+                 ("Lqr", {"q": 2, "r": "inf"}), ("Hm1", {"m": 1}), ("Hm1", {"m": 2}),
+                 ("WHst", {"r": "inf"})]
 
 
 def _config(name):

@@ -211,15 +211,16 @@ def _cmd_homogenize(args):
     study = cfgmod.read_table(cfg.get("study", {}), cfgmod.HOMOG_STUDY_KEYS, "study")
     eps_list = (cfgmod.float_list(args.eps_list.split(",")) if args.eps_list
                 else study.get("eps_list", [0.125]))
+    oscillations = [OscillationSpec(eps=eps) for eps in eps_list]
     hs = hmg.solve_homogenized(problem, scheme)
     os.makedirs(args.out, exist_ok=True)
     _write_snapshots(os.path.join(args.out, "averaged.csv"), problem.grid,
                      hs.base, stride=args.stride)
     x = problem.grid.centers()
     kept = slice(None, None, args.stride)
-    for eps in eps_list:
-        eta_eps = hmg.eta_epsilon(hs, OscillationSpec(eps=eps), kept)
-        path = os.path.join(args.out, f"eta_recon_eps_{eps:g}.csv")
+    for osc in oscillations:
+        eta_eps = hmg.eta_epsilon(hs, osc, kept)
+        path = os.path.join(args.out, f"eta_recon_eps_{osc.eps:g}.csv")
         with open(path, "wb") as fh:
             fh.write(b"t,x,eta_recon\n")
             for t, eta_row in zip(hs.base.times[kept], eta_eps):

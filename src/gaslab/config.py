@@ -82,6 +82,14 @@ def positive_count(value):
     return out
 
 
+def nonzero_number(value):
+    """A finite number other than 0."""
+    out = number(value)
+    if out == 0:
+        raise ValueError("not a nonzero number")
+    return out
+
+
 def number_or_inf(value):
     """A number, or the string "inf" for infinity."""
     return float("inf") if value == "inf" else number(value)
@@ -188,7 +196,7 @@ NORM_KEYS = {"domain": subtable, "grid": subtable, "field": over(("x", "t")),
 # hold for a key the table omits
 HOMOG_STUDY_KEYS = {"eps_list": float_list, "qe": number_or_inf,
                     "thresholds": threshold_rules}
-LIPSCHITZ_STUDY_KEYS = {"delta0": number, "levels": count, "qe": number_or_inf,
+LIPSCHITZ_STUDY_KEYS = {"delta0": nonzero_number, "levels": count, "qe": number_or_inf,
                         "patterns": dict, "thresholds": threshold_rules}
 
 

@@ -83,9 +83,6 @@ class Call:
     args: tuple
 
 
-Expr = (Num, Var, Neg, Bin, Call)
-
-
 # ---------------------------------------------------------------------------
 # Tokenizer
 

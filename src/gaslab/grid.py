@@ -111,9 +111,3 @@ def du_centers(grid, u):
     """Difference quotient of an edge field at cell centers: (u_{j+1}-u_j)/dx."""
     u = np.asarray(u)
     return (u[..., 1:] - u[..., :-1]) / grid.dx
-
-
-def dw_edges_interior(grid, w):
-    """Difference quotient of a center field at the nx-1 interior edges."""
-    w = np.asarray(w)
-    return (w[..., 1:] - w[..., :-1]) / grid.dx

@@ -13,7 +13,7 @@ configs) for the essential-sup slots, which on grids are sample maxima.
 import numpy as np
 
 from .calculus import difference_quotient, i_bracket, mean_omega, time_primitive
-from .grid import dw_edges_interior, edges_to_centers, integrate_x
+from .grid import edges_to_centers, integrate_x
 
 INF = float("inf")
 
@@ -75,11 +75,6 @@ def lqr_norm(grid, w, q, r, times):
     return float(time_lr(space_lq(grid, w, q), times, r))
 
 
-def c0l2_norm(grid, w):
-    """C(0,T; L^2(Omega)) norm: max over stored times of the spatial L^2 norm."""
-    return float(space_lq(grid, w, 2.0).max())
-
-
 def h_minus_one(grid, y, m):
     """Negative-order norm through primitives: ||I^<m> y||_{L^2} for m = 1, 2 and
     ||Iy||_{L^2} + X |<y>| for m = 3, one value per row of y (last axis).  Edge
@@ -92,35 +87,6 @@ def h_minus_one(grid, y, m):
     if m == 3:
         return space_lq(grid, i_bracket(grid, y, 2), 2.0) + grid.X * np.abs(mean_omega(grid, y))
     raise ValueError(f"m must be 1, 2 or 3, got {m}")
-
-
-def _dx_field(grid, w):
-    """Spatial derivative samples of a center field at all nx+1 edges: the
-    interior edges by difference quotient, the boundary edges by linear
-    extrapolation.  Keeps the L^2(Q) quadrature of Dw second-order for
-    smooth w.
-    """
-    d = dw_edges_interior(grid, w)
-    out = np.empty(w.shape[:-1] + (d.shape[-1] + 2,))
-    out[..., 1:-1] = d
-    out[..., 0] = 2 * d[..., 0] - d[..., 1]
-    out[..., -1] = 2 * d[..., -1] - d[..., -2]
-    return out
-
-
-def v2_norm(grid, w, times):
-    """||w||_{L^{2,inf}(Q)} + ||Dw||_{L^2(Q)} with Dw from the scheme stencil;
-    center fields only."""
-    w = np.asarray(w, dtype=float)
-    if w.shape[-1] != grid.nx:
-        raise ValueError(f"v2_norm takes a center field of length nx = {grid.nx}, "
-                         f"got length {w.shape[-1]}")
-    dw = _dx_field(grid, w)
-    # edge-located derivative samples but only nx+1-2 interior are second
-    # order; the extrapolated ends keep the trapezoid weights consistent
-    lv = lqr_norm(grid, w, 2.0, INF, times)
-    ld = lqr_norm(grid, dw, 2.0, 2.0, times)
-    return float(lv + ld)
 
 
 def _shift_ladder(nx):
@@ -205,12 +171,8 @@ def w11_time_norm(b, times):
 
 
 NAMED_NORMS = {
-    "Lq": lambda grid, w, times, q=2.0: lqr_norm(grid, w, q, q, times),
     "Lqr": lambda grid, w, times, q=2.0, r=2.0: lqr_norm(grid, w, q, r, times),
-    "V2": lambda grid, w, times: v2_norm(grid, w, times),
     "Hm1": lambda grid, w, times, m=3: h_minus_one(grid, w[0], m),
-    "C0L2": lambda grid, w, times: c0l2_norm(grid, w),
-    "LqInfty": lambda grid, w, times, q=2.0: lqr_norm(grid, w, q, INF, times),
     "WH": lambda grid, w, times: wh_seminorm(grid, w[0]),
     "WHst": lambda grid, w, times, r=1.0: wh_spacetime_seminorm(grid, w, times, r),
     "V2star": lambda grid, w, times: v2star_majorant(grid, w, times),

@@ -359,7 +359,9 @@ def _stack(rows):
 
 
 def check_thresholds(table):
-    """Evaluate threshold rules against fitted slopes; returns (ok, messages)."""
+    """Evaluate threshold rules against fitted slopes; returns (ok, messages).
+    A table whose every threshold is skipped (degenerate columns only) checked
+    nothing, so it is not ok."""
     ok = True
     messages = []
     for col, rule in table.thresholds.items():
@@ -377,6 +379,8 @@ def check_thresholds(table):
         ok = ok and passed
         messages.append(f"{'PASS' if passed else 'FAIL'}  {col}: slope "
                         f"{slope:+.3f} (want {want})")
+    if messages and all(m.startswith("SKIP") for m in messages):
+        ok = False
     return ok, messages
 
 

@@ -733,3 +733,43 @@ def test_nxi_below_one_exits_before_solving(tmp_path, monkeypatch, capsys, comma
     assert f"top-level key 'nxi' cannot read {nxi}: not a whole number >= 1" \
         in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("flag,eps_list,shown", [
+    ("0", [0.125], "0.0"), ("1.5", [0.125], "1.5"), ("-0.25", [0.125], "-0.25"),
+    (None, [0.0], "0.0")])
+def test_homogenize_eps_outside_the_unit_interval_exits_before_solving(
+        tmp_path, monkeypatch, capsys, flag, eps_list, shown):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an inadmissible eps reached the averaged solve")
+
+    monkeypatch.setattr(hmg, "solve_homogenized", refuse)
+    out = tmp_path / "o"
+    argv = ["homogenize", write_cfg(tmp_path, two_scale_cfg(eps_list)), "--out", str(out)]
+    if flag is not None:
+        argv += ["--eps-list", flag]
+    assert main(argv) == 2
+    assert f"error: eps must lie in (0, 1], got {shown}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_lipschitz_delta0_zero_exits_before_solving(tmp_path, monkeypatch, capsys):
+    calls = count_solves(monkeypatch)
+    path = write_cfg(tmp_path, lipschitz_cfg(delta0=0))
+    assert main(["study-lipschitz", path, "--out", str(tmp_path / "o")]) == 2
+    assert "study key 'delta0' cannot read 0: not a nonzero number" \
+        in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "o").exists()
+
+
+def test_lipschitz_study_that_checks_no_threshold_exits_1(tmp_path, capsys):
+    # at delta0 = 1e-300 every solution difference is 0: each column is
+    # degenerate, so each threshold line is a SKIP
+    out = tmp_path / "o"
+    path = write_cfg(tmp_path, lipschitz_cfg(delta0=1e-300))
+    assert main(["study-lipschitz", path, "--out", str(out)]) == 1
+    lines = (out / "lipschitz_study.csv.summary.txt").read_text().splitlines()
+    verdicts = [ln for ln in lines if ln.startswith(("PASS", "FAIL", "SKIP"))]
+    assert verdicts and all(ln.startswith("SKIP") for ln in verdicts)
+    assert "RESULT: threshold failure" in lines

@@ -8,9 +8,8 @@ import hypothesis.strategies as st
 from gaslab.grid import Grid, du_centers, integrate_center
 from gaslab.calculus import i_bracket, mean_omega
 from gaslab import norms
-from gaslab.norms import (INF, BadExponent, c0l2_norm, h21star_majorant,
-                          h_minus_one, lqr_norm, space_lq, v2_norm,
-                          v2star_majorant, wh_seminorm, wh_spacetime_seminorm)
+from gaslab.norms import (INF, BadExponent, h21star_majorant, h_minus_one, lqr_norm,
+                          space_lq, v2star_majorant, wh_seminorm, wh_spacetime_seminorm)
 from gaslab.twoscale import TwoScaleField, xi_sample
 
 
@@ -86,33 +85,6 @@ def test_h_minus_one_nesting_regression():
         l2 = space_lq(g, y, 2.0)
         for m in (1, 2, 3):
             assert h_minus_one(g, y, m) <= bound[m] * l2
-
-
-# --- energy-class norm ------------------------------------------------------
-
-def test_v2_norm_constant():
-    g = make_grid()
-    w = np.full((g.nt + 1, g.nx), 2.5)
-    assert v2_norm(g, w, g.times()) == pytest.approx(2.5, rel=1e-10)
-
-
-def test_v2_norm_linear_in_x():
-    g = make_grid()
-    w = np.tile(g.centers(), (g.nt + 1, 1))
-    assert v2_norm(g, w, g.times()) == pytest.approx(1.0 / np.sqrt(3.0) + 1.0, rel=1e-3)
-
-
-def test_v2_norm_separable_oracle():
-    g = make_grid()
-    w = xt_field(g, lambda x, t: np.sin(np.pi * x) * t)
-    expect = 1.0 / np.sqrt(2.0) + np.pi / np.sqrt(6.0)
-    assert v2_norm(g, w, g.times()) == pytest.approx(expect, rel=1e-3)
-
-
-def test_v2_norm_rejects_an_edge_field():
-    g = make_grid()
-    with pytest.raises(ValueError, match=f"center field of length nx = {g.nx}"):
-        v2_norm(g, np.ones((g.nt + 1, g.nx + 1)), g.times())
 
 
 # --- bounded-variation seminorm --------------------------------------------
@@ -202,8 +174,9 @@ def test_whole_array_norms_bitwise_equal_per_row_definitions(nx, edges):
         w = random_rows(nx, edges, 10 * nx + 2 * seed + edges)
         for q in (1.0, 4.0 / 3.0, 2.0, 3.0):
             assert space_lq(g, w, q).tolist() == [space_lq(g, row, q) for row in w]
-        assert c0l2_norm(g, w) == row_c0l2(g, w)
-        assert c0l2_norm(g, w[2]) == float(space_lq(g, w[2], 2.0))
+        t = np.arange(w.shape[0], dtype=float)
+        assert lqr_norm(g, w, 2.0, INF, t) == row_c0l2(g, w)
+        assert lqr_norm(g, w[2], 2.0, INF, t[:1]) == float(space_lq(g, w[2], 2.0))
         for m in (1, 2, 3):
             assert h_minus_one(g, w, m).tolist() == [h_minus_one(g, row, m) for row in w]
         if not edges:
@@ -289,8 +262,7 @@ def test_named_norm_rejects_a_misspelled_key():
 NORMS = [
     lambda g, w, t: lqr_norm(g, w, 2.0, 2.0, t),
     lambda g, w, t: lqr_norm(g, w, INF, 1.0, t),
-    lambda g, w, t: c0l2_norm(g, w),
-    lambda g, w, t: v2_norm(g, w, t),
+    lambda g, w, t: lqr_norm(g, w, 2.0, INF, t),
     lambda g, w, t: v2star_majorant(g, w, t),
 ]
 

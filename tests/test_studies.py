@@ -8,7 +8,7 @@ from gaslab import config as cfgmod
 from gaslab import homogenize as hmg
 from gaslab import studies
 from gaslab.grid import Grid, GasParams
-from gaslab.norms import INF, ROW_BLOCK, c0l2_norm, h_minus_one, lqr_norm
+from gaslab.norms import INF, ROW_BLOCK, h_minus_one, lqr_norm
 from gaslab.problem import BoundaryData, PerturbationSpec, ProblemSpec
 from gaslab.solver import SchemeParams
 from gaslab.studies import (ConvergenceTable, DegenerateFit, IncompatibleSpecs,
@@ -231,6 +231,26 @@ def test_check_thresholds_band_and_ge():
     assert any(m.startswith("FAIL") and " b:" in m for m in msgs)
 
 
+def test_a_table_whose_every_threshold_is_skipped_is_not_ok(tmp_path):
+    # a sweep of zero differences fits no slope: nothing was checked
+    table = ConvergenceTable(
+        param="delta", values=[0.2, 0.1], columns={"a": [0.0, 0.0], "b": [0.0, 0.0]},
+        slopes={"a": None, "b": None},
+        thresholds={"a": ("band", 0.9, 1.1), "b": ("ge", 0.45)})
+    ok, msgs = check_thresholds(table)
+    assert not ok
+    assert [m.split()[0] for m in msgs] == ["SKIP", "SKIP"]
+    assert write_report(table, tmp_path / "r.csv") is False
+    summary = (tmp_path / "r.csv.summary.txt").read_text()
+    assert "RESULT: all thresholds met" not in summary
+
+
+def test_a_table_without_thresholds_is_ok():
+    table = ConvergenceTable(param="delta", values=[0.2, 0.1], columns={"a": [1, 2]},
+                             slopes={"a": None})
+    assert check_thresholds(table) == (True, [])
+
+
 # --- small end-to-end studies --------------------------------------------------
 
 def test_lipschitz_study_small():
@@ -385,20 +405,21 @@ def whole_array_columns(grid, d, times, m, qe):
     difference_columns computed them before it read row blocks."""
     z = np.minimum(np.asarray(times) / (studies.T0_FRAC * grid.T), 1.0)
     cols = {}
-    cols["eta_C0L2"] = c0l2_norm(grid, d["eta"])
+    cols["eta_C0L2"] = lqr_norm(grid, d["eta"], 2.0, INF, times)
     cols["u_L2"] = lqr_norm(grid, d["u"], 2.0, 2.0, times)
     cols["u_supHm1"] = float(h_minus_one(grid, d["u"], m).max())
     cols["u_L2_supHm1"] = cols["u_L2"] + cols["u_supHm1"]
     cols["theta_L2"] = lqr_norm(grid, d["theta"], 2.0, 2.0, times)
     cols["xe_Lqe_inf"] = lqr_norm(grid, d["x_e"], qe, INF, times)
     cols["xe_Linf"] = lqr_norm(grid, d["x_e"], INF, INF, times)
-    cols["itsigma_C0L2"] = c0l2_norm(grid, d["it_sigma"])
+    cols["itsigma_C0L2"] = lqr_norm(grid, d["it_sigma"], 2.0, INF, times)
     cols["eta_Linf"] = float(np.abs(d["eta"]).max())
     cols["u_Linf2"] = lqr_norm(grid, d["u"], INF, 2.0, times)
     cols["theta_Linf2"] = lqr_norm(grid, d["theta"], INF, 2.0, times)
     cols["itsigma_CQ"] = float(np.abs(d["it_sigma"]).max())
-    cols["zeta_u_C0L2"] = c0l2_norm(grid, z[:, None] * d["u"])
-    cols["zeta2_theta_C0L2"] = c0l2_norm(grid, (z ** 2)[:, None] * d["theta"])
+    cols["zeta_u_C0L2"] = lqr_norm(grid, z[:, None] * d["u"], 2.0, INF, times)
+    cols["zeta2_theta_C0L2"] = lqr_norm(grid, (z ** 2)[:, None] * d["theta"], 2.0, INF,
+                                       times)
     cols["zeta_u_CQ"] = float(np.abs(z[:, None] * d["u"]).max())
     cols["zeta2_theta_CQ"] = float(np.abs((z ** 2)[:, None] * d["theta"]).max())
     return cols
