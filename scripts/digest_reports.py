@@ -82,6 +82,10 @@ def _commands():
     homog_run["study"]["eps_list"] = [0.125, 0.0625]
     forced_homog_run = json.loads(json.dumps(forced_homog))
     forced_homog_run["study"]["eps_list"] = [0.125]
+    # without an nxi key: the data means and the averaged forces share the
+    # default 256-node cell quadrature
+    forced_homog_default_nxi = json.loads(json.dumps(forced_homog_run))
+    del forced_homog_default_nxi["nxi"]
     norm_runs = [(tag, {}) for tag in sorted(NAMED_NORMS)] + NORM_VARIANTS
     norm_cfgs = [dict(_config("norm_demo.json"), field=NORM_FIELD, norm=dict(keys, tag=tag))
                  for tag, keys in norm_runs]
@@ -98,6 +102,8 @@ def _commands():
         # the process-pool path: its report must hash as the serial one does
         ("study_homog_jobs2", "study-homog", homog, ["--jobs", "2"]),
         ("homogenize_forced", "homogenize", forced_homog_run,
+         ["--eps-list", "0.125", "--stride", "4"]),
+        ("homogenize_forced_default_nxi", "homogenize", forced_homog_default_nxi,
          ["--eps-list", "0.125", "--stride", "4"]),
         ("study_homog_forced", "study-homog", forced_homog, []),
         ("study_lipschitz", "study-lipschitz", _config("lipschitz_benchmark.json"), []),

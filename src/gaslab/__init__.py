@@ -12,7 +12,7 @@ from .grid import Grid, GasParams
 from .problem import (BoundaryData, PerturbationSpec, ProblemSpec,
                       SolutionBundle, validate)
 from .solver import SchemeParams, solve, diagnostics
-from .twoscale import OscillationSpec, TwoScaleField
+from .twoscale import OscillationSpec
 from .homogenize import TwoScaleProblem, solve_homogenized
 from .studies import (ConvergenceTable, compute_delta, compute_E0, fit_rate,
                       run_homog_study, run_lipschitz_study, write_report)
@@ -20,7 +20,7 @@ from .studies import (ConvergenceTable, compute_delta, compute_E0, fit_rate,
 __all__ = [
     "Grid", "GasParams", "BoundaryData", "PerturbationSpec", "ProblemSpec",
     "SolutionBundle", "validate", "SchemeParams", "solve", "diagnostics",
-    "OscillationSpec", "TwoScaleField",
+    "OscillationSpec",
     "TwoScaleProblem", "solve_homogenized", "ConvergenceTable",
     "compute_delta", "compute_E0", "fit_rate",
     "run_homog_study", "run_lipschitz_study", "write_report",

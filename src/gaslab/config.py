@@ -21,7 +21,7 @@ from .problem import (ACTIVE_BC, BC_NAMES, BoundaryData, PerturbationSpec, Probl
                       sample_boundary)
 from .solver import SchemeParams
 from .studies import DIFFERENCE_COLUMNS
-from .twoscale import TwoScaleField
+from .twoscale import xi_breakpoints
 
 
 class ScaledFn:
@@ -185,7 +185,8 @@ PROBLEM_TABLES = ("domain", "grid", "gas", "bc", "data")
 PROBLEM_KEYS = {**dict.fromkeys(PROBLEM_TABLES + ("perturbation", "scheme"), subtable),
                 "N": number}
 TWO_SCALE_KEYS = {**dict.fromkeys(PROBLEM_TABLES + ("scheme", "study"), subtable),
-                  "breakpoints_xi": float_list, "nxi": positive_count, "N": number}
+                  "breakpoints_xi": lambda value: xi_breakpoints(float_list(value)),
+                  "nxi": positive_count, "N": number}
 LIPSCHITZ_KEYS = {"problem": subtable, "study": subtable}
 NORM_KEYS = {"domain": subtable, "grid": subtable, "field": over(("x", "t")),
              "norm": subtable}
@@ -241,17 +242,15 @@ def build_problem(cfg):
 
 def build_two_scale_problem(cfg):
     """Two-scale problem: data expressions over (xi, x), forces over
-    (chi, xi, x, t), with the declared xi breakpoints."""
+    (chi, xi, x, t), with the declared xi breakpoints and quadrature nodes.
+    A null entry is None, which samples as zero, as in a plain config."""
     top, grid, gas, bc = _read_problem_tree(cfg, TWO_SCALE_KEYS)
-    bp = tuple(top.get("breakpoints_xi", ()))
     force = over(("chi", "xi", "x", "t"))
     data = read_table(top["data"], {**dict.fromkeys(INITIAL_DATA, over(("xi", "x"))),
                                     "g": force, "f": force}, "data", INITIAL_DATA)
-    for name in INITIAL_DATA:    # a null entry reads as zero, as in a plain config
-        fn = ConstFn(0.0) if data[name] is None else data[name]
-        data[name] = TwoScaleField(fn, breakpoints=bp, n_xi=top.get("nxi", 256))
     return TwoScaleProblem(grid=grid, gas=gas, bc=bc, **data, N=top.get("N", 10.0),
-                           force_breakpoints=bp, source=cfg)
+                           breakpoints_xi=top.get("breakpoints_xi", ()),
+                           nxi=top.get("nxi", 256), source=cfg)
 
 
 def build_scheme(cfg):

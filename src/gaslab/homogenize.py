@@ -17,6 +17,7 @@ the reconstruction is compared against the solver trajectory.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,8 +25,7 @@ from .calculus import time_primitive
 from .grid import Grid, GasParams, sample_field
 from .problem import BoundaryData, ProblemSpec, require_valid
 from .solver import SchemeParams, solve
-from .twoscale import (TwoScaleField, homogenized_theta0, realize, xi_mean,
-                       xi_quadrature)
+from .twoscale import homogenized_theta0, realize, xi_mean, xi_quadrature
 
 
 class _RealizedForce:
@@ -41,11 +41,11 @@ class _RealizedForce:
 
 
 class _AveragedForce:
-    """<g>(chi, x, t): quadrature over the periodic cell, vectorized in x."""
+    """<g>(chi, x, t): the cell quadrature (nodes, weights), vectorized in x."""
 
-    def __init__(self, fn, breakpoints=(), n_xi=64):
+    def __init__(self, fn, quadrature):
         self.fn = fn
-        self.nodes, self.weights = xi_quadrature(breakpoints, n_xi)
+        self.nodes, self.weights = quadrature
 
     def __call__(self, chi, x, t):
         return self.weights @ sample_field(self.fn, chi[None, :], self.nodes[:, None],
@@ -55,19 +55,26 @@ class _AveragedForce:
 @dataclass(frozen=True)
 class TwoScaleProblem:
     """Oscillating-data problem family: data as two-scale fields, boundary
-    data shared between the eps-realizations and the averaged problem."""
+    data shared between the eps-realizations and the averaged problem; one
+    breakpoint list and nxi set the quadrature of every cell mean."""
 
     grid: Grid
     gas: GasParams
     bc: BoundaryData
-    eta0: TwoScaleField
-    u0: TwoScaleField
-    theta0: TwoScaleField
+    eta0: object                   # (xi, x) -> array, or None for zero
+    u0: object
+    theta0: object
     g: object = None               # (chi, xi, x, t) -> array, or None
     f: object = None
     N: float = 10.0
-    force_breakpoints: tuple = ()
+    breakpoints_xi: tuple = ()
+    nxi: int = 256
     source: dict = None
+
+    @cached_property
+    def quadrature(self):
+        """(nodes, weights) of the cell quadrature."""
+        return xi_quadrature(self.breakpoints_xi, self.nxi)
 
     def realized_spec(self, osc):
         """ProblemSpec of the oscillating problem at scale eps."""
@@ -84,15 +91,15 @@ class TwoScaleProblem:
     def averaged_spec(self):
         """ProblemSpec of the averaged problem: cell means of eta0 and u0, the
         energy-averaged initial temperature, cell means of the force terms."""
-        g = self.grid
+        g, quad = self.grid, self.quadrature
         return ProblemSpec(
             grid=g, gas=self.gas, bc=self.bc,
-            eta0=xi_mean(self.eta0, g.centers()),
-            u0=xi_mean(self.u0, g.edges()),
-            theta0=homogenized_theta0(self.u0, self.theta0, self.gas.cV,
+            eta0=xi_mean(self.eta0, quad, g.centers()),
+            u0=xi_mean(self.u0, quad, g.edges()),
+            theta0=homogenized_theta0(self.u0, self.theta0, self.gas.cV, quad,
                                       g.centers()),
-            g=None if self.g is None else _AveragedForce(self.g, self.force_breakpoints),
-            f=None if self.f is None else _AveragedForce(self.f, self.force_breakpoints),
+            g=None if self.g is None else _AveragedForce(self.g, quad),
+            f=None if self.f is None else _AveragedForce(self.f, quad),
             N=self.N, source=self.source)
 
 

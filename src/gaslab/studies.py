@@ -435,11 +435,11 @@ def run_lipschitz_study(base_spec, perturb, delta0, levels=5, scheme=SchemeParam
             flags.append(f"hypothesis-drift:{name}")
 
     ratio_spread = {}
-    for col in LIPSCHITZ_BOUND_COLUMNS:
-        vals = np.asarray(columns[col])
-        ratios = vals / np.asarray(delta_totals)
-        if ratios.min() > 0:
-            ratio_spread[col] = float(ratios.max() / ratios.min())
+    if min(delta_totals) > 0:
+        for col in LIPSCHITZ_BOUND_COLUMNS:
+            ratios = np.asarray(columns[col]) / np.asarray(delta_totals)
+            if ratios.min() > 0:
+                ratio_spread[col] = float(ratios.max() / ratios.min())
 
     meta = {
         "study": "lipschitz",
@@ -511,20 +511,20 @@ def run_homog_study(problem, eps_list, scheme=SchemeParams(), qe=INF, thresholds
     """Averaged problem once, oscillating problem per eps; tabulate the error
     columns against the measured solver floor and fit slopes against eps.
 
-    Enforces the resolution guard eps_min / dx >= 16 so the averaging error
-    is not confounded with the spatial discretization error, then rejects a
-    sweep shorter than the four rows a rate fit needs or one that does not
-    halve, and a realized, averaged or floor spec that problem.validate
-    rejects, all before any solve.
+    Rejects an eps outside (0, 1], enforces the resolution guard eps_min /
+    dx >= 16 so the averaging error is not confounded with the spatial
+    discretization error, then rejects a sweep shorter than the four rows a
+    rate fit needs or one that does not halve, and a realized, averaged or
+    floor spec that problem.validate rejects, all before any solve.
     """
     g = problem.grid
     eps_list = [float(e) for e in eps_list]
+    oscs = [OscillationSpec(eps=e) for e in eps_list]
     if min(eps_list) / g.dx < 16.0 - 1e-12:
         raise ResolutionGuard(
             f"eps_min/dx = {min(eps_list) / g.dx:.3g} < 16; refine the grid")
     _require_rows(len(eps_list))
     _require_halving(eps_list)
-    oscs = [OscillationSpec(eps=e) for e in eps_list]
     eps_specs = [problem.realized_spec(osc) for osc in oscs]
     for e, spec in zip(eps_list, eps_specs):
         require_valid(f"eps={e:g} spec", spec)

@@ -2,10 +2,11 @@
 realization at scale eps, cell averaging and the energy-consistent
 homogenized initial temperature.
 
-A field carries a certificate of piecewise continuity in xi (its breakpoint
-list); jumps are evaluated with the right-continuous convention (step taking
-the value 1 at its switch), and the xi quadrature partition never straddles a
-breakpoint, so step profiles average exactly.
+A field is a plain callable (xi, x) -> array; the problem holding the fields
+carries one certificate of piecewise continuity in xi for all of them (its
+breakpoint list).  Jumps are evaluated with the right-continuous convention
+(step taking the value 1 at its switch), and the xi quadrature partition
+never straddles a breakpoint, so step profiles average exactly.
 """
 
 from dataclasses import dataclass
@@ -29,13 +30,26 @@ class OscillationSpec:
         return s - np.floor(s)
 
 
+def xi_breakpoints(breakpoints):
+    """The breakpoint certificate as a tuple: where the xi-profiles may jump.
+    A breakpoint outside (0, 1) or a list that is not strictly increasing
+    raises ValueError."""
+    bp = tuple(breakpoints)
+    if any(not 0.0 < b < 1.0 for b in bp):
+        raise ValueError("xi breakpoints must lie strictly inside (0, 1)")
+    if list(bp) != sorted(set(bp)):
+        raise ValueError("xi breakpoints must be strictly increasing")
+    return bp
+
+
 def xi_quadrature(breakpoints, n_xi=256):
-    """Composite-midpoint nodes/weights on (0,1) refined at the breakpoints.
+    """Composite-midpoint nodes/weights on (0,1) refined at the breakpoints,
+    which xi_breakpoints checks.
 
     Weights sum to 1 exactly up to round-off; each smooth segment gets nodes
     proportional to its length (at least one).
     """
-    pts = [0.0] + sorted(b for b in breakpoints if 0.0 < b < 1.0) + [1.0]
+    pts = (0.0,) + xi_breakpoints(breakpoints) + (1.0,)
     nodes = []
     weights = []
     for a, b in zip(pts[:-1], pts[1:]):
@@ -47,49 +61,25 @@ def xi_quadrature(breakpoints, n_xi=256):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-@dataclass(frozen=True)
-class TwoScaleField:
-    """fn(xi, x), vectorized over numpy arrays; breakpoints certify where the
-    xi-profile may jump."""
-
-    fn: object
-    breakpoints: tuple = ()
-    n_xi: int = 256
-
-    def __post_init__(self):
-        bp = tuple(self.breakpoints)
-        if any(not 0.0 < b < 1.0 for b in bp):
-            raise ValueError("xi breakpoints must lie strictly inside (0, 1)")
-        if list(bp) != sorted(set(bp)):
-            raise ValueError("xi breakpoints must be strictly increasing")
-        object.__setattr__(self, "breakpoints", bp)
-
-    def __call__(self, xi, x):
-        return np.asarray(self.fn(xi, x), dtype=float)
-
-    def quadrature(self):
-        return xi_quadrature(self.breakpoints, self.n_xi)
-
-
 def realize(w, osc, x):
     """w^(eps)(x) = w({x/eps}, x) sampled at the given points."""
     return sample_field(w, osc.cell_coordinate(x), x)
 
 
-def xi_mean(w, x):
-    """<w>(x): per-sample quadrature over the periodic cell."""
-    nodes, weights = w.quadrature()
+def xi_mean(w, quadrature, x):
+    """<w>(x): per-sample mean over the periodic cell by (nodes, weights)."""
+    nodes, weights = quadrature
     return weights @ sample_field(w, nodes[:, None], x[None, :])
 
 
-def xi_sample(w, x):
+def xi_sample(w, quadrature, x):
     """Samples of w on the quadrature lattice: array (n_nodes, len(x)) plus
     the weights; used for seminorms of two-scale data."""
-    nodes, weights = w.quadrature()
+    nodes, weights = quadrature
     return sample_field(w, nodes[:, None], x[None, :]), weights
 
 
-def homogenized_theta0(u0, theta0, cV, x):
+def homogenized_theta0(u0, theta0, cV, quadrature, x):
     """Initial temperature of the averaged problem, obtained by averaging the
     total energy rather than the temperature:
 
@@ -98,7 +88,7 @@ def homogenized_theta0(u0, theta0, cV, x):
     The variance term is integrated as a square, so that0 >= <theta0> holds
     pointwise in floating point as well.
     """
-    uvals, weights = xi_sample(u0, x)
+    uvals, weights = xi_sample(u0, quadrature, x)
     umean = weights @ uvals
     variance = weights @ (uvals - umean[None, :]) ** 2
-    return variance / (2.0 * cV) + xi_mean(theta0, x)
+    return variance / (2.0 * cV) + xi_mean(theta0, quadrature, x)

@@ -19,8 +19,8 @@ from gaslab.solver import SchemeParams, diagnostics, solve
 from gaslab.studies import (HOMOG_BOUND_COLUMNS, LIPSCHITZ_BOUND_COLUMNS,
                             fit_rate, floor_spec, measure_floor,
                             run_homog_study, run_lipschitz_study)
-from gaslab.twoscale import (OscillationSpec, TwoScaleField, homogenized_theta0,
-                             realize, xi_mean, xi_sample)
+from gaslab.twoscale import (OscillationSpec, homogenized_theta0, realize, xi_mean,
+                             xi_quadrature, xi_sample)
 
 GAS = GasParams(nu=0.1, k=1.0, cV=1.0, lam=0.1)
 
@@ -150,33 +150,28 @@ def test_criterion_04_averaging_error_bound():
     t0 = time.time()
     g = Grid(X=1.0, T=1.0, nx=8192, nt=4)
     xc = g.centers()
+    # name: (profile, its xi breakpoints)
     family = {
-        "smooth": TwoScaleField(
-            lambda xi, x: np.sin(2 * np.pi * xi) * np.ones_like(x)),
-        "sawtooth": TwoScaleField(lambda xi, x: xi * np.ones_like(x)),
-        "step": TwoScaleField(
-            lambda xi, x: np.where(xi >= 0.5, 1.0, 0.0) * np.ones_like(x),
-            breakpoints=(0.5,)),
-        "smooth_xmod": TwoScaleField(
-            lambda xi, x: np.sin(2 * np.pi * xi) * (1 + 0.5 * x)),
-        "step_xmod": TwoScaleField(
-            lambda xi, x: np.where(xi >= 0.25, 1.0, 0.0) * (1 + 0.5 * x),
-            breakpoints=(0.25,)),
-        "mixed": TwoScaleField(
-            lambda xi, x: (1 + 0.4 * np.where(xi >= 0.5, 1.0, 0.0))
-            * (1 + 0.1 * np.sin(np.pi * x)),
-            breakpoints=(0.5,)),
+        "smooth": (lambda xi, x: np.sin(2 * np.pi * xi) * np.ones_like(x), ()),
+        "sawtooth": (lambda xi, x: xi * np.ones_like(x), ()),
+        "step": (lambda xi, x: np.where(xi >= 0.5, 1.0, 0.0) * np.ones_like(x), (0.5,)),
+        "smooth_xmod": (lambda xi, x: np.sin(2 * np.pi * xi) * (1 + 0.5 * x), ()),
+        "step_xmod": (lambda xi, x: np.where(xi >= 0.25, 1.0, 0.0) * (1 + 0.5 * x),
+                      (0.25,)),
+        "mixed": (lambda xi, x: (1 + 0.4 * np.where(xi >= 0.5, 1.0, 0.0))
+                  * (1 + 0.1 * np.sin(np.pi * x)), (0.5,)),
     }
     eps_sweep = [2.0 ** -k for k in range(3, 9)]
     worst_ratio = 0.0
     worst_slope = np.inf
-    for name, w in family.items():
-        vals, wts = xi_sample(w, xc)
+    for name, (w, breakpoints) in family.items():
+        quad = xi_quadrature(breakpoints)
+        vals, wts = xi_sample(w, quad, xc)
         wh = wh_seminorm(g, vals, wts)
         rows = []
         for eps in eps_sweep:
             # R_eps w = w^(eps) - <w>
-            r = realize(w, OscillationSpec(eps), xc) - xi_mean(w, xc)
+            r = realize(w, OscillationSpec(eps), xc) - xi_mean(w, quad, xc)
             ir = float(np.abs(primitive_at_edges(g, r)).max())
             assert ir <= 2.0 * eps * wh, (name, eps)
             worst_ratio = max(worst_ratio, ir / (2.0 * eps * wh))
@@ -275,24 +270,34 @@ def test_criterion_08_homogenized_theta0():
     for _ in range(100):
         a, b, c = rng.normal(size=3)
         shift = rng.uniform(0.1, 0.9)
-        u0 = TwoScaleField(
-            lambda xi, xx: a * np.sin(2 * np.pi * xi)
-            + b * np.where(xi >= shift, 1.0, 0.0) + c * xx * np.ones_like(xi),
-            breakpoints=(shift,))
-        th0 = TwoScaleField(
-            lambda xi, xx: 1.2 + 0.5 * np.cos(2 * np.pi * xi) * np.ones_like(xx))
-        that = homogenized_theta0(u0, th0, 0.7, x)
-        assert np.all(that >= xi_mean(th0, x))
+        quad = xi_quadrature((shift,))
 
-    pm1 = TwoScaleField(
-        lambda xi, xx: (2 * np.where(xi >= 0.5, 1.0, 0.0) - 1) * np.ones_like(xx),
-        breakpoints=(0.5,))
-    ones = TwoScaleField(lambda xi, xx: np.ones_like(xi) * np.ones_like(xx))
-    v1 = homogenized_theta0(pm1, ones, 1.0, x)
+        def u0(xi, xx):
+            return (a * np.sin(2 * np.pi * xi)
+                    + b * np.where(xi >= shift, 1.0, 0.0) + c * xx * np.ones_like(xi))
+
+        def th0(xi, xx):
+            return 1.2 + 0.5 * np.cos(2 * np.pi * xi) * np.ones_like(xx)
+
+        that = homogenized_theta0(u0, th0, 0.7, quad, x)
+        assert np.all(that >= xi_mean(th0, quad, x))
+
+    def pm1(xi, xx):
+        return (2 * np.where(xi >= 0.5, 1.0, 0.0) - 1) * np.ones_like(xx)
+
+    def ones(xi, xx):
+        return np.ones_like(xi) * np.ones_like(xx)
+
+    v1 = homogenized_theta0(pm1, ones, 1.0, xi_quadrature((0.5,)), x)
     assert np.abs(v1 - 1.5).max() <= 1e-10
-    sin_u = TwoScaleField(lambda xi, xx: np.sin(2 * np.pi * xi) * np.ones_like(xx))
-    twos = TwoScaleField(lambda xi, xx: 2.0 * np.ones_like(xi) * np.ones_like(xx))
-    v2 = homogenized_theta0(sin_u, twos, 5.0, x)
+
+    def sin_u(xi, xx):
+        return np.sin(2 * np.pi * xi) * np.ones_like(xx)
+
+    def twos(xi, xx):
+        return 2.0 * np.ones_like(xi) * np.ones_like(xx)
+
+    v2 = homogenized_theta0(sin_u, twos, 5.0, xi_quadrature(()), x)
     assert np.abs(v2 - 2.05).max() <= 1e-10
     report(8, "100 random profiles dominate the temperature mean; closed "
               "forms 1.5 and 2.05 reproduced to 1e-10")
@@ -309,7 +314,8 @@ def test_criterion_09_reconstruction_consistency():
     scheme = cfgmod.build_scheme(cfg)
     hs = solve_homogenized(problem, scheme)
     # the reconstruction is affine in eta0: its xi mean starts from <eta0>
-    mean_eta = _reconstruct(hs, xi_mean(problem.eta0, problem.grid.centers()))
+    mean_eta = _reconstruct(hs, xi_mean(problem.eta0, problem.quadrature,
+                                        problem.grid.centers()))
     err = space_lq(problem.grid, mean_eta - hs.base.eta, 2.0).max()
     floors = measure_floor(hs, floor_spec(problem), scheme, float("inf"))
     assert err <= 3.0 * floors["eta_C0L2"], (err, floors["eta_C0L2"])

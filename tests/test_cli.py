@@ -753,6 +753,39 @@ def test_homogenize_eps_outside_the_unit_interval_exits_before_solving(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("eps_list,shown", [
+    ([0, 0, 0, 0], "0.0"), ([-0.5, -0.25, -0.125, -0.0625], "-0.5")])
+def test_study_homog_eps_outside_the_unit_interval_exits_before_solving(
+        tmp_path, monkeypatch, capsys, eps_list, shown):
+    # checked before the resolution guard, which would report eps_min/dx
+    calls = count_solves(monkeypatch)
+    out = tmp_path / "o"
+    assert main(["study-homog", write_cfg(tmp_path, two_scale_cfg(eps_list)),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: eps must lie in (0, 1], got {shown}" in err and "eps_min" not in err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("breakpoints,message", [
+    ([1.5], "must lie strictly inside (0, 1)"),
+    ([0.5, 0.25], "must be strictly increasing"),
+    ([0.5, 0.5], "must be strictly increasing")])
+@pytest.mark.parametrize("command", ["homogenize", "study-homog"])
+def test_bad_breakpoints_exit_2_naming_the_key(tmp_path, monkeypatch, capsys, command,
+                                                breakpoints, message):
+    calls = count_solves(monkeypatch)
+    cfg = two_scale_cfg([0.25])
+    cfg["breakpoints_xi"] = breakpoints
+    out = tmp_path / "o"
+    assert main([command, write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert (f"top-level key 'breakpoints_xi' cannot read {breakpoints!r}: "
+            f"xi breakpoints {message}") in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
 def test_lipschitz_delta0_zero_exits_before_solving(tmp_path, monkeypatch, capsys):
     calls = count_solves(monkeypatch)
     path = write_cfg(tmp_path, lipschitz_cfg(delta0=0))
@@ -763,9 +796,11 @@ def test_lipschitz_delta0_zero_exits_before_solving(tmp_path, monkeypatch, capsy
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_lipschitz_study_that_checks_no_threshold_exits_1(tmp_path, capsys):
     # at delta0 = 1e-300 every solution difference is 0: each column is
-    # degenerate, so each threshold line is a SKIP
+    # degenerate, so each threshold line is a SKIP; the ratio spread is
+    # skipped too, without a 0/0 warning
     out = tmp_path / "o"
     path = write_cfg(tmp_path, lipschitz_cfg(delta0=1e-300))
     assert main(["study-lipschitz", path, "--out", str(out)]) == 1

@@ -11,7 +11,7 @@ from gaslab.homogenize import _AveragedForce
 from gaslab.problem import (BC_NAMES, BoundaryData, PerturbationSpec, ProblemSpec,
                             sample_boundary, sample_field_times, validate)
 from gaslab.solver import SchemeParams, solve
-from gaslab.twoscale import OscillationSpec, TwoScaleField, realize, xi_mean
+from gaslab.twoscale import OscillationSpec, realize, xi_mean, xi_quadrature
 
 
 def basic_grid():
@@ -316,12 +316,13 @@ def test_every_sampler_returns_the_full_sample_shape(kind):
     g = basic_grid()
     xc, xe = g.centers(), g.edges()
     in_t, in_x, in_xi_x, in_all = SAMPLER_ENTRIES[kind]
-    w = TwoScaleField(cfgmod.field_entry(in_xi_x, ("xi", "x")), breakpoints=(0.5,))
-    force = _AveragedForce(cfgmod.field_entry(in_all, ("chi", "xi", "x", "t")), (0.5,))
+    w = cfgmod.field_entry(in_xi_x, ("xi", "x"))
+    quad = xi_quadrature((0.5,))
+    force = _AveragedForce(cfgmod.field_entry(in_all, ("chi", "xi", "x", "t")), quad)
     samples = [(sample_boundary(in_t, g.times()), g.nt + 1),
                (sample_field(cfgmod.field_entry(in_x, ("x",)), xc), g.nx),
                (realize(w, OscillationSpec(0.25), xc), g.nx),
-               (xi_mean(w, xc), g.nx),
+               (xi_mean(w, quad, xc), g.nx),
                (force(np.linspace(0.0, 2.0, g.nx + 1), xe, 0.3), g.nx + 1)]
     for values, n in samples:
         assert values.shape == (n,) and values.dtype == float

@@ -7,7 +7,7 @@ from gaslab.problem import BoundaryData
 from gaslab.homogenize import (HomogSolution, TwoScaleProblem, _reconstruct,
                                eta_epsilon, solve_homogenized)
 from gaslab.solver import SchemeParams, solve
-from gaslab.twoscale import OscillationSpec, TwoScaleField, realize, xi_mean
+from gaslab.twoscale import OscillationSpec, realize, xi_mean
 
 GAS = GasParams(nu=0.1, k=1.0, cV=1.0, lam=0.1)
 
@@ -17,12 +17,10 @@ def benchmark_problem(nx=256, nt=256, osc_amp=0.4):
     bc = BoundaryData.build(g, m=3, p0=1.0, pX=1.0, pi0=0.0, piX=0.0)
     return TwoScaleProblem(
         grid=g, gas=GAS, bc=bc,
-        eta0=TwoScaleField(
-            lambda xi, x: (1 + osc_amp * np.where(xi >= 0.5, 1.0, 0.0))
-            * (1 + 0.1 * np.sin(np.pi * x)),
-            breakpoints=(0.5,)),
-        u0=TwoScaleField(lambda xi, x: 0.1 * np.sin(np.pi * x) * np.ones_like(xi)),
-        theta0=TwoScaleField(lambda xi, x: np.ones_like(x) * np.ones_like(xi)))
+        eta0=lambda xi, x: (1 + osc_amp * np.where(xi >= 0.5, 1.0, 0.0))
+        * (1 + 0.1 * np.sin(np.pi * x)),
+        u0=lambda xi, x: 0.1 * np.sin(np.pi * x) * np.ones_like(xi),
+        theta0=lambda xi, x: np.ones_like(x) * np.ones_like(xi), breakpoints_xi=(0.5,))
 
 
 def reconstruct_at_xi(hs, xi):
@@ -37,7 +35,8 @@ def beta_eps(hs, osc):
     R_eps w = w^(eps) - <w>; the reconstruction is affine in eta0, so
     R_eps(eta_recon) = B R_eps(eta0)."""
     xc = hs.grid.centers()
-    r0 = realize(hs.problem.eta0, osc, xc) - xi_mean(hs.problem.eta0, xc)
+    r0 = (realize(hs.problem.eta0, osc, xc)
+          - xi_mean(hs.problem.eta0, hs.problem.quadrature, xc))
     return hs.base.sigma * (hs.B_hat * r0[None, :]) / hs.problem.gas.nu
 
 
@@ -64,11 +63,9 @@ def test_initial_theta_of_averaged_run_uses_energy_average():
     bc = BoundaryData.build(g, m=3, p0=1.0, pX=1.0, pi0=0.0, piX=0.0)
     prob = TwoScaleProblem(
         grid=g, gas=GAS, bc=bc,
-        eta0=TwoScaleField(lambda xi, x: np.ones_like(x) * np.ones_like(xi)),
-        u0=TwoScaleField(
-            lambda xi, x: (2 * np.where(xi >= 0.5, 1.0, 0.0) - 1) * np.ones_like(x),
-            breakpoints=(0.5,)),
-        theta0=TwoScaleField(lambda xi, x: np.ones_like(x) * np.ones_like(xi)))
+        eta0=lambda xi, x: np.ones_like(x) * np.ones_like(xi),
+        u0=lambda xi, x: (2 * np.where(xi >= 0.5, 1.0, 0.0) - 1) * np.ones_like(x),
+        theta0=lambda xi, x: np.ones_like(x) * np.ones_like(xi), breakpoints_xi=(0.5,))
     spec = prob.averaged_spec()
     assert np.allclose(spec.theta0, 1.5, atol=1e-12)   # variance of +/-1 is 1
     assert np.abs(spec.u0).max() < 1e-12
@@ -108,14 +105,15 @@ def test_reconstructed_mean_matches_solver_eta():
     prob = benchmark_problem(nx=256, nt=256)
     hs = solve_homogenized(prob, SchemeParams(store_stride=1))
     # the reconstruction is affine in eta0: its xi mean starts from <eta0>
-    mean_eta = _reconstruct(hs, xi_mean(prob.eta0, prob.grid.centers()))
+    mean_eta = _reconstruct(hs, xi_mean(prob.eta0, prob.quadrature, prob.grid.centers()))
     err = space_lq(prob.grid, mean_eta - hs.base.eta, 2.0).max()
     # both routes are first order in dt; they agree well below field scale
     assert err < 5e-4
     # refined run: the disagreement shrinks at scheme order
     prob2 = benchmark_problem(nx=256, nt=1024)
     hs2 = solve_homogenized(prob2, SchemeParams(store_stride=1))
-    mean_eta2 = _reconstruct(hs2, xi_mean(prob2.eta0, prob2.grid.centers()))
+    mean_eta2 = _reconstruct(hs2, xi_mean(prob2.eta0, prob2.quadrature,
+                                          prob2.grid.centers()))
     err2 = space_lq(prob2.grid, mean_eta2 - hs2.base.eta, 2.0).max()
     assert err / err2 > 2.5
 
@@ -174,9 +172,9 @@ def test_force_terms_realize_and_average():
 
     prob = TwoScaleProblem(
         grid=g, gas=GAS, bc=bc,
-        eta0=TwoScaleField(lambda xi, x: np.ones_like(x) * np.ones_like(xi)),
-        u0=TwoScaleField(lambda xi, x: np.zeros_like(x) * np.ones_like(xi)),
-        theta0=TwoScaleField(lambda xi, x: np.ones_like(x) * np.ones_like(xi)),
+        eta0=lambda xi, x: np.ones_like(x) * np.ones_like(xi),
+        u0=lambda xi, x: np.zeros_like(x) * np.ones_like(xi),
+        theta0=lambda xi, x: np.ones_like(x) * np.ones_like(xi),
         g=body_force)
     xe = g.edges()
     chi = 0.3 * np.ones_like(xe)
@@ -189,22 +187,47 @@ def test_force_terms_realize_and_average():
     assert np.allclose(realized, body_force(chi, xi, xe, 0.0), atol=1e-14)
 
 
+def test_averaged_forces_use_the_problem_quadrature():
+    # the midpoint rule does not integrate xi**2 exactly, so a mean over any
+    # node set but the problem's own (nxi = 256 here) moves the bits
+    g = Grid(X=1.0, T=0.1, nx=64, nt=8)
+    bc = BoundaryData.build(g, m=3, p0=1.0, pX=1.0, pi0=0.0, piX=0.0)
+
+    def eta0(xi, x):
+        return (1 + xi ** 2) * (1 + 0.1 * np.sin(np.pi * x))
+
+    def force(chi, xi, x, t):
+        return ((xi ** 2 + 0.2 * np.where(xi >= 0.5, 1.0, 0.0)) * np.cos(x) * (1 + t)
+                / (1 + chi ** 2))
+
+    prob = TwoScaleProblem(grid=g, gas=GAS, bc=bc, eta0=eta0, u0=None,
+                           theta0=lambda xi, x: np.ones_like(x) * np.ones_like(xi),
+                           g=force, f=force, breakpoints_xi=(0.5,), nxi=256)
+    spec = prob.averaged_spec()
+    nodes, weights = prob.quadrature
+    assert len(nodes) == 256
+    xc, xe = g.centers(), g.edges()
+    assert np.array_equal(spec.eta0, weights @ eta0(nodes[:, None], xc[None, :]))
+    for fn, x in ((spec.g, xe), (spec.f, xc)):
+        chi = 0.3 + 0.1 * x
+        mean = weights @ force(chi[None, :], nodes[:, None], x[None, :], 0.05)
+        assert np.array_equal(fn(chi, x, 0.05), mean)
+
+
 def test_study_with_forces_runs():
     from gaslab.studies import run_homog_study
     g = Grid(X=1.0, T=0.1, nx=256, nt=64)
     bc = BoundaryData.build(g, m=3, p0=1.0, pX=1.0, pi0=0.0, piX=0.0)
     prob = TwoScaleProblem(
         grid=g, gas=GAS, bc=bc,
-        eta0=TwoScaleField(
-            lambda xi, x: (1 + 0.4 * np.where(xi >= 0.5, 1.0, 0.0)) * np.ones_like(x),
-            breakpoints=(0.5,)),
-        u0=TwoScaleField(lambda xi, x: np.zeros_like(x) * np.ones_like(xi)),
-        theta0=TwoScaleField(lambda xi, x: np.ones_like(x) * np.ones_like(xi)),
+        eta0=lambda xi, x: (1 + 0.4 * np.where(xi >= 0.5, 1.0, 0.0)) * np.ones_like(x),
+        u0=lambda xi, x: np.zeros_like(x) * np.ones_like(xi),
+        theta0=lambda xi, x: np.ones_like(x) * np.ones_like(xi),
         g=lambda chi, xi, x, t: 0.2 * (1 + 0.5 * np.sin(2 * np.pi * xi))
         * np.sin(np.pi * x) / (1 + chi ** 2),
         f=lambda chi, xi, x, t: 0.1 * (1 + np.where(xi >= 0.5, 1.0, 0.0))
         * np.ones_like(x) / (1 + chi ** 2),
-        force_breakpoints=(0.5,))
+        breakpoints_xi=(0.5,))
     table = run_homog_study(prob, [0.5, 0.25, 0.125, 0.0625],
                             scheme=SchemeParams(store_stride=2))
     for col in ("eta_C0L2", "u_L2", "theta_L2"):

@@ -10,7 +10,7 @@ from gaslab.calculus import i_bracket, mean_omega
 from gaslab import norms
 from gaslab.norms import (INF, BadExponent, h21star_majorant, h_minus_one, lqr_norm,
                           space_lq, v2star_majorant, wh_seminorm, wh_spacetime_seminorm)
-from gaslab.twoscale import TwoScaleField, xi_sample
+from gaslab.twoscale import xi_quadrature, xi_sample
 
 
 def make_grid(nx=256, nt=256, X=1.0, T=1.0):
@@ -103,8 +103,8 @@ def test_wh_seminorm_step():
 
 def test_wh_seminorm_two_scale_oracle():
     g = make_grid()
-    w = TwoScaleField(lambda xi, x: np.sin(2 * np.pi * xi) * x)
-    vals, wts = xi_sample(w, g.centers())
+    vals, wts = xi_sample(lambda xi, x: np.sin(2 * np.pi * xi) * x, xi_quadrature(()),
+                          g.centers())
     # fine-grid evaluation: 1/2 + (2/pi) (checked at nx = 2048: 1.13629)
     assert wh_seminorm(g, vals, wts) == pytest.approx(1.1363, abs=5e-3)
 

@@ -16,7 +16,6 @@ from gaslab.studies import (ConvergenceTable, DegenerateFit, IncompatibleSpecs,
                             compute_delta, fit_rate, run_homog_study,
                             run_lipschitz_study, write_report)
 from gaslab.homogenize import TwoScaleProblem
-from gaslab.twoscale import TwoScaleField
 
 GAS = GasParams(nu=0.1, k=1.0, cV=1.0, lam=0.1)
 
@@ -295,11 +294,9 @@ def two_scale_problem(nx, nt, osc=0.4):
     bc = BoundaryData.build(g, m=3, p0=1.0, pX=1.0, pi0=0.0, piX=0.0)
     return TwoScaleProblem(
         grid=g, gas=GAS, bc=bc,
-        eta0=TwoScaleField(
-            lambda xi, x: (1 + osc * np.where(xi >= 0.5, 1.0, 0.0)) * np.ones_like(x),
-            breakpoints=(0.5,)),
-        u0=TwoScaleField(lambda xi, x: 0.1 * np.sin(np.pi * x) * np.ones_like(xi)),
-        theta0=TwoScaleField(lambda xi, x: np.ones_like(x) * np.ones_like(xi)))
+        eta0=lambda xi, x: (1 + osc * np.where(xi >= 0.5, 1.0, 0.0)) * np.ones_like(x),
+        u0=lambda xi, x: 0.1 * np.sin(np.pi * x) * np.ones_like(xi),
+        theta0=lambda xi, x: np.ones_like(x) * np.ones_like(xi), breakpoints_xi=(0.5,))
 
 
 def test_homog_study_resolution_guard():

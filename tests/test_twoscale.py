@@ -4,13 +4,16 @@ import pytest
 from gaslab.calculus import primitive_at_edges
 from gaslab.grid import Grid
 from gaslab.norms import space_lq, wh_seminorm
-from gaslab.twoscale import (OscillationSpec, TwoScaleField, homogenized_theta0,
-                             realize, xi_mean, xi_quadrature, xi_sample)
+from gaslab.twoscale import (OscillationSpec, homogenized_theta0, realize,
+                             xi_breakpoints, xi_mean, xi_quadrature, xi_sample)
+
+# the cell quadrature of a profile without jumps, at the default 256 nodes
+SMOOTH = xi_quadrature(())
 
 
-def averaging_error(w, osc, x):
+def averaging_error(w, osc, x, quad=SMOOTH):
     """R_eps w = w^(eps) - <w>, pointwise on the sample set."""
-    return realize(w, osc, x) - xi_mean(w, x)
+    return realize(w, osc, x) - xi_mean(w, quad, x)
 
 
 def make_grid(nx=1024):
@@ -18,14 +21,17 @@ def make_grid(nx=1024):
 
 
 def const_field(c):
-    return TwoScaleField(lambda xi, x: c * np.ones_like(xi) * np.ones_like(x))
+    return lambda xi, x: c * np.ones_like(xi) * np.ones_like(x)
+
+
+def sine(xi, x):
+    """sin(2 pi xi): a cell profile of mean 0."""
+    return np.sin(2 * np.pi * xi) * np.ones_like(x)
 
 
 def step_field(shift=0.5, lo=1.0, hi=2.0):
-    return TwoScaleField(
-        lambda xi, x: (lo + (hi - lo) * np.where(xi >= shift, 1.0, 0.0))
-        * np.ones_like(x),
-        breakpoints=(shift,))
+    """A step in xi at `shift`; average it with xi_quadrature((shift,))."""
+    return lambda xi, x: (lo + (hi - lo) * np.where(xi >= shift, 1.0, 0.0)) * np.ones_like(x)
 
 
 def test_oscillation_spec_validation():
@@ -36,27 +42,29 @@ def test_oscillation_spec_validation():
 
 
 def test_field_breakpoint_certificate_checked():
-    with pytest.raises(ValueError):
-        TwoScaleField(lambda xi, x: xi, breakpoints=(0.5, 0.25))
-    with pytest.raises(ValueError):
-        TwoScaleField(lambda xi, x: xi, breakpoints=(1.5,))
+    # the one check, and the quadrature that calls it, refuse an unordered,
+    # repeated or out-of-range list instead of dropping the bad entries
+    assert xi_breakpoints([0.25, 0.5]) == (0.25, 0.5)
+    for bad in ((0.5, 0.25), (1.5,), (0.5, 0.5), (0.0,), (1.0,)):
+        with pytest.raises(ValueError, match="xi breakpoints must"):
+            xi_breakpoints(bad)
+        with pytest.raises(ValueError, match="xi breakpoints must"):
+            xi_quadrature(bad, 64)
 
 
 def test_realize_xi_independent_field():
     g = make_grid()
-    w = TwoScaleField(lambda xi, x: x ** 2 * np.ones_like(xi))
+    w = lambda xi, x: x ** 2 * np.ones_like(xi)
     for eps in (0.5, 0.125):
         r = realize(w, OscillationSpec(eps), g.centers())
         assert np.allclose(r, g.centers() ** 2, atol=1e-14)
 
 
 def test_realize_pointwise_arithmetic():
-    w = TwoScaleField(lambda xi, x: np.sin(2 * np.pi * xi) * np.ones_like(x))
+    w = sine
     r = realize(w, OscillationSpec(0.25), np.array([0.125]))
     assert r[0] == pytest.approx(np.sin(np.pi), abs=1e-12)  # {0.5} -> 0
-    w2 = TwoScaleField(
-        lambda xi, x: (1.0 + np.where(xi >= 0.5, 1.0, 0.0)) * np.ones_like(x),
-        breakpoints=(0.5,))
+    w2 = step_field(0.5, 1.0, 2.0)
     r2 = realize(w2, OscillationSpec(0.1), np.array([0.34]))
     assert r2[0] == 1.0        # {3.4} = 0.4 < 0.5
 
@@ -73,10 +81,11 @@ def test_realize_bounded_by_cell_sup():
     rng = np.random.default_rng(5)
     for _ in range(10):
         a, b, c = rng.normal(size=3)
-        w = TwoScaleField(
-            lambda xi, x: a * np.sin(2 * np.pi * xi) + b * np.cos(2 * np.pi * xi)
-            + c * x * np.ones_like(xi))
-        vals, _ = xi_sample(w, g.centers())
+        def w(xi, x):
+            return (a * np.sin(2 * np.pi * xi) + b * np.cos(2 * np.pi * xi)
+                    + c * x * np.ones_like(xi))
+
+        vals, _ = xi_sample(w, SMOOTH, g.centers())
         sup = np.abs(vals).max(axis=0)
         for eps in (0.25, 0.125, 0.0625):
             r = realize(w, OscillationSpec(eps), g.centers())
@@ -99,23 +108,22 @@ def test_xi_quadrature_respects_breakpoints():
 def test_xi_mean_values():
     g = make_grid(nx=16)
     x = g.centers()
-    assert np.abs(xi_mean(TwoScaleField(
-        lambda xi, x: np.sin(2 * np.pi * xi) * np.ones_like(x)), x)).max() < 1e-12
-    assert np.allclose(xi_mean(step_field(0.5, 1.0, 2.0), x), 1.5, atol=1e-14)
-    assert np.allclose(xi_mean(TwoScaleField(lambda xi, x: xi * x), x), x / 2,
-                       atol=1e-6)
+    assert np.abs(xi_mean(sine, SMOOTH, x)).max() < 1e-12
+    assert np.allclose(xi_mean(step_field(0.5, 1.0, 2.0), xi_quadrature((0.5,)), x),
+                       1.5, atol=1e-14)
+    assert np.allclose(xi_mean(lambda xi, x: xi * x, SMOOTH, x), x / 2, atol=1e-6)
 
 
 def test_averaging_error_xi_independent_is_zero():
     g = make_grid(nx=64)
-    w = TwoScaleField(lambda xi, x: (1 + x) * np.ones_like(xi))
+    w = lambda xi, x: (1 + x) * np.ones_like(xi)
     r = averaging_error(w, OscillationSpec(0.125), g.centers())
     assert np.abs(r).max() < 1e-13
 
 
 def test_averaging_error_sine():
     g = make_grid(nx=512)
-    w = TwoScaleField(lambda xi, x: np.sin(2 * np.pi * xi) * np.ones_like(x))
+    w = sine
     eps = 0.0625
     r = averaging_error(w, OscillationSpec(eps), g.centers())
     assert np.allclose(r, np.sin(2 * np.pi * g.centers() / eps), atol=1e-12)
@@ -124,8 +132,8 @@ def test_averaging_error_sine():
 def test_primitive_of_averaging_error_is_order_eps():
     # analytic: I(sin(2 pi x/eps)) has sup eps/pi; bound 2 eps ||w||_WH
     g = make_grid(nx=8192)
-    w = TwoScaleField(lambda xi, x: np.sin(2 * np.pi * xi) * np.ones_like(x))
-    vals, wts = xi_sample(w, g.centers())
+    w = sine
+    vals, wts = xi_sample(w, SMOOTH, g.centers())
     wh = wh_seminorm(g, vals, wts)
     for k in (4, 5, 6):
         eps = 2.0 ** -k
@@ -144,11 +152,10 @@ def test_primitive_of_averaging_error_spacetime_variant():
     xc = g.centers()
 
     def profile_at(tv):
-        return TwoScaleField(
-            lambda xi, x: (1 + tv) * np.sin(2 * np.pi * xi) * (1 + 0.5 * x))
+        return lambda xi, x: (1 + tv) * np.sin(2 * np.pi * xi) * (1 + 0.5 * x)
 
     profiles = [profile_at(tv) for tv in t]
-    nodes, wts = profiles[0].quadrature()
+    nodes, wts = SMOOTH
     vals = np.stack([w(nodes[:, None], xc[None, :]) for w in profiles], axis=1)
     for r in (1.0, INF):
         whst = wh_spacetime_seminorm(g, vals, t, r, wts)
@@ -162,10 +169,11 @@ def test_primitive_of_averaging_error_spacetime_variant():
 def test_weak_convergence_trend():
     g = make_grid(nx=8192)
     w = step_field(0.5, 0.0, 1.0)
+    quad = xi_quadrature((0.5,))
     phi = np.sin(np.pi * g.centers())
     resid = []
     for k in (3, 4, 5, 6, 7):
-        r = averaging_error(w, OscillationSpec(2.0 ** -k), g.centers())
+        r = averaging_error(w, OscillationSpec(2.0 ** -k), g.centers(), quad)
         resid.append(abs(g.X * np.mean(r * phi)))
     # decreasing within a small noise allowance as eps halves
     for a, b in zip(resid, resid[1:]):
@@ -174,45 +182,47 @@ def test_weak_convergence_trend():
 
 def test_homogenized_theta0_xi_independent_u0():
     g = make_grid(nx=32)
-    u0 = TwoScaleField(lambda xi, x: 0.3 * x * np.ones_like(xi))
-    th0 = TwoScaleField(lambda xi, x: (1 + x) * np.ones_like(xi))
-    out = homogenized_theta0(u0, th0, 2.0, g.centers())
+    u0 = lambda xi, x: 0.3 * x * np.ones_like(xi)
+    th0 = lambda xi, x: (1 + x) * np.ones_like(xi)
+    out = homogenized_theta0(u0, th0, 2.0, SMOOTH, g.centers())
     assert np.allclose(out, 1 + g.centers(), atol=1e-13)
 
 
 def test_homogenized_theta0_closed_forms():
     g = make_grid(nx=16)
     x = g.centers()
-    pm1 = TwoScaleField(
-        lambda xi, x: (2 * np.where(xi >= 0.5, 1.0, 0.0) - 1) * np.ones_like(x),
-        breakpoints=(0.5,))
+    pm1 = step_field(0.5, -1.0, 1.0)
     ones = const_field(1.0)
-    assert np.allclose(homogenized_theta0(pm1, ones, 1.0, x), 1.5, atol=1e-10)
-    sin_u = TwoScaleField(lambda xi, x: np.sin(2 * np.pi * xi) * np.ones_like(x))
+    assert np.allclose(homogenized_theta0(pm1, ones, 1.0, xi_quadrature((0.5,)), x), 1.5,
+                       atol=1e-10)
+    sin_u = sine
     twos = const_field(2.0)
-    assert np.allclose(homogenized_theta0(sin_u, twos, 5.0, x), 2.05, atol=1e-10)
+    assert np.allclose(homogenized_theta0(sin_u, twos, 5.0, SMOOTH, x), 2.05, atol=1e-10)
 
 
 def test_homogenized_theta0_dominates_theta_mean():
     g = make_grid(nx=32)
     x = g.centers()
+    quad = xi_quadrature((0.25,))
     rng = np.random.default_rng(11)
     for _ in range(25):
         a, b, c, s = rng.normal(size=4)
-        u0 = TwoScaleField(
-            lambda xi, x: a * np.sin(2 * np.pi * xi) + b * np.where(xi >= 0.25, 1.0, 0.0)
-            + c * x * np.ones_like(xi),
-            breakpoints=(0.25,))
-        th0 = TwoScaleField(
-            lambda xi, x: 1.5 + 0.4 * np.tanh(s) * np.cos(2 * np.pi * xi) * np.ones_like(x))
-        that = homogenized_theta0(u0, th0, 0.7, x)
-        assert np.all(that >= xi_mean(th0, x) - 1e-15)
+
+        def u0(xi, x):
+            return (a * np.sin(2 * np.pi * xi) + b * np.where(xi >= 0.25, 1.0, 0.0)
+                    + c * x * np.ones_like(xi))
+
+        def th0(xi, x):
+            return 1.5 + 0.4 * np.tanh(s) * np.cos(2 * np.pi * xi) * np.ones_like(x)
+
+        that = homogenized_theta0(u0, th0, 0.7, quad, x)
+        assert np.all(that >= xi_mean(th0, quad, x) - 1e-15)
 
 
 def test_realize_of_mean_is_mean():
     g = make_grid(nx=64)
     w = step_field(0.5, 1.0, 2.0)
-    mean = xi_mean(w, g.centers())
-    as_field = TwoScaleField(lambda xi, x: 1.5 * np.ones_like(xi) * np.ones_like(x))
+    mean = xi_mean(w, xi_quadrature((0.5,)), g.centers())
+    as_field = const_field(1.5)
     r = realize(as_field, OscillationSpec(0.125), g.centers())
     assert np.allclose(r, mean, atol=1e-14)
