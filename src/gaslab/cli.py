@@ -209,8 +209,7 @@ def _cmd_homogenize(args):
     problem = cfgmod.build_two_scale_problem(cfg)
     scheme = cfgmod.build_scheme(cfg)
     study = cfgmod.read_table(cfg.get("study", {}), cfgmod.HOMOG_STUDY_KEYS, "study")
-    eps_list = (cfgmod.float_list(args.eps_list.split(",")) if args.eps_list
-                else study.get("eps_list", [0.125]))
+    eps_list = study.get("eps_list", [0.125]) if args.eps_list is None else args.eps_list
     oscillations = [OscillationSpec(eps=eps) for eps in eps_list]
     hs = hmg.solve_homogenized(problem, scheme)
     os.makedirs(args.out, exist_ok=True)
@@ -295,11 +294,20 @@ def _positive_int(text):
     return int(text)
 
 
+def _eps_list(text):
+    """An --eps-list value: comma-separated numbers, read as a config list."""
+    try:
+        return cfgmod.float_list(text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"cannot read {text!r}: {exc}") from None
+
+
 FLAGS = {
     "--out": {"default": "out", "help": "output directory"},
     "--jobs": {"type": _positive_int, "default": 1, "help": "parallel solves (>= 1)"},
     "--stride": {"type": _positive_int, "default": 1, "help": "snapshot stride (>= 1)"},
-    "--eps-list": {"help": "comma-separated eps values, overrides the config"},
+    "--eps-list": {"type": _eps_list,
+                   "help": "comma-separated eps values, overrides the config"},
 }
 
 # each subcommand registers the flags it reads; study-lipschitz also accepts

@@ -173,9 +173,7 @@ SCHEME_KEYS = {"store_stride": count, "dense_steps": count}
 # the initial data every "data" table holds, and the readers of the
 # perturbation callables, in config trees and study patterns
 INITIAL_DATA = ("eta0", "u0", "theta0")
-PERTURBATION_KEYS = {"beta": over(("x", "t")), "gamma": over(("x", "t")),
-                     "beta1": over(("x", "t")), "beta2": over(("x", "t")),
-                     "g1": over(("chi", "x", "t")), "g2": over(("chi", "x", "t"))}
+PERTURBATION_KEYS = dict.fromkeys(("beta", "gamma"), over(("x", "t")))
 
 # the top level of each command's config tree: a plain problem (solve, and
 # the "problem" tree of study-lipschitz), a two-scale problem with the

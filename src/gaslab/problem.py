@@ -89,16 +89,12 @@ class BoundaryData:
 class PerturbationSpec:
     """Extra terms of the perturbed system: beta enters the mass equation and
     the stress, gamma the heat flux, beta_e shifts the initial Eulerian
-    coordinate.  beta/gamma are callables (x, t) -> array; splits are optional
-    callables used only when itemizing the continuous-dependence bound."""
+    coordinate.  beta/gamma are callables (x, t) -> array.  Every field is one
+    the solver reads; studies.compute_delta itemizes the bound from them."""
 
     beta: object = None            # (x, t) -> array, cell centers
     gamma: object = None           # (x, t) -> array, cell edges
     beta_e: np.ndarray = None      # (nx+1,) edge field
-    beta1: object = None
-    beta2: object = None
-    g1: object = None              # (chi, x, t) -> array
-    g2: object = None
 
     def beta_at(self, x, t):
         return sample_field(self.beta, x, t)
@@ -183,11 +179,7 @@ def validate(spec):
     probes = (("f", lambda t: sample_field(spec.f, chi_c, xc, t), " (C2)"),
               ("g", lambda t: sample_field(spec.g, chi_e, xe, t), " (C2)"),
               ("beta", lambda t: pert.beta_at(xc, t), ""),
-              ("gamma", lambda t: pert.gamma_at(xe, t), ""),
-              ("beta1", lambda t: sample_field(pert.beta1, xc, t), ""),
-              ("beta2", lambda t: sample_field(pert.beta2, xc, t), ""),
-              ("g1", lambda t: sample_field(pert.g1, chi_c, xc, t), ""),
-              ("g2", lambda t: sample_field(pert.g2, chi_c, xc, t), ""))
+              ("gamma", lambda t: pert.gamma_at(xe, t), ""))
     for name, probe, tag in probes:
         for t in probe_t:
             try:
@@ -226,22 +218,6 @@ def validate(spec):
         if vol.min() < 1.0 / N:
             n_bad = int(np.argmax(vol < 1.0 / N))
             out.append(f"gas volume drops below 1/N at t={tt[n_bad]:g} (gas volume, m=1)")
-
-    # perturbation split consistency; a non-finite sample is already reported
-    # by the probe loop, which samples the same callables at the same times
-    if pert.beta1 is not None and pert.beta2 is not None and pert.beta is not None:
-        worst, scale = 0.0, 1.0
-        try:
-            for t in probe_t:
-                b = pert.beta_at(xc, t)
-                b12 = sample_field(pert.beta1, xc, t) + sample_field(pert.beta2, xc, t)
-                worst = max(worst, float(np.abs(b - b12).max()))
-                scale = max(scale, float(np.abs(b).max()))
-        except dsl.NonfiniteResult:
-            pass
-        else:
-            if worst > 1e-12 * scale:
-                out.append("beta1 + beta2 does not reproduce beta on the grid")
 
     return out
 

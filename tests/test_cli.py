@@ -407,10 +407,13 @@ def test_unknown_scheme_key_exits_before_solving(tmp_path, monkeypatch, capsys, 
     assert calls == []
 
 
-# a key no builder reads is a typo that would silently drop a datum
+# a key no builder reads is a typo that would silently drop a datum; the
+# bound's splits beta = beta1 + beta2 and g_hat - g = g1 + g2 are not data
+# either: a key that declared one would move Delta and no solve
 @pytest.mark.parametrize("section,key", [
     ("data", "F"), ("perturbation", "gama"), ("bc", "piO"), ("gas", "lamda"),
-    ("domain", "L"), ("grid", "ny")])
+    ("domain", "L"), ("grid", "ny"), ("perturbation", "beta1"), ("perturbation", "beta2"),
+    ("perturbation", "g1"), ("perturbation", "g2")])
 def test_unknown_table_key_exits_before_solving(tmp_path, monkeypatch, capsys, section,
                                                 key):
     calls = count_solves(monkeypatch)
@@ -557,7 +560,11 @@ def test_unknown_top_level_key_exits_before_solving(tmp_path, monkeypatch, capsy
     ({"theta_0": "1"}, "unknown pattern key 'theta_0'"),
     ({"eta0": "0.5", "uXb_": 1.0}, "unknown pattern key 'uXb_'"),
     ({}, "perturbs nothing"), ({"eta0": None}, "perturbs nothing"),
-    (None, "study table lacks key 'patterns'")])
+    (None, "study table lacks key 'patterns'"),
+    ({"beta": "x", "beta1": "0.5*x"}, "unknown pattern key 'beta1'"),
+    ({"beta": "x", "beta2": "x"}, "unknown pattern key 'beta2'"),
+    ({"eta0": "0.5", "g1": "0.5*(1 + x)"}, "unknown pattern key 'g1'"),
+    ({"eta0": "0.5", "g2": "x"}, "unknown pattern key 'g2'")])
 def test_lipschitz_pattern_error_exits_before_solving(tmp_path, monkeypatch, capsys,
                                                       patterns, message):
     calls = count_solves(monkeypatch)
@@ -766,6 +773,29 @@ def test_study_homog_eps_outside_the_unit_interval_exits_before_solving(
     assert f"error: eps must lie in (0, 1], got {shown}" in err and "eps_min" not in err
     assert calls == []
     assert not out.exists()
+
+
+def test_study_homog_empty_eps_list_exits_before_solving(tmp_path, monkeypatch, capsys):
+    # an empty sweep has no eps_min for the resolution guard to read
+    calls = count_solves(monkeypatch)
+    out = tmp_path / "o"
+    assert main(["study-homog", write_cfg(tmp_path, two_scale_cfg([])), "--out", str(out)]) \
+        == 2
+    assert "error: rate fit needs at least 4 rows, got 0" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["0.25,,0.125", ""])
+def test_homogenize_unreadable_eps_list_is_a_usage_error(tmp_path, monkeypatch, capsys, flag):
+    # an empty flag is not the flag left out: the config's list must not run
+    calls = count_solves(monkeypatch)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["homogenize", write_cfg(tmp_path, two_scale_cfg([0.25])), "--out", str(out),
+              "--eps-list", flag])
+    assert exc.value.code == 2
+    assert f"argument --eps-list: cannot read {flag!r}" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
 
 
 @pytest.mark.parametrize("breakpoints,message", [

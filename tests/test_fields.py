@@ -104,8 +104,7 @@ def test_validate_reports_a_non_finite_or_non_positive_N(N):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("name", ["eta0", "u0", "theta0", *BC_NAMES, "f", "beta", "gamma",
-                                  "beta1", "beta2", "g1", "g2"])
+@pytest.mark.parametrize("name", ["eta0", "u0", "theta0", *BC_NAMES, "f", "beta", "gamma"])
 def test_validate_reports_non_finite_samples(name, bad):
     # one bad sample, which every comparison in the (C1)/(C2)/(C3) checks would let pass
     spec = constant_spec(m=3)
@@ -114,15 +113,9 @@ def test_validate_reports_non_finite_samples(name, bad):
         series[5] = bad
         spec = replace(spec, bc=replace(spec.bc, **{name + "_t": series}))
         want = f"boundary entry {name} must be finite at every step time"
-    elif name in ("f", "beta", "gamma", "beta1", "beta2", "g1", "g2"):
-        grid = spec.grid
-        center = grid.centers()[grid.nx // 2]
-
+    elif name in ("f", "beta", "gamma"):
         def fn(*args):                   # arguments end in (x, t)
-            x = args[-2]
-            if name in ("g1", "g2"):     # read at the centers: bad at one center only
-                return np.where(np.abs(x - center) < 0.25 * grid.dx, bad, 0.0)
-            return np.where(x > 0.5, bad, 0.0)
+            return np.where(args[-2] > 0.5, bad, 0.0)
         if name == "f":
             spec = replace(spec, f=fn)
         else:
@@ -137,18 +130,15 @@ def test_validate_reports_non_finite_samples(name, bad):
     assert validate(spec) == [want]
 
 
-@pytest.mark.parametrize("name", ["f", "g", "beta", "beta1", "gamma", "g2"])
+@pytest.mark.parametrize("name", ["f", "g", "beta", "gamma"])
 def test_validate_reports_a_refused_expression(name):
     # an expression whose sample is not finite raises dsl.NonfiniteResult;
-    # validate reports it as the non-finite sample it is.  beta, beta1 and
-    # beta2 are all set, so the split check meets the refusal too
+    # validate reports it as the non-finite sample it is
     spec = constant_spec(m=3)
     tt = spec.grid.times()
     t_bad = float(tt[:: max(1, len(tt) // 32)][4])
-    variables = ("chi", "x", "t") if name in ("f", "g", "g1", "g2") else ("x", "t")
-    fns = {"beta": ExprFn("x", ("x", "t")), "beta1": ExprFn("0.5*x", ("x", "t")),
-           "beta2": ExprFn("0.5*x", ("x", "t")),
-           name: ExprFn(f"1/(t - {t_bad!r})^2", variables)}
+    variables = ("chi", "x", "t") if name in ("f", "g") else ("x", "t")
+    fns = {"beta": ExprFn("x", ("x", "t")), name: ExprFn(f"1/(t - {t_bad!r})^2", variables)}
     if name in ("f", "g"):
         spec = replace(spec, **{name: fns.pop(name)})
     spec = replace(spec, perturbation=PerturbationSpec(**fns))
@@ -173,25 +163,7 @@ def test_validate_negative_f_reported():
     assert any("f must be nonnegative" in m for m in validate(bad))
 
 
-def test_validate_beta_split_mismatch():
-    spec = constant_spec()
-    pert = PerturbationSpec(
-        beta=lambda x, t: np.sin(x),
-        beta1=lambda x, t: 0.5 * np.sin(x),
-        beta2=lambda x, t: 0.2 * np.sin(x),
-        beta_e=np.zeros(spec.grid.nx + 1))
-    bad = replace(spec, perturbation=pert)
-    assert any("beta1 + beta2" in m for m in validate(bad))
-    good = replace(spec, perturbation=PerturbationSpec(
-        beta=lambda x, t: np.sin(x),
-        beta1=lambda x, t: 0.5 * np.sin(x),
-        beta2=lambda x, t: 0.5 * np.sin(x),
-        beta_e=np.zeros(spec.grid.nx + 1)))
-    assert validate(good) == []
-
-
 def test_validate_samples_beta_once_per_probe_time():
-    # once for the finiteness probe and once for the split check
     spec = constant_spec()
     times = []
 
@@ -199,12 +171,9 @@ def test_validate_samples_beta_once_per_probe_time():
         times.append(t)
         return np.sin(x)
 
-    pert = PerturbationSpec(beta=beta, beta1=lambda x, t: 0.5 * np.sin(x),
-                            beta2=lambda x, t: 0.5 * np.sin(x))
-    assert validate(replace(spec, perturbation=pert)) == []
+    assert validate(replace(spec, perturbation=PerturbationSpec(beta=beta))) == []
     tt = spec.grid.times()
-    probe_t = tt[:: max(1, len(tt) // 32)]
-    assert times == list(probe_t) * 2
+    assert times == list(tt[:: max(1, len(tt) // 32)])
 
 
 def test_derived_fields_algebra():

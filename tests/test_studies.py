@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +9,7 @@ from gaslab import homogenize as hmg
 from gaslab import studies
 from gaslab.grid import Grid, GasParams
 from gaslab.norms import INF, ROW_BLOCK, h_minus_one, lqr_norm
-from gaslab.problem import BoundaryData, PerturbationSpec, ProblemSpec
+from gaslab.problem import ACTIVE_BC, BoundaryData, PerturbationSpec, ProblemSpec
 from gaslab.solver import SchemeParams
 from gaslab.studies import (ConvergenceTable, DegenerateFit, IncompatibleSpecs,
                             ResolutionGuard, check_thresholds, compute_E0,
@@ -150,6 +150,42 @@ def test_delta_qe2_drops_primitive_beta_item():
     br_2 = compute_delta(base, pert, qe=2.0)
     assert "it_i1beta2_lqe_inf" in br_inf
     assert "it_i1beta2_lqe_inf" not in br_2
+
+
+def test_delta_itemizes_the_whole_force_difference_as_g1():
+    base = replace(spec_m(3), g=lambda chi, x, t: np.sin(np.pi * chi) * (1 + t))
+    items = {}
+    for k in (1.0, 3.0):
+        forced = replace(base, g=lambda chi, x, t, k=k: base.g(chi, x, t) + k * x * t)
+        items[k] = compute_delta(base, forced)
+    assert items[1.0]["g1_l1"] > 0
+    assert items[3.0]["g1_l1"] == pytest.approx(3.0 * items[1.0]["g1_l1"], rel=1e-12)
+    assert items[1.0]["ig2_l2"] == 0.0 and items[3.0]["ig2_l2"] == 0.0
+
+
+# every perturbation a study pattern can declare reaches the solve: a pattern
+# that moves Delta but no solution array would tilt the fitted slopes
+PATTERN_CASES = [
+    pytest.param(m, key, id=f"m{m}-{key}")
+    for m in (1, 2, 3)
+    for key in (*cfgmod.INITIAL_DATA, "beta_e", *cfgmod.PERTURBATION_KEYS,
+                *(name + "b" for name in ACTIVE_BC[m]))]
+
+
+@pytest.mark.parametrize("m,key", PATTERN_CASES)
+def test_every_pattern_changes_the_solution(m, key):
+    base = spec_m(m, nx=16, nt=8)
+    if key in cfgmod.INITIAL_DATA + ("beta_e",):
+        pattern = "0.5 + x*(1 - x)"
+    elif key.endswith("b"):
+        pattern = "0.5*(1 + t)"
+    else:
+        pattern = "(0.5 + x*(1 - x))*(1 + t)"
+    scheme = SchemeParams(store_stride=1)
+    want = studies.solve(base, scheme)
+    got = studies.solve(cfgmod.perturbed_spec(base, {key: pattern}, 1e-3), scheme)
+    arrays = [f.name for f in fields(want) if isinstance(getattr(want, f.name), np.ndarray)]
+    assert any(not np.array_equal(getattr(want, name), getattr(got, name)) for name in arrays)
 
 
 # --- rate fitting ------------------------------------------------------------
