@@ -344,13 +344,18 @@ def evaluate(e, **bindings):
     program = e if isinstance(e, Compiled) else Compiled(e)
     with np.errstate(all="ignore"):
         out = program.run(bindings)
-    if np.isscalar(out) or np.ndim(out) == 0:
+    if type(out) is np.ndarray and out.ndim:
+        # the common result, checked first: converted only when not float64
+        if out.dtype != np.float64:
+            out = out.astype(np.float64)
+    elif np.isscalar(out) or np.ndim(out) == 0:
         out = float(out)
         if not math.isfinite(out):
             raise NonfiniteResult(pretty(program.expr))
         return out
-    out = np.asarray(out, dtype=float)
-    if not np.all(np.isfinite(out)):
+    else:
+        out = np.asarray(out, dtype=float)
+    if not np.logical_and.reduce(np.isfinite(out), axis=None):
         raise NonfiniteResult(pretty(program.expr))
     return out
 

@@ -84,13 +84,13 @@ class SchemeParams:
 def _lapack_dgtsv():
     """LAPACK dgtsv from the library numpy's linalg module links (dlsym also
     searches its dependencies), and the C type of its integer arguments: the
-    ILP64 symbol of numpy's bundled OpenBLAS, else the LP64 one of a system LAPACK."""
+    ILP64 symbol of numpy's bundled OpenBLAS, else the LP64 one of a system
+    LAPACK.  No argtypes are declared: _Tridiagonal builds every argument
+    once as a ctypes pointer, so a call converts none of them."""
     lib = ctypes.CDLL(_umath_linalg.__file__)
     for name, int_t in (("scipy_dgtsv_64_", ctypes.c_int64), ("dgtsv_", ctypes.c_int32)):
         if hasattr(lib, name):
-            fn, p_int = getattr(lib, name), ctypes.POINTER(int_t)
-            # n, nrhs, dl, d, du, b, ldb, info
-            fn.argtypes = [p_int, p_int] + [ctypes.c_void_p] * 4 + [p_int, p_int]
+            fn = getattr(lib, name)
             fn.restype = None
             return fn, int_t
     raise ImportError(f"{_umath_linalg.__file__} exports neither scipy_dgtsv_64_ nor dgtsv_")
@@ -102,8 +102,9 @@ _DGTSV, _LAPACK_INT = _lapack_dgtsv()
 class _Tridiagonal:
     """Bands and right-hand side of one tridiagonal system of size n, in one
     buffer [lower | diag | upper | rhs] allocated once and refilled every
-    sweep.  dgtsv factors the bands and overwrites the right-hand side in
-    place; the solution is returned as a copy."""
+    sweep.  dgtsv factors the bands and overwrites the right-hand side with
+    the solution in place; solve() returns that buffer itself, which the
+    next fill overwrites."""
 
     def __init__(self, n):
         self.buf = np.empty(4 * n - 2)
@@ -112,6 +113,7 @@ class _Tridiagonal:
         self.upper = self.buf[2 * n - 1:3 * n - 2]
         self.rhs = self.buf[3 * n - 2:]
         size, one, self.info = _LAPACK_INT(n), _LAPACK_INT(1), _LAPACK_INT()
+        # n, nrhs, dl, d, du, b, ldb, info
         bands = [ctypes.c_void_p(a.ctypes.data)
                  for a in (self.lower, self.diag, self.upper, self.rhs)]
         self._args = (ctypes.byref(size), ctypes.byref(one), *bands,
@@ -121,11 +123,12 @@ class _Tridiagonal:
         if not np.logical_and.reduce(np.isfinite(self.buf)):
             raise NonFiniteState(t, variable)
         _DGTSV(*self._args)
-        if self.info.value > 0:
+        info = self.info.value
+        if info > 0:
             raise np.linalg.LinAlgError(f"singular {variable} system near t={t:.6g}")
-        if self.info.value < 0:
-            raise RuntimeError(f"dgtsv rejected argument {-self.info.value}")
-        return self.rhs.copy()
+        if info < 0:
+            raise RuntimeError(f"dgtsv rejected argument {-info}")
+        return self.rhs
 
 
 @functools.lru_cache(maxsize=64)
@@ -139,16 +142,38 @@ def _lagrange_weights(h, steps):
                  for i, t_i in enumerate(nodes))
 
 
+def _pack(eta, u, theta, x_e):
+    """A state (eta, u, theta, x_e, w): eta, u and theta copied into one
+    packed iterate w = [eta | u | theta] of length 3 nx + 1, and read back
+    as views of it.  ValueError unless eta and theta have nx samples and u
+    nx + 1, as the packed layout assumes."""
+    nx = len(eta)
+    if not (np.shape(eta) == np.shape(theta) == (nx,) and np.shape(u) == (nx + 1,)):
+        raise ValueError(f"eta, u and theta must have nx, nx + 1 and nx samples, "
+                         f"got shapes {np.shape(eta)}, {np.shape(u)} and {np.shape(theta)}")
+    w = np.concatenate((eta, u, theta))
+    return (*_unpack(w), x_e, w)
+
+
+def _unpack(w):
+    """The (eta, u, theta) views of a packed iterate."""
+    nx = len(w) // 3
+    return w[:nx], w[nx:2 * nx + 1], w[2 * nx + 1:]
+
+
 def _extrapolate(state, history, h):
     """First Picard iterate for the substep of size h from `state` at t: the
-    Lagrange extrapolation to t + h through `state` and the (eta, u, theta)
-    of `history`, ((eta, u, theta), h_k) pairs of the preceding substeps,
-    most recent first.  Two entries give the quadratic extrapolation (weights
-    3, -3, 1 for uniform steps), one the linear, none a copy of `state`."""
+    Lagrange extrapolation to t + h through `state` and the states of
+    `history`, (state, h_k) pairs of the preceding substeps, most recent
+    first.  Two entries give the quadratic extrapolation (weights 3, -3, 1
+    for uniform steps), one the linear, none a copy of `state`.  One
+    multiply-add chain over the packed iterates, ((w w_0 + w1 w_1) + w2 w_2),
+    returns the (eta, u, theta) views of a fresh packed iterate."""
     weights = _lagrange_weights(h, tuple(h_k for _, h_k in history))
-    points = [state[:3]] + [past for past, _ in history]
-    return tuple(sum((point[k] * w for w, point in zip(weights[1:], points[1:])),
-                     points[0][k] * weights[0]) for k in range(3))
+    start = np.multiply(state[4], weights[0])
+    for (past, _), weight in zip(history, weights[1:]):
+        start += np.multiply(past[4], weight)
+    return _unpack(start)
 
 
 def _converged(change, prev_change):
@@ -164,11 +189,19 @@ def _change(t, variable, new, old, work):
     """max |new - old| between Picard iterates, formed in the buffer `work`;
     NonFiniteState when `new` holds a NaN or an infinity (`old` is always
     finite)."""
-    np.subtract(new, old, out=work)
-    change = np.maximum.reduce(np.abs(work, out=work))
+    np.subtract(new, old, work)
+    change = np.maximum.reduce(np.abs(work, work))
     if not math.isfinite(change):
         raise NonFiniteState(t, variable)
     return change
+
+
+def _trapezoid(total, a, b, half_h):
+    """total + half_h (a + b) in a fresh array: one trapezoid step of a time
+    integral; half_h is a 0-d array."""
+    step = np.add(a, b)
+    step *= half_h
+    return np.add(total, step, step)
 
 
 class _Parts(NamedTuple):
@@ -183,9 +216,15 @@ class _Parts(NamedTuple):
 
 
 class _Stepper:
-    """One spec's substeps.  Each Picard sweep fills the bands and right-hand
-    sides in place, and forms its coefficients and differences in work
-    buffers allocated here once; the terms of absent beta, gamma, g and f are
+    """One spec's substeps.  A state is (eta, u, theta, x_e, w), its first
+    three views of the packed iterate w (see _pack); each Picard sweep
+    writes its new eta, u and theta into one fresh packed iterate.  A sweep
+    fills the bands and right-hand sides in place, and forms its
+    coefficients and differences in work buffers allocated here once,
+    through shifted views ([1:], [:-1], [1:-1]) of them also built here.
+    The scalar operands of its ufunc calls are 0-d arrays, which a ufunc
+    takes as they are, where it would convert a Python float on every call;
+    the bits are the same.  The terms of absent beta, gamma, g and f are
     skipped, which gives the bits that adding their zeros gives."""
 
     def __init__(self, spec):
@@ -199,7 +238,7 @@ class _Stepper:
         self.dx = self.grid.dx
         self.dx2 = self.dx ** 2
         self.times = self.grid.times()
-        nx = self.grid.nx
+        gas, nx = self.gas, self.grid.nx
         self.u_system = _Tridiagonal(nx + 1)
         self.theta_system = _Tridiagonal(nx)
         self._time = self._data = None
@@ -212,14 +251,25 @@ class _Stepper:
         self.zero_c = np.zeros(nx)
         self.zero_e = np.zeros(nx + 1)
         self.zero_c.flags.writeable = self.zero_e.flags.writeable = False
-        # work buffers of the sweeps, at the centers: 1/eta, nu/eta, -k/eta, the
-        # lagged stress nu beta/eta - p, Du, Du + beta, nu (Du + beta)/eta and a
-        # scratch array; at the interior edges: the sums of eta, 2 lambda / sum
-        # and pi_gamma / dx; a scratch array at the edges
+        # work buffers of the sweeps, at the centers: 1/eta, nu/eta, -k/eta,
+        # the lagged stress nu beta/eta - p, Du, Du + beta, nu (Du + beta)/eta
+        # and a scratch array; at the interior edges: the sums of eta,
+        # 2 lambda / sum and pi_gamma / dx; a scratch array at the edges
         self.rho, self.nu_rho, self.minus_k_rho, self.stress_lag, self.du, self.du_beta, \
             self.visc, self.work_c = np.empty((8, nx))
         self.edge_sum, self.lam_rho_e, self.pi_gamma_dx = np.empty((3, nx - 1))
         self.work_e = np.empty(nx + 1)
+        # the constant scalar operands as 0-d arrays; a trailing underscore
+        # names the 0-d array of a value
+        self.one_, self.cV_, self.nu_, self.minus_k_, self.two_lam_, self.dx_, self.dx2_, \
+            self.minus_dx2_ = map(np.array, (1.0, gas.cV, gas.nu, -gas.k, 2.0 * gas.lam,
+                                             self.dx, self.dx2, -self.dx2))
+        # the shifted views of the sweeps, in the order _iterate unpacks them
+        mom, ene = self.u_system, self.theta_system
+        self.shifted = (self.nu_rho[1:], self.nu_rho[:-1], self.stress_lag[1:],
+                        self.stress_lag[:-1], mom.diag[1:-1], mom.rhs[1:-1], mom.rhs[1:],
+                        mom.rhs[:-1], ene.diag[:-1], ene.diag[1:], ene.rhs[:-1],
+                        ene.rhs[1:])
 
     def time_data(self, t):
         """The data that depend on t alone: the BoundaryData.at(step times, t)
@@ -282,7 +332,7 @@ class _Stepper:
         without them (at t = 0) they are built from the state, to the same
         bits.  They may be views of work buffers, which the next substep
         overwrites."""
-        eta, u, theta, x_e = state
+        eta, u, theta, x_e, _ = state
         gas = self.gas
         b = self.time_data(t)
         if parts is None:
@@ -321,8 +371,8 @@ class _Stepper:
         """Advance `state` from t0 by h; returns (new state, its _Parts,
         Picard sweeps).
 
-        history holds up to two ((eta, u, theta), h_k) pairs, the starts and
-        sizes of the substeps that ended at `state`, most recent first.  With
+        history holds up to two (state, h_k) pairs, the starts and sizes of
+        the substeps that ended at `state`, most recent first.  With
         any, the iteration starts at _extrapolate(state, history, h).  Without
         history, or when the extrapolated eta or theta is not above the
         positivity floor, it starts at `state`.  A predicted start that ends
@@ -341,135 +391,156 @@ class _Stepper:
         new, parts, k = self._iterate(state, t0, h, state[:3], False)
         return new, parts, sweeps + k
 
-    def _coefficients(self, eta):
-        """1 / eta, nu / eta and -k / eta into their work buffers."""
-        np.divide(1.0, eta, out=self.rho)
-        np.multiply(self.rho, self.gas.nu, out=self.nu_rho)
-        np.multiply(self.rho, -self.gas.k, out=self.minus_k_rho)
-
     def _iterate(self, state, t0, h, start, predicted):
         """Picard sweeps for one substep from the iterate `start`, predicted
         by _extrapolate or (predicted False) the state itself.
 
         The expressions are those of backward Euler with lagged pressure and
         coefficients, rearranged only where IEEE arithmetic gives the same
-        bits: x - y as -y + x, -a / c as a / -c, and the sweep's 1 / eta,
-        nu / eta and -k / eta reused as the next sweep's."""
-        eta_n, u_n, theta_n, x_e_n = state
+        bits: x - y as -y + x, -a / c as a / -c and as -(a / c), a * b as
+        b * a, and the sweep's 1 / eta, nu / eta and -k / eta reused as the
+        next sweep's."""
+        eta_n, u_n, theta_n, x_e_n, _ = state
         gas = self.gas
         m = self.bc.m
         t1 = t0 + h
         dx, dx2 = self.dx, self.dx2
+        two_dx = 2.0 / dx
+        one_, cV_, nu_, minus_k_, two_lam_, dx_, dx2_, minus_dx2_ = \
+            self.one_, self.cV_, self.nu_, self.minus_k_, self.two_lam_, self.dx_, \
+            self.dx2_, self.minus_dx2_
         mom, ene = self.u_system, self.theta_system
-        nu_rho, minus_k_rho, lag, du, visc, work_c = \
-            self.nu_rho, self.minus_k_rho, self.stress_lag, self.du, self.visc, self.work_c
-        reads_x_e = self.has_g or self.has_f
+        mom_diag, mom_rhs, mom_lower, mom_upper = mom.diag, mom.rhs, mom.lower, mom.upper
+        ene_diag, ene_rhs, ene_lower, ene_upper = ene.diag, ene.rhs, ene.lower, ene.upper
+        rho, nu_rho, minus_k_rho, lag, du, visc, work_c, work_e, edge_sum, lam_rho_e = \
+            self.rho, self.nu_rho, self.minus_k_rho, self.stress_lag, self.du, \
+            self.visc, self.work_c, self.work_e, self.edge_sum, self.lam_rho_e
+        nu_rho_hi, nu_rho_lo, lag_hi, lag_lo, mom_diag_in, mom_rhs_in, u_hi, u_lo, \
+            ene_diag_lo, ene_diag_hi, ene_rhs_lo, ene_rhs_hi = self.shifted
+        has_beta, has_gamma, has_g, has_f = \
+            self.has_beta, self.has_gamma, self.has_g, self.has_f
+        reads_x_e = has_g or has_f
+        packed_size = 3 * len(eta_n) + 1
 
         b1 = self.time_data(t1)
         beta_1, gamma_1 = b1["beta"], b1["gamma"]
         inv_h = 1.0 / h
         half_h = 0.5 * h
-        u_n_h = u_n / h
-        theta_n_h = gas.cV * theta_n / h
-        cV_h = gas.cV / h
+        h_, inv_h_, half_h_, cV_h_ = map(np.array, (h, inv_h, half_h, gas.cV / h))
+        u_n_h = np.divide(u_n, h_)
+        u_n_h_in = u_n_h[1:-1]
+        theta_n_h = np.multiply(theta_n, cV_)
+        theta_n_h /= h_
+        # the end rows' scalars, as Python floats: the same IEEE operations
+        u0, uX, p0, minus_pX = b1["u0"], b1["uX"], float(b1["p0"]), -float(b1["pX"])
+        u_n_h0, u_n_hX = u_n_h.item(0), u_n_h.item(-1)
+        pi0_dx, piX_dx = b1["pi0"] / dx, b1["piX"] / dx
         g_edge, f_new = self.zero_e, self.zero_c
 
         eta_s, u_s, theta_s = start
-        x_e_s = x_e_n + h * u_n if self.has_g else None
-        self._coefficients(eta_s)
+        x_e_s = np.add(x_e_n, np.multiply(u_n, h_)) if has_g else None
+        np.divide(one_, eta_s, rho)
+        np.multiply(rho, nu_, nu_rho)
+        np.multiply(rho, minus_k_, minus_k_rho)
         prev_change = 0.0
 
         for sweep in range(1, MAX_PICARD + 1):
             # momentum: implicit viscous flux, lagged pressure/coefficients;
             # lag = nu rho beta - p
-            np.multiply(minus_k_rho, theta_s, out=lag)
-            if self.has_beta:
-                lag += np.multiply(nu_rho, beta_1, out=work_c)
-            if self.has_g:
+            np.multiply(minus_k_rho, theta_s, lag)
+            if has_beta:
+                lag += np.multiply(nu_rho, beta_1, work_c)
+            if has_g:
                 g_edge = self.g_at(x_e_s, t1)
 
-            np.divide(nu_rho, -dx2, out=mom.lower)
-            mom.upper[:] = mom.lower
-            diag = mom.diag[1:-1]
-            np.add(nu_rho[1:], nu_rho[:-1], out=diag)
-            diag /= dx2
-            diag += inv_h
-            rhs = mom.rhs[1:-1]
-            np.subtract(lag[1:], lag[:-1], out=rhs)
-            rhs /= dx
-            rhs += u_n_h[1:-1]
-            if self.has_g:
-                rhs += g_edge[1:-1]
+            np.divide(nu_rho, minus_dx2_, mom_lower)
+            mom_upper[...] = mom_lower
+            np.add(nu_rho_hi, nu_rho_lo, mom_diag_in)
+            mom_diag_in /= dx2_
+            mom_diag_in += inv_h_
+            np.subtract(lag_hi, lag_lo, mom_rhs_in)
+            mom_rhs_in /= dx_
+            mom_rhs_in += u_n_h_in
+            if has_g:
+                mom_rhs_in += g_edge[1:-1]
 
             if m == 1:
-                mom.diag[0] = 1.0
-                mom.upper[0] = 0.0
-                mom.rhs[0] = b1["u0"]
+                mom_diag[0] = 1.0
+                mom_upper[0] = 0.0
+                mom_rhs[0] = u0
             else:
-                mom.diag[0] = inv_h + 2.0 * nu_rho[0] / dx2
-                mom.upper[0] = -2.0 * nu_rho[0] / dx2
-                mom.rhs[0] = u_n_h[0] + (2.0 / dx) * (lag[0] + b1["p0"]) + g_edge[0]
+                end = 2.0 * nu_rho.item(0) / dx2
+                mom_diag[0] = inv_h + end
+                mom_upper[0] = -end
+                mom_rhs[0] = u_n_h0 + two_dx * (lag.item(0) + p0) + g_edge.item(0)
             if m in (1, 2):
-                mom.diag[-1] = 1.0
-                mom.lower[-1] = 0.0
-                mom.rhs[-1] = b1["uX"]
+                mom_diag[-1] = 1.0
+                mom_lower[-1] = 0.0
+                mom_rhs[-1] = uX
             else:
-                mom.diag[-1] = inv_h + 2.0 * nu_rho[-1] / dx2
-                mom.lower[-1] = -2.0 * nu_rho[-1] / dx2
-                mom.rhs[-1] = u_n_h[-1] + (2.0 / dx) * (-b1["pX"] - lag[-1]) + g_edge[-1]
+                end = 2.0 * nu_rho.item(-1) / dx2
+                mom_diag[-1] = inv_h + end
+                mom_lower[-1] = -end
+                mom_rhs[-1] = u_n_hX + two_dx * (minus_pX - lag.item(-1)) + g_edge.item(-1)
 
-            u_new = mom.solve(t1, "u")
-            change_u = _change(t1, "u", u_new, u_s, self.work_e)
-
-            np.subtract(u_new[1:], u_new[:-1], out=du)
-            du /= dx
-            du_beta = np.add(du, beta_1, out=self.du_beta) if self.has_beta else du
-            eta_new = eta_n + np.multiply(du_beta, h, out=work_c)
+            # the solution is read in place: its differences, its change and
+            # a copy into the new packed iterate
+            mom.solve(t1, "u")
+            change_u = _change(t1, "u", mom_rhs, u_s, work_e)
+            np.subtract(u_hi, u_lo, du)
+            du /= dx_
+            du_beta = np.add(du, beta_1, self.du_beta) if has_beta else du
+            w_new = np.empty(packed_size)
+            eta_new, u_new, theta_new = _unpack(w_new)
+            u_new[...] = mom_rhs
+            np.add(eta_n, np.multiply(du_beta, h_, work_c), eta_new)
             change_eta = _change(t1, "eta", eta_new, eta_s, work_c)
             min_eta = np.minimum.reduce(eta_new)
             if min_eta <= POSITIVITY_FLOOR:
                 raise _Retry("eta", t1, sweep)
-            self._coefficients(eta_new)
+            np.divide(one_, eta_new, rho)
+            np.multiply(rho, nu_, nu_rho)
+            np.multiply(rho, minus_k_, minus_k_rho)
             if reads_x_e:
-                x_e_new = x_e_n + half_h * (u_n + u_new)
+                x_e_new = _trapezoid(x_e_n, u_n, u_new, half_h_)
 
             # energy: implicit conduction with the fresh density, source with
             # the freshly updated velocity, pressure lagged one Picard sweep
             # source: the stress with the lagged pressure times Du, plus f
-            np.multiply(nu_rho, du_beta, out=visc)
-            rhs_t = ene.rhs
-            np.multiply(minus_k_rho, theta_s, out=rhs_t)
-            rhs_t += visc
-            rhs_t *= du
-            if self.has_f:
+            np.multiply(nu_rho, du_beta, visc)
+            np.multiply(minus_k_rho, theta_s, ene_rhs)
+            ene_rhs += visc
+            ene_rhs *= du
+            if has_f:
                 f_new = self.f_at(x_e_new, t1)
-                rhs_t += f_new
-            rhs_t += theta_n_h
+                ene_rhs += f_new
+            ene_rhs += theta_n_h
 
-            np.add(eta_new[:-1], eta_new[1:], out=self.edge_sum)
-            lam_rho_e = np.divide(gas.lam * 2.0, self.edge_sum, out=self.lam_rho_e)
-            np.divide(lam_rho_e, -dx2, out=ene.upper)
-            np.subtract(cV_h, ene.upper, out=ene.diag[:-1])
-            ene.diag[-1] = cV_h
-            np.subtract(ene.diag[1:], ene.upper, out=ene.diag[1:])
-            ene.lower[:] = ene.upper
+            np.add(eta_new[:-1], eta_new[1:], edge_sum)
+            np.divide(two_lam_, edge_sum, lam_rho_e)
+            np.divide(lam_rho_e, minus_dx2_, ene_upper)
+            ene_lower[...] = ene_upper
+            np.subtract(cV_h_, ene_upper, ene_diag_lo)
+            ene_diag[-1] = cV_h_
+            np.subtract(ene_diag_hi, ene_upper, ene_diag_hi)
 
-            if self.has_gamma:
-                pi_gamma_dx = np.multiply(lam_rho_e, gamma_1[1:-1], out=self.pi_gamma_dx)
-                pi_gamma_dx /= dx
-                rhs_t[:-1] += pi_gamma_dx
-                rhs_t[1:] -= pi_gamma_dx
-            rhs_t[0] -= b1["pi0"] / dx
-            rhs_t[-1] += b1["piX"] / dx
+            if has_gamma:
+                pi_gamma_dx = np.multiply(lam_rho_e, gamma_1[1:-1], self.pi_gamma_dx)
+                pi_gamma_dx /= dx_
+                ene_rhs_lo += pi_gamma_dx
+                ene_rhs_hi -= pi_gamma_dx
+            ene_rhs[0] -= pi0_dx
+            ene_rhs[-1] += piX_dx
 
-            theta_new = ene.solve(t1, "theta")
-            change_theta = _change(t1, "theta", theta_new, theta_s, work_c)
+            ene.solve(t1, "theta")
+            change_theta = _change(t1, "theta", ene_rhs, theta_s, work_c)
+            theta_new[...] = ene_rhs
             min_theta = np.minimum.reduce(theta_new)
             if min_theta <= POSITIVITY_FLOOR:
                 raise _Retry("theta", t1, sweep)
 
             change = max(change_u, change_eta, change_theta)
-            eta_s, u_s, theta_s = eta_new, u_new, theta_new
+            w_s, eta_s, u_s, theta_s = w_new, eta_new, u_new, theta_new
             if reads_x_e:
                 x_e_s = x_e_new
             if _converged(change, prev_change):
@@ -486,10 +557,10 @@ class _Stepper:
             raise _Retry("picard", t1, MAX_PICARD)
 
         if not reads_x_e:
-            x_e_s = x_e_n + half_h * (u_n + u_s)
+            x_e_s = _trapezoid(x_e_n, u_n, u_s, half_h_)
         # the last sweep sampled f at the x_e it returns
-        parts = _Parts(visc, minus_k_rho, self.edge_sum, f_new, min_eta, min_theta)
-        return (eta_s, u_s, theta_s, x_e_s), parts, sweep
+        parts = _Parts(visc, minus_k_rho, edge_sum, f_new, min_eta, min_theta)
+        return (eta_s, u_s, theta_s, x_e_s, w_s), parts, sweep
 
 
 def _snapshot_indices(nt, stride, dense):
@@ -503,8 +574,8 @@ def _snapshot_indices(nt, stride, dense):
 class _StepRecord:
     """What solve() carries from substep to substep: the running trapezoid
     integrals I_t sigma, I_t p, I_t g, the rates at the end of the last
-    substep, the ((eta, u, theta), h) starts of the last two substeps, most
-    recent first, the running eta and theta minima, and the increments of
+    substep, the (state, h) starts of the last two substeps, most recent
+    first, the running eta and theta minima, and the increments of
     I_t(uX - u0), I_t int(beta) and the boundary and source work plus the
     Picard sweeps over the nominal step.  Every array is rebound, never
     written, so records share them."""
@@ -546,16 +617,16 @@ def solve(spec, scheme=SchemeParams()):
     nt = g.nt
     dt = g.dt
 
-    eta = np.asarray(spec.eta0, dtype=float).copy()
-    u = np.asarray(spec.u0, dtype=float).copy()
-    theta = np.asarray(spec.theta0, dtype=float).copy()
+    eta = np.asarray(spec.eta0, dtype=float)
     x_e = primitive_at_edges(g, eta) + spec.perturbation.beta_e_on(g)
+    state = _pack(eta, np.asarray(spec.u0, dtype=float),
+                  np.asarray(spec.theta0, dtype=float), x_e)
+    eta, u, theta = state[:3]
     for name, arr in (("eta", eta), ("u", u), ("theta", theta)):
         if not np.isfinite(arr).all():
             raise NonFiniteState(0.0, name)
     if eta.min() <= 0 or theta.min() <= 0:
         raise PositivityLoss(0.0, "eta" if eta.min() <= 0 else "theta")
-    state = (eta, u, theta, x_e)
 
     keep = _snapshot_indices(nt, scheme.store_stride, scheme.dense_steps)
     slot = {n: i for i, n in enumerate(keep)}
@@ -565,17 +636,21 @@ def solve(spec, scheme=SchemeParams()):
                  ("u", "x_e", "pi", "it_g")})
     # volume, kinetic and internal energy, I_t(uX - u0), I_t int(beta), work
     tracks = np.zeros((6, nt + 1))
+    volume, kinetic, internal, it_bdu, it_bvol, it_work = tracks
     substeps = np.ones(nt, dtype=int)
     picard_sweeps = np.zeros(nt, dtype=int)
 
     def commit(n, state, rec):
-        """Write step n: the tracks, the last three by adding the record's
-        increments, and the snapshot when n is kept."""
-        eta, u, theta, _ = state
-        tracks[:3, n] = (integrate_center(g, eta), integrate_edge(g, 0.5 * u ** 2),
-                         integrate_center(g, gas.cV * theta))
+        """Write step n: the tracks, one scalar each, the last three by
+        adding the record's increments, and the snapshot when n is kept."""
+        eta, u, theta = state[:3]
+        volume[n] = integrate_center(g, eta)
+        kinetic[n] = integrate_edge(g, 0.5 * u ** 2)
+        internal[n] = integrate_center(g, gas.cV * theta)
         if n:
-            tracks[3:, n] = tracks[3:, n - 1] + (rec.bdu, rec.bvol, rec.work)
+            it_bdu[n] = it_bdu[n - 1] + rec.bdu
+            it_bvol[n] = it_bvol[n - 1] + rec.bvol
+            it_work[n] = it_work[n - 1] + rec.work
         if n in slot:
             for name, arr in zip(("eta", "u", "theta", "x_e"), state):
                 snap[name][slot[n]] = arr
@@ -592,20 +667,21 @@ def solve(spec, scheme=SchemeParams()):
             m_sub = 2 ** level
             h = dt / m_sub
             half_h = 0.5 * h
+            half_h_ = np.array(half_h)
             st, trial = state, rec.attempt()
             try:
                 for ksub in range(m_sub):
                     ts = t0 + ksub * h
-                    history = ((st[:3], h),) + trial.before[:1]
+                    history = ((st, h),) + trial.before[:1]
                     st, parts, sweeps = stepper.substep(st, ts, h, trial.before)
                     trial.before = history
                     trial.sweeps += sweeps
                     u1 = st[1]
                     sig1, p1, g1, pi1, wr1 = stepper.rates(st, ts + h, parts)
-                    trial.it_sigma = trial.it_sigma + half_h * (trial.sigma + sig1)
-                    trial.it_p = trial.it_p + half_h * (trial.p + p1)
+                    trial.it_sigma = _trapezoid(trial.it_sigma, trial.sigma, sig1, half_h_)
+                    trial.it_p = _trapezoid(trial.it_p, trial.p, p1, half_h_)
                     if stepper.has_g:
-                        trial.it_g = trial.it_g + half_h * (trial.g + g1)
+                        trial.it_g = _trapezoid(trial.it_g, trial.g, g1, half_h_)
                     trial.bdu += h * (u1[-1] - u1[0])
                     if stepper.has_beta:
                         trial.bvol += h * stepper.time_data(ts + h)["int_beta"]
@@ -628,7 +704,6 @@ def solve(spec, scheme=SchemeParams()):
 
         commit(n + 1, state, rec)
 
-    volume, kinetic, internal, it_bdu, it_bvol, it_work = tracks
     energy = {
         "kinetic": kinetic,
         "internal": internal,

@@ -79,6 +79,38 @@ def test_nonfinite_results_are_errors():
         dsl.evaluate(dsl.parse("ln(x)"), x=np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5)], ids=["scalar", "1-D", "2-D"])
+def test_nonfinite_sample_in_any_result_shape_is_an_error(shape, bad):
+    # one bad sample, the last, in an array result, or a bad scalar result
+    e = dsl.parse("2*x + 1")
+    if shape:
+        x = np.linspace(0.0, 1.0, math.prod(shape)).reshape(shape)
+        x.flat[-1] = bad
+    else:
+        x = float(bad)
+    with pytest.raises(dsl.NonfiniteResult, match=r"non-finite value: 2\.0 \* x \+ 1\.0$"):
+        dsl.evaluate(e, x=x)
+
+
+def test_integer_array_result_comes_back_as_float64():
+    for shape in [(5,), (1, 5)]:
+        x = np.arange(5).reshape(shape)
+        for source in ("x", "max(x, x)"):
+            out = dsl.evaluate(dsl.parse(source), x=x)
+            assert type(out) is np.ndarray and out.dtype == np.float64, source
+            assert out.shape == shape and out.ravel().tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert dsl.ExprFn("x", ("x",))(np.arange(3)).dtype == np.float64
+
+
+def test_zero_dimensional_result_comes_back_as_a_python_float():
+    for source in ("x", "x + 1", "sin(x)"):
+        out = dsl.evaluate(dsl.parse(source), x=np.array(2.0))
+        assert type(out) is float, source
+    assert dsl.evaluate(dsl.parse("x + 1"), x=np.array(2.0)) == 3.0
+    assert type(dsl.ExprFn("x*t", ("x", "t"))(np.array(2.0), 3)) is float
+
+
 def test_vectorized_evaluation_matches_scalar():
     e = dsl.parse("sin(x)*t + step(x - 0.5)")
     x = np.linspace(0, 1, 11)

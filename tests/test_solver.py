@@ -319,10 +319,12 @@ def test_predicted_start_matches_plain_start(monkeypatch):
 
 
 def quadratic_states(times):
-    # (eta, u, theta) quadratic in t, one state per time
+    # (eta, u, theta) quadratic in t, one state per time, packed as the
+    # stepper packs its states (eta and theta at 8 centers, u at 9 edges, no x_e)
     x = np.linspace(0.0, 1.0, 9)
-    return [(1.0 + t * x - 2.0 * t * t, np.sin(x) * t * t - 0.5 * t, 2.0 + 3.0 * t * t + x)
-            for t in times]
+    xc = 0.5 * (x[1:] + x[:-1])
+    return [solver._pack(1.0 + t * xc - 2.0 * t * t, np.sin(x) * t * t - 0.5 * t,
+                         2.0 + 3.0 * t * t + xc, None) for t in times]
 
 
 @pytest.mark.parametrize("h_b, h_a, h", [(0.1, 0.1, 0.1), (0.1, 0.05, 0.05),
@@ -331,7 +333,7 @@ def quadratic_states(times):
 def test_extrapolate_is_exact_for_quadratics(h_b, h_a, h):
     t = 0.3
     b, a, now, target = quadratic_states([t - h_a - h_b, t - h_a, t, t + h])
-    state = (*now, None)
+    state = now
     start = solver._extrapolate(state, ((a, h_a), (b, h_b)), h)
     for got, want in zip(start, target):
         assert np.abs(got - want).max() <= 1e-14
@@ -341,6 +343,16 @@ def test_extrapolate_is_exact_for_quadratics(h_b, h_a, h):
         assert np.abs(got - (x_now + (h / h_a) * (x_now - x_a))).max() <= 1e-14
     for got, x_now in zip(solver._extrapolate(state, (), h), now):
         assert np.array_equal(got, x_now)
+
+
+@pytest.mark.parametrize("shapes", [(8, 8, 8), (8, 10, 8), (9, 9, 8), (8, 9, 9), (9, 8, 8)],
+                         ids=["u-short", "u-long", "eta-long", "theta-long", "eta-u-swapped"])
+def test_pack_rejects_samples_that_do_not_fit_the_layout(shapes):
+    # a packed iterate splits at nx and 2 nx + 1, so every other length mix
+    # is refused, even one whose total is 3 nx + 1
+    eta, u, theta = (np.ones(n) for n in shapes)
+    with pytest.raises(ValueError, match="nx, nx \\+ 1 and nx samples"):
+        solver._pack(eta, u, theta, None)
 
 
 # halving_spec contracts slowly (ratio about 0.45) at its first steps, so the
@@ -418,7 +430,7 @@ def test_rates_fed_the_last_sweep_match_rates_from_the_state(m):
         spec = data_variant(m, present)
         g = spec.grid
         stepper = solver._Stepper(spec)
-        state = (spec.eta0, spec.u0, spec.theta0, primitive_at_edges(g, spec.eta0))
+        state = solver._pack(spec.eta0, spec.u0, spec.theta0, primitive_at_edges(g, spec.eta0))
         history = ()
         for n in range(3):
             t1 = (n + 1) * g.dt
@@ -428,7 +440,7 @@ def test_rates_fed_the_last_sweep_match_rates_from_the_state(m):
             assert (parts.min_eta, parts.min_theta) == (new[0].min(), new[2].min())
             for name, a, b in zip(("sigma", "p", "g", "pi", "work_rate"), fed, rebuilt):
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (present, n, name)
-            history = ((state[:3], g.dt),) + history[:1]
+            history = ((state, g.dt),) + history[:1]
             state = new
 
 
@@ -604,6 +616,24 @@ def test_tridiagonal_illegal_argument_raises_runtime_error():
     system._args = (ctypes.byref(solver._LAPACK_INT(-1)),) + system._args[1:]
     with pytest.raises(RuntimeError, match="argument 1"):
         system.solve(0.0, "u")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("band", ["lower", "diag", "upper", "rhs"])
+def test_tridiagonal_non_finite_entry_raises_before_lapack(band, value, monkeypatch):
+    # one non-finite entry in a band or the right-hand side stops the solve
+    # with the system's name and time before dgtsv runs: no call is made and
+    # the buffer is left as it was
+    system = _random_tridiagonal(9, False, seed=9)
+    getattr(system, band)[3] = value
+    before = system.buf.tobytes()
+    calls = []
+    monkeypatch.setattr(solver, "_DGTSV", lambda *args: calls.append(args))
+    with pytest.raises(NonFiniteState, match=r"^non-finite theta near t=0\.375$") as exc:
+        system.solve(0.375, "theta")
+    assert (exc.value.variable, exc.value.t) == ("theta", 0.375)
+    assert calls == []
+    assert system.buf.tobytes() == before
 
 
 def test_non_finite_force_raises_at_once():
