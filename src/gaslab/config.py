@@ -95,6 +95,14 @@ def number_or_inf(value):
     return float("inf") if value == "inf" else number(value)
 
 
+def exponent(value):
+    """A norm exponent: a number of at least 1, or the string "inf"."""
+    out = number_or_inf(value)
+    if out < 1:
+        raise ValueError('not a number >= 1 or "inf"')
+    return out
+
+
 def float_list(value):
     """A JSON list of numbers."""
     if not isinstance(value, list):
@@ -193,9 +201,9 @@ NORM_KEYS = {"domain": subtable, "grid": subtable, "field": over(("x", "t")),
 # names of studies.run_homog_study and run_lipschitz_study (whose perturb the
 # CLI builds from patterns, which perturbed_spec reads), and those defaults
 # hold for a key the table omits
-HOMOG_STUDY_KEYS = {"eps_list": float_list, "qe": number_or_inf,
+HOMOG_STUDY_KEYS = {"eps_list": float_list, "qe": exponent,
                     "thresholds": threshold_rules}
-LIPSCHITZ_STUDY_KEYS = {"delta0": nonzero_number, "levels": count, "qe": number_or_inf,
+LIPSCHITZ_STUDY_KEYS = {"delta0": nonzero_number, "levels": count, "qe": exponent,
                         "patterns": dict, "thresholds": threshold_rules}
 
 

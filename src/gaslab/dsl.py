@@ -5,7 +5,8 @@ Expressions are closed over the variables xi, x, t, chi, the binary operators
 step, frac.  step(e) is 1.0 for e >= 0 and 0.0 otherwise (right-continuous at
 the switch), frac(e) is e - floor(e).  Evaluation is pure and vectorizes over
 numpy array bindings.  An ExprFn compiles its expression once, when it is
-built, to a chain of closures; evaluate() runs that chain.
+built, to a chain of closures and the set of variables it reads, in one walk;
+evaluate() runs that chain.
 """
 
 from dataclasses import dataclass
@@ -24,12 +25,11 @@ class ExprError(Exception):
 
 
 class ExprSyntaxError(ExprError):
-    """Malformed source; carries 1-based line/column and the expected-token set."""
+    """Malformed source; carries its 1-based line and column."""
 
-    def __init__(self, message, line, col, expected=()):
+    def __init__(self, message, line, col):
         self.line = line
         self.col = col
-        self.expected = tuple(sorted(expected))
         super().__init__(f"{line}:{col}: {message}")
 
 
@@ -164,20 +164,18 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, text, expected):
+    def expect(self, text):
         kind, tok, line, col = self.peek()
         if kind == "op" and tok == text:
             return self.advance()
         shown = tok if kind != "end" else "end of input"
-        raise ExprSyntaxError(f"expected '{text}', found '{shown}'", line, col,
-                              expected=expected)
+        raise ExprSyntaxError(f"expected '{text}', found '{shown}'", line, col)
 
     def parse(self):
         e = self.sum_()
         kind, tok, line, col = self.peek()
         if kind != "end":
-            raise ExprSyntaxError(f"unexpected '{tok}' after expression", line, col,
-                                  expected=("+", "-", "*", "/", "^", "end"))
+            raise ExprSyntaxError(f"unexpected '{tok}' after expression", line, col)
         return e
 
     def sum_(self):
@@ -226,7 +224,7 @@ class _Parser:
             if tok in VARIABLES:
                 return Var(tok)
             if tok in FUNCTIONS_1 or tok in FUNCTIONS_2:
-                self.expect("(", expected=("(",))
+                self.expect("(")
                 args = [self.sum_()]
                 while True:
                     k, t, ln, cl = self.peek()
@@ -235,7 +233,7 @@ class _Parser:
                         args.append(self.sum_())
                     else:
                         break
-                self.expect(")", expected=(")", ","))
+                self.expect(")")
                 arity = 1 if tok in FUNCTIONS_1 else 2
                 if len(args) != arity:
                     raise ExprSyntaxError(
@@ -246,11 +244,10 @@ class _Parser:
         if kind == "op" and tok == "(":
             self.advance()
             e = self.sum_()
-            self.expect(")", expected=(")",))
+            self.expect(")")
             return e
         shown = tok if kind != "end" else "end of input"
-        raise ExprSyntaxError(f"expected a factor, found '{shown}'", line, col,
-                              expected=("number", "variable", "function", "("))
+        raise ExprSyntaxError(f"expected a factor, found '{shown}'", line, col)
 
 
 def parse(source):
@@ -260,23 +257,6 @@ def parse(source):
 
 # ---------------------------------------------------------------------------
 # Evaluation
-
-def free_variables(e):
-    if isinstance(e, Num):
-        return set()
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Neg):
-        return free_variables(e.arg)
-    if isinstance(e, Bin):
-        return free_variables(e.lhs) | free_variables(e.rhs)
-    if isinstance(e, Call):
-        out = set()
-        for a in e.args:
-            out |= free_variables(a)
-        return out
-    raise TypeError(f"not an expression node: {e!r}")
-
 
 def _step(a):
     return np.where(np.asarray(a) >= 0.0, 1.0, 0.0)
@@ -293,12 +273,13 @@ _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log, "abs": 
 
 
 def _compile(e):
-    """Closure chain env -> value of `e`: operands evaluated left to right,
-    with the same Python operators and numpy functions a tree walk uses, so
+    """(closure chain env -> value of `e`, frozenset of the variables `e`
+    reads), built in one walk.  Operands are evaluated left to right, with
+    the same Python operators and numpy functions a tree walk uses, so
     results are bitwise those of walking the tree."""
     if isinstance(e, Num):
         value = e.value
-        return lambda env: value
+        return (lambda env: value), frozenset()
     if isinstance(e, Var):
         name = e.name
 
@@ -307,7 +288,7 @@ def _compile(e):
                 return env[name]
             except KeyError:
                 raise UnboundVariable(name) from None
-        return var
+        return var, frozenset((name,))
     if isinstance(e, Neg):
         fn, args = operator.neg, (e.arg,)
     elif isinstance(e, Bin):
@@ -317,33 +298,22 @@ def _compile(e):
     else:
         raise TypeError(f"not an expression node: {e!r}")
     if len(args) == 1:
-        a = _compile(args[0])
-        return lambda env: fn(a(env))
-    a, b = map(_compile, args)
-    return lambda env: fn(a(env), b(env))
-
-
-class Compiled:
-    """An AST with its closure chain, built once; evaluate() takes it in
-    place of the AST."""
-
-    __slots__ = ("expr", "run")
-
-    def __init__(self, expr):
-        self.expr = expr
-        self.run = _compile(expr)
+        a, names = _compile(args[0])
+        return (lambda env: fn(a(env))), names
+    (a, lhs), (b, rhs) = map(_compile, args)
+    return (lambda env: fn(a(env), b(env))), lhs | rhs
 
 
 def evaluate(e, **bindings):
-    """Evaluate an AST, or its Compiled form, with the given variable
+    """Evaluate an ExprFn, or an AST compiled here, with the given variable
     bindings (scalars or arrays).
 
     Raises UnboundVariable for missing variables and NonfiniteResult if any
     sample of the result is NaN or infinite.
     """
-    program = e if isinstance(e, Compiled) else Compiled(e)
+    expr, run = (e.expr, e.run) if isinstance(e, ExprFn) else (e, _compile(e)[0])
     with np.errstate(all="ignore"):
-        out = program.run(bindings)
+        out = run(bindings)
     if type(out) is np.ndarray and out.ndim:
         # the common result, checked first: converted only when not float64
         if out.dtype != np.float64:
@@ -351,12 +321,12 @@ def evaluate(e, **bindings):
     elif np.isscalar(out) or np.ndim(out) == 0:
         out = float(out)
         if not math.isfinite(out):
-            raise NonfiniteResult(pretty(program.expr))
+            raise NonfiniteResult(pretty(expr))
         return out
     else:
         out = np.asarray(out, dtype=float)
     if not np.logical_and.reduce(np.isfinite(out), axis=None):
-        raise NonfiniteResult(pretty(program.expr))
+        raise NonfiniteResult(pretty(expr))
     return out
 
 
@@ -396,25 +366,25 @@ def pretty(e, parent_prec=0):
 
 
 class ExprFn:
-    """Picklable callable over the declared variable tuple, backed by its
-    expression compiled once, here; positional arguments bind to `variables`
-    in order.
+    """Picklable callable over the declared variable tuple: the one compiled
+    form of an expression, parsed and compiled once, here; positional
+    arguments bind to `variables` in order.
 
-    Rejects expressions whose free variables are not a subset of `variables`.
+    Rejects expressions that read a variable outside `variables`.
     """
 
     def __init__(self, source, variables):
         self.source = source
         self.variables = tuple(variables)
-        expr = parse(source)
-        extra = free_variables(expr) - set(self.variables)
+        self.expr = parse(source)
+        self.run, names = _compile(self.expr)
+        extra = names - set(self.variables)
         if extra:
             raise UnboundVariable(sorted(extra)[0])
-        self.program = Compiled(expr)
 
     def __reduce__(self):
         # the closure chain does not pickle; rebuild it from the source
         return ExprFn, (self.source, self.variables)
 
     def __call__(self, *args):
-        return evaluate(self.program, **dict(zip(self.variables, args)))
+        return evaluate(self, **dict(zip(self.variables, args)))

@@ -70,10 +70,12 @@ class BoundaryData:
     pi0_t: np.ndarray
     piX_t: np.ndarray
 
+    def __post_init__(self):
+        if self.m not in ACTIVE_BC:
+            raise ValueError(f"bc family m must be 1, 2 or 3, got {self.m}")
+
     @classmethod
     def build(cls, grid, m, u0=None, uX=None, p0=None, pX=None, pi0=None, piX=None):
-        if m not in ACTIVE_BC:
-            raise ValueError(f"bc family m must be 1, 2 or 3, got {m}")
         given = {"u0": u0, "uX": uX, "p0": p0, "pX": pX, "pi0": pi0, "piX": piX}
         t = grid.times()
         return cls(m=m, **{

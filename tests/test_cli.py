@@ -525,6 +525,41 @@ def test_unknown_study_key_exits_before_solving(tmp_path, monkeypatch, capsys, c
     assert calls == []
 
 
+def qe_study_cfg(command, qe):
+    if command == "study-lipschitz":
+        cfg = lipschitz_cfg()
+    else:
+        # nx = 128 puts eps = 0.125 at 16 cells, the resolution guard's floor
+        cfg = two_scale_cfg([1.0, 0.5, 0.25, 0.125])
+        cfg["grid"]["nx"] = 128
+    cfg["study"]["qe"] = qe
+    return cfg
+
+
+@pytest.mark.parametrize("qe", [0.5, 0, -1])
+@pytest.mark.parametrize("command", ["study-homog", "study-lipschitz", "homogenize"])
+def test_study_qe_below_one_exits_before_solving(tmp_path, monkeypatch, capsys, command,
+                                                 qe):
+    calls = count_solves(monkeypatch)
+    out = tmp_path / "o"
+    assert main([command, write_cfg(tmp_path, qe_study_cfg(command, qe)),
+                 "--out", str(out)]) == 2
+    assert f"study key 'qe' cannot read {qe!r}: not a number >= 1 or \"inf\"" \
+        in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("qe", [1, "inf"])
+@pytest.mark.parametrize("command", ["study-homog", "study-lipschitz"])
+def test_study_qe_of_one_or_inf_runs(tmp_path, monkeypatch, command, qe):
+    calls = count_solves(monkeypatch)
+    out = tmp_path / "o"
+    assert main([command, write_cfg(tmp_path, qe_study_cfg(command, qe)),
+                 "--out", str(out)]) in (0, 1)
+    assert calls and any(out.iterdir())
+
+
 def norm_cfg():
     return {"domain": {"X": 1.0, "T": 1.0}, "grid": {"nx": 16, "nt": 4}, "field": "x*t",
             "norm": {"tag": "Lqr", "q": 2, "r": 2}}

@@ -96,6 +96,14 @@ def test_validate_flags_inactive_boundary_entries():
     assert any("not used by family" in m for m in msgs)
 
 
+@pytest.mark.parametrize("m", [0, 4])
+def test_boundary_data_rejects_a_family_outside_1_2_3(m):
+    # checked on construction, so validate never meets a family it cannot look up
+    n = basic_grid().nt + 1
+    with pytest.raises(ValueError, match=f"bc family m must be 1, 2 or 3, got {m}"):
+        BoundaryData(m=m, **{name + "_t": np.zeros(n) for name in BC_NAMES})
+
+
 @pytest.mark.parametrize("N", [np.nan, np.inf, -np.inf, 0.0, -10.0])
 def test_validate_reports_a_non_finite_or_non_positive_N(N):
     # a NaN N passes every (C1)/(C3) comparison, and 1/N is undefined at N = 0
