@@ -232,14 +232,14 @@ def _cmd_norms(args):
     cfg = cfgmod.load_config(args.config)
     top = cfgmod.read_table(cfg, cfgmod.NORM_KEYS, "top-level", tuple(cfgmod.NORM_KEYS))
     grid = cfgmod.build_grid(top)
-    # "tag" names the norm; every other key is a keyword argument it takes
+    # "tag" names the norm; every other key is a keyword it takes, read by NORM_KEYWORDS
     table = top["norm"]
     tag = table.get("tag") if isinstance(table, dict) else None
     norm = NAMED_NORMS.get(tag) if isinstance(tag, str) else None
     if norm is None:
         raise ValueError(f"norm key 'tag' cannot read {tag!r}: known tags are "
                          f"{sorted(NAMED_NORMS)}")
-    readers = {name: cfgmod.number_or_inf
+    readers = {name: cfgmod.NORM_KEYWORDS[name]
                for name, p in inspect.signature(norm).parameters.items()
                if p.kind is p.POSITIONAL_OR_KEYWORD and name not in ("grid", "w", "times")}
     kw = cfgmod.read_table(table, {"tag": str, **readers}, f"norm '{tag}'")

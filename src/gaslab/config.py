@@ -90,16 +90,19 @@ def nonzero_number(value):
     return out
 
 
-def number_or_inf(value):
-    """A number, or the string "inf" for infinity."""
-    return float("inf") if value == "inf" else number(value)
-
-
 def exponent(value):
     """A norm exponent: a number of at least 1, or the string "inf"."""
-    out = number_or_inf(value)
+    out = float("inf") if value == "inf" else number(value)
     if out < 1:
         raise ValueError('not a number >= 1 or "inf"')
+    return out
+
+
+def family(value):
+    """A bc family m: a whole number that is a key of problem.ACTIVE_BC."""
+    out = count(value)
+    if out not in ACTIVE_BC:
+        raise ValueError(f"not a bc family {sorted(ACTIVE_BC)}")
     return out
 
 
@@ -196,6 +199,8 @@ TWO_SCALE_KEYS = {**dict.fromkeys(PROBLEM_TABLES + ("scheme", "study"), subtable
 LIPSCHITZ_KEYS = {"problem": subtable, "study": subtable}
 NORM_KEYS = {"domain": subtable, "grid": subtable, "field": over(("x", "t")),
              "norm": subtable}
+# the readers of the keyword arguments that norms.NAMED_NORMS entries take
+NORM_KEYWORDS = {"q": exponent, "r": exponent, "m": family, "kappa_floor": number}
 
 # the keys of each "study" table with their readers; they are the argument
 # names of studies.run_homog_study and run_lipschitz_study (whose perturb the

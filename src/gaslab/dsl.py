@@ -96,143 +96,100 @@ def _tokenize(source):
     i, n = 0, len(source)
     while i < n:
         c = source[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            col += 1
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (source[j].isdigit() or (source[j] == "." and not seen_dot)):
-                if source[j] == ".":
-                    seen_dot = True
+        j = i + 1
+        if c.isdigit() or (c == "." and source[j:j + 1].isdigit()):
+            dot = c == "."
+            while j < n and (source[j].isdigit() or (source[j] == "." and not dot)):
+                dot = dot or source[j] == "."
                 j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
+            k = j + 1 + (source[j + 1:j + 2] in ("+", "-"))
+            if source[j:j + 1] in ("e", "E") and source[k:k + 1].isdigit():
+                j = k + 1
+                while j < n and source[j].isdigit():
+                    j += 1
             text = source[i:j]
             try:
                 float(text)
             except ValueError:
                 raise ExprSyntaxError(f"bad numeric literal '{text}'", line, col)
             tokens.append(("num", text, line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
+        elif c.isalpha() or c == "_":
             while j < n and (source[j].isalnum() or source[j] == "_"):
                 j += 1
             tokens.append(("name", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c in _SINGLE:
+        elif c in _SINGLE:
             tokens.append(("op", c, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ExprSyntaxError(f"illegal character '{c}'", line, col)
+        elif c == "\n":
+            line, col = line + 1, 0
+        elif not c.isspace():
+            raise ExprSyntaxError(f"illegal character '{c}'", line, col)
+        col += j - i
+        i = j
     tokens.append(("end", "", line, col))
     return tokens
 
 
 # ---------------------------------------------------------------------------
-# Parser: standard precedence, ^ right-associative and binding tighter than
-# unary minus, then * /, then + -.
+# Parser: precedence climbing over _PREC, the binding strength of each
+# operator, which the printer shares; ^ is right-associative.
+
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+
 
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def expect(self, text):
-        kind, tok, line, col = self.peek()
-        if kind == "op" and tok == text:
-            return self.advance()
-        shown = tok if kind != "end" else "end of input"
-        raise ExprSyntaxError(f"expected '{text}', found '{shown}'", line, col)
+        kind, tok, line, col = self.tokens[self.pos]
+        if kind != "op" or tok != text:
+            shown = tok if kind != "end" else "end of input"
+            raise ExprSyntaxError(f"expected '{text}', found '{shown}'", line, col)
+        self.pos += 1
 
     def parse(self):
-        e = self.sum_()
-        kind, tok, line, col = self.peek()
+        e = self.expr(1)
+        kind, tok, line, col = self.tokens[self.pos]
         if kind != "end":
             raise ExprSyntaxError(f"unexpected '{tok}' after expression", line, col)
         return e
 
-    def sum_(self):
-        e = self.term()
-        while True:
-            kind, tok, _, _ = self.peek()
-            if kind == "op" and tok in "+-":
-                self.advance()
-                e = Bin(tok, e, self.term())
-            else:
-                return e
-
-    def term(self):
-        e = self.unary()
-        while True:
-            kind, tok, _, _ = self.peek()
-            if kind == "op" and tok in "*/":
-                self.advance()
-                e = Bin(tok, e, self.unary())
-            else:
-                return e
-
-    def unary(self):
-        kind, tok, _, _ = self.peek()
+    def expr(self, least):
+        """The expression at the cursor whose binary operators all bind at
+        least as tight as `least`; expr(1) reads a whole expression."""
+        kind, tok, _, _ = self.tokens[self.pos]
         if kind == "op" and tok == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self):
-        base = self.factor()
-        kind, tok, _, _ = self.peek()
-        if kind == "op" and tok == "^":
-            self.advance()
-            # right-associative; exponent may carry its own unary minus
-            return Bin("^", base, self.unary())
-        return base
+            self.pos += 1
+            # its operand runs up to the next operator below ^
+            e = Neg(self.expr(_PREC["neg"]))
+        else:
+            e = self.factor()
+        while True:
+            kind, tok, _, _ = self.tokens[self.pos]
+            prec = _PREC.get(tok, 0) if kind == "op" else 0
+            if prec < least:
+                return e
+            self.pos += 1
+            # ^ is right-associative and its exponent may carry a unary
+            # minus; + - * / are left-associative
+            e = Bin(tok, e, self.expr(prec if tok == "^" else prec + 1))
 
     def factor(self):
-        kind, tok, line, col = self.peek()
+        kind, tok, line, col = self.tokens[self.pos]
         if kind == "num":
-            self.advance()
+            self.pos += 1
             return Num(float(tok))
         if kind == "name":
-            self.advance()
+            self.pos += 1
             if tok in VARIABLES:
                 return Var(tok)
             if tok in FUNCTIONS_1 or tok in FUNCTIONS_2:
                 self.expect("(")
-                args = [self.sum_()]
-                while True:
-                    k, t, ln, cl = self.peek()
-                    if k == "op" and t == ",":
-                        self.advance()
-                        args.append(self.sum_())
-                    else:
-                        break
+                args = [self.expr(1)]
+                while self.tokens[self.pos][:2] == ("op", ","):
+                    self.pos += 1
+                    args.append(self.expr(1))
                 self.expect(")")
                 arity = 1 if tok in FUNCTIONS_1 else 2
                 if len(args) != arity:
@@ -242,8 +199,8 @@ class _Parser:
                 return Call(tok, tuple(args))
             raise UnknownIdentifier(tok, line, col)
         if kind == "op" and tok == "(":
-            self.advance()
-            e = self.sum_()
+            self.pos += 1
+            e = self.expr(1)
             self.expect(")")
             return e
         shown = tok if kind != "end" else "end of input"
@@ -332,9 +289,6 @@ def evaluate(e, **bindings):
 
 # ---------------------------------------------------------------------------
 # Pretty-printer (inverse of parse up to whitespace)
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
 
 def _wrap(text, needed):
     return f"({text})" if needed else text

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from gaslab import config as cfgmod
 from gaslab import homogenize as hmg
 from gaslab.cli import main
 from gaslab.grid import Grid, edges_to_centers
+from gaslab.norms import NAMED_NORMS
 from gaslab.solver import NonFiniteState
 from gaslab.twoscale import OscillationSpec
 
@@ -107,6 +109,24 @@ def test_norms_rejects_a_key_the_norm_does_not_take(tmp_path, capsys):
     assert main(["norms", write_cfg(tmp_path, cfg)]) == 0
 
 
+@pytest.mark.parametrize("tag,key,value", [
+    ("Lqr", "r", 0), ("Lqr", "q", 0.5), ("WHst", "r", -1), ("Hm1", "m", 1.5),
+    ("Hm1", "m", 4), ("H21star", "m", 0), ("H21star", "kappa_floor", "inf")])
+def test_norms_names_the_key_it_cannot_read(tmp_path, capsys, tag, key, value):
+    cfg = {"domain": {"X": 1.0, "T": 2.0}, "grid": {"nx": 16, "nt": 4}, "field": "x*t",
+           "norm": {"tag": tag, key: value}}
+    assert main(["norms", write_cfg(tmp_path, cfg)]) == 2
+    assert f"norm '{tag}' key '{key}' cannot read {value!r}" in capsys.readouterr().err
+
+
+def test_every_norm_keyword_has_a_reader():
+    for tag, norm in NAMED_NORMS.items():
+        for name, p in inspect.signature(norm).parameters.items():
+            if p.kind is p.POSITIONAL_OR_KEYWORD and name not in ("grid", "w", "times"):
+                assert name in cfgmod.NORM_KEYWORDS, (tag, name)
+                assert cfgmod.NORM_KEYWORDS[name](p.default) == p.default, (tag, name)
+
+
 @pytest.mark.parametrize("command,flag", [
     ("norms", "--stride"), ("norms", "--jobs"), ("solve", "--jobs"),
     ("solve", "--eps-list"), ("homogenize", "--jobs"), ("study-homog", "--stride"),
@@ -118,8 +138,8 @@ def test_unread_flag_exits_2(command, flag):
 
 
 def test_one_reader_per_config_entry_kind():
-    assert cfgmod.number_or_inf("inf") == float("inf")
-    assert cfgmod.number_or_inf(2) == 2.0 and cfgmod.number_or_inf("1.5") == 1.5
+    assert cfgmod.exponent("inf") == float("inf")
+    assert cfgmod.exponent(2) == 2.0 and cfgmod.exponent("1.5") == 1.5
     read = cfgmod.read_table({"eps_list": [1, 0.5], "qe": "inf"}, cfgmod.HOMOG_STUDY_KEYS,
                              "study", ("eps_list",))
     assert read == {"eps_list": [1.0, 0.5], "qe": float("inf")}

@@ -1,5 +1,6 @@
 import math
 import pickle
+import random
 
 import numpy as np
 import pytest
@@ -27,14 +28,32 @@ GOOD = [
     ("abs(0 - 2.5)", {}, 2.5),
     ("(1 + chi)*(1 - chi)", {"chi": 0.5}, 0.75),
     ("cos(0)*ln(exp(2))", {}, pytest.approx(2.0)),
+    ("2*-3^2", {}, -18.0),                    # a factor may carry a unary minus
+    ("2^-1", {}, 0.5),                        # so may an exponent
+    ("-x^2*3", {"x": 2.0}, -12.0),
+    ("-x + 1", {"x": 2.0}, -1.0),             # minus binds tighter than +
+    ("5.", {}, 5.0),
+    (".5e-3", {}, 0.0005),
 ]
 
+# (source, error, position, message after the position)
 BAD = [
-    ("x + * 2", dsl.ExprSyntaxError, "1:5"),
-    ("sin(x", dsl.ExprSyntaxError, "1:6"),
-    ("2 *", dsl.ExprSyntaxError, "1:4"),
-    ("(x + 2", dsl.ExprSyntaxError, "1:7"),
-    ("foo(3)", dsl.UnknownIdentifier, "1:1"),
+    ("x + * 2", dsl.ExprSyntaxError, "1:5", "expected a factor, found '*'"),
+    ("sin(x", dsl.ExprSyntaxError, "1:6", "expected ')', found 'end of input'"),
+    ("2 *", dsl.ExprSyntaxError, "1:4", "expected a factor, found 'end of input'"),
+    ("(x + 2", dsl.ExprSyntaxError, "1:7", "expected ')', found 'end of input'"),
+    ("foo(3)", dsl.UnknownIdentifier, "1:1", "unknown identifier 'foo'"),
+    ("1e", dsl.ExprSyntaxError, "1:2", "unexpected 'e' after expression"),
+    ("1.2.3", dsl.ExprSyntaxError, "1:4", "unexpected '.3' after expression"),
+    ("x\n+ *", dsl.ExprSyntaxError, "2:3", "expected a factor, found '*'"),
+    ("x\t+ *", dsl.ExprSyntaxError, "1:5", "expected a factor, found '*'"),
+    ("x\r\n + *", dsl.ExprSyntaxError, "2:4", "expected a factor, found '*'"),
+    ("sin(1, 2)", dsl.ExprSyntaxError, "1:1", "'sin' takes 1 argument(s), got 2"),
+    ("min(1)", dsl.ExprSyntaxError, "1:1", "'min' takes 2 argument(s), got 1"),
+    ("2 \u00b2", dsl.ExprSyntaxError, "1:3", "bad numeric literal '\u00b2'"),
+    ("x @ 2", dsl.ExprSyntaxError, "1:3", "illegal character '@'"),
+    ("x )", dsl.ExprSyntaxError, "1:3", "unexpected ')' after expression"),
+    ("e5", dsl.UnknownIdentifier, "1:1", "unknown identifier 'e5'"),
 ]
 
 
@@ -44,11 +63,30 @@ def test_golden_evaluate(source, bindings, expected):
     assert dsl.evaluate(e, **bindings) == expected
 
 
-@pytest.mark.parametrize("source,exc,pos", BAD)
-def test_golden_diagnostics(source, exc, pos):
+@pytest.mark.parametrize("source,exc,pos,message", BAD)
+def test_golden_diagnostics(source, exc, pos, message):
     with pytest.raises(exc) as info:
         dsl.parse(source)
     assert str(info.value).startswith(pos)
+    assert str(info.value) == f"{pos}: {message}"
+    assert f"{info.value.line}:{info.value.col}" == pos
+
+
+# the characters of numbers, operators, line breaks, the variable and function
+# names, and characters str.isdigit or str.isalnum take but no token reads
+SOUP = "0123456789.eE+-*/^(), \t\n\rxitchsnoplabmf_\u00b2\u00bd\u00e9\u0663"
+
+
+@given(source=st.text(alphabet=SOUP, max_size=40))
+@example(source="2 \u00b2 \u00bd x\u00e9 \u0663")
+@settings(max_examples=500, deadline=None)
+def test_parse_returns_an_ast_or_raises_expr_error(source):
+    # config.read_table names the key only for ExprError, TypeError and ValueError
+    try:
+        e = dsl.parse(source)
+    except dsl.ExprError:
+        return
+    assert isinstance(e, (dsl.Num, dsl.Var, dsl.Neg, dsl.Bin, dsl.Call))
 
 
 def test_syntax_error_carries_position_and_expectations():
@@ -152,10 +190,16 @@ def exprs(max_depth=4):
     return st.recursive(leaves, extend, max_leaves=25)
 
 
-@given(e=exprs())
+@given(e=exprs(), rng=st.randoms())
+@example(e=dsl.Bin("^", dsl.Var("x"), dsl.Bin("^", dsl.Var("t"), dsl.Num(2.0))),
+         rng=random.Random(0))                # ^ is right-associative
 @settings(max_examples=200, deadline=None)
-def test_pretty_parse_round_trip(e):
+def test_pretty_parse_round_trip(e, rng):
     assert dsl.parse(dsl.pretty(e)) == e
+    # any whitespace, line breaks included, may stand where pretty puts a space
+    first, *rest = dsl.pretty(e).split(" ")
+    spaced = first + "".join(rng.choice([" ", "\t", "\n", "\r\n"]) + part for part in rest)
+    assert dsl.parse(spaced) == e
 
 
 def test_expr_fn_rejects_undeclared_variables():
