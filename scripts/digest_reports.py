@@ -67,6 +67,11 @@ def _commands():
                        "pi0": "0.02*(1 - cos(6*t))", "piX": 0.0}
     forced_m2["data"].update(g="0.3*sin(3.141592653589793*chi)*cos(6*t)",
                              f="0.2*(1 + 0.5*cos(chi))")
+    # kept rows past the dense window and a stride, in two row blocks (107 rows),
+    # written every third kept row
+    strided_m2 = json.loads(json.dumps(forced_m2))
+    strided_m2.update(grid={"nx": 64, "nt": 400},
+                      scheme={"store_stride": 4, "dense_steps": 8})
     homog = _config("homog_benchmark.json")
     homog.update(grid={"nx": 512, "nt": 256}, nxi=64,
                  scheme={"store_stride": 4, "dense_steps": 8})
@@ -96,6 +101,7 @@ def _commands():
         ("solve_perturbed_m1", "solve", perturbed_m1, ["--stride", "4"]),
         ("solve_halving_m1", "solve", halving_m1, []),
         ("solve_perturbed_halving_m1", "solve", perturbed_halving_m1, []),
+        ("solve_strided_m2", "solve", strided_m2, ["--stride", "3"]),
         ("homogenize", "homogenize", homog_run, ["--eps-list", "0.125,0.0625", "--stride", "2"]),
         ("norms", "norms", _config("norm_demo.json"), []),
         ("study_homog", "study-homog", homog, []),

@@ -20,8 +20,8 @@ from . import studies
 from .grid import edges_to_centers
 from .norms import NAMED_NORMS
 from .problem import sample_field_times, validate
-from .solver import (NonFiniteState, NonlinearDivergence, PositivityLoss, diagnostics,
-                     solve)
+from .solver import (NonFiniteState, NonlinearDivergence, PositivityLoss, ResidualRows,
+                     diagnostics, solve)
 from .twoscale import OscillationSpec
 
 
@@ -161,15 +161,32 @@ def _csv_bytes(block):
     return raw.translate(None, b"\0")
 
 
+_SNAPSHOT_HEADER = b"t,x,eta,u,theta,sigma,pi\n"
+
+
+def _write_rows(fh, x, rows, stride, first=0):
+    """The snapshot CSV lines, one per cell center x, of the rows of `rows`
+    (a bundle or a RowBlock) whose kept-row index, first + their index in
+    `rows`, is a multiple of stride."""
+    for i in range(-first % stride, len(rows.times), stride):
+        fh.write(_csv_bytes(np.column_stack((
+            np.full_like(x, rows.times[i]), x, rows.eta[i], edges_to_centers(rows.u[i]),
+            rows.theta[i], rows.sigma[i], edges_to_centers(rows.pi[i])))))
+
+
 def _write_snapshots(path, grid, bundle, stride=1):
-    x = grid.centers()
     with open(path, "wb") as fh:
-        fh.write(b"t,x,eta,u,theta,sigma,pi\n")
-        for n in range(0, len(bundle.times), stride):
-            fh.write(_csv_bytes(np.column_stack((
-                np.full_like(x, bundle.times[n]), x, bundle.eta[n],
-                edges_to_centers(bundle.u[n]), bundle.theta[n], bundle.sigma[n],
-                edges_to_centers(bundle.pi[n])))))
+        fh.write(_SNAPSHOT_HEADER)
+        _write_rows(fh, grid.centers(), bundle, stride)
+
+
+def _existing_dir(path):
+    """The deepest directory on the way to path that exists: path itself
+    when it is one."""
+    path = os.path.abspath(path)
+    while not os.path.isdir(path):
+        path = os.path.dirname(path)
+    return path
 
 
 def _cmd_solve(args):
@@ -181,11 +198,26 @@ def _cmd_solve(args):
             print(f"invalid config: {p}", file=sys.stderr)
         return 2
     scheme = cfgmod.build_scheme(cfg)
-    sol = solve(spec, scheme)
-    rep = diagnostics(sol, spec)
-    os.makedirs(args.out, exist_ok=True)
-    _write_snapshots(os.path.join(args.out, "snapshots.csv"), spec.grid, sol,
-                     stride=args.stride)
+    # the kept rows stream into the residuals and into a temporary file,
+    # which becomes snapshots.csv only once the solve succeeded; --out is
+    # made only then
+    residual_rows = ResidualRows(spec)
+    tmp = os.path.join(_existing_dir(args.out), f".snapshots.csv.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(_SNAPSHOT_HEADER)
+            x = spec.grid.centers()
+
+            def rows(block):
+                residual_rows(block)
+                _write_rows(fh, x, block, args.stride, block.rows.start)
+            sol = solve(spec, scheme, rows=rows)
+        rep = diagnostics(sol, spec, residual_rows)
+        os.makedirs(args.out, exist_ok=True)
+        os.replace(tmp, os.path.join(args.out, "snapshots.csv"))
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     with open(os.path.join(args.out, "diagnostics.csv"), "w", encoding="utf-8") as fh:
         fh.write("quantity,value\n")
         fh.write(f"volume_residual,{rep.volume_residual:.17e}\n")

@@ -208,8 +208,14 @@ class _Parser:
 
 
 def parse(source):
-    """Parse source text into an AST; raises ExprSyntaxError / UnknownIdentifier."""
-    return _Parser(_tokenize(source)).parse()
+    """Parse source text into an AST; raises ExprSyntaxError / UnknownIdentifier,
+    the former also for nesting deeper than the parser's recursion reaches."""
+    parser = _Parser(_tokenize(source))
+    try:
+        return parser.parse()
+    except RecursionError:
+        _, _, line, col = parser.tokens[parser.pos]
+        raise ExprSyntaxError("expression nested too deeply", line, col) from None
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +235,19 @@ _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log, "abs": 
               "step": _step, "frac": _frac, "min": np.minimum, "max": np.maximum}
 
 
+# the deepest expression tree an ExprFn takes: evaluation nests one closure
+# call per level, so this keeps it well inside Python's recursion limit
+MAX_DEPTH = 500
+
+
 def _compile(e):
     """(closure chain env -> value of `e`, frozenset of the variables `e`
-    reads), built in one walk.  Operands are evaluated left to right, with
-    the same Python operators and numpy functions a tree walk uses, so
-    results are bitwise those of walking the tree."""
+    reads, depth of the tree), built in one walk.  Operands are evaluated
+    left to right, with the same Python operators and numpy functions a tree
+    walk uses, so results are bitwise those of walking the tree."""
     if isinstance(e, Num):
         value = e.value
-        return (lambda env: value), frozenset()
+        return (lambda env: value), frozenset(), 1
     if isinstance(e, Var):
         name = e.name
 
@@ -245,7 +256,7 @@ def _compile(e):
                 return env[name]
             except KeyError:
                 raise UnboundVariable(name) from None
-        return var, frozenset((name,))
+        return var, frozenset((name,)), 1
     if isinstance(e, Neg):
         fn, args = operator.neg, (e.arg,)
     elif isinstance(e, Bin):
@@ -255,10 +266,10 @@ def _compile(e):
     else:
         raise TypeError(f"not an expression node: {e!r}")
     if len(args) == 1:
-        a, names = _compile(args[0])
-        return (lambda env: fn(a(env))), names
-    (a, lhs), (b, rhs) = map(_compile, args)
-    return (lambda env: fn(a(env), b(env))), lhs | rhs
+        a, names, depth = _compile(args[0])
+        return (lambda env: fn(a(env))), names, depth + 1
+    (a, lhs, depth_a), (b, rhs, depth_b) = map(_compile, args)
+    return (lambda env: fn(a(env), b(env))), lhs | rhs, max(depth_a, depth_b) + 1
 
 
 def evaluate(e, **bindings):
@@ -324,14 +335,20 @@ class ExprFn:
     form of an expression, parsed and compiled once, here; positional
     arguments bind to `variables` in order.
 
-    Rejects expressions that read a variable outside `variables`.
+    Rejects expressions that read a variable outside `variables`, and trees
+    deeper than MAX_DEPTH.
     """
 
     def __init__(self, source, variables):
         self.source = source
         self.variables = tuple(variables)
         self.expr = parse(source)
-        self.run, names = _compile(self.expr)
+        try:
+            self.run, names, depth = _compile(self.expr)
+        except RecursionError:
+            depth = math.inf
+        if depth > MAX_DEPTH:
+            raise ExprError(f"expression nested too deeply (more than {MAX_DEPTH} levels)")
         extra = names - set(self.variables)
         if extra:
             raise UnboundVariable(sorted(extra)[0])

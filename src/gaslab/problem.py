@@ -19,7 +19,7 @@ import numpy as np
 from . import dsl
 from .calculus import time_primitive
 from .grid import Grid, GasParams, integrate_center, sample_field
-from .norms import space_lq, time_lr, w11_time_norm
+from .norms import ROW_BLOCK, space_lq, time_lr, w11_time_norm
 
 
 BC_NAMES = ("u0", "uX", "p0", "pX", "pi0", "piX")
@@ -232,11 +232,37 @@ def require_valid(name, spec):
         raise ValueError(f"{name} is inadmissible: " + "; ".join(problems))
 
 
+# the fields a SolutionBundle stores at each kept step, in RowBlock order
+SNAPSHOT_FIELDS = ("eta", "u", "theta", "x_e", "sigma", "pi", "it_sigma", "it_p", "it_g")
+
+
+@dataclass(frozen=True)
+class RowBlock:
+    """Consecutive kept rows of a solve: `rows`, their slice of the bundle's
+    snapshot index, their steps and times, and the snapshot fields on them.
+    A block that solver.solve streams holds views of its row buffer, which
+    the next block overwrites."""
+
+    rows: slice
+    steps: np.ndarray
+    times: np.ndarray
+    eta: np.ndarray
+    u: np.ndarray
+    theta: np.ndarray
+    x_e: np.ndarray
+    sigma: np.ndarray
+    pi: np.ndarray
+    it_sigma: np.ndarray
+    it_p: np.ndarray
+    it_g: np.ndarray
+
+
 @dataclass
 class SolutionBundle:
     """Trajectories stored at the snapshot steps `steps` (a subset of
     0..nt, at times `times`), plus per-step scalar tracks at full step
-    resolution.
+    resolution.  A solve that streamed its rows stores none: its snapshot
+    fields are None.
 
     it_sigma / it_p / it_g are trapezoid accumulations over every step,
     snapshotted together with the fields, so time primitives of the stress
@@ -263,3 +289,12 @@ class SolutionBundle:
     substeps: np.ndarray           # (nt,) effective substeps per nominal step
     picard_sweeps: np.ndarray      # (nt,) Picard sweeps over those substeps
     energy: dict
+
+    def row_blocks(self):
+        """The stored rows as RowBlocks of views, ROW_BLOCK rows each: the
+        blocks solver.solve streams."""
+        n = len(self.steps)
+        for start in range(0, n, ROW_BLOCK):
+            rows = slice(start, min(start + ROW_BLOCK, n))
+            yield RowBlock(rows, self.steps[rows], self.times[rows],
+                           *(getattr(self, name)[rows] for name in SNAPSHOT_FIELDS))

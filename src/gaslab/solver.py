@@ -28,8 +28,8 @@ from numpy.linalg import _umath_linalg
 from .calculus import primitive_at_edges, time_primitive, i_bracket, mean_omega
 from .grid import du_centers, edges_to_centers, integrate_edge, integrate_center, \
     sample_field
-from .norms import ROW_BLOCK, per_row, space_lq
-from .problem import SolutionBundle
+from .norms import ROW_BLOCK, space_lq
+from .problem import SNAPSHOT_FIELDS, RowBlock, SolutionBundle
 
 
 class PositivityLoss(RuntimeError):
@@ -604,8 +604,15 @@ class _StepRecord:
                            self.pi, self.work_rate, self.min_eta, self.min_theta, self.before)
 
 
-def solve(spec, scheme=SchemeParams()):
+def solve(spec, scheme=SchemeParams(), rows=None):
     """Run the time stepper over (0, T); returns a SolutionBundle.
+
+    The kept rows (store_stride, dense_steps) are written to one buffer of
+    ROW_BLOCK rows.  Each full block, and the last one, is copied into the
+    bundle's snapshot fields, or with `rows` given is passed to rows(block),
+    a RowBlock of views of the buffer, and kept nowhere: the bundle then
+    stores no snapshot fields, only its steps, times, tracks, minima,
+    substeps and Picard sweeps.
 
     Caller is responsible for spec admissibility (see problem.validate).
     Raises PositivityLoss or NonlinearDivergence when adaptive step halving
@@ -629,11 +636,18 @@ def solve(spec, scheme=SchemeParams()):
         raise PositivityLoss(0.0, "eta" if eta.min() <= 0 else "theta")
 
     keep = _snapshot_indices(nt, scheme.store_stride, scheme.dense_steps)
+    steps = np.asarray(keep)
+    times = g.times()[keep]
     slot = {n: i for i, n in enumerate(keep)}
-    snap = {name: np.empty((len(keep), g.nx)) for name in
-            ("eta", "theta", "sigma", "it_sigma", "it_p")}
-    snap.update({name: np.empty((len(keep), g.nx + 1)) for name in
-                 ("u", "x_e", "pi", "it_g")})
+    buf = {name: np.empty((ROW_BLOCK, g.nx + (name in ("u", "x_e", "pi", "it_g"))))
+           for name in SNAPSHOT_FIELDS}
+    snap = dict.fromkeys(SNAPSHOT_FIELDS)
+    if rows is None:
+        snap = {name: np.empty((len(keep), a.shape[1])) for name, a in buf.items()}
+
+        def rows(block):
+            for name in SNAPSHOT_FIELDS:
+                snap[name][block.rows] = getattr(block, name)
     # volume, kinetic and internal energy, I_t(uX - u0), I_t int(beta), work
     tracks = np.zeros((6, nt + 1))
     volume, kinetic, internal, it_bdu, it_bvol, it_work = tracks
@@ -642,7 +656,9 @@ def solve(spec, scheme=SchemeParams()):
 
     def commit(n, state, rec):
         """Write step n: the tracks, one scalar each, the last three by
-        adding the record's increments, and the snapshot when n is kept."""
+        adding the record's increments, and its row of the buffer when n is
+        kept; pass the buffer on when that fills it or n is the last step,
+        which is always kept."""
         eta, u, theta = state[:3]
         volume[n] = integrate_center(g, eta)
         kinetic[n] = integrate_edge(g, 0.5 * u ** 2)
@@ -652,10 +668,15 @@ def solve(spec, scheme=SchemeParams()):
             it_bvol[n] = it_bvol[n - 1] + rec.bvol
             it_work[n] = it_work[n - 1] + rec.work
         if n in slot:
+            i = slot[n] % ROW_BLOCK
             for name, arr in zip(("eta", "u", "theta", "x_e"), state):
-                snap[name][slot[n]] = arr
+                buf[name][i] = arr
             for name in ("sigma", "pi", "it_sigma", "it_p", "it_g"):
-                snap[name][slot[n]] = getattr(rec, name)
+                buf[name][i] = getattr(rec, name)
+            if i == ROW_BLOCK - 1 or n == nt:
+                block = slice(slot[n] - i, slot[n] + 1)
+                rows(RowBlock(block, steps[block], times[block],
+                              *(buf[name][:i + 1] for name in SNAPSHOT_FIELDS)))
 
     rec = _StepRecord(np.zeros(g.nx), np.zeros(g.nx), np.zeros(g.nx + 1),
                       *stepper.rates(state, 0.0), eta.min(), theta.min())
@@ -711,7 +732,7 @@ def solve(spec, scheme=SchemeParams()):
         "boundary_and_source_work": it_work,
     }
     return SolutionBundle(
-        grid=g, steps=np.asarray(keep), times=g.times()[keep], **snap, volume=volume,
+        grid=g, steps=steps, times=times, **snap, volume=volume,
         it_boundary_du=it_bdu, it_beta_volume=it_bvol,
         min_eta=float(rec.min_eta), min_theta=float(rec.min_theta),
         substeps=substeps, picard_sweeps=picard_sweeps, energy=energy)
@@ -728,7 +749,45 @@ class DiagnosticsReport:
     energy_residual: float
 
 
-def diagnostics(sol, spec):
+class ResidualRows:
+    """The per-block rule of diagnostics: the values of the two C(0,T;L2)
+    residuals on each kept row, gathered from RowBlocks passed in order
+    from row 0, as solve(spec, scheme, rows) streams them.  Keeps row 0's
+    eta and u, no other row; diagnostics reduces what it gathered."""
+
+    def __init__(self, spec):
+        g = spec.grid
+        self.spec = spec
+        tt = g.times()
+        self.it_p0 = time_primitive(spec.bc.p0_t, tt)
+        self.it_pX = time_primitive(spec.bc.pX_t, tt)
+        xc = g.centers()
+        self.prof0 = (1.0 - xc / g.X)[None, :]
+        self.profX = (xc / g.X)[None, :]
+        self.logvol, self.stress = [], []
+
+    def __call__(self, block):
+        spec, g = self.spec, self.spec.grid
+        if block.rows.start == 0:
+            self.nu_log_eta0 = spec.gas.nu * np.log(block.eta[0])
+            self.u0 = block.u[0].copy()
+        lhs = spec.gas.nu * np.log(block.eta) - self.nu_log_eta0[None, :] \
+            - block.it_sigma - block.it_p
+        self.logvol.append(space_lq(g, lhs, 2.0))
+
+        it_sigma, m = block.it_sigma, spec.bc.m
+        u_dev = edges_to_centers(block.u - self.u0[None, :] - block.it_g)
+        if m == 1:
+            rhs = i_bracket(g, u_dev, 1) + mean_omega(g, it_sigma)[:, None]
+        elif m == 2:
+            rhs = i_bracket(g, u_dev, 2) - self.it_p0[block.steps, None]
+        else:
+            rhs = i_bracket(g, u_dev, 3) - self.it_p0[block.steps, None] * self.prof0 \
+                - self.it_pX[block.steps, None] * self.profX
+        self.stress.append(space_lq(g, it_sigma - rhs, 2.0))
+
+
+def diagnostics(sol, spec, residual_rows=None):
     """Exact-identity residuals for a solve of `spec`.
 
     volume_residual: gas-volume identity (m = 1 families; 0.0 otherwise),
@@ -739,11 +798,17 @@ def diagnostics(sol, spec):
     energy_residual: max over steps of |E_n - E_0 - W_n|, the total energy
     against the boundary and source work; consistent at scheme order.
 
-    The two C(0,T;L2) residuals read the bundle in row blocks (norms.per_row),
-    so no temporary spans the whole trajectory.
+    volume_residual and energy_residual read the tracks, so every step.
+    logvol_residual and stress_repr_residual are maxima over the kept rows
+    (store_stride, dense_steps) alone, so a larger stride can read lower.
+    Those two come from `residual_rows`, a ResidualRows that saw every block
+    of a solve that streamed its rows, or else from the bundle's stored
+    rows, one RowBlock at a time; no temporary spans the whole trajectory.
     """
-    g = sol.grid
-    gas = spec.gas
+    if residual_rows is None:
+        residual_rows = ResidualRows(spec)
+        for block in sol.row_blocks():
+            residual_rows(block)
 
     if spec.bc.m == 1:
         res_vol = float(np.abs(sol.volume - sol.volume[0]
@@ -751,42 +816,10 @@ def diagnostics(sol, spec):
     else:
         res_vol = 0.0
 
-    nu_log_eta0 = gas.nu * np.log(sol.eta[0])
-
-    def logvol(rows):
-        lhs = gas.nu * np.log(sol.eta[rows]) - nu_log_eta0[None, :] \
-            - sol.it_sigma[rows] - sol.it_p[rows]
-        return space_lq(g, lhs, 2.0)
-
-    m = spec.bc.m
-    tt = g.times()
-    it_p0 = time_primitive(spec.bc.p0_t, tt)[sol.steps]
-    it_pX = time_primitive(spec.bc.pX_t, tt)[sol.steps]
-    xc = g.centers()
-    prof0 = (1.0 - xc / g.X)[None, :]
-    profX = (xc / g.X)[None, :]
-
-    def stress_repr(rows):
-        it_sigma = sol.it_sigma[rows]
-        u_dev = edges_to_centers(sol.u[rows] - sol.u[0][None, :] - sol.it_g[rows])
-        if m == 1:
-            rhs = i_bracket(g, u_dev, 1) + mean_omega(g, it_sigma)[:, None]
-        elif m == 2:
-            rhs = i_bracket(g, u_dev, 2) - it_p0[rows, None]
-        else:
-            rhs = i_bracket(g, u_dev, 3) - it_p0[rows, None] * prof0 \
-                - it_pX[rows, None] * profX
-        return space_lq(g, it_sigma - rhs, 2.0)
-
-    n = len(sol.steps)
-    res_logvol = float(per_row(n, logvol).max())
-    res_stress = float(per_row(n, stress_repr).max())
-
     return DiagnosticsReport(
         volume_residual=res_vol,
-        logvol_residual=res_logvol,
-        stress_repr_residual=res_stress,
+        logvol_residual=float(np.concatenate(residual_rows.logvol).max()),
+        stress_repr_residual=float(np.concatenate(residual_rows.stress).max()),
         energy_residual=float(np.abs(sol.energy["total"] - sol.energy["total"][0]
                                      - sol.energy["boundary_and_source_work"]).max()),
     )
-

@@ -268,19 +268,15 @@ DIFFERENCE_COLUMNS = (
 )
 
 
-def difference_columns(grid, diff, times, m, qe):
-    """Norm columns of solution differences.
-
-    diff(rows) maps a slice of snapshot rows to a dict of the difference
-    blocks of the fields (eta, u, theta, x_e, it_sigma) on those rows; the
-    columns are reduced block by block (norms.per_row), so no temporary spans
-    the whole trajectory.  u_L2_supHm1 is the sum of u_L2 and u_supHm1.
-    """
+def _difference_rows(grid, times, m, qe):
+    """The per-row rule of the study columns: rule(rows, d) maps the
+    difference blocks d of the fields (eta, u, theta, x_e, it_sigma) on the
+    snapshot rows `rows`, a slice, to one array per DIFFERENCE_COLUMNS entry
+    of that column's space norm on each row."""
     z = _zeta(times, grid.T)
     zeta_pow = {1: z, 2: z ** 2}
 
-    def block(rows):
-        d = diff(rows)
+    def rule(rows, d):
         out = []
         for _, fld, power, space, _ in DIFFERENCE_COLUMNS:
             y = d[fld] if power == 0 else zeta_pow[power][rows, None] * d[fld]
@@ -289,14 +285,31 @@ def difference_columns(grid, diff, times, m, qe):
             else:
                 out.append(space_lq(grid, y, qe if space == "qe" else space))
         return out
+    return rule
 
-    per = per_row(len(times), block)
+
+def _reduce_columns(per, times):
+    """The study columns from _difference_rows' values on every row, joined
+    along the last axis: each column's time rule over them.  u_L2_supHm1 is
+    the sum of u_L2 and u_supHm1."""
     cols = {}
     for (col, _, _, _, r), vals in zip(DIFFERENCE_COLUMNS, per):
         cols[col] = float(time_lr(vals, times, r))
         if col == "u_supHm1":
             cols["u_L2_supHm1"] = cols["u_L2"] + cols["u_supHm1"]
     return cols
+
+
+def difference_columns(grid, diff, times, m, qe):
+    """Norm columns of solution differences.
+
+    diff(rows) maps a slice of snapshot rows to a dict of the difference
+    blocks of the fields (eta, u, theta, x_e, it_sigma) on those rows; the
+    columns are reduced block by block (norms.per_row), so no temporary spans
+    the whole trajectory.
+    """
+    rule = _difference_rows(grid, times, m, qe)
+    return _reduce_columns(per_row(len(times), lambda rows: rule(rows, diff(rows))), times)
 
 
 def _restrict_center(a):
@@ -311,12 +324,6 @@ def _restrict_edge(a):
 # the (nx, nt) grid to the (nx/2, nt/2) grid of the floor measurement
 DIFFERENCE_FIELDS = {"eta": _restrict_center, "u": _restrict_edge, "theta": _restrict_center,
                      "x_e": _restrict_edge, "it_sigma": _restrict_center}
-
-
-def _bundle_difference(a, b):
-    """The diff(rows) reader of difference_columns for bundles a - b."""
-    return lambda rows: {name: getattr(a, name)[rows] - getattr(b, name)[rows]
-                         for name in DIFFERENCE_FIELDS}
 
 
 def _fit_columns(columns, values, floors):
@@ -395,22 +402,31 @@ def run_lipschitz_study(base_spec, perturb, delta0, levels=5, scheme=SchemeParam
         require_valid(f"delta={d:g} spec", pspec)
     base_sol = solve(base_spec, scheme)
     g = base_spec.grid
-    m = base_spec.bc.m
+    rule = _difference_rows(g, base_sol.times, base_spec.bc.m, qe)
 
     members = []
     for pspec in pspecs:
-        psol = solve(pspec, scheme)
-        row = difference_columns(g, _bundle_difference(psol, base_sol), base_sol.times,
-                                 m, qe)
+        # each perturbed run streams its rows against the stored base: the
+        # study columns of psol - base, and the per-row values of the norms
+        # assumed bounded for the perturbed solution
+        per, u_max, du_l2 = [], [], []
+
+        def rows(block):
+            d = {name: getattr(block, name) - getattr(base_sol, name)[block.rows]
+                 for name in DIFFERENCE_FIELDS}
+            per.append(rule(block.rows, d))
+            u_max.append(np.abs(block.u).max())
+            du_l2.append(space_lq(g, du_centers(g, block.u), 2.0))
+
+        psol = solve(pspec, scheme, rows=rows)
+        row = _reduce_columns(np.concatenate(per, axis=-1), base_sol.times)
         items = compute_delta(base_spec, pspec, qe=qe)
         row["Delta_total"] = float(sum(items.values()))
         row.update({"Delta_" + k: v for k, v in items.items()})
-        # norms assumed bounded for the perturbed solution: recorded per run,
-        # drift across the sweep is flagged but never fails the study
-        row["hyp_u_Linf"] = float(np.abs(psol.u).max())
-        du_l2 = per_row(len(psol.times),
-                        lambda rows: space_lq(g, du_centers(g, psol.u[rows]), 2.0))
-        row["hyp_Du_L2"] = float(time_lr(du_l2, psol.times, 2.0))
+        # recorded per run: drift across the sweep is flagged but never
+        # fails the study
+        row["hyp_u_Linf"] = float(np.max(u_max))
+        row["hyp_Du_L2"] = float(time_lr(np.concatenate(du_l2), psol.times, 2.0))
         members.append(row)
     columns = _stack(members)
     delta_totals = columns["Delta_total"]
@@ -478,20 +494,24 @@ def measure_floor(hs, coarse_spec, scheme, qe):
 
 def _homog_columns_for_eps(args):
     """Study columns of the realized spec at scale osc against the averaged
-    run, the specific volume read off the reconstruction, which is evaluated
-    one row block at a time.  One argument, the tuple
-    (spec, hs, osc, scheme, qe), so a process pool can map it."""
+    run, the specific volume read off the reconstruction.  The realized run
+    streams its rows, and each block is reduced against the stored averaged
+    run as it arrives.  One argument, the tuple (spec, hs, osc, scheme, qe),
+    so a process pool can map it."""
     spec, hs, osc, scheme, qe = args
-    eps_sol = solve(spec, scheme)
-    base_minus_eps = _bundle_difference(hs.base, eps_sol)
+    base = hs.base
+    rule = _difference_rows(spec.grid, base.times, spec.bc.m, qe)
+    per = []
 
-    def diff(rows):
-        d = base_minus_eps(rows)
+    def rows(block):
+        d = {name: getattr(base, name)[block.rows] - getattr(block, name)
+             for name in DIFFERENCE_FIELDS}
         # eta is the reconstruction's, not the averaged run's: overwrite its block
-        np.subtract(hmg.eta_epsilon(hs, osc, rows), eps_sol.eta[rows], out=d["eta"])
-        return d
+        np.subtract(hmg.eta_epsilon(hs, osc, block.rows), block.eta, out=d["eta"])
+        per.append(rule(block.rows, d))
 
-    return difference_columns(spec.grid, diff, hs.base.times, spec.bc.m, qe)
+    solve(spec, scheme, rows=rows)
+    return _reduce_columns(np.concatenate(per, axis=-1), base.times)
 
 
 def run_homog_study(problem, eps_list, scheme=SchemeParams(), qe=INF, thresholds=None,

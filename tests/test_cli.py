@@ -17,7 +17,7 @@ from gaslab import homogenize as hmg
 from gaslab.cli import main
 from gaslab.grid import Grid, edges_to_centers
 from gaslab.norms import NAMED_NORMS
-from gaslab.solver import NonFiniteState
+from gaslab.solver import NonFiniteState, diagnostics, solve
 from gaslab.twoscale import OscillationSpec
 
 
@@ -70,6 +70,62 @@ def test_solve_subcommand(tmp_path, capsys):
     assert "picard" not in diag and "picard" not in "\n".join(snap)
 
 
+def streamed_rows_cfg():
+    # 159 kept rows in three row blocks: past the dense window and a stride
+    cfg = small_problem_cfg(nx=16, nt=600)
+    cfg["bc"]["p0"] = "1 + 0.1*sin(20*t)"
+    cfg["scheme"] = {"store_stride": 4, "dense_steps": 10}
+    return cfg
+
+
+@pytest.mark.parametrize("stride", [1, 3, 200])
+def test_streamed_solve_writes_what_a_stored_bundle_gives(tmp_path, capsys, stride):
+    cfg = streamed_rows_cfg()
+    out = tmp_path / "out"
+    assert main(["solve", write_cfg(tmp_path, cfg), "--out", str(out),
+                 "--stride", str(stride)]) == 0
+    stdout = capsys.readouterr().out
+
+    spec, scheme = cfgmod.build_problem(cfg), cfgmod.build_scheme(cfg)
+    sol = solve(spec, scheme)
+    assert len(sol.times) == 159
+    rep = diagnostics(sol, spec)
+    want = tmp_path / "want.csv"
+    cli._write_snapshots(str(want), spec.grid, sol, stride=stride)
+    assert (out / "snapshots.csv").read_bytes() == want.read_bytes()
+    values = [("volume_residual", rep.volume_residual), ("logvol_residual", rep.logvol_residual),
+              ("stress_repr_residual", rep.stress_repr_residual),
+              ("energy_residual", rep.energy_residual), ("min_eta", sol.min_eta),
+              ("min_theta", sol.min_theta)]
+    assert (out / "diagnostics.csv").read_text() == \
+        "quantity,value\n" + "".join(f"{name},{v:.17e}\n" for name, v in values)
+    assert stdout == (
+        f"solve: 159 snapshots -> {out}\n"
+        f"  volume residual      {rep.volume_residual:.3e}\n"
+        f"  logvol residual      {rep.logvol_residual:.3e}\n"
+        f"  stress repr residual {rep.stress_repr_residual:.3e}\n"
+        f"  energy residual      {rep.energy_residual:.3e}\n"
+        f"  positivity margins   eta {sol.min_eta:.4g}, theta {sol.min_theta:.4g}\n"
+        f"  picard sweeps        {sol.picard_sweeps.mean():.3f} per step\n")
+    assert sorted(os.listdir(out)) == ["diagnostics.csv", "snapshots.csv"]
+
+
+def test_solve_peak_memory_is_under_a_quarter_of_the_trajectory(tmp_path):
+    # store_stride 1 at nx = 256, nt = 1000 keeps 1,001 rows of nine fields:
+    # an 18.5 MB trajectory, which the run streams instead of storing
+    cfg = small_problem_cfg(nx=256, nt=1000)
+    cfg["scheme"] = {"store_stride": 1}
+    trajectory = 1001 * (5 * 256 + 4 * 257) * 8
+    path = write_cfg(tmp_path, cfg)
+    tracemalloc.start()
+    try:
+        assert main(["solve", path, "--out", str(tmp_path / "o"), "--stride", "8"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < trajectory / 4
+
+
 def test_solve_rejects_invalid_config(tmp_path, capsys):
     cfg_dict = small_problem_cfg()
     cfg_dict["data"]["theta0"] = "0"       # violates positivity
@@ -88,6 +144,21 @@ def test_norms_subcommand(tmp_path, capsys):
     assert main(["norms", cfg]) == 0
     value = float(capsys.readouterr().out.strip())
     assert value == pytest.approx(np.sqrt(8.0) / 3.0, rel=1e-3)
+
+
+# a field nested deeper than the expression language takes is a config error
+# naming its key, never a RecursionError traceback
+DEEP_FIELDS = {"parens": "(" * 600 + "x" + ")" * 600, "minuses": "-" * 1200 + "x",
+               "sum": "+".join(["x"] * 1000)}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_FIELDS))
+def test_norms_deeply_nested_field_exits_2(tmp_path, capsys, name):
+    cfg = {"domain": {"X": 1.0, "T": 2.0}, "grid": {"nx": 16, "nt": 4},
+           "field": DEEP_FIELDS[name], "norm": {"tag": "Lqr", "q": 2, "r": 2}}
+    assert main(["norms", write_cfg(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "top-level key 'field' cannot read" in err and "nested too deeply" in err
 
 
 def test_norms_unknown_tag(tmp_path, capsys):
@@ -347,14 +418,34 @@ def test_formatting_one_snapshot_allocates_under_2_mib():
     assert peak < 2 * 2 ** 20
 
 
-def test_non_finite_state_exit_code(tmp_path, monkeypatch, capsys):
-    def non_finite(spec, scheme):
+def fail_after_one_block(monkeypatch):
+    """Make cli.solve stream the first block of rows, then fail."""
+    def non_finite(spec, scheme, rows):
+        rows(next(solve(spec, scheme).row_blocks()))
         raise NonFiniteState(0.05, "u")
 
     monkeypatch.setattr(cli, "solve", non_finite)
+
+
+def test_non_finite_state_exit_code(tmp_path, monkeypatch, capsys):
+    # the streamed block leaves no --out directory and no partial snapshots.csv
+    fail_after_one_block(monkeypatch)
     cfg = write_cfg(tmp_path, small_problem_cfg())
     assert main(["solve", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "non-finite u" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_failed_solve_leaves_an_existing_out_directory_as_it_was(tmp_path, monkeypatch):
+    fail_after_one_block(monkeypatch)
+    cfg = write_cfg(tmp_path, small_problem_cfg())
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "snapshots.csv").write_bytes(b"earlier run\n")
+    assert main(["solve", cfg, "--out", str(out)]) == 2
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "o"]
+    assert os.listdir(out) == ["snapshots.csv"]
+    assert (out / "snapshots.csv").read_bytes() == b"earlier run\n"
 
 
 def count_solves(monkeypatch):

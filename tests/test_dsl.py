@@ -306,3 +306,30 @@ def test_compiled_evaluation_matches_tree_walk_bitwise(e, env):
     want = outcome(oracle, e, env)
     assert outcome(dsl.evaluate, e, env) == want
     assert outcome(dsl.evaluate, dsl.ExprFn(dsl.pretty(e), dsl.VARIABLES), env) == want
+
+
+# --- nesting depth -------------------------------------------------------------
+
+def test_nesting_past_the_parser_is_a_syntax_error():
+    for source in ("(" * 600 + "x" + ")" * 600, "-" * 1200 + "x"):
+        with pytest.raises(dsl.ExprSyntaxError, match="nested too deeply"):
+            dsl.parse(source)
+        with pytest.raises(dsl.ExprSyntaxError, match="nested too deeply"):
+            dsl.ExprFn(source, ("x",))
+
+
+def test_a_tree_deeper_than_max_depth_is_an_expression_error():
+    # a 1,000-term sum parses, left-associated into a tree 999 levels deep
+    for terms in (1000, dsl.MAX_DEPTH + 1):
+        source = "+".join(["x"] * terms)
+        dsl.parse(source)
+        with pytest.raises(dsl.ExprError, match="nested too deeply"):
+            dsl.ExprFn(source, ("x",))
+
+
+def test_nesting_within_max_depth_evaluates():
+    assert dsl.ExprFn("(" * 450 + "x" + ")" * 450, ("x",))(2.0) == 2.0
+    assert dsl.ExprFn("+".join(["x"] * 400), ("x",))(2.0) == 800.0
+    # MAX_DEPTH - 1 minuses over x: a tree MAX_DEPTH levels deep
+    minuses = dsl.MAX_DEPTH - 1
+    assert dsl.ExprFn("-" * minuses + "x", ("x",))(2.0) == (-1.0) ** minuses * 2.0

@@ -14,7 +14,8 @@ from gaslab.calculus import i_bracket, mean_omega, primitive_at_edges, time_prim
 from gaslab.dsl import ExprFn
 from gaslab.grid import Grid, GasParams, edges_to_centers, sample_field
 from gaslab.norms import ROW_BLOCK, lqr_norm, space_lq
-from gaslab.problem import BoundaryData, PerturbationSpec, ProblemSpec, validate
+from gaslab.problem import (SNAPSHOT_FIELDS, BoundaryData, PerturbationSpec, ProblemSpec,
+                            validate)
 from gaslab.solver import (NonFiniteState, NonlinearDivergence, PositivityLoss,
                            SchemeParams, diagnostics, solve)
 
@@ -689,9 +690,6 @@ def whole_array_residuals(sol, spec):
     return res_logvol, res_stress
 
 
-SNAPSHOT_FIELDS = ("eta", "u", "theta", "x_e", "sigma", "pi", "it_sigma", "it_p", "it_g")
-
-
 def first_rows(sol, n):
     """The bundle cut to its first n snapshots."""
     return replace(sol, steps=sol.steps[:n], times=sol.times[:n],
@@ -762,3 +760,61 @@ def test_random_forced_data_keep_identity_residuals_at_scheme_order(
     coarse, fine = reports
     for name in ("energy_residual", "logvol_residual", "stress_repr_residual"):
         assert getattr(coarse, name) / getattr(fine, name) > 1.6, name
+
+
+# --- streamed rows against stored rows ----------------------------------------
+
+# (spec, scheme): past the dense window and a stride, 159 kept rows in three
+# blocks for each family; every data callable; the halving pulse
+STREAM_CASES = {
+    "m1": (lambda: pulse_spec(32, 600, 1, eta_jump=0.3),
+           SchemeParams(store_stride=4, dense_steps=10)),
+    "m2": (lambda: pulse_spec(32, 600, 2), SchemeParams(store_stride=4, dense_steps=10)),
+    "m3": (lambda: pulse_spec(32, 600, 3), SchemeParams(store_stride=4, dense_steps=10)),
+    "forced": (forced_spec, SchemeParams(store_stride=1)),
+    "halving": (halving_spec, SchemeParams(store_stride=1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+def test_streamed_rows_equal_stored_rows_bitwise(case):
+    make, scheme = STREAM_CASES[case]
+    spec = make()
+    stored = solve(spec, scheme)
+    n = len(stored.steps)
+    if case.startswith("m"):
+        assert n > 2 * ROW_BLOCK and n % ROW_BLOCK
+    if case == "halving":
+        assert stored.substeps.max() > 1
+    seen = []
+
+    def rows(block):
+        # a streamed block is a view of the buffer the next block overwrites:
+        # compare it now; tobytes tells a signed zero from zero
+        for name in ("steps", "times") + SNAPSHOT_FIELDS:
+            assert getattr(block, name).tobytes() == \
+                getattr(stored, name)[block.rows].tobytes(), name
+        seen.append((block.rows.start, block.rows.stop))
+
+    streamed = solve(spec, scheme, rows=rows)
+    assert seen == [(i, min(i + ROW_BLOCK, n)) for i in range(0, n, ROW_BLOCK)]
+    assert [(b.rows.start, b.rows.stop) for b in stored.row_blocks()] == seen
+    for name in SNAPSHOT_FIELDS:
+        assert getattr(streamed, name) is None
+    for name in ("steps", "times", "volume", "it_boundary_du", "it_beta_volume",
+                 "substeps", "picard_sweeps"):
+        assert getattr(streamed, name).tobytes() == getattr(stored, name).tobytes(), name
+    assert streamed.energy.keys() == stored.energy.keys()
+    for key, track in stored.energy.items():
+        assert streamed.energy[key].tobytes() == track.tobytes(), key
+    assert (streamed.min_eta, streamed.min_theta) == (stored.min_eta, stored.min_theta)
+    assert streamed.grid == stored.grid
+
+
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+def test_streamed_residual_rows_give_the_stored_diagnostics(case):
+    make, scheme = STREAM_CASES[case]
+    spec = make()
+    residual_rows = solver.ResidualRows(spec)
+    streamed = solve(spec, scheme, rows=residual_rows)
+    assert diagnostics(streamed, spec, residual_rows) == diagnostics(solve(spec, scheme), spec)

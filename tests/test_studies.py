@@ -7,10 +7,11 @@ import pytest
 from gaslab import config as cfgmod
 from gaslab import homogenize as hmg
 from gaslab import studies
-from gaslab.grid import Grid, GasParams
-from gaslab.norms import INF, ROW_BLOCK, h_minus_one, lqr_norm
+from gaslab.grid import Grid, GasParams, du_centers
+from gaslab.norms import INF, ROW_BLOCK, h_minus_one, lqr_norm, space_lq, time_lr
 from gaslab.problem import ACTIVE_BC, BoundaryData, PerturbationSpec, ProblemSpec
-from gaslab.solver import SchemeParams
+from gaslab.solver import SchemeParams, solve
+from gaslab.twoscale import OscillationSpec
 from gaslab.studies import (ConvergenceTable, DegenerateFit, IncompatibleSpecs,
                             ResolutionGuard, check_thresholds, compute_E0,
                             compute_delta, fit_rate, run_homog_study,
@@ -309,6 +310,49 @@ def test_lipschitz_study_small():
     assert table.values == [0.1 * 0.5 ** j for j in range(4)]
     assert len(table.columns["hyp_Du_L2"]) == 4
     assert not any(f.startswith("hypothesis-drift") for f in table.flags)
+
+
+def test_streamed_lipschitz_members_match_stored_bundles():
+    # 101 kept rows per run, two row blocks: each member streams its rows
+    # against the stored base, and reads what stored bundles give
+    cfg = cfgmod.load_config("configs/lipschitz_benchmark.json")
+    cfg["problem"]["grid"] = {"nx": 32, "nt": 100}
+    base_spec = cfgmod.build_problem(cfg["problem"])
+    patterns = cfg["study"]["patterns"]
+
+    def perturb(spec, d):
+        return cfgmod.perturbed_spec(spec, patterns, d)
+
+    scheme = SchemeParams(store_stride=1)
+    table = run_lipschitz_study(base_spec, perturb, 0.1, levels=4, scheme=scheme)
+    g = base_spec.grid
+    base = solve(base_spec, scheme)
+    assert len(base.steps) > ROW_BLOCK
+    for j, delta in enumerate(table.values):
+        psol = solve(perturb(base_spec, delta), scheme)
+        d = {name: getattr(psol, name) - getattr(base, name)
+             for name in studies.DIFFERENCE_FIELDS}
+        for col, want in whole_array_columns(g, d, base.times, 3, INF).items():
+            assert table.columns[col][j] == want, col
+        assert table.columns["hyp_u_Linf"][j] == float(np.abs(psol.u).max())
+        assert table.columns["hyp_Du_L2"][j] == \
+            float(time_lr(space_lq(g, du_centers(g, psol.u), 2.0), psol.times, 2.0))
+
+
+def test_streamed_eps_member_matches_stored_bundles():
+    # 83 kept rows, two row blocks; eta is the reconstruction's
+    prob = two_scale_problem(nx=128, nt=160)
+    scheme = SchemeParams(store_stride=2, dense_steps=4)
+    hs = hmg.solve_homogenized(prob, scheme)
+    assert len(hs.base.steps) > ROW_BLOCK
+    osc = OscillationSpec(eps=0.125)
+    spec = prob.realized_spec(osc)
+    got = studies._homog_columns_for_eps((spec, hs, osc, scheme, INF))
+    eps_sol = solve(spec, scheme)
+    d = {name: getattr(hs.base, name) - getattr(eps_sol, name)
+         for name in studies.DIFFERENCE_FIELDS}
+    d["eta"] = hmg.eta_epsilon(hs, osc) - eps_sol.eta
+    assert_same_columns(got, whole_array_columns(prob.grid, d, hs.base.times, 3, INF))
 
 
 def test_lipschitz_study_deterministic():
