@@ -17,7 +17,7 @@ from .grid import edges_to_centers, integrate_x
 
 INF = float("inf")
 
-# snapshot rows a post-solve pass holds at once (see per_row)
+# snapshot rows a solve hands on, and a post-solve pass holds, at once
 ROW_BLOCK = 64
 
 # exponent pairs sampled for the [V2]* majorant: (q, r) with 1/(2q) + 1/r <= 5/4
@@ -48,16 +48,6 @@ def space_lq(grid, y, q):
     # np.power, not **: numpy's scalar ** rounds unlike its array power, and a
     # row's norm must carry the same bits alone as inside a batch of rows
     return np.power(integrate_x(grid, y ** q), 1.0 / q)
-
-
-def per_row(n, rule):
-    """rule(rows) for consecutive slices `rows` of at most ROW_BLOCK of n
-    snapshot rows, joined along the last axis: one value per row (or a stack
-    of them) from a pass that holds a block of rows, never a whole
-    trajectory.  space_lq gives a row the same bits alone as inside a batch,
-    so a time reduction over the result equals the whole-array one."""
-    return np.concatenate([rule(slice(i, min(i + ROW_BLOCK, n)))
-                           for i in range(0, n, ROW_BLOCK)], axis=-1)
 
 
 def time_lr(s, times, r):

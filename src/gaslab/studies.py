@@ -12,13 +12,14 @@ Delta in [0.9, 1.1]).
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .calculus import i_bracket, mean_omega, primitive_at_edges, time_primitive
 from .grid import Grid, du_centers, edges_to_centers
-from .norms import (INF, h21star_majorant, h_minus_one, lqr_norm, per_row,
-                    space_lq, time_lr, v2star_majorant, w11_time_norm)
+from .norms import (INF, h21star_majorant, h_minus_one, lqr_norm, space_lq, time_lr,
+                    v2star_majorant, w11_time_norm)
 from .problem import BoundaryData, require_valid, sample_field_times
 from .solver import SchemeParams, solve
 from .twoscale import OscillationSpec
@@ -268,24 +269,22 @@ DIFFERENCE_COLUMNS = (
 )
 
 
-def _difference_rows(grid, times, m, qe):
-    """The per-row rule of the study columns: rule(rows, d) maps the
-    difference blocks d of the fields (eta, u, theta, x_e, it_sigma) on the
-    snapshot rows `rows`, a slice, to one array per DIFFERENCE_COLUMNS entry
-    of that column's space norm on each row."""
-    z = _zeta(times, grid.T)
+def _difference_rows(grid, m, qe, times, d):
+    """The per-row rule of the study columns: the difference blocks d of the
+    fields (eta, u, theta, x_e, it_sigma) on snapshot rows at `times` map to
+    one array per DIFFERENCE_COLUMNS entry of that column's space norm on
+    each row.  Each is a norm of a linear image of d, so -d gives the same
+    bits, and a member may subtract in either order."""
+    z = _zeta(times, grid.T)[:, None]
     zeta_pow = {1: z, 2: z ** 2}
-
-    def rule(rows, d):
-        out = []
-        for _, fld, power, space, _ in DIFFERENCE_COLUMNS:
-            y = d[fld] if power == 0 else zeta_pow[power][rows, None] * d[fld]
-            if space == "Hm1":
-                out.append(h_minus_one(grid, y, m))
-            else:
-                out.append(space_lq(grid, y, qe if space == "qe" else space))
-        return out
-    return rule
+    out = []
+    for _, fld, power, space, _ in DIFFERENCE_COLUMNS:
+        y = d[fld] if power == 0 else zeta_pow[power] * d[fld]
+        if space == "Hm1":
+            out.append(h_minus_one(grid, y, m))
+        else:
+            out.append(space_lq(grid, y, qe if space == "qe" else space))
+    return out
 
 
 def _reduce_columns(per, times):
@@ -300,18 +299,6 @@ def _reduce_columns(per, times):
     return cols
 
 
-def difference_columns(grid, diff, times, m, qe):
-    """Norm columns of solution differences.
-
-    diff(rows) maps a slice of snapshot rows to a dict of the difference
-    blocks of the fields (eta, u, theta, x_e, it_sigma) on those rows; the
-    columns are reduced block by block (norms.per_row), so no temporary spans
-    the whole trajectory.
-    """
-    rule = _difference_rows(grid, times, m, qe)
-    return _reduce_columns(per_row(len(times), lambda rows: rule(rows, diff(rows))), times)
-
-
 def _restrict_center(a):
     return 0.5 * (a[:, 0::2] + a[:, 1::2])
 
@@ -320,10 +307,54 @@ def _restrict_edge(a):
     return a[:, ::2]
 
 
-# the bundle fields difference_columns reads, each with its restriction from
+# the bundle fields a study member differences, each with its restriction from
 # the (nx, nt) grid to the (nx/2, nt/2) grid of the floor measurement
 DIFFERENCE_FIELDS = {"eta": _restrict_center, "u": _restrict_edge, "theta": _restrict_center,
                      "x_e": _restrict_edge, "it_sigma": _restrict_center}
+
+
+def _member_columns(args):
+    """The study columns of one study member, the one place a member is
+    solved and reduced.  solve streams the member's kept rows, and for each
+    block difference(block) returns the times of the rows it pairs and the
+    DIFFERENCE_FIELDS differences on those rows, reduced as they arrive, so
+    no temporary spans the whole trajectory.  One argument, the tuple (spec,
+    scheme, difference, qe), so a process pool can map it."""
+    spec, scheme, difference, qe = args
+    times, per = [], []
+
+    def rows(block):
+        t, d = difference(block)
+        times.append(t)
+        per.append(_difference_rows(spec.grid, spec.bc.m, qe, t, d))
+
+    solve(spec, scheme, rows=rows)
+    return _reduce_columns(np.concatenate(per, axis=-1), np.concatenate(times))
+
+
+def _minus_stored(ref, block):
+    """A member's block minus the stored run `ref` on the same rows."""
+    return block.times, {name: getattr(block, name) - getattr(ref, name)[block.rows]
+                         for name in DIFFERENCE_FIELDS}
+
+
+def _minus_reconstruction(hs, osc, block):
+    """An eps run's block minus the averaged run, its eta minus the
+    reconstruction's at scale osc."""
+    times, d = _minus_stored(hs.base, block)
+    np.subtract(block.eta, hmg.eta_epsilon(hs, osc, block.rows), out=d["eta"])
+    return times, d
+
+
+def _minus_restricted(fine, block):
+    """The floor's coarse block minus the stored (nx, nt) run `fine`
+    restricted to the coarse grid, on the coarse steps n whose step 2n `fine`
+    stored.  `fine` stores its last step nt, so every 2n finds an index."""
+    i = np.searchsorted(fine.steps, 2 * block.steps)
+    keep = fine.steps[i] == 2 * block.steps
+    return block.times[keep], {
+        name: getattr(block, name)[keep] - restrict(getattr(fine, name)[i[keep]])
+        for name, restrict in DIFFERENCE_FIELDS.items()}
 
 
 def _fit_columns(columns, values, floors):
@@ -402,31 +433,26 @@ def run_lipschitz_study(base_spec, perturb, delta0, levels=5, scheme=SchemeParam
         require_valid(f"delta={d:g} spec", pspec)
     base_sol = solve(base_spec, scheme)
     g = base_spec.grid
-    rule = _difference_rows(g, base_sol.times, base_spec.bc.m, qe)
 
     members = []
     for pspec in pspecs:
-        # each perturbed run streams its rows against the stored base: the
-        # study columns of psol - base, and the per-row values of the norms
-        # assumed bounded for the perturbed solution
-        per, u_max, du_l2 = [], [], []
+        # each perturbed run streams its rows against the stored base, and
+        # gathers the per-row values of the norms assumed bounded for it
+        u_max, du_l2 = [], []
 
-        def rows(block):
-            d = {name: getattr(block, name) - getattr(base_sol, name)[block.rows]
-                 for name in DIFFERENCE_FIELDS}
-            per.append(rule(block.rows, d))
+        def difference(block):
             u_max.append(np.abs(block.u).max())
             du_l2.append(space_lq(g, du_centers(g, block.u), 2.0))
+            return _minus_stored(base_sol, block)
 
-        psol = solve(pspec, scheme, rows=rows)
-        row = _reduce_columns(np.concatenate(per, axis=-1), base_sol.times)
+        row = _member_columns((pspec, scheme, difference, qe))
         items = compute_delta(base_spec, pspec, qe=qe)
         row["Delta_total"] = float(sum(items.values()))
         row.update({"Delta_" + k: v for k, v in items.items()})
         # recorded per run: drift across the sweep is flagged but never
-        # fails the study
+        # fails the study; the member's kept times are the base's
         row["hyp_u_Linf"] = float(np.max(u_max))
-        row["hyp_Du_L2"] = float(time_lr(np.concatenate(du_l2), psol.times, 2.0))
+        row["hyp_Du_L2"] = float(time_lr(np.concatenate(du_l2), base_sol.times, 2.0))
         members.append(row)
     columns = _stack(members)
     delta_totals = columns["Delta_total"]
@@ -474,44 +500,12 @@ def floor_spec(problem):
 
 def measure_floor(hs, coarse_spec, scheme, qe):
     """Solver self-convergence floor of the averaged problem: difference between
-    the (nx, nt) run `hs.base`, solved with `scheme`, and the run of its
-    floor_spec `coarse_spec` restricted to the coarse grid, in every study column."""
+    the run of its floor_spec `coarse_spec` and the (nx, nt) run `hs.base`,
+    solved with `scheme`, restricted to the coarse grid, in every study
+    column.  The coarse run streams its rows, and each pairs on the steps
+    both runs keep: coarse step n with fine step 2n."""
     scheme2 = replace(scheme, store_stride=max(1, scheme.store_stride // 2))
-    fine = hs.base
-    coarse = solve(coarse_spec, scheme2)
-
-    # coarse step n is fine step 2n: pair the snapshots both runs stored
-    _, ia, ib = np.intersect1d(fine.steps, 2 * coarse.steps, assume_unique=True,
-                               return_indices=True)
-
-    def diff(rows):
-        return {name: restrict(getattr(fine, name)[ia[rows]]) - getattr(coarse, name)[ib[rows]]
-                for name, restrict in DIFFERENCE_FIELDS.items()}
-
-    return difference_columns(coarse_spec.grid, diff, coarse.times[ib], coarse_spec.bc.m,
-                              qe)
-
-
-def _homog_columns_for_eps(args):
-    """Study columns of the realized spec at scale osc against the averaged
-    run, the specific volume read off the reconstruction.  The realized run
-    streams its rows, and each block is reduced against the stored averaged
-    run as it arrives.  One argument, the tuple (spec, hs, osc, scheme, qe),
-    so a process pool can map it."""
-    spec, hs, osc, scheme, qe = args
-    base = hs.base
-    rule = _difference_rows(spec.grid, base.times, spec.bc.m, qe)
-    per = []
-
-    def rows(block):
-        d = {name: getattr(base, name)[block.rows] - getattr(block, name)
-             for name in DIFFERENCE_FIELDS}
-        # eta is the reconstruction's, not the averaged run's: overwrite its block
-        np.subtract(hmg.eta_epsilon(hs, osc, block.rows), block.eta, out=d["eta"])
-        per.append(rule(block.rows, d))
-
-    solve(spec, scheme, rows=rows)
-    return _reduce_columns(np.concatenate(per, axis=-1), base.times)
+    return _member_columns((coarse_spec, scheme2, partial(_minus_restricted, hs.base), qe))
 
 
 def run_homog_study(problem, eps_list, scheme=SchemeParams(), qe=INF, thresholds=None,
@@ -545,13 +539,14 @@ def run_homog_study(problem, eps_list, scheme=SchemeParams(), qe=INF, thresholds
     hs = hmg.solve_homogenized(problem, scheme)     # validates the averaged spec first
     floors = measure_floor(hs, coarse_spec, scheme, qe)
 
-    args = [(s, hs, osc, scheme, qe) for s, osc in zip(eps_specs, oscs)]
+    args = [(s, scheme, partial(_minus_reconstruction, hs, osc), qe)
+            for s, osc in zip(eps_specs, oscs)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(_homog_columns_for_eps, args))
+            results = list(ex.map(_member_columns, args))
     else:
-        results = list(map(_homog_columns_for_eps, args))
+        results = list(map(_member_columns, args))
     columns = _stack(results)
 
     slopes, flags, decades = _fit_columns(columns, eps_list, floors)

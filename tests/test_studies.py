@@ -1,4 +1,5 @@
 from dataclasses import fields, replace
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +11,7 @@ from gaslab import studies
 from gaslab.grid import Grid, GasParams, du_centers
 from gaslab.norms import INF, ROW_BLOCK, h_minus_one, lqr_norm, space_lq, time_lr
 from gaslab.problem import ACTIVE_BC, BoundaryData, PerturbationSpec, ProblemSpec
-from gaslab.solver import SchemeParams, solve
+from gaslab.solver import SchemeParams, _snapshot_indices, solve
 from gaslab.twoscale import OscillationSpec
 from gaslab.studies import (ConvergenceTable, DegenerateFit, IncompatibleSpecs,
                             ResolutionGuard, check_thresholds, compute_E0,
@@ -347,7 +348,8 @@ def test_streamed_eps_member_matches_stored_bundles():
     assert len(hs.base.steps) > ROW_BLOCK
     osc = OscillationSpec(eps=0.125)
     spec = prob.realized_spec(osc)
-    got = studies._homog_columns_for_eps((spec, hs, osc, scheme, INF))
+    got = studies._member_columns(
+        (spec, scheme, partial(studies._minus_reconstruction, hs, osc), INF))
     eps_sol = solve(spec, scheme)
     d = {name: getattr(hs.base, name) - getattr(eps_sol, name)
          for name in studies.DIFFERENCE_FIELDS}
@@ -443,18 +445,23 @@ def test_homog_study_small_sweep_rates():
     assert "decades_above_floor" in table.metadata
 
 
-def test_homog_study_parallel_jobs_match_serial():
-    # the per-eps solves dispatch to worker processes; configs are the
-    # picklable problem description
-    cfg = {
+def picklable_two_scale_problem():
+    """A two-scale problem built from a config, whose data a process pool
+    can pickle."""
+    return cfgmod.build_two_scale_problem({
         "domain": {"X": 1.0, "T": 0.1},
         "grid": {"nx": 256, "nt": 64},
         "gas": {"nu": 0.1, "k": 1.0, "cV": 1.0, "lambda": 0.1},
         "bc": {"m": 3, "p0": 1.0, "pX": 1.0, "pi0": 0.0, "piX": 0.0},
         "data": {"eta0": "1 + 0.4*step(xi - 0.5)", "u0": "0", "theta0": "1"},
         "breakpoints_xi": [0.5],
-    }
-    prob = cfgmod.build_two_scale_problem(cfg)
+    })
+
+
+def test_homog_study_parallel_jobs_match_serial():
+    # the per-eps solves dispatch to worker processes; configs are the
+    # picklable problem description
+    prob = picklable_two_scale_problem()
     eps = [0.5, 0.25, 0.125, 0.0625]
     serial = run_homog_study(prob, eps, scheme=SchemeParams(store_stride=4))
     parallel = run_homog_study(prob, eps, scheme=SchemeParams(store_stride=4), jobs=2)
@@ -521,38 +528,140 @@ def assert_same_columns(got, want):
     assert got == want
 
 
+def streaming_solve(member):
+    """A fake studies.solve(spec, scheme, rows) that streams the rows of
+    `member`, a namespace of steps, times and DIFFERENCE_FIELDS arrays, in
+    blocks of ROW_BLOCK rows, as solver.solve does."""
+    def fake(spec, scheme, rows):
+        n = len(member.times)
+        for start in range(0, n, ROW_BLOCK):
+            r = slice(start, min(start + ROW_BLOCK, n))
+            rows(SimpleNamespace(rows=r, steps=member.steps[r], times=member.times[r],
+                                 **{name: getattr(member, name)[r]
+                                    for name in studies.DIFFERENCE_FIELDS}))
+    return fake
+
+
+def block_fields(block):
+    return block.times, {name: getattr(block, name) for name in studies.DIFFERENCE_FIELDS}
+
+
 @pytest.mark.parametrize("nrows", [1, 63, 64, 65, 130])
 @pytest.mark.parametrize("m,qe", [(1, 2.0), (2, INF), (3, 4.0)])
-def test_blocked_difference_columns_match_whole_array_passes(nrows, m, qe):
+def test_blocked_difference_columns_match_whole_array_passes(monkeypatch, nrows, m, qe):
     rng = np.random.default_rng(1000 * m + nrows)
     g = Grid(X=1.0, T=0.5, nx=40, nt=200)
     d = random_fields(rng, nrows, g.nx)
     times = random_times(rng, nrows, g.T)
-    got = studies.difference_columns(g, lambda rows: {k: v[rows] for k, v in d.items()},
-                                     times, m, qe)
+    member = SimpleNamespace(steps=np.arange(nrows), times=times, **d)
+    monkeypatch.setattr(studies, "solve", streaming_solve(member))
+    spec = SimpleNamespace(grid=g, bc=SimpleNamespace(m=m))
+    got = studies._member_columns((spec, SchemeParams(), block_fields, qe))
     assert_same_columns(got, whole_array_columns(g, d, times, m, qe))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("qe", [2.0, 4.0, INF])
+def test_study_column_rule_is_bitwise_symmetric_under_negation(m, qe):
+    # the eps and floor members subtract member minus reference, the whole
+    # array passes they were checked against reference minus member
+    rng = np.random.default_rng(10 * m + int(min(qe, 9)))
+    g = Grid(X=1.0, T=0.5, nx=40, nt=200)
+    d = random_fields(rng, 70, g.nx)
+    times = random_times(rng, 70, g.T)
+    assert times.min() < studies.T0_FRAC * g.T < times.max()   # zeta below and at 1
+    got = studies._difference_rows(g, m, qe, times, d)
+    neg = studies._difference_rows(g, m, qe, times, {k: -v for k, v in d.items()})
+    assert len(got) == len(studies.DIFFERENCE_COLUMNS)
+    for (col, *_), a, b in zip(studies.DIFFERENCE_COLUMNS, got, neg):
+        assert a.tobytes() == b.tobytes(), col
+
+
+def random_steps(rng):
+    # stored steps that pair on more than two blocks of rows
+    fine = np.union1d(np.arange(0, 601, 4), rng.choice(601, 40, replace=False))
+    coarse = np.union1d(np.arange(0, 301, 2), rng.choice(301, 30, replace=False))
+    return fine, coarse
+
+
+def unpaired_block_steps(rng):
+    # coarse rows 192-255 (steps 192-255) have no fine partner: a block
+    # that pairs on no row
+    return np.union1d(np.arange(0, 257, 2), [600]), np.arange(301)
+
+
+def shipped_steps(stride):
+    # the shipped scheme shape: stride 16 (or 8) after 32 dense steps, the
+    # coarse run at half the stride; coarse steps 17-31 pair only where 2n
+    # is on the fine stride
+    def steps(rng):
+        return (np.asarray(_snapshot_indices(600, stride, 32)),
+                np.asarray(_snapshot_indices(300, stride // 2, 32)))
+    return steps
+
+
+@pytest.mark.parametrize("layout", [random_steps, unpaired_block_steps, shipped_steps(16),
+                                    shipped_steps(8)])
 @pytest.mark.parametrize("m", [1, 3])
-def test_blocked_measure_floor_matches_whole_array_pairing(monkeypatch, m):
-    # random fine and coarse bundles whose stored steps pair on 150 rows
+def test_blocked_measure_floor_matches_whole_array_pairing(monkeypatch, m, layout):
+    # random fine and coarse bundles at the stored steps of `layout`
     rng = np.random.default_rng(m)
     fine_grid = Grid(X=1.0, T=0.5, nx=32, nt=600)
     coarse_grid = Grid(X=1.0, T=0.5, nx=16, nt=300)
-    fine_steps = np.union1d(np.arange(0, 601, 4), rng.choice(601, 40, replace=False))
-    coarse_steps = np.union1d(np.arange(0, 301, 2), rng.choice(301, 30, replace=False))
+    fine_steps, coarse_steps = layout(rng)
     fine = SimpleNamespace(steps=fine_steps, times=fine_grid.times()[fine_steps],
                            **random_fields(rng, len(fine_steps), fine_grid.nx))
     coarse = SimpleNamespace(steps=coarse_steps, times=coarse_grid.times()[coarse_steps],
                              **random_fields(rng, len(coarse_steps), coarse_grid.nx))
     coarse_spec = SimpleNamespace(grid=coarse_grid, bc=SimpleNamespace(m=m))
-    monkeypatch.setattr(studies, "solve", lambda spec, scheme: coarse)
+    monkeypatch.setattr(studies, "solve", streaming_solve(coarse))
     got = studies.measure_floor(SimpleNamespace(base=fine), coarse_spec,
                                 SchemeParams(store_stride=4), INF)
 
     _, ia, ib = np.intersect1d(fine.steps, 2 * coarse.steps, assume_unique=True,
                                return_indices=True)
-    assert len(ia) > 2 * ROW_BLOCK
+    unpaired = np.setdiff1d(np.arange(len(coarse_steps)), ib)
+    if layout is random_steps:
+        assert len(ia) > 2 * ROW_BLOCK
+    elif layout is unpaired_block_steps:
+        assert set(range(3 * ROW_BLOCK, 4 * ROW_BLOCK)) <= set(unpaired)
+    else:
+        assert any(17 <= coarse_steps[i] <= 31 for i in unpaired)
     d = {name: restrict(getattr(fine, name)[ia]) - getattr(coarse, name)[ib]
          for name, restrict in studies.DIFFERENCE_FIELDS.items()}
     assert_same_columns(got, whole_array_columns(coarse_grid, d, coarse.times[ib], m, INF))
+
+
+def record_solves(monkeypatch, path):
+    """Patch studies.solve to append "stream" or "store" to the file `path`
+    per call, whether or not it was given `rows`; a file, so that the solves
+    of forked worker processes are recorded too."""
+    real = studies.solve
+
+    def recording(spec, scheme, rows=None):
+        with open(path, "a") as fh:
+            fh.write("store\n" if rows is None else "stream\n")
+        return real(spec, scheme, rows)
+
+    monkeypatch.setattr(studies, "solve", recording)
+    return lambda: path.read_text().split()
+
+
+def test_every_study_solve_streams_but_the_stored_reference(tmp_path, monkeypatch):
+    cfg = cfgmod.load_config("configs/lipschitz_benchmark.json")
+    cfg["problem"]["grid"] = {"nx": 32, "nt": 40}
+    base = cfgmod.build_problem(cfg["problem"])
+    patterns = cfg["study"]["patterns"]
+    calls = record_solves(monkeypatch, tmp_path / "lipschitz")
+    run_lipschitz_study(base, lambda spec, d: cfgmod.perturbed_spec(spec, patterns, d),
+                        0.1, levels=4, scheme=SchemeParams(store_stride=2))
+    assert calls() == ["store"] + 4 * ["stream"]
+
+    # the averaged run is stored, through homogenize.solve; the floor's
+    # coarse run and every eps run stream
+    prob = picklable_two_scale_problem()
+    eps = [0.5, 0.25, 0.125, 0.0625]
+    for jobs in (1, 2):
+        calls = record_solves(monkeypatch, tmp_path / f"homog{jobs}")
+        run_homog_study(prob, eps, scheme=SchemeParams(store_stride=4), jobs=jobs)
+        assert calls() == 5 * ["stream"]
