@@ -4,9 +4,9 @@ CSV tables + summaries under out/.
 
     python3 scripts/run_studies.py [--quick] [--jobs N]
 
---quick shrinks the homogenization benchmark to a laptop-scale grid (the
-slopes stay near 1 but with less headroom above the solver floor); the full
-configuration is what the acceptance suite runs.
+--quick runs configs/homog_quick.json, the homogenization benchmark at a
+laptop-scale grid (the slopes stay near 1 but with less headroom above the
+solver floor); the full configuration is what the acceptance suite runs.
 """
 
 import argparse
@@ -16,7 +16,6 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from gaslab.cli import main as gaslab_main
-from gaslab.config import load_config, save_config
 
 
 def run(argv):
@@ -34,18 +33,9 @@ if __name__ == "__main__":
     ap.add_argument("--out", default="out")
     args = ap.parse_args()
 
-    root = os.path.join(os.path.dirname(__file__), "..")
-    homog_cfg = os.path.join(root, "configs", "homog_benchmark.json")
-    lip_cfg = os.path.join(root, "configs", "lipschitz_benchmark.json")
-
-    if args.quick:
-        cfg = load_config(homog_cfg)
-        cfg["grid"] = {"nx": 1024, "nt": 1024}
-        cfg["scheme"]["store_stride"] = 8
-        cfg["study"]["eps_list"] = [0.125, 0.0625, 0.03125, 0.015625]
-        homog_cfg = os.path.join(args.out, "homog_quick.json")
-        os.makedirs(args.out, exist_ok=True)
-        save_config(cfg, homog_cfg)
+    configs = os.path.join(os.path.dirname(__file__), "..", "configs")
+    homog_cfg = os.path.join(configs, "homog_quick.json" if args.quick else "homog_benchmark.json")
+    lip_cfg = os.path.join(configs, "lipschitz_benchmark.json")
 
     rc = run(["study-homog", homog_cfg, "--out",
               os.path.join(args.out, "homog"), "--jobs", str(args.jobs)])

@@ -48,12 +48,6 @@ def load_config(path):
         return json.load(fh)
 
 
-def save_config(cfg, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 # the readers: each takes one JSON value and returns it read, or raises an
 # error that read_table reports with the table and the key
 def number(value):

@@ -222,15 +222,14 @@ def compute_delta(base, perturbed, qe=INF):
     chi = edges_to_centers(primitive_at_edges(g, e0p) + beta_e)
 
     def force_diff(f_hat, f):
-        if f_hat is f:
-            return np.zeros((len(tt), len(xc)))
         return sample_field_times(f_hat, tt, chi, xc) - sample_field_times(f, tt, chi, xc)
 
-    items["g1_l1"] = lqr_norm(g, force_diff(perturbed.g, base.g), 1.0, 1.0, tt)
+    # a force both specs share (the same object) adds 0.0 and is not sampled
+    items["g1_l1"] = (0.0 if perturbed.g is base.g
+                      else lqr_norm(g, force_diff(perturbed.g, base.g), 1.0, 1.0, tt))
     items["ig2_l2"] = 0.0  # a column perfbench/reference/lipschitz_study.csv pins
-
-    fdiff = force_diff(perturbed.f, base.f)
-    items["f_h21star"] = h21star_majorant(g, fdiff, m, 1.0 / base.N, tt)
+    items["f_h21star"] = (0.0 if perturbed.f is base.f else h21star_majorant(
+        g, force_diff(perturbed.f, base.f), m, 1.0 / base.N, tt))
 
     return items
 
@@ -319,7 +318,8 @@ def _member_columns(args):
     block difference(block) returns the times of the rows it pairs and the
     DIFFERENCE_FIELDS differences on those rows, reduced as they arrive, so
     no temporary spans the whole trajectory.  One argument, the tuple (spec,
-    scheme, difference, qe), so a process pool can map it."""
+    scheme, difference, qe), so a process pool can map it: _run_members maps
+    it over a study's members, and measure_floor calls it once."""
     spec, scheme, difference, qe = args
     times, per = [], []
 
@@ -379,9 +379,34 @@ def _fit_columns(columns, values, floors):
     return slopes, flags, decades
 
 
-def _stack(rows):
-    """{column: [row[column] for each row]} over rows with the same keys."""
-    return {col: [row[col] for row in rows] for col in rows[0]}
+def _run_members(args, jobs):
+    """{column: [value per member]} over a study's members, each an argument
+    tuple of _member_columns: the one place they are mapped, in order,
+    serially or over `jobs` worker processes."""
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=jobs) as ex:
+            results = list(ex.map(_member_columns, args))
+    else:
+        results = list(map(_member_columns, args))
+    return {col: [row[col] for row in results] for col in results[0]}
+
+
+def _table(study, param, values, columns, fit_values, source, thresholds, floors):
+    """The ConvergenceTable of a sweep over `values`: every column but the
+    Delta_ and hyp_ ones fitted against fit_values above `floors`, and the
+    shared metadata: the grid and config of `source` (the base spec or the
+    two-scale problem) and, with floors, the decades above them."""
+    fitted = {c: v for c, v in columns.items() if not c.startswith(("Delta_", "hyp_"))}
+    slopes, flags, decades = _fit_columns(fitted, fit_values, floors)
+    g = source.grid
+    meta = {"study": study, "grid": f"nx={g.nx} nt={g.nt} X={g.X:g} T={g.T:g}",
+            "config_hash": _config_hash(source.source)}
+    if floors:
+        meta["decades_above_floor"] = decades
+    return ConvergenceTable(param=param, values=values, columns=columns, slopes=slopes,
+                            floors=floors, flags=flags, thresholds=dict(thresholds),
+                            metadata=meta)
 
 
 def check_thresholds(table):
@@ -432,55 +457,45 @@ def run_lipschitz_study(base_spec, perturb, delta0, levels=5, scheme=SchemeParam
     for d, pspec in zip(deltas, pspecs):
         require_valid(f"delta={d:g} spec", pspec)
     base_sol = solve(base_spec, scheme)
+    # the Delta items follow the first solve, so it starts at once, and lead
+    # the members, so a spec compute_delta rejects stops the study early
+    items = [compute_delta(base_spec, pspec, qe=qe) for pspec in pspecs]
     g = base_spec.grid
 
-    members = []
-    for pspec in pspecs:
-        # each perturbed run streams its rows against the stored base, and
-        # gathers the per-row values of the norms assumed bounded for it
-        u_max, du_l2 = [], []
+    # each perturbed run streams its rows against the stored base, and
+    # gathers the per-row values of the norms assumed bounded for it
+    hyps = [([], []) for _ in pspecs]
 
-        def difference(block):
-            u_max.append(np.abs(block.u).max())
-            du_l2.append(space_lq(g, du_centers(g, block.u), 2.0))
-            return _minus_stored(base_sol, block)
+    def difference(hyp, block):
+        hyp[0].append(np.abs(block.u).max())
+        hyp[1].append(space_lq(g, du_centers(g, block.u), 2.0))
+        return _minus_stored(base_sol, block)
 
-        row = _member_columns((pspec, scheme, difference, qe))
-        items = compute_delta(base_spec, pspec, qe=qe)
-        row["Delta_total"] = float(sum(items.values()))
-        row.update({"Delta_" + k: v for k, v in items.items()})
-        # recorded per run: drift across the sweep is flagged but never
-        # fails the study; the member's kept times are the base's
-        row["hyp_u_Linf"] = float(np.max(u_max))
-        row["hyp_Du_L2"] = float(time_lr(np.concatenate(du_l2), base_sol.times, 2.0))
-        members.append(row)
-    columns = _stack(members)
-    delta_totals = columns["Delta_total"]
+    columns = _run_members([(pspec, scheme, partial(difference, hyp), qe)
+                            for pspec, hyp in zip(pspecs, hyps)], jobs=1)
+    delta_totals = columns["Delta_total"] = [float(sum(it.values())) for it in items]
+    for k in items[0]:
+        columns["Delta_" + k] = [it[k] for it in items]
+    # recorded per run: drift across the sweep is flagged but never fails the
+    # study; every member's kept times are the base's
+    columns["hyp_u_Linf"] = [float(np.max(u_max)) for u_max, _ in hyps]
+    columns["hyp_Du_L2"] = [float(time_lr(np.concatenate(du_l2), base_sol.times, 2.0))
+                            for _, du_l2 in hyps]
 
-    fitted = {c: v for c, v in columns.items() if not c.startswith(("Delta", "hyp_"))}
-    slopes, flags, _ = _fit_columns(fitted, delta_totals, {})
+    table = _table("lipschitz", "delta", deltas, columns, delta_totals, base_spec,
+                   thresholds or DEFAULT_THRESHOLDS_LIPSCHITZ, floors={})
     for name in ("hyp_u_Linf", "hyp_Du_L2"):
         vals = columns[name]
         if min(vals) > 0 and max(vals) / min(vals) > 1.5:
-            flags.append(f"hypothesis-drift:{name}")
+            table.flags.append(f"hypothesis-drift:{name}")
 
-    ratio_spread = {}
+    ratio_spread = table.metadata["ratio_spread"] = {}
     if min(delta_totals) > 0:
         for col in LIPSCHITZ_BOUND_COLUMNS:
             ratios = np.asarray(columns[col]) / np.asarray(delta_totals)
             if ratios.min() > 0:
                 ratio_spread[col] = float(ratios.max() / ratios.min())
-
-    meta = {
-        "study": "lipschitz",
-        "grid": f"nx={g.nx} nt={g.nt} X={g.X:g} T={g.T:g}",
-        "config_hash": _config_hash(base_spec.source),
-        "ratio_spread": ratio_spread,
-    }
-    return ConvergenceTable(
-        param="delta", values=deltas, columns=columns, slopes=slopes,
-        flags=flags, thresholds=dict(thresholds or DEFAULT_THRESHOLDS_LIPSCHITZ),
-        metadata=meta)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -539,33 +554,17 @@ def run_homog_study(problem, eps_list, scheme=SchemeParams(), qe=INF, thresholds
     hs = hmg.solve_homogenized(problem, scheme)     # validates the averaged spec first
     floors = measure_floor(hs, coarse_spec, scheme, qe)
 
-    args = [(s, scheme, partial(_minus_reconstruction, hs, osc), qe)
-            for s, osc in zip(eps_specs, oscs)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(_member_columns, args))
-    else:
-        results = list(map(_member_columns, args))
-    columns = _stack(results)
+    columns = _run_members([(s, scheme, partial(_minus_reconstruction, hs, osc), qe)
+                            for s, osc in zip(eps_specs, oscs)], jobs)
 
-    slopes, flags, decades = _fit_columns(columns, eps_list, floors)
+    table = _table("homogenization", "eps", eps_list, columns, eps_list, problem,
+                   thresholds or DEFAULT_THRESHOLDS_HOMOG, floors)
     for col in HOMOG_BOUND_COLUMNS:
         vals = columns[col]
         for k in range(len(vals) - 1):
             if vals[k + 1] > 1.25 * vals[k]:
-                flags.append(f"nonmonotone:{col}@eps={eps_list[k + 1]:g}")
-
-    meta = {
-        "study": "homogenization",
-        "grid": f"nx={g.nx} nt={g.nt} X={g.X:g} T={g.T:g}",
-        "config_hash": _config_hash(problem.source),
-        "decades_above_floor": decades,
-    }
-    return ConvergenceTable(
-        param="eps", values=eps_list, columns=columns, slopes=slopes,
-        floors=floors, flags=flags,
-        thresholds=dict(thresholds or DEFAULT_THRESHOLDS_HOMOG), metadata=meta)
+                table.flags.append(f"nonmonotone:{col}@eps={eps_list[k + 1]:g}")
+    return table
 
 
 # ---------------------------------------------------------------------------

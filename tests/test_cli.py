@@ -1,3 +1,4 @@
+import importlib.util
 import inspect
 import json
 import os
@@ -813,6 +814,7 @@ def test_boundary_entry_the_family_does_not_use_exits_2(tmp_path, monkeypatch, c
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 COMMAND_OF = {"conservation_m1.json": "solve", "equilibrium.json": "solve",
               "pulse.json": "solve", "homog_benchmark.json": "study-homog",
+              "homog_quick.json": "study-homog",
               "lipschitz_benchmark.json": "study-lipschitz", "norm_demo.json": "norms"}
 
 
@@ -839,6 +841,17 @@ WRONG_KIND_CASES = [
 
 def test_every_shipped_config_is_walked():
     assert sorted(os.listdir(CONFIGS)) == sorted(COMMAND_OF)
+
+
+def test_quick_homog_config_is_the_benchmark_harness_quick_grid():
+    # `scripts/run_studies.py --quick` runs the shipped file; the harness's
+    # `homog` workload builds the same tree from the fixture
+    path = os.path.join(os.path.dirname(CONFIGS), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert cfgmod.load_config(os.path.join(CONFIGS, "homog_quick.json")) == \
+        workloads.homog_quick_config(os.path.dirname(CONFIGS))
 
 
 # a value of the wrong JSON kind is a config error naming its key (exit 2),

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -205,7 +206,7 @@ def test_config_round_trip(tmp_path):
     cfg = cfgmod.load_config("configs/pulse.json")
     spec1 = cfgmod.build_problem(cfg)
     path = tmp_path / "resaved.json"
-    cfgmod.save_config(cfg, path)
+    path.write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     spec2 = cfgmod.build_problem(cfgmod.load_config(path))
     assert spec1.grid == spec2.grid
     assert spec1.gas == spec2.gas

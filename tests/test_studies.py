@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields, replace
 from functools import partial
 from types import SimpleNamespace
@@ -163,6 +164,35 @@ def test_delta_itemizes_the_whole_force_difference_as_g1():
     assert items[1.0]["g1_l1"] > 0
     assert items[3.0]["g1_l1"] == pytest.approx(3.0 * items[1.0]["g1_l1"], rel=1e-12)
     assert items[1.0]["ig2_l2"] == 0.0 and items[3.0]["ig2_l2"] == 0.0
+
+
+def test_delta_f_item_is_positive_for_a_differing_f_and_zero_for_a_shared_one():
+    base = replace(spec_m(3), f=lambda chi, x, t: (1 + t) * np.ones_like(chi))
+    heated = replace(base, f=lambda chi, x, t: base.f(chi, x, t) + x * t)
+    assert compute_delta(base, heated)["f_h21star"] > 0
+
+    def unsampled(chi, x, t):
+        raise AssertionError("a force both specs share was sampled")
+
+    shared = replace(spec_m(3), g=unsampled, f=unsampled)
+    items = compute_delta(shared, replace(shared, theta0=shared.theta0 + 0.1))
+    assert items["f_h21star"] == 0.0 and items["g1_l1"] == 0.0
+    assert items["E0_hm13"] > 0
+
+
+def test_compute_delta_peaks_below_six_trajectory_arrays():
+    # the shipped study perturbs neither force, so neither is sampled
+    cfg = cfgmod.load_config("configs/lipschitz_benchmark.json")
+    base = cfgmod.build_problem(cfg["problem"])
+    pspec = cfgmod.perturbed_spec(base, cfg["study"]["patterns"], 0.1)
+    g = base.grid
+    tracemalloc.start()
+    try:
+        compute_delta(base, pspec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * (g.nt + 1) * g.nx * 8
 
 
 # every perturbation a study pattern can declare reaches the solve: a pattern
@@ -395,6 +425,16 @@ def test_lipschitz_study_rejects_short_sweep_before_solving(monkeypatch):
     monkeypatch.setattr(studies, "solve", _no_solve)
     with pytest.raises(ValueError, match="at least 4 rows"):
         run_lipschitz_study(spec_m(3), lambda spec, d: spec, 0.1, levels=3)
+
+
+def test_lipschitz_study_rejects_an_incompatible_spec_before_any_member(monkeypatch):
+    solves = []
+    record_calls(monkeypatch, solves, "solve", lambda *args, **kwargs: "solve")
+    base = spec_m(3, nx=16, nt=8)
+    with pytest.raises(IncompatibleSpecs, match="gas"):
+        run_lipschitz_study(base, lambda spec, d: replace(spec, gas=replace(GAS, k=1 + d)),
+                            0.1, levels=4)
+    assert solves == ["solve"]
 
 
 def test_homog_study_rejects_short_sweep_before_solving(monkeypatch):
@@ -665,3 +705,67 @@ def test_every_study_solve_streams_but_the_stored_reference(tmp_path, monkeypatc
         calls = record_solves(monkeypatch, tmp_path / f"homog{jobs}")
         run_homog_study(prob, eps, scheme=SchemeParams(store_stride=4), jobs=jobs)
         assert calls() == 5 * ["stream"]
+
+
+def record_calls(monkeypatch, events, name, note):
+    """Patch studies.<name> to append note(<its arguments>) to `events` on
+    each call in this process, then call through."""
+    real = getattr(studies, name)
+
+    def recording(*args, **kwargs):
+        events.append(note(*args, **kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(studies, name, recording)
+
+
+def test_each_study_runs_its_members_through_one_call(monkeypatch):
+    events = []
+    record_calls(monkeypatch, events, "_run_members", lambda args, jobs: (len(args), jobs))
+    record_calls(monkeypatch, events, "_member_columns", lambda args: "member")
+    cfg = cfgmod.load_config("configs/lipschitz_benchmark.json")
+    cfg["problem"]["grid"] = {"nx": 32, "nt": 40}
+    base = cfgmod.build_problem(cfg["problem"])
+    patterns = cfg["study"]["patterns"]
+    run_lipschitz_study(base, lambda spec, d: cfgmod.perturbed_spec(spec, patterns, d),
+                        0.1, levels=4, scheme=SchemeParams(store_stride=2))
+    assert events == [(4, 1)] + 4 * ["member"]
+
+    # the floor's coarse run is measure_floor's own _member_columns call
+    prob = picklable_two_scale_problem()
+    eps = [0.5, 0.25, 0.125, 0.0625]
+    events.clear()
+    run_homog_study(prob, eps, scheme=SchemeParams(store_stride=4), jobs=1)
+    assert events == ["member", (4, 1)] + 4 * ["member"]
+
+    # worker processes look _member_columns up by name, so with jobs = 2 only
+    # _run_members is recorded
+    monkeypatch.undo()
+    events.clear()
+    record_calls(monkeypatch, events, "_run_members", lambda args, jobs: (len(args), jobs))
+    run_homog_study(prob, eps, scheme=SchemeParams(store_stride=4), jobs=2)
+    assert events == [(4, 2)]
+
+
+def csv_header(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.readline()
+
+
+@pytest.mark.parametrize("study", ["lipschitz", "homog"])
+def test_report_header_is_the_benchmark_references(tmp_path, study):
+    # the benchmark harness requires a report's header to equal its
+    # reference table's, so the column order is part of the report
+    if study == "lipschitz":
+        cfg = cfgmod.load_config("configs/lipschitz_benchmark.json")
+        cfg["problem"]["grid"] = {"nx": 32, "nt": 40}
+        base = cfgmod.build_problem(cfg["problem"])
+        patterns = cfg["study"]["patterns"]
+        table = run_lipschitz_study(
+            base, lambda spec, d: cfgmod.perturbed_spec(spec, patterns, d), 0.1, levels=4)
+    else:
+        table = run_homog_study(picklable_two_scale_problem(), [0.5, 0.25, 0.125, 0.0625],
+                                scheme=SchemeParams(store_stride=4))
+    write_report(table, tmp_path / "report.csv")
+    assert csv_header(tmp_path / "report.csv") == \
+        csv_header(f"perfbench/reference/{study}_study.csv")
