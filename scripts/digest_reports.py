@@ -91,6 +91,23 @@ def _commands():
     # default 256-node cell quadrature
     forced_homog_default_nxi = json.loads(json.dumps(forced_homog_run))
     del forced_homog_default_nxi["nxi"]
+    # the other two bc families at nt = 200: 201 step times, three full row blocks
+    # of the Delta items and a 9-row tail, with boundary-series patterns and a
+    # finite qe (qe = 2 drops the primitive beta item)
+    lipschitz = _config("lipschitz_benchmark.json")
+    lipschitz["problem"]["grid"] = {"nx": 64, "nt": 200}
+    lipschitz_m1_qe2 = json.loads(json.dumps(lipschitz))
+    lipschitz_m1_qe2["problem"]["bc"] = {"m": 1, "u0": 0, "uX": 0, "pi0": 0, "piX": 0}
+    lipschitz_m1_qe2["study"]["qe"] = 2
+    patterns = lipschitz_m1_qe2["study"]["patterns"]
+    del patterns["p0b"], patterns["pXb"]
+    patterns.update(u0b="0.1*sin(3*t)", uXb="-0.1*t", pi0b="0.2*t")
+    lipschitz_m2_qe3 = json.loads(json.dumps(lipschitz))
+    lipschitz_m2_qe3["problem"]["bc"] = {"m": 2, "p0": 1, "uX": 0, "pi0": 0, "piX": 0}
+    lipschitz_m2_qe3["study"]["qe"] = 3
+    patterns = lipschitz_m2_qe3["study"]["patterns"]
+    del patterns["pXb"]
+    patterns.update(uXb="0.1*sin(2*t)", piXb="0.1*t")
     norm_runs = [(tag, {}) for tag in sorted(NAMED_NORMS)] + NORM_VARIANTS
     norm_cfgs = [dict(_config("norm_demo.json"), field=NORM_FIELD, norm=dict(keys, tag=tag))
                  for tag, keys in norm_runs]
@@ -113,6 +130,8 @@ def _commands():
          ["--eps-list", "0.125", "--stride", "4"]),
         ("study_homog_forced", "study-homog", forced_homog, []),
         ("study_lipschitz", "study-lipschitz", _config("lipschitz_benchmark.json"), []),
+        ("study_lipschitz_m1_qe2", "study-lipschitz", lipschitz_m1_qe2, []),
+        ("study_lipschitz_m2_qe3", "study-lipschitz", lipschitz_m2_qe3, []),
     ] + [(f"norms_{i:02d}_{cfg['norm']['tag']}", "norms", cfg, [])
          for i, cfg in enumerate(norm_cfgs)]
 
