@@ -57,22 +57,35 @@ def i_bracket(grid, y, m):
     raise ValueError(f"m must be 1, 2 or 3, got {m}")
 
 
-def time_primitive(b, times):
+def time_primitive(b, times, carry=None):
     """I_t b: cumulative trapezoid along axis 0, zero at t = 0.
 
     b may be a time series (nt+1,) or a space-time array (nt+1, nx[+1]);
     times may be nonuniform (strided snapshot storage).  The same expression,
     and so the same bits, as scipy's cumulative_trapezoid(..., initial=0).
+
+    A block of a longer series passes carry = (t, row, value): the time, the
+    row of b and the row of I_t b just before times[0].  The rows returned
+    continue that primitive, and carry the same bits as one call over the
+    whole series: the value is added to the first increment before the
+    cumsum, so the additions run in the order of the whole cumsum.
     """
     b = np.asarray(b, dtype=float)
-    dt = np.diff(np.asarray(times, dtype=float)).reshape((-1,) + (1,) * (b.ndim - 1))
+    times = np.asarray(times, dtype=float)
+    if carry is not None:
+        t0, b0, i0 = carry
+        b = np.concatenate([np.asarray(b0, dtype=float)[None], b])
+        times = np.concatenate([[t0], times])
+    dt = np.diff(times).reshape((-1,) + (1,) * (b.ndim - 1))
     out = np.zeros_like(b)
     # the increments dt * (b[1:] + b[:-1]) / 2.0, summed in place in out
     inc = np.add(b[1:], b[:-1], out=out[1:])
     inc *= dt
     inc /= 2.0
+    if carry is not None:
+        inc[0] += i0
     np.cumsum(inc, axis=0, out=inc)
-    return out
+    return out if carry is None else inc
 
 
 def difference_quotient(grid, y, j):

@@ -17,7 +17,8 @@ from .grid import edges_to_centers, integrate_x
 
 INF = float("inf")
 
-# snapshot rows a solve hands on, and a post-solve pass holds, at once
+# snapshot rows a solve hands on, and a post-solve pass holds, at once; and
+# the step times studies.compute_delta samples its data differences on at once
 ROW_BLOCK = 64
 
 # exponent pairs sampled for the [V2]* majorant: (q, r) with 1/(2q) + 1/r <= 5/4
@@ -57,12 +58,6 @@ def time_lr(s, times, r):
     if r == INF:
         return s.max()
     return np.trapezoid(s ** r, np.asarray(times)) ** (1.0 / r)
-
-
-def lqr_norm(grid, w, q, r, times):
-    """Anisotropic norm || ||w(.,t)||_{L^q(Omega)} ||_{L^r(0,T)} of w, shape
-    (ntimes, nx[+1]), sampled at `times`."""
-    return float(time_lr(space_lq(grid, w, q), times, r))
 
 
 def h_minus_one(grid, y, m):
@@ -127,14 +122,32 @@ def wh_spacetime_seminorm(grid, w, times, r=1.0, xi_weights=None):
     return float(term1 + term2)
 
 
-def v2star_majorant(grid, w, times):
-    """Computable stand-in for the [V2(Q)]* norm: min over the sampled
-    anisotropic exponent pairs."""
-    return min(lqr_norm(grid, w, q, r, times) for q, r in V2STAR_PAIRS)
+def v2star_rows(grid, w):
+    """The per-row values the [V2]* majorant reduces: the L^q(Omega) norm of
+    each row of w, one array per sampled exponent pair."""
+    return [space_lq(grid, w, q) for q, _ in V2STAR_PAIRS]
 
 
-def h21star_majorant(grid, F, m, kappa_floor, times):
-    """Majorant for the dual norm of the space used in the energy bound.
+def v2star_majorant(rows, times):
+    """Computable stand-in for the [V2(Q)]* norm, from v2star_rows' values on
+    the rows at `times`: each pair's L^r(0,T) norm of its row values, then the
+    minimum over the pairs."""
+    return min(float(time_lr(v, times, r)) for v, (_, r) in zip(rows, V2STAR_PAIRS))
+
+
+def h21star_rows(grid, F, m):
+    """The per-row values the H21* majorant reduces: ||F||_{L^1(Omega)} and
+    ||I^<m> F||_{L^2(Omega)} of each row of F and, for m = 3, <F>_Omega."""
+    F = np.asarray(F, dtype=float)
+    rows = [space_lq(grid, F, 1.0), space_lq(grid, i_bracket(grid, F, m), 2.0)]
+    if m == 3:
+        rows.append(mean_omega(grid, F))
+    return rows
+
+
+def h21star_majorant(grid, rows, kappa_floor, times):
+    """Majorant for the dual norm of the space used in the energy bound, from
+    h21star_rows' values on the rows at `times`.
 
     Two routes, minimum taken: the L^1(Q) route scaled by N = 1/kappa_floor,
     and the primitive route N ||I^<m> F||_{L^{2,1}} plus, for m = 3, the
@@ -142,14 +155,11 @@ def h21star_majorant(grid, F, m, kappa_floor, times):
     """
     if kappa_floor <= 0:
         raise NonpositiveFloor("kappa_floor must be positive")
-    F = np.asarray(F, dtype=float)
     N = 1.0 / kappa_floor
-    route_l1 = N * lqr_norm(grid, F, 1.0, 1.0, times)
-    ibf = i_bracket(grid, F, m)
-    route_prim = N * lqr_norm(grid, ibf, 2.0, 1.0, times)
-    if m == 3:
-        it_mean = time_primitive(mean_omega(grid, F), times)
-        route_prim += np.sqrt(grid.X) * time_lr(it_mean, times, 2.0)
+    route_l1 = N * float(time_lr(rows[0], times, 1.0))
+    route_prim = N * float(time_lr(rows[1], times, 1.0))
+    if len(rows) == 3:
+        route_prim += np.sqrt(grid.X) * time_lr(time_primitive(rows[2], times), times, 2.0)
     return float(min(route_l1, route_prim))
 
 
@@ -161,10 +171,12 @@ def w11_time_norm(b, times):
 
 
 NAMED_NORMS = {
-    "Lqr": lambda grid, w, times, q=2.0, r=2.0: lqr_norm(grid, w, q, r, times),
+    # the anisotropic norm || ||w(.,t)||_{L^q(Omega)} ||_{L^r(0,T)}
+    "Lqr": lambda grid, w, times, q=2.0, r=2.0: time_lr(space_lq(grid, w, q), times, r),
     "Hm1": lambda grid, w, times, m=3: h_minus_one(grid, w[0], m),
     "WH": lambda grid, w, times: wh_seminorm(grid, w[0]),
     "WHst": lambda grid, w, times, r=1.0: wh_spacetime_seminorm(grid, w, times, r),
-    "V2star": lambda grid, w, times: v2star_majorant(grid, w, times),
-    "H21star": lambda grid, w, times, m=3, kappa_floor=1.0: h21star_majorant(grid, w, m, kappa_floor, times),
+    "V2star": lambda grid, w, times: v2star_majorant(v2star_rows(grid, w), times),
+    "H21star": lambda grid, w, times, m=3, kappa_floor=1.0: h21star_majorant(
+        grid, h21star_rows(grid, w, m), kappa_floor, times),
 }

@@ -119,6 +119,23 @@ def test_time_primitive_is_bitwise_scipy_cumulative_trapezoid(uniform, width):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("width", [None, 7])
+@pytest.mark.parametrize("block", [1, 2, 13, 40])
+def test_time_primitive_carried_over_blocks_is_bitwise_one_call(width, block):
+    rng = np.random.default_rng(block)
+    t = np.sort(rng.uniform(0.0, 0.7, 41))
+    b = rng.normal(size=(41,) if width is None else (41, width))
+    want = time_primitive(b, t)
+    parts, carry = [], None
+    for start in range(0, len(t), block):
+        rows = slice(start, start + block)
+        parts.append(time_primitive(b[rows], t[rows], carry))
+        carry = (t[rows][-1], b[rows][-1], parts[-1][-1])
+    got = np.concatenate(parts)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_difference_quotient_linear_and_constant():
     g = make_grid()
     for j in (1, 5, 17):

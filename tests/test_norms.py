@@ -8,8 +8,9 @@ import hypothesis.strategies as st
 from gaslab.grid import Grid, du_centers, integrate_center
 from gaslab.calculus import i_bracket, mean_omega
 from gaslab import norms
-from gaslab.norms import (INF, BadExponent, h21star_majorant, h_minus_one, lqr_norm,
-                          space_lq, v2star_majorant, wh_seminorm, wh_spacetime_seminorm)
+from gaslab.norms import (INF, NAMED_NORMS, BadExponent, h21star_majorant, h21star_rows,
+                          h_minus_one, space_lq, v2star_majorant, v2star_rows, wh_seminorm,
+                          wh_spacetime_seminorm)
 from gaslab.twoscale import xi_quadrature, xi_sample
 
 
@@ -23,6 +24,12 @@ def xt_field(grid, fn):
 
 
 # --- anisotropic norms ------------------------------------------------------
+
+def lqr_norm(grid, w, q, r, times):
+    """The anisotropic L^{q,r} norm of w, as the Lqr tag of `gaslab norms`
+    evaluates it."""
+    return float(NAMED_NORMS["Lqr"](grid, w, times, q=q, r=r))
+
 
 def test_lqr_constant_fields():
     g = make_grid(T=2.0)
@@ -195,8 +202,9 @@ def test_space_lq_rejects_a_length_of_neither_centers_nor_edges():
 def test_v2star_majorant_zero_and_unit():
     g = make_grid()
     w = np.zeros((g.nt + 1, g.nx))
-    assert v2star_majorant(g, w, g.times()) == 0.0
-    assert v2star_majorant(g, np.ones_like(w), g.times()) == pytest.approx(1.0, rel=1e-12)
+    assert v2star_majorant(v2star_rows(g, w), g.times()) == 0.0
+    assert (v2star_majorant(v2star_rows(g, np.ones_like(w)), g.times())
+            == pytest.approx(1.0, rel=1e-12))
 
 
 def test_v2star_majorant_spike_selects_l21():
@@ -206,7 +214,7 @@ def test_v2star_majorant_spike_selects_l21():
     w[1:] = (tt[1:] ** -0.5)[:, None]
     pairs = {(q, r): lqr_norm(g, w, q, r, tt)
              for q, r in ((2.0, 1.0), (1.0, 4.0 / 3.0), (1.2, 1.2))}
-    val = v2star_majorant(g, w, tt)
+    val = v2star_majorant(v2star_rows(g, w), tt)
     assert val == pytest.approx(pairs[(2.0, 1.0)], rel=1e-12)
     assert val == min(pairs.values())
     # integral of t^{-1/2} over (0,1) is 2; trapezoid misses O(sqrt(dt))
@@ -215,7 +223,8 @@ def test_v2star_majorant_spike_selects_l21():
 
 def test_h21star_zero():
     g = make_grid(nx=64, nt=64)
-    assert h21star_majorant(g, np.zeros((g.nt + 1, g.nx)), 3, 0.1, g.times()) == 0.0
+    F = np.zeros((g.nt + 1, g.nx))
+    assert h21star_majorant(g, h21star_rows(g, F, 3), 0.1, g.times()) == 0.0
 
 
 def test_h21star_constant_m3():
@@ -223,14 +232,14 @@ def test_h21star_constant_m3():
     # min(N * 1, sqrt(X) ||t||_L2) = 1/sqrt(3) on the unit square with N = 1
     g = make_grid(nx=128, nt=512)
     F = np.ones((g.nt + 1, g.nx))
-    val = h21star_majorant(g, F, 3, 1.0, g.times())
+    val = h21star_majorant(g, h21star_rows(g, F, 3), 1.0, g.times())
     assert val == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-4)
 
 
 def test_h21star_sine_m1():
     g = make_grid(nx=128, nt=128)
     F = np.tile(np.sin(2 * np.pi * g.centers()), (g.nt + 1, 1))
-    val = h21star_majorant(g, F, 1, 1.0, g.times())
+    val = h21star_majorant(g, h21star_rows(g, F, 1), 1.0, g.times())
     # primitive route wins: ||I^<1> sin(2 pi x)||_{L2} = 1/(2 sqrt(2) pi)
     assert val == pytest.approx(1.0 / (2.0 * np.sqrt(2.0) * np.pi), rel=1e-3)
     assert val < lqr_norm(g, F, 1.0, 1.0, g.times())
@@ -263,7 +272,7 @@ NORMS = [
     lambda g, w, t: lqr_norm(g, w, 2.0, 2.0, t),
     lambda g, w, t: lqr_norm(g, w, INF, 1.0, t),
     lambda g, w, t: lqr_norm(g, w, 2.0, INF, t),
-    lambda g, w, t: v2star_majorant(g, w, t),
+    lambda g, w, t: v2star_majorant(v2star_rows(g, w), t),
 ]
 
 

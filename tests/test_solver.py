@@ -13,13 +13,19 @@ from gaslab import solver
 from gaslab.calculus import i_bracket, mean_omega, primitive_at_edges, time_primitive
 from gaslab.dsl import ExprFn
 from gaslab.grid import Grid, GasParams, edges_to_centers, sample_field
-from gaslab.norms import ROW_BLOCK, lqr_norm, space_lq
+from gaslab.norms import NAMED_NORMS, ROW_BLOCK, space_lq
 from gaslab.problem import (SNAPSHOT_FIELDS, BoundaryData, PerturbationSpec, ProblemSpec,
                             validate)
 from gaslab.solver import (NonFiniteState, NonlinearDivergence, PositivityLoss,
                            SchemeParams, diagnostics, solve)
 
 GAS = GasParams(nu=0.1, k=1.0, cV=1.0, lam=0.1)
+
+
+def lqr_norm(grid, w, q, r, times):
+    """The anisotropic L^{q,r} norm of w, as the Lqr tag of `gaslab norms`
+    evaluates it."""
+    return float(NAMED_NORMS["Lqr"](grid, w, times, q=q, r=r))
 
 
 def build_bc(g, m):

@@ -9,9 +9,12 @@ import pytest
 from gaslab import config as cfgmod
 from gaslab import homogenize as hmg
 from gaslab import studies
-from gaslab.grid import Grid, GasParams, du_centers
-from gaslab.norms import INF, ROW_BLOCK, h_minus_one, lqr_norm, space_lq, time_lr
-from gaslab.problem import ACTIVE_BC, BoundaryData, PerturbationSpec, ProblemSpec
+from gaslab.calculus import i_bracket, mean_omega, primitive_at_edges, time_primitive
+from gaslab.grid import Grid, GasParams, du_centers, edges_to_centers
+from gaslab.norms import (INF, NAMED_NORMS, ROW_BLOCK, V2STAR_PAIRS, h_minus_one, space_lq,
+                          time_lr, w11_time_norm)
+from gaslab.problem import (ACTIVE_BC, BoundaryData, PerturbationSpec, ProblemSpec,
+                            sample_field_times)
 from gaslab.solver import SchemeParams, _snapshot_indices, solve
 from gaslab.twoscale import OscillationSpec
 from gaslab.studies import (ConvergenceTable, DegenerateFit, IncompatibleSpecs,
@@ -21,6 +24,12 @@ from gaslab.studies import (ConvergenceTable, DegenerateFit, IncompatibleSpecs,
 from gaslab.homogenize import TwoScaleProblem
 
 GAS = GasParams(nu=0.1, k=1.0, cV=1.0, lam=0.1)
+
+
+def lqr_norm(grid, w, q, r, times):
+    """The anisotropic L^{q,r} norm of w, as the Lqr tag of `gaslab norms`
+    evaluates it."""
+    return float(NAMED_NORMS["Lqr"](grid, w, times, q=q, r=r))
 
 
 def spec_m(m, nx=64, nt=50):
@@ -180,19 +189,123 @@ def test_delta_f_item_is_positive_for_a_differing_f_and_zero_for_a_shared_one():
     assert items["E0_hm13"] > 0
 
 
-def test_compute_delta_peaks_below_six_trajectory_arrays():
-    # the shipped study perturbs neither force, so neither is sampled
+def shipped_lipschitz_pair(forces=None):
+    """The base spec of configs/lipschitz_benchmark.json and its delta = 0.1
+    member.  With forces = ((g, f), (g_hat, f_hat)), expressions in (chi, x,
+    t), the base takes the first pair and the member the second."""
     cfg = cfgmod.load_config("configs/lipschitz_benchmark.json")
+    if forces is None:
+        base = cfgmod.build_problem(cfg["problem"])
+        return base, cfgmod.perturbed_spec(base, cfg["study"]["patterns"], 0.1)
+    (g, f), (g_hat, f_hat) = forces
+    cfg["problem"]["data"].update(g=g, f=f)
     base = cfgmod.build_problem(cfg["problem"])
+    cfg["problem"]["data"].update(g=g_hat, f=f_hat)
+    forced = cfgmod.build_problem(cfg["problem"])
     pspec = cfgmod.perturbed_spec(base, cfg["study"]["patterns"], 0.1)
+    return base, replace(pspec, g=forced.g, f=forced.f)
+
+
+DIFFERING_FORCES = (("0.3*sin(3.141592653589793*chi)*cos(6*t)", "0.2*(1 + 0.5*cos(chi))"),
+                    ("0.4*sin(3.141592653589793*chi)*cos(6*t) + x*t",
+                     "0.3*(1 + 0.5*cos(chi))*t"))
+
+
+# the shipped study perturbs neither force, so neither is sampled; the second
+# case samples both force differences
+@pytest.mark.parametrize("forces", [None, DIFFERING_FORCES], ids=["shared", "differing"])
+def test_compute_delta_peaks_below_one_trajectory_array(forces):
+    base, pspec = shipped_lipschitz_pair(forces)
     g = base.grid
     tracemalloc.start()
     try:
-        compute_delta(base, pspec)
+        items = compute_delta(base, pspec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * (g.nt + 1) * g.nx * 8
+    assert (items["g1_l1"] > 0) == (forces is not None)
+    assert peak < (g.nt + 1) * g.nx * 8
+
+
+def whole_array_delta(base, perturbed, qe):
+    """Reference: compute_delta as it was before it reduced row blocks, each
+    data difference sampled on the whole (nt + 1, nx) grid and each majorant
+    taken of whole arrays."""
+    g = base.grid
+    m, cV = base.bc.m, base.gas.cV
+    tt, xc = g.times(), g.centers()
+    items = {}
+    items["eta0_l2"] = float(space_lq(g, perturbed.eta0 - base.eta0, 2.0))
+    items["u0_hm1"] = h_minus_one(g, np.asarray(perturbed.u0) - np.asarray(base.u0), m)
+    E0b = compute_E0(g, base.u0, base.theta0, base.eta0, base.bc, cV, m)
+    E0p = compute_E0(g, perturbed.u0, perturbed.theta0, perturbed.eta0, perturbed.bc, cV, m)
+    items["E0_hm13"] = h_minus_one(g, E0p - E0b, 3)
+    pert = perturbed.perturbation
+    beta_e = pert.beta_e_on(g)
+    items["beta_e_lqe"] = float(space_lq(g, beta_e, qe))
+    items["ub_w11"] = (w11_time_norm(perturbed.bc.u0_t - base.bc.u0_t, tt)
+                       + w11_time_norm(perturbed.bc.uX_t - base.bc.uX_t, tt))
+    items["pb_l1"] = float(time_lr(perturbed.bc.p0_t - base.bc.p0_t, tt, 1.0)
+                           + time_lr(perturbed.bc.pX_t - base.bc.pX_t, tt, 1.0))
+    items["pib_l1"] = float(time_lr(perturbed.bc.pi0_t - base.bc.pi0_t, tt, 1.0)
+                            + time_lr(perturbed.bc.piX_t - base.bc.piX_t, tt, 1.0))
+
+    b2 = sample_field_times(pert.beta, tt, xc)
+    items["beta1_v2star"] = 0.0
+    items["i3beta2_linf2"] = lqr_norm(g, i_bracket(g, b2, 3), INF, 2.0, tt)
+    if qe != 2.0:
+        it_i1b2 = time_primitive(i_bracket(g, b2, 1), tt)
+        items["it_i1beta2_lqe_inf"] = lqr_norm(g, it_i1b2, qe, INF, tt)
+    items["mean_beta2_l1"] = float(time_lr(mean_omega(g, b2), tt, 1.0))
+    gam = sample_field_times(pert.gamma, tt, xc)
+    items["gamma_v2star"] = min(lqr_norm(g, gam, q, r, tt) for q, r in V2STAR_PAIRS)
+
+    chi = edges_to_centers(primitive_at_edges(g, np.asarray(perturbed.eta0, dtype=float))
+                           + beta_e)
+
+    def force_diff(f_hat, f):
+        return sample_field_times(f_hat, tt, chi, xc) - sample_field_times(f, tt, chi, xc)
+
+    items["g1_l1"] = (0.0 if perturbed.g is base.g
+                      else lqr_norm(g, force_diff(perturbed.g, base.g), 1.0, 1.0, tt))
+    items["ig2_l2"] = 0.0
+    if perturbed.f is base.f:
+        items["f_h21star"] = 0.0
+    else:
+        F = force_diff(perturbed.f, base.f)
+        N = 1.0 / (1.0 / base.N)
+        route_l1 = N * lqr_norm(g, F, 1.0, 1.0, tt)
+        route_prim = N * lqr_norm(g, i_bracket(g, F, m), 2.0, 1.0, tt)
+        if m == 3:
+            it_mean = time_primitive(mean_omega(g, F), tt)
+            route_prim += np.sqrt(g.X) * time_lr(it_mean, tt, 2.0)
+        items["f_h21star"] = float(min(route_l1, route_prim))
+    return items
+
+
+@pytest.mark.parametrize("nrows", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 5])
+@pytest.mark.parametrize("qe", [2.0, 3.0, INF])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_blocked_delta_is_bitwise_the_whole_array_reference(m, qe, nrows):
+    base = replace(spec_m(m, nx=24, nt=nrows - 1),
+                   g=lambda chi, x, t: np.sin(np.pi * chi) * np.cos(6 * t),
+                   f=lambda chi, x, t: 0.2 * (1 + 0.5 * np.cos(chi)) * (1 + t))
+    patterns = {"eta0": "0.5*sin(2*3.141592653589793*x)", "u0": "cos(3.141592653589793*x)",
+                "theta0": "0.3*(1 - x)", "beta": "sin(2*3.141592653589793*x)*(1 + t)",
+                "gamma": "0.5*cos(3.141592653589793*x)*t",
+                "beta_e": "0.2*sin(3.141592653589793*x)",
+                **{name + "b": "0.1*sin(3*t)" for name in ACTIVE_BC[m]}}
+    pspec = replace(cfgmod.perturbed_spec(base, patterns, 0.1),
+                    g=lambda chi, x, t: base.g(chi, x, t) + 0.1 * x * t,
+                    f=lambda chi, x, t: base.f(chi, x, t) * (1 + 0.1 * np.sin(5 * x * t)))
+    got = compute_delta(base, pspec, qe=qe)
+    want = whole_array_delta(base, pspec, qe)
+    assert list(got) == list(want)
+    for k in want:
+        assert np.float64(got[k]).tobytes() == np.float64(want[k]).tobytes(), k
+    # every space-time item sees data
+    assert all(want[name] > 0 for name, diff, *_ in studies.DELTA_ITEMS
+               if diff is not None and name in want)
 
 
 # every perturbation a study pattern can declare reaches the solve: a pattern
