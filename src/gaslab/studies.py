@@ -167,21 +167,22 @@ def _lr(r):
 
 # Delta's space-time items, each a per-row space rule on one sampled data
 # difference followed by a time rule over the values of every step time:
-#   (name, sampled difference, space rule (grid, m, qe, block) -> [per-row values],
-#    time rule (grid, N, [values on every row], times) -> item)
-# The sampled differences, each on a block of step times:
+#   (name, sampled difference, space rule (grid, m, qe, rows) -> [per-row values],
+#    time rule (grid, N, [values on every step time], times) -> item)
+# The sampled differences:
 #   "beta"      beta at the cell centers (all of beta is beta2);
-#   "gamma"     gamma at the cell centers, although the solver applies it
-#               at the cell edges;
-#   "it_i1beta" I_t I^<1> beta, the time primitive of the "beta" rows' I^<1>,
-#               running on from the block before;
-#   "g", "f"    the force difference, perturbed minus base, at (chi, x_c)
-#               with chi the perturbed spec's initial Eulerian map, held
-#               constant in time; not sampled for a force both specs share;
-#   None        never sampled: a literal 0 column the benchmark reference
+#   "gamma"     gamma at the cell centers, though the solver applies it at
+#               the cell edges;
+#   "it_i1beta" I_t I^<1> beta, the time primitive of I^<1> of the "beta"
+#               rows, carried from block to block;
+#   "g", "f"    the force difference, perturbed minus base, at (chi, x) on
+#               the cell centers, chi the perturbed spec's initial Eulerian
+#               map held constant in time; not sampled for a force both
+#               specs share;
+#   None        never sampled: a literal 0 column the benchmark's reference
 #               lipschitz_study.csv pins (the split takes beta1 = 0, g2 = 0).
-# An item whose difference is not sampled is 0.0, except it_i1beta2_lqe_inf,
-# which qe = 2 drops.
+# An item whose difference is not sampled is 0.0, but qe = 2 drops
+# it_i1beta2_lqe_inf.
 DELTA_ITEMS = (
     ("beta1_v2star", None, None, None),
     ("i3beta2_linf2", "beta", lambda g, m, qe, y: [space_lq(g, i_bracket(g, y, 3), INF)],
@@ -253,19 +254,18 @@ def compute_delta(base, perturbed, qe=INF):
                 "gamma": lambda t: sample_field_times(pert.gamma, t, xc)}
     for name in ("g", "f"):
         hat, f = getattr(perturbed, name), getattr(base, name)
-        if hat is not f:
+        if hat is not f:            # a force both specs share is not sampled
             samplers[name] = lambda t, hat=hat, f=f: (sample_field_times(hat, t, chi, xc)
                                                       - sample_field_times(f, t, chi, xc))
 
     # each block samples one difference at a time, and its items reduce it
     # before the next is sampled
-    per = {name: [] for name, diff, _, _ in DELTA_ITEMS
-           if diff in samplers or diff == "it_i1beta" and qe != 2.0}
+    per = {}
 
     def reduce_rows(diff, y):
         for name, item_diff, space_rule, _ in DELTA_ITEMS:
             if item_diff == diff:
-                per[name].append(space_rule(g, m, qe, y))
+                per.setdefault(name, []).append(space_rule(g, m, qe, y))
 
     carry = None
     for start in range(0, len(tt), ROW_BLOCK):
