@@ -20,8 +20,7 @@ from . import studies
 from .grid import edges_to_centers
 from .norms import NAMED_NORMS
 from .problem import sample_field_times, validate
-from .solver import (NonFiniteState, NonlinearDivergence, PositivityLoss, ResidualRows,
-                     diagnostics, solve)
+from .solver import NonFiniteState, NonlinearDivergence, PositivityLoss, diagnostics, solve
 from .twoscale import OscillationSpec
 
 
@@ -198,21 +197,16 @@ def _cmd_solve(args):
             print(f"invalid config: {p}", file=sys.stderr)
         return 2
     scheme = cfgmod.build_scheme(cfg)
-    # the kept rows stream into the residuals and into a temporary file,
-    # which becomes snapshots.csv only once the solve succeeded; --out is
-    # made only then
-    residual_rows = ResidualRows(spec)
+    # the kept rows stream into a temporary file, which becomes
+    # snapshots.csv only once the solve succeeded; --out is made only then
     tmp = os.path.join(_existing_dir(args.out), f".snapshots.csv.{os.getpid()}.tmp")
     try:
         with open(tmp, "xb") as fh:
             fh.write(_SNAPSHOT_HEADER)
             x = spec.grid.centers()
-
-            def rows(block):
-                residual_rows(block)
-                _write_rows(fh, x, block, args.stride, block.rows.start)
-            sol = solve(spec, scheme, rows=rows)
-        rep = diagnostics(sol, spec, residual_rows)
+            sol = solve(spec, scheme, rows=lambda block: _write_rows(
+                fh, x, block, args.stride, block.rows.start))
+        rep = diagnostics(sol, spec)
         os.makedirs(args.out, exist_ok=True)
         os.replace(tmp, os.path.join(args.out, "snapshots.csv"))
     finally:

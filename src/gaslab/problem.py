@@ -19,7 +19,7 @@ import numpy as np
 from . import dsl
 from .calculus import time_primitive
 from .grid import Grid, GasParams, integrate_center, sample_field
-from .norms import ROW_BLOCK, space_lq, time_lr, w11_time_norm
+from .norms import space_lq, time_lr, w11_time_norm
 
 
 BC_NAMES = ("u0", "uX", "p0", "pX", "pi0", "piX")
@@ -260,9 +260,9 @@ class RowBlock:
 @dataclass
 class SolutionBundle:
     """Trajectories stored at the snapshot steps `steps` (a subset of
-    0..nt, at times `times`), plus per-step scalar tracks at full step
-    resolution.  A solve that streamed its rows stores none: its snapshot
-    fields are None.
+    0..nt, at times `times`), the identity residuals on those rows, plus
+    per-step scalar tracks at full step resolution.  A solve that streamed
+    its rows stores no trajectory: its snapshot fields are None.
 
     it_sigma / it_p / it_g are trapezoid accumulations over every step,
     snapshotted together with the fields, so time primitives of the stress
@@ -281,6 +281,8 @@ class SolutionBundle:
     it_sigma: np.ndarray           # (ns, nx)
     it_p: np.ndarray               # (ns, nx)
     it_g: np.ndarray               # (ns, nx+1)
+    logvol_residual: np.ndarray    # (ns,) L2 residuals, see solver.diagnostics
+    stress_repr_residual: np.ndarray   # (ns,)
     volume: np.ndarray             # (nt+1,)
     it_boundary_du: np.ndarray     # (nt+1,) scheme-consistent I_t(uX - u0)
     it_beta_volume: np.ndarray     # (nt+1,) scheme-consistent I_t int(beta)
@@ -289,12 +291,3 @@ class SolutionBundle:
     substeps: np.ndarray           # (nt,) effective substeps per nominal step
     picard_sweeps: np.ndarray      # (nt,) Picard sweeps over those substeps
     energy: dict
-
-    def row_blocks(self):
-        """The stored rows as RowBlocks of views, ROW_BLOCK rows each: the
-        blocks solver.solve streams."""
-        n = len(self.steps)
-        for start in range(0, n, ROW_BLOCK):
-            rows = slice(start, min(start + ROW_BLOCK, n))
-            yield RowBlock(rows, self.steps[rows], self.times[rows],
-                           *(getattr(self, name)[rows] for name in SNAPSHOT_FIELDS))

@@ -209,7 +209,6 @@ class _Parts(NamedTuple):
 
     visc: np.ndarray               # nu rho (Du + beta) at the centers
     minus_k_rho: np.ndarray        # -k rho at the centers
-    edge_sum: np.ndarray           # eta_j + eta_{j+1} at the interior edges
     f: np.ndarray                  # the heat source sampled at the state
     min_eta: float
     min_theta: float
@@ -323,10 +322,10 @@ class _Stepper:
     # -- instantaneous derived fields ------------------------------------
 
     def rates(self, state, t, parts=None):
-        """(sigma, p, g, pi, work rate) of a state at time t: the stress, the
-        pressure, the body force, the heat flux and the rate of change of the
-        total energy (the work of the boundary stresses and heat fluxes, plus
-        int g u and int f).
+        """(sigma, p, g, work rate) of a state at time t: the stress, the
+        pressure, the body force and the rate of change of the total energy
+        (the work of the boundary stresses and heat fluxes, plus int g u and
+        int f).
 
         `parts` are the _Parts that the last Picard sweep left at the state;
         without them (at t = 0) they are built from the state, to the same
@@ -340,30 +339,35 @@ class _Stepper:
             du_beta = du_centers(self.grid, u)
             if self.has_beta:
                 du_beta += b["beta"]
-            parts = _Parts(gas.nu * rho * du_beta, -gas.k * rho, eta[:-1] + eta[1:],
-                           self.f_at(x_e, t), np.minimum.reduce(eta),
-                           np.minimum.reduce(theta))
+            parts = _Parts(gas.nu * rho * du_beta, -gas.k * rho, self.f_at(x_e, t),
+                           np.minimum.reduce(eta), np.minimum.reduce(theta))
         sig = parts.visc + parts.minus_k_rho * theta
         p = gas.k * theta / eta
-        pi = np.empty(self.grid.nx + 1)
-        flux = pi[1:-1]
-        np.subtract(theta[1:], theta[:-1], out=flux)
-        flux /= self.dx
-        if self.has_gamma:
-            flux += b["gamma"][1:-1]
-        flux *= gas.lam * (2.0 / parts.edge_sum)
-        pi[0] = b["pi0"]
-        pi[-1] = b["piX"]
         g = self.g_at(x_e, t)
 
         s0 = -b["p0"] if self.bc.m in (2, 3) else sig[0]
         sX = -b["pX"] if self.bc.m == 3 else sig[-1]
-        work_rate = sX * u[-1] - s0 * u[0] + pi[-1] - pi[0]
+        work_rate = sX * u[-1] - s0 * u[0] + b["piX"] - b["pi0"]
         if self.has_g:
             work_rate += integrate_edge(self.grid, g * u)
         if self.has_f:
             work_rate += integrate_center(self.grid, parts.f)
-        return sig, p, g, pi, work_rate
+        return sig, p, g, work_rate
+
+    def heat_flux(self, state, t, out):
+        """Write the heat flux pi of a state at time t into `out`, at the
+        edges: the data pi0 and piX at the ends, lam (theta_x + gamma) / eta
+        with eta averaged to the interior edges."""
+        eta, _, theta = state[:3]
+        b = self.time_data(t)
+        flux = out[1:-1]
+        np.subtract(theta[1:], theta[:-1], out=flux)
+        flux /= self.dx
+        if self.has_gamma:
+            flux += b["gamma"][1:-1]
+        flux *= self.gas.lam * (2.0 / (eta[:-1] + eta[1:]))
+        out[0] = b["pi0"]
+        out[-1] = b["piX"]
 
     # -- one substep of size h -------------------------------------------
 
@@ -559,7 +563,7 @@ class _Stepper:
         if not reads_x_e:
             x_e_s = _trapezoid(x_e_n, u_n, u_s, half_h_)
         # the last sweep sampled f at the x_e it returns
-        parts = _Parts(visc, minus_k_rho, edge_sum, f_new, min_eta, min_theta)
+        parts = _Parts(visc, minus_k_rho, f_new, min_eta, min_theta)
         return (eta_s, u_s, theta_s, x_e_s, w_s), parts, sweep
 
 
@@ -586,7 +590,6 @@ class _StepRecord:
     sigma: np.ndarray
     p: np.ndarray
     g: np.ndarray
-    pi: np.ndarray
     work_rate: float
     min_eta: float
     min_theta: float
@@ -601,18 +604,19 @@ class _StepRecord:
         minima and the last substep's start carried over, increments and
         sweeps reset."""
         return _StepRecord(self.it_sigma, self.it_p, self.it_g, self.sigma, self.p, self.g,
-                           self.pi, self.work_rate, self.min_eta, self.min_theta, self.before)
+                           self.work_rate, self.min_eta, self.min_theta, self.before)
 
 
 def solve(spec, scheme=SchemeParams(), rows=None):
     """Run the time stepper over (0, T); returns a SolutionBundle.
 
     The kept rows (store_stride, dense_steps) are written to one buffer of
-    ROW_BLOCK rows.  Each full block, and the last one, is copied into the
-    bundle's snapshot fields, or with `rows` given is passed to rows(block),
-    a RowBlock of views of the buffer, and kept nowhere: the bundle then
-    stores no snapshot fields, only its steps, times, tracks, minima,
-    substeps and Picard sweeps.
+    ROW_BLOCK rows.  Each full block, and the last one, first gives the
+    log-volume and stress-representation residuals of its rows, then is
+    copied into the bundle's snapshot fields, or with `rows` given is passed
+    to rows(block), a RowBlock of views of the buffer, and kept nowhere: the
+    bundle then stores no snapshot fields, only its steps, times, residual
+    rows, tracks, minima, substeps and Picard sweeps.
 
     Caller is responsible for spec admissibility (see problem.validate).
     Raises PositivityLoss or NonlinearDivergence when adaptive step halving
@@ -637,7 +641,8 @@ def solve(spec, scheme=SchemeParams(), rows=None):
 
     keep = _snapshot_indices(nt, scheme.store_stride, scheme.dense_steps)
     steps = np.asarray(keep)
-    times = g.times()[keep]
+    tt = g.times()
+    times = tt[keep]
     slot = {n: i for i, n in enumerate(keep)}
     buf = {name: np.empty((ROW_BLOCK, g.nx + (name in ("u", "x_e", "pi", "it_g"))))
            for name in SNAPSHOT_FIELDS}
@@ -653,12 +658,31 @@ def solve(spec, scheme=SchemeParams(), rows=None):
     volume, kinetic, internal, it_bdu, it_bvol, it_work = tracks
     substeps = np.ones(nt, dtype=int)
     picard_sweeps = np.zeros(nt, dtype=int)
+    # the residuals of the log-volume and stress-representation identities on
+    # each kept row, against the initial state
+    logvol, stress_repr = np.empty((2, len(keep)))
+    m, nu_log_eta0, u_init = spec.bc.m, gas.nu * np.log(eta), u
+    it_p0, it_pX = time_primitive(spec.bc.p0_t, tt), time_primitive(spec.bc.pX_t, tt)
+    prof0, profX = 1.0 - g.centers() / g.X, g.centers() / g.X
 
-    def commit(n, state, rec):
-        """Write step n: the tracks, one scalar each, the last three by
-        adding the record's increments, and its row of the buffer when n is
-        kept; pass the buffer on when that fills it or n is the last step,
-        which is always kept."""
+    def residuals(block):
+        lhs = gas.nu * np.log(block.eta) - nu_log_eta0 - block.it_sigma - block.it_p
+        logvol[block.rows] = space_lq(g, lhs, 2.0)
+        u_dev = edges_to_centers(block.u - u_init - block.it_g)
+        if m == 1:
+            rhs = i_bracket(g, u_dev, 1) + mean_omega(g, block.it_sigma)[:, None]
+        elif m == 2:
+            rhs = i_bracket(g, u_dev, 2) - it_p0[block.steps, None]
+        else:
+            rhs = i_bracket(g, u_dev, 3) - it_p0[block.steps, None] * prof0 \
+                - it_pX[block.steps, None] * profX
+        stress_repr[block.rows] = space_lq(g, block.it_sigma - rhs, 2.0)
+
+    def commit(n, state, rec, t):
+        """Write step n, which ends at time t: the tracks, one scalar each,
+        the last three by adding the record's increments, and its row of the
+        buffer when n is kept, with the heat flux at t; pass the buffer on
+        when that fills it or n is the last step, which is always kept."""
         eta, u, theta = state[:3]
         volume[n] = integrate_center(g, eta)
         kinetic[n] = integrate_edge(g, 0.5 * u ** 2)
@@ -671,16 +695,19 @@ def solve(spec, scheme=SchemeParams(), rows=None):
             i = slot[n] % ROW_BLOCK
             for name, arr in zip(("eta", "u", "theta", "x_e"), state):
                 buf[name][i] = arr
-            for name in ("sigma", "pi", "it_sigma", "it_p", "it_g"):
+            for name in ("sigma", "it_sigma", "it_p", "it_g"):
                 buf[name][i] = getattr(rec, name)
+            stepper.heat_flux(state, t, buf["pi"][i])
             if i == ROW_BLOCK - 1 or n == nt:
-                block = slice(slot[n] - i, slot[n] + 1)
-                rows(RowBlock(block, steps[block], times[block],
-                              *(buf[name][:i + 1] for name in SNAPSHOT_FIELDS)))
+                kept = slice(slot[n] - i, slot[n] + 1)
+                block = RowBlock(kept, steps[kept], times[kept],
+                                 *(buf[name][:i + 1] for name in SNAPSHOT_FIELDS))
+                residuals(block)
+                rows(block)
 
     rec = _StepRecord(np.zeros(g.nx), np.zeros(g.nx), np.zeros(g.nx + 1),
                       *stepper.rates(state, 0.0), eta.min(), theta.min())
-    commit(0, state, rec)
+    commit(0, state, rec, 0.0)
 
     for n in range(nt):
         t0 = n * dt
@@ -698,7 +725,7 @@ def solve(spec, scheme=SchemeParams(), rows=None):
                     trial.before = history
                     trial.sweeps += sweeps
                     u1 = st[1]
-                    sig1, p1, g1, pi1, wr1 = stepper.rates(st, ts + h, parts)
+                    sig1, p1, g1, wr1 = stepper.rates(st, ts + h, parts)
                     trial.it_sigma = _trapezoid(trial.it_sigma, trial.sigma, sig1, half_h_)
                     trial.it_p = _trapezoid(trial.it_p, trial.p, p1, half_h_)
                     if stepper.has_g:
@@ -707,8 +734,7 @@ def solve(spec, scheme=SchemeParams(), rows=None):
                     if stepper.has_beta:
                         trial.bvol += h * stepper.time_data(ts + h)["int_beta"]
                     trial.work += half_h * (trial.work_rate + wr1)
-                    trial.sigma, trial.p, trial.g, trial.pi, trial.work_rate = \
-                        sig1, p1, g1, pi1, wr1
+                    trial.sigma, trial.p, trial.g, trial.work_rate = sig1, p1, g1, wr1
                     trial.min_eta = min(trial.min_eta, parts.min_eta)
                     trial.min_theta = min(trial.min_theta, parts.min_theta)
             except _Retry as r:
@@ -723,7 +749,7 @@ def solve(spec, scheme=SchemeParams(), rows=None):
                 raise NonlinearDivergence(n + 1)
             raise PositivityLoss(last_retry.t, last_retry.kind)
 
-        commit(n + 1, state, rec)
+        commit(n + 1, state, rec, ts + h)
 
     energy = {
         "kinetic": kinetic,
@@ -732,7 +758,8 @@ def solve(spec, scheme=SchemeParams(), rows=None):
         "boundary_and_source_work": it_work,
     }
     return SolutionBundle(
-        grid=g, steps=steps, times=times, **snap, volume=volume,
+        grid=g, steps=steps, times=times, **snap, logvol_residual=logvol,
+        stress_repr_residual=stress_repr, volume=volume,
         it_boundary_du=it_bdu, it_beta_volume=it_bvol,
         min_eta=float(rec.min_eta), min_theta=float(rec.min_theta),
         substeps=substeps, picard_sweeps=picard_sweeps, energy=energy)
@@ -749,45 +776,7 @@ class DiagnosticsReport:
     energy_residual: float
 
 
-class ResidualRows:
-    """The per-block rule of diagnostics: the values of the two C(0,T;L2)
-    residuals on each kept row, gathered from RowBlocks passed in order
-    from row 0, as solve(spec, scheme, rows) streams them.  Keeps row 0's
-    eta and u, no other row; diagnostics reduces what it gathered."""
-
-    def __init__(self, spec):
-        g = spec.grid
-        self.spec = spec
-        tt = g.times()
-        self.it_p0 = time_primitive(spec.bc.p0_t, tt)
-        self.it_pX = time_primitive(spec.bc.pX_t, tt)
-        xc = g.centers()
-        self.prof0 = (1.0 - xc / g.X)[None, :]
-        self.profX = (xc / g.X)[None, :]
-        self.logvol, self.stress = [], []
-
-    def __call__(self, block):
-        spec, g = self.spec, self.spec.grid
-        if block.rows.start == 0:
-            self.nu_log_eta0 = spec.gas.nu * np.log(block.eta[0])
-            self.u0 = block.u[0].copy()
-        lhs = spec.gas.nu * np.log(block.eta) - self.nu_log_eta0[None, :] \
-            - block.it_sigma - block.it_p
-        self.logvol.append(space_lq(g, lhs, 2.0))
-
-        it_sigma, m = block.it_sigma, spec.bc.m
-        u_dev = edges_to_centers(block.u - self.u0[None, :] - block.it_g)
-        if m == 1:
-            rhs = i_bracket(g, u_dev, 1) + mean_omega(g, it_sigma)[:, None]
-        elif m == 2:
-            rhs = i_bracket(g, u_dev, 2) - self.it_p0[block.steps, None]
-        else:
-            rhs = i_bracket(g, u_dev, 3) - self.it_p0[block.steps, None] * self.prof0 \
-                - self.it_pX[block.steps, None] * self.profX
-        self.stress.append(space_lq(g, it_sigma - rhs, 2.0))
-
-
-def diagnostics(sol, spec, residual_rows=None):
+def diagnostics(sol, spec):
     """Exact-identity residuals for a solve of `spec`.
 
     volume_residual: gas-volume identity (m = 1 families; 0.0 otherwise),
@@ -798,18 +787,12 @@ def diagnostics(sol, spec, residual_rows=None):
     energy_residual: max over steps of |E_n - E_0 - W_n|, the total energy
     against the boundary and source work; consistent at scheme order.
 
-    volume_residual and energy_residual read the tracks, so every step.
-    logvol_residual and stress_repr_residual are maxima over the kept rows
-    (store_stride, dense_steps) alone, so a larger stride can read lower.
-    Those two come from `residual_rows`, a ResidualRows that saw every block
-    of a solve that streamed its rows, or else from the bundle's stored
-    rows, one RowBlock at a time; no temporary spans the whole trajectory.
+    A reduction of what solve recorded, the same whether it stored or
+    streamed its rows.  volume_residual and energy_residual read the tracks,
+    so every step.  logvol_residual and stress_repr_residual are maxima of
+    the bundle's residual rows, so over the kept rows (store_stride,
+    dense_steps) alone, and a larger stride can read lower.
     """
-    if residual_rows is None:
-        residual_rows = ResidualRows(spec)
-        for block in sol.row_blocks():
-            residual_rows(block)
-
     if spec.bc.m == 1:
         res_vol = float(np.abs(sol.volume - sol.volume[0]
                                - sol.it_boundary_du - sol.it_beta_volume).max())
@@ -818,8 +801,8 @@ def diagnostics(sol, spec, residual_rows=None):
 
     return DiagnosticsReport(
         volume_residual=res_vol,
-        logvol_residual=float(np.concatenate(residual_rows.logvol).max()),
-        stress_repr_residual=float(np.concatenate(residual_rows.stress).max()),
+        logvol_residual=float(sol.logvol_residual.max()),
+        stress_repr_residual=float(sol.stress_repr_residual.max()),
         energy_residual=float(np.abs(sol.energy["total"] - sol.energy["total"][0]
                                      - sol.energy["boundary_and_source_work"]).max()),
     )

@@ -420,10 +420,13 @@ def test_formatting_one_snapshot_allocates_under_2_mib():
 
 
 def fail_after_one_block(monkeypatch):
-    """Make cli.solve stream the first block of rows, then fail."""
+    """Make cli.solve stream the first block of rows, then fail from inside
+    its rows callback."""
     def non_finite(spec, scheme, rows):
-        rows(next(solve(spec, scheme).row_blocks()))
-        raise NonFiniteState(0.05, "u")
+        def first_block_then_fail(block):
+            rows(block)
+            raise NonFiniteState(0.05, "u")
+        return solve(spec, scheme, rows=first_block_then_fail)
 
     monkeypatch.setattr(cli, "solve", non_finite)
 

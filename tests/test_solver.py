@@ -445,7 +445,9 @@ def test_rates_fed_the_last_sweep_match_rates_from_the_state(m):
             fed = stepper.rates(new, t1, parts)
             rebuilt = stepper.rates(new, t1)
             assert (parts.min_eta, parts.min_theta) == (new[0].min(), new[2].min())
-            for name, a, b in zip(("sigma", "p", "g", "pi", "work_rate"), fed, rebuilt):
+            names = ("sigma", "p", "g", "work_rate")
+            assert len(fed) == len(rebuilt) == len(names)
+            for name, a, b in zip(names, fed, rebuilt):
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (present, n, name)
             history = ((state, g.dt),) + history[:1]
             state = new
@@ -665,16 +667,16 @@ def test_non_finite_initial_data_raises():
         solve(replace(spec, theta0=theta0))
 
 
-# --- blocked diagnostics against the whole-array passes ---------------------
+# --- residual rows against the whole-array passes ----------------------------
 
 def whole_array_residuals(sol, spec):
-    """Reference: the logvol and stress-representation residuals computed on
-    the whole (ns, nx) trajectory at once, as diagnostics did before it read
-    the bundle in row blocks."""
+    """Reference: the logvol and stress-representation residuals on each kept
+    row, computed on the whole (ns, nx) trajectory at once, as diagnostics
+    did before the residuals were computed in row blocks."""
     g, gas = sol.grid, spec.gas
     lhs = gas.nu * np.log(sol.eta) - gas.nu * np.log(sol.eta[0])[None, :] \
         - sol.it_sigma - sol.it_p
-    res_logvol = float(space_lq(g, lhs, 2.0).max())
+    res_logvol = space_lq(g, lhs, 2.0)
 
     u_dev = edges_to_centers(sol.u - sol.u[0][None, :] - sol.it_g)
     m = spec.bc.m
@@ -692,50 +694,49 @@ def whole_array_residuals(sol, spec):
             prof0 = (1.0 - xc / g.X)[None, :]
             profX = (xc / g.X)[None, :]
             rhs = rhs - it_p0[:, None] * prof0 - it_pX[:, None] * profX
-    res_stress = float(space_lq(g, sol.it_sigma - rhs, 2.0).max())
+    res_stress = space_lq(g, sol.it_sigma - rhs, 2.0)
     return res_logvol, res_stress
 
 
-def first_rows(sol, n):
-    """The bundle cut to its first n snapshots."""
-    return replace(sol, steps=sol.steps[:n], times=sol.times[:n],
-                   **{name: getattr(sol, name)[:n] for name in SNAPSHOT_FIELDS})
-
-
+@pytest.mark.parametrize("kept", [2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1])
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_blocked_diagnostics_match_whole_array_passes(m):
-    # forced, with time-dependent boundary stresses; stride 2 over nt = 120
-    # with 8 dense steps stores B + 1 = 65 rows
-    g = Grid(X=1.0, T=0.1, nx=48, nt=120)
+def test_residual_rows_match_whole_array_passes(m, kept):
+    # forced, with time-dependent boundary stresses, at dt = 1/1200; a
+    # stride-1 solve of kept - 1 steps keeps `kept` rows: the fewest any
+    # solve keeps (steps 0 and nt), a block short of one row, one full
+    # block, and a block with a one-row tail
+    nt = kept - 1
+    g = Grid(X=1.0, T=nt / 1200, nx=48, nt=nt)
     bc = {1: BoundaryData.build(g, m=1, u0="0.05*sin(9*t)", uX=0.0, pi0=0.0, piX=0.0),
           2: BoundaryData.build(g, m=2, p0="1 + 0.1*sin(9*t)", uX=0.0, pi0=0.0, piX=0.0),
           3: BoundaryData.build(g, m=3, p0="1 + 0.1*sin(9*t)", pX="1 - 0.1*t",
                                 pi0=0.0, piX=0.0)}[m]
-    spec = replace(pulse_spec(48, 120, m, T=0.1), bc=bc,
+    spec = replace(pulse_spec(48, nt, m, T=g.T), bc=bc,
                    g=lambda chi, x, t: 0.5 * np.sin(2 * np.pi * chi),
                    f=lambda chi, x, t: 0.5 + 0.25 * np.cos(2 * np.pi * chi))
-    sol = solve(spec, SchemeParams(store_stride=2, dense_steps=8))
-    assert len(sol.steps) == ROW_BLOCK + 1
-    for n in (1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1):
-        part = first_rows(sol, n)
-        rep = diagnostics(part, spec)
-        assert (rep.logvol_residual, rep.stress_repr_residual) == \
-            whole_array_residuals(part, spec)
-
-
-def test_diagnostics_peak_memory_is_a_few_row_blocks():
-    # a stride-1 bundle of 2,000 steps is 18.5 MB; the whole-array passes
-    # allocated about half of that
-    spec = pulse_spec(128, 2000, 3)
     sol = solve(spec, SchemeParams(store_stride=1))
-    block = ROW_BLOCK * (spec.grid.nx + 1) * 8
+    assert len(sol.steps) == kept
+    logvol, stress = whole_array_residuals(sol, spec)
+    assert sol.logvol_residual.tobytes() == logvol.tobytes()
+    assert sol.stress_repr_residual.tobytes() == stress.tobytes()
+    rep = diagnostics(sol, spec)
+    assert (rep.logvol_residual, rep.stress_repr_residual) == (logvol.max(), stress.max())
+
+
+def test_streamed_solve_with_its_residual_rows_peaks_at_a_few_row_blocks():
+    # a stride-1 solve of 2,000 steps keeps 2,001 rows of nine fields, an
+    # 18.5 MB trajectory; streamed, it holds one row buffer and one block's
+    # residual temporaries, and peaks at about 1.6 MB
+    spec = pulse_spec(128, 2000, 3)
+    trajectory = 2001 * (5 * 128 + 4 * 129) * 8
     tracemalloc.start()
     try:
-        diagnostics(sol, spec)
+        sol = solve(spec, SchemeParams(store_stride=1), rows=lambda rows: None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * block
+    assert len(sol.logvol_residual) == len(sol.stress_repr_residual) == 2001
+    assert peak < trajectory / 8
 
 
 @given(m=st.sampled_from([2, 3]), a_eta=st.floats(-0.3, 0.3), a_u=st.floats(-0.5, 0.5),
@@ -804,11 +805,10 @@ def test_streamed_rows_equal_stored_rows_bitwise(case):
 
     streamed = solve(spec, scheme, rows=rows)
     assert seen == [(i, min(i + ROW_BLOCK, n)) for i in range(0, n, ROW_BLOCK)]
-    assert [(b.rows.start, b.rows.stop) for b in stored.row_blocks()] == seen
     for name in SNAPSHOT_FIELDS:
         assert getattr(streamed, name) is None
-    for name in ("steps", "times", "volume", "it_boundary_du", "it_beta_volume",
-                 "substeps", "picard_sweeps"):
+    for name in ("steps", "times", "logvol_residual", "stress_repr_residual", "volume",
+                 "it_boundary_du", "it_beta_volume", "substeps", "picard_sweeps"):
         assert getattr(streamed, name).tobytes() == getattr(stored, name).tobytes(), name
     assert streamed.energy.keys() == stored.energy.keys()
     for key, track in stored.energy.items():
@@ -821,6 +821,7 @@ def test_streamed_rows_equal_stored_rows_bitwise(case):
 def test_streamed_residual_rows_give_the_stored_diagnostics(case):
     make, scheme = STREAM_CASES[case]
     spec = make()
-    residual_rows = solver.ResidualRows(spec)
-    streamed = solve(spec, scheme, rows=residual_rows)
-    assert diagnostics(streamed, spec, residual_rows) == diagnostics(solve(spec, scheme), spec)
+    streamed = diagnostics(solve(spec, scheme, rows=lambda rows: None), spec)
+    stored = diagnostics(solve(spec, scheme), spec)
+    assert np.array(dataclasses.astuple(streamed)).tobytes() == \
+        np.array(dataclasses.astuple(stored)).tobytes()
