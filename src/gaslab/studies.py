@@ -395,9 +395,9 @@ def _minus_stored(ref, block):
 def _minus_reconstruction(hs, osc, block):
     """An eps run's block minus the averaged run, its eta minus the
     reconstruction's at scale osc."""
-    times, d = _minus_stored(hs.base, block)
-    np.subtract(block.eta, hmg.eta_epsilon(hs, osc, block.rows), out=d["eta"])
-    return times, d
+    ref = {name: getattr(hs.base, name)[block.rows] for name in DIFFERENCE_FIELDS}
+    ref["eta"] = hmg.eta_epsilon(hs, osc, block.rows)
+    return block.times, {name: getattr(block, name) - r for name, r in ref.items()}
 
 
 def _minus_restricted(fine, block):
