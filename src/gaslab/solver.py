@@ -304,9 +304,9 @@ class _Stepper:
             beta, int_beta = [self.zero_c] * k, [0.0] * k
         gamma = self.pert.gamma_at(self.xe, times[:, None]) if self.has_gamma \
             else [self.zero_e] * k
-        return {t: dict({name: values[i] for name, values in bc.items()},
-                        beta=beta[i], int_beta=int_beta[i], gamma=gamma[i])
-                for i, t in enumerate(times.tolist())}
+        names = (*bc, "beta", "int_beta", "gamma")
+        return {t: dict(zip(names, row))
+                for t, row in zip(times.tolist(), zip(*bc.values(), beta, int_beta, gamma))}
 
     # -- data samples ---------------------------------------------------
 
