@@ -2,7 +2,7 @@
 digest commands and the configs they run.
 
 The printout is regenerated by hand (`python3 scripts/digest_reports.py >
-scripts/digest_reports.txt`, about 14 s).  This check runs no command, so it
+scripts/digest_reports.txt`, about 11 s).  This check runs no command, so it
 cannot see a report byte move, nor a changed command-line argument, which the
 printout does not record; it fails when a digest command is added, removed,
 renamed or reordered, or a config it writes changes, and the printout is not
