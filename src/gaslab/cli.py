@@ -17,9 +17,9 @@ from . import config as cfgmod
 from . import dsl
 from . import homogenize as hmg
 from . import studies
-from .grid import edges_to_centers
+from .grid import edges_to_centers, sample_field
 from .norms import NAMED_NORMS
-from .problem import sample_field_times, validate
+from .problem import require_valid
 from .solver import NonFiniteState, NonlinearDivergence, PositivityLoss, diagnostics, solve
 from .twoscale import OscillationSpec
 
@@ -191,11 +191,7 @@ def _existing_dir(path):
 def _cmd_solve(args):
     cfg = cfgmod.load_config(args.config)
     spec = cfgmod.build_problem(cfg)
-    problems = validate(spec)
-    if problems:
-        for p in problems:
-            print(f"invalid config: {p}", file=sys.stderr)
-        return 2
+    require_valid("spec", spec)
     scheme = cfgmod.build_scheme(cfg)
     # the kept rows stream into a temporary file, which becomes
     # snapshots.csv only once the solve succeeded; --out is made only then
@@ -271,7 +267,7 @@ def _cmd_norms(args):
     kw = cfgmod.read_table(table, {"tag": str, **readers}, f"norm '{tag}'")
     del kw["tag"]
     tt = grid.times()
-    w = sample_field_times(top["field"], tt, grid.centers())
+    w = sample_field(top["field"], grid.centers(), tt[:, None])
     print(f"{norm(grid, w, times=tt, **kw):.17e}")
     return 0
 
@@ -304,11 +300,7 @@ def _cmd_study_lipschitz(args):
     scheme = cfgmod.build_scheme(top["problem"])
     study = cfgmod.read_table(top["study"], cfgmod.LIPSCHITZ_STUDY_KEYS, "study",
                               ("delta0", "patterns"))
-    patterns = study.pop("patterns")
-
-    def perturb(spec, d):
-        return cfgmod.perturbed_spec(spec, patterns, d)
-
+    perturb = cfgmod.read_patterns(base, study.pop("patterns"))
     table = studies.run_lipschitz_study(base, perturb, scheme=scheme, **study)
     return _report(table, args.out, "lipschitz_study.csv")
 

@@ -11,6 +11,7 @@ xi,x for two-scale data; chi,[xi,]x,t for force terms).
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -197,8 +198,8 @@ NORM_KEYS = {"domain": subtable, "grid": subtable, "field": over(("x", "t")),
 NORM_KEYWORDS = {"q": exponent, "r": exponent, "m": family, "kappa_floor": number}
 
 # the keys of each "study" table with their readers; they are the argument
-# names of studies.run_homog_study and run_lipschitz_study (whose perturb the
-# CLI builds from patterns, which perturbed_spec reads), and those defaults
+# names of studies.run_homog_study and run_lipschitz_study (whose perturb
+# read_patterns builds from patterns), and those defaults
 # hold for a key the table omits
 HOMOG_STUDY_KEYS = {"eps_list": float_list, "qe": exponent,
                     "thresholds": threshold_rules}
@@ -263,20 +264,25 @@ def build_scheme(cfg):
     return SchemeParams(**read_table(cfg.get("scheme", {}), SCHEME_KEYS, "scheme"))
 
 
-def perturbed_spec(base, patterns, delta):
-    """Scale the study's perturbation patterns by delta and apply to the base
-    spec: initial-data shifts, boundary-data shifts, and the extra terms.  A
-    key it does not read, a pattern it cannot read, a table with no pattern
-    and a boundary pattern on an entry the bc family does not use raise
-    ValueError."""
+def read_patterns(base, patterns):
+    """A Lipschitz study's patterns table, read, checked and sampled on the
+    grid of the base spec once, as perturb(delta) -> the base spec with every
+    pattern scaled by delta and applied: initial-data shifts, boundary-data
+    shifts, and the extra terms.  A key it does not read, a pattern it cannot
+    read, a table with no pattern and a boundary pattern on an entry the bc
+    family does not use raise ValueError."""
     grid = base.grid
     xc, xe, tt = grid.centers(), grid.edges(), grid.times()
+
+    def shift_at(x):
+        return lambda entry: None if entry is None else sampled(x)(entry)
 
     def boundary_shift(entry):
         return None if entry is None else sample_boundary(entry, tt)
 
     read = read_table(patterns, {
-        **dict.fromkeys(("eta0", "u0", "theta0", "beta_e"), over(("x",))),
+        "eta0": shift_at(xc), "u0": shift_at(xe), "theta0": shift_at(xc),
+        "beta_e": shift_at(xe),
         **dict.fromkeys((name + "b" for name in BC_NAMES), boundary_shift),
         **PERTURBATION_KEYS}, "pattern")
     if all(entry is None for entry in read.values()):
@@ -285,27 +291,22 @@ def perturbed_spec(base, patterns, delta):
         if read.get(name + "b") is not None and name not in ACTIVE_BC[base.bc.m]:
             raise ValueError(f"pattern {name}b shifts boundary entry {name}, which "
                              f"family m={base.bc.m} does not use")
+    beta_e = read.get("beta_e")
+    beta_e = np.zeros(grid.nx + 1) if beta_e is None else beta_e
 
-    def shift(vals, key, x):
-        fn = read.get(key)
-        return vals if fn is None else vals + delta * sample_field(fn, x)
+    def perturb(delta):
+        def shift(vals, key):
+            offset = read.get(key)
+            return vals if offset is None else vals + delta * offset
 
-    def shift_bc(name):
-        series, offset = getattr(base.bc, name + "_t"), read.get(name + "b")
-        return series if offset is None else series + delta * offset
+        bc = BoundaryData(m=base.bc.m, **{name + "_t": shift(getattr(base.bc, name + "_t"),
+                                                             name + "b")
+                                          for name in BC_NAMES})
+        pert = PerturbationSpec(beta_e=delta * beta_e, **{
+            key: None if read.get(key) is None else ScaledFn(read[key], delta)
+            for key in PERTURBATION_KEYS})
+        return replace(base, bc=bc, perturbation=pert, **{
+            key: shift(np.asarray(getattr(base, key), dtype=float), key)
+            for key in INITIAL_DATA})
 
-    bc = BoundaryData(m=base.bc.m, **{name + "_t": shift_bc(name) for name in BC_NAMES})
-
-    def scaled(key):
-        fn = read.get(key)
-        return None if fn is None else ScaledFn(fn, delta)
-
-    pert = PerturbationSpec(beta_e=delta * sample_field(read.get("beta_e"), xe),
-                            **{key: scaled(key) for key in PERTURBATION_KEYS})
-
-    return ProblemSpec(
-        grid=grid, gas=base.gas, bc=bc,
-        eta0=shift(np.asarray(base.eta0, dtype=float), "eta0", xc),
-        u0=shift(np.asarray(base.u0, dtype=float), "u0", xe),
-        theta0=shift(np.asarray(base.theta0, dtype=float), "theta0", xc),
-        g=base.g, f=base.f, perturbation=pert, N=base.N, source=base.source)
+    return perturb

@@ -73,7 +73,10 @@ class GasParams:
 def sample_field(fn, *args):
     """fn(*args) for a data callable, as a float array of the broadcast shape
     of its arguments; zeros when fn is None.  A sample that already has that
-    shape is returned as it is, not copied: the one way data are sampled."""
+    shape is returned as it is, not copied: the one way data are sampled.
+    Step times t pass as a column, t[:, None], to sample every time in one
+    call; for an elementwise callable, as every DSL expression is, row n of
+    that call holds the bits that the call at t[n] alone gives."""
     shape = np.broadcast(*args).shape
     if fn is None:
         return np.zeros(shape)

@@ -32,14 +32,6 @@ ACTIVE_BC = {
 }
 
 
-def sample_field_times(fn, times, *args):
-    """sample_field(fn, *args, t) stacked over `times`: array (len(times), len(x))
-    with x = args[-1], from one call that broadcasts the times as a column.
-    For an elementwise callable, as every DSL expression is, row n holds the
-    bits that the call at times[n] alone gives."""
-    return sample_field(fn, *args, np.asarray(times)[:, None])
-
-
 def sample_boundary(entry, times):
     """Boundary entry -> samples at `times`: None (zeros), a number, an
     expression string in t or a [[t, v], ...] table (linear interpolation).

@@ -17,10 +17,10 @@ from functools import partial
 import numpy as np
 
 from .calculus import i_bracket, mean_omega, primitive_at_edges, time_primitive
-from .grid import Grid, du_centers, edges_to_centers
+from .grid import Grid, du_centers, edges_to_centers, sample_field
 from .norms import (INF, ROW_BLOCK, h21star_majorant, h21star_rows, h_minus_one, space_lq,
                     time_lr, v2star_majorant, v2star_rows, w11_time_norm)
-from .problem import BoundaryData, require_valid, sample_field_times
+from .problem import BoundaryData, require_valid
 from .solver import SchemeParams, solve
 from .twoscale import OscillationSpec
 from . import homogenize as hmg
@@ -171,8 +171,8 @@ def _lr(r):
 #    time rule (grid, N, [values on every step time], times) -> item)
 # The sampled differences:
 #   "beta"      beta at the cell centers (all of beta is beta2);
-#   "gamma"     gamma at the cell centers, though the solver applies it at
-#               the cell edges;
+#   "gamma"     gamma at the cell centers, from the gamma_at call the
+#               stepper makes at the cell edges;
 #   "it_i1beta" I_t I^<1> beta, the time primitive of I^<1> of the "beta"
 #               rows, carried from block to block;
 #   "g", "f"    the force difference, perturbed minus base, at (chi, x) on
@@ -250,13 +250,13 @@ def compute_delta(base, perturbed, qe=INF):
 
     chi = edges_to_centers(primitive_at_edges(g, np.asarray(perturbed.eta0, dtype=float))
                            + beta_e)
-    samplers = {"beta": lambda t: sample_field_times(pert.beta, t, xc),
-                "gamma": lambda t: sample_field_times(pert.gamma, t, xc)}
+    samplers = {"beta": lambda t: pert.beta_at(xc, t[:, None]),
+                "gamma": lambda t: pert.gamma_at(xc, t[:, None])}
     for name in ("g", "f"):
         hat, f = getattr(perturbed, name), getattr(base, name)
         if hat is not f:            # a force both specs share is not sampled
-            samplers[name] = lambda t, hat=hat, f=f: (sample_field_times(hat, t, chi, xc)
-                                                      - sample_field_times(f, t, chi, xc))
+            samplers[name] = lambda t, hat=hat, f=f: (sample_field(hat, chi, xc, t[:, None])
+                                                      - sample_field(f, chi, xc, t[:, None]))
 
     # each block samples one difference at a time, and its items reduce it
     # before the next is sampled
@@ -499,14 +499,15 @@ def run_lipschitz_study(base_spec, perturb, delta0, levels=5, scheme=SchemeParam
     norms and the data bound Delta, and fit each column's log-log slope
     against Delta.
 
-    perturb: callable (base_spec, delta) -> perturbed ProblemSpec.  A sweep
-    shorter than the four rows a rate fit needs, a perturbation that perturb
-    rejects, and a base or perturbed spec that problem.validate rejects raise
-    ValueError before any solve.
+    perturb: callable delta -> perturbed ProblemSpec, as config.read_patterns
+    builds it from a patterns table.  A sweep shorter than the four rows a
+    rate fit needs, a perturbation that perturb rejects, and a base or
+    perturbed spec that problem.validate rejects raise ValueError before any
+    solve.
     """
     deltas = [float(delta0) * 0.5 ** j for j in range(levels)]
     _require_rows(len(deltas))
-    pspecs = [perturb(base_spec, d) for d in deltas]
+    pspecs = [perturb(d) for d in deltas]
     require_valid("base spec", base_spec)
     for d, pspec in zip(deltas, pspecs):
         require_valid(f"delta={d:g} spec", pspec)

@@ -242,10 +242,7 @@ def test_criterion_07_lipschitz_dependence():
     for key in ("eta0", "u0", "theta0", "beta", "gamma", "p0b"):
         assert key in patterns
 
-    def perturb(spec, d):
-        return cfgmod.perturbed_spec(spec, patterns, d)
-
-    table = run_lipschitz_study(base, perturb, st["delta0"], levels=st["levels"],
+    table = run_lipschitz_study(base, cfgmod.read_patterns(base, patterns), st["delta0"], levels=st["levels"],
                                 scheme=cfgmod.build_scheme(cfg["problem"]))
     details = []
     for col in LIPSCHITZ_BOUND_COLUMNS:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from gaslab import cli, studies
+from gaslab import cli, dsl, studies
 from gaslab import config as cfgmod
 from gaslab import homogenize as hmg
 from gaslab.cli import main
@@ -477,7 +477,7 @@ def test_solve_reports_non_finite_data_as_invalid_config(tmp_path, monkeypatch, 
     cfg_dict[section][name] = float("nan")
     cfg = write_cfg(tmp_path, cfg_dict)
     assert main(["solve", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert f"invalid config: {message}" in capsys.readouterr().err
+    assert f"error: spec is inadmissible: {message}" in capsys.readouterr().err
     assert calls == []
 
 
@@ -502,8 +502,8 @@ def test_solve_reports_a_refused_force_expression_as_invalid_config(tmp_path, mo
     cfg_dict["data"]["f"] = "1/(t - 0.125)^2"
     cfg = write_cfg(tmp_path, cfg_dict)
     assert main(["solve", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.strip() == \
-        "invalid config: f must be finite on the probe set, failed at t=0.125 (C2)"
+    assert capsys.readouterr().err.strip() == ("error: spec is inadmissible: f must be "
+                                               "finite on the probe set, failed at t=0.125 (C2)")
     assert calls == []
 
 
@@ -790,6 +790,20 @@ def test_inadmissible_delta_spec_exits_before_solving(tmp_path, monkeypatch, cap
     assert calls == []
 
 
+def test_study_lipschitz_parses_each_expression_once(tmp_path, monkeypatch):
+    # the base data and the patterns table are read once for the whole
+    # sweep: 3 + 8 expressions on the shipped config, not 8 more per delta
+    parsed = []
+    real = dsl.parse
+    monkeypatch.setattr(dsl, "parse", lambda source: parsed.append(source) or real(source))
+    cfg = cfgmod.load_config("configs/lipschitz_benchmark.json")
+    cfg["problem"]["grid"] = {"nx": 16, "nt": 20}
+    assert main(["study-lipschitz", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) \
+        in (0, 1)
+    expressions = [*cfg["problem"]["data"].values(), *cfg["study"]["patterns"].values()]
+    assert sorted(parsed) == sorted(expressions) and len(parsed) == 11
+
+
 def test_cli_solve_loads_no_scipy(tmp_path):
     # LAPACK dgtsv comes from numpy's own library: a solve runs without scipy
     cfg = write_cfg(tmp_path, small_problem_cfg(nx=16, nt=8))
@@ -809,8 +823,9 @@ def test_boundary_entry_the_family_does_not_use_exits_2(tmp_path, monkeypatch, c
     cfg = cfgmod.load_config("configs/pulse.json")
     cfg["bc"]["u0"] = 0.5                 # family m = 3 prescribes stresses at both ends
     assert main(["solve", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.strip() == ("invalid config: boundary entry u0 is not "
-                                               "used by family m=3 and must be identically zero")
+    assert capsys.readouterr().err.strip() == ("error: spec is inadmissible: boundary entry u0 "
+                                               "is not used by family m=3 and must be "
+                                               "identically zero")
     assert calls == []
 
 

@@ -10,7 +10,7 @@ from gaslab.grid import (Grid, GasParams, du_centers, integrate_center, integrat
                          sample_field)
 from gaslab.homogenize import _AveragedForce
 from gaslab.problem import (BC_NAMES, BoundaryData, PerturbationSpec, ProblemSpec,
-                            sample_boundary, sample_field_times, validate)
+                            sample_boundary, validate)
 from gaslab.solver import SchemeParams, solve
 from gaslab.twoscale import OscillationSpec, realize, xi_mean, xi_quadrature
 
@@ -250,8 +250,9 @@ def test_boundary_interpolation_between_steps():
     assert both["p0"].tolist() == [mid["p0"], bc.at(g.times(), 0.25)["p0"]]
 
 
-def _sample_field_times_per_time(fn, times, *args):
-    """The per-time loop sample_field_times replaced: one call per time."""
+def _sample_field_per_time(fn, times, *args):
+    """The per-time loop the broadcast sample_field call replaced: one call
+    per time."""
     out = np.zeros((len(times), len(args[-1])))
     if fn is not None:
         for n, t in enumerate(times):
@@ -259,7 +260,7 @@ def _sample_field_times_per_time(fn, times, *args):
     return out
 
 
-def test_sample_field_times_is_bitwise_the_per_time_loop():
+def test_broadcast_sample_field_is_bitwise_the_per_time_loop():
     g = Grid(X=1.0, T=0.5, nx=61, nt=97)
     xc = g.centers()
     chi = np.linspace(-0.5, 1.5, g.nx)
@@ -276,8 +277,8 @@ def test_sample_field_times_is_bitwise_the_per_time_loop():
     rng = np.random.default_rng(3)
     for times in (g.times(), rng.uniform(0.0, g.T, 70)):
         for fn, args in cases:
-            got = sample_field_times(fn, times, *args)
-            want = _sample_field_times_per_time(fn, times, *args)
+            got = sample_field(fn, *args, times[:, None])
+            want = _sample_field_per_time(fn, times, *args)
             assert got.shape == want.shape == (len(times), g.nx)
             assert got.tobytes() == want.tobytes(), fn
 

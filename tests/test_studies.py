@@ -10,11 +10,10 @@ from gaslab import config as cfgmod
 from gaslab import homogenize as hmg
 from gaslab import studies
 from gaslab.calculus import i_bracket, mean_omega, primitive_at_edges, time_primitive
-from gaslab.grid import Grid, GasParams, du_centers, edges_to_centers
+from gaslab.grid import Grid, GasParams, du_centers, edges_to_centers, sample_field
 from gaslab.norms import (INF, NAMED_NORMS, ROW_BLOCK, V2STAR_PAIRS, h_minus_one, space_lq,
                           time_lr, w11_time_norm)
-from gaslab.problem import (ACTIVE_BC, BoundaryData, PerturbationSpec, ProblemSpec,
-                            sample_field_times)
+from gaslab.problem import ACTIVE_BC, BoundaryData, PerturbationSpec, ProblemSpec
 from gaslab.solver import SchemeParams, _snapshot_indices, solve
 from gaslab.twoscale import OscillationSpec
 from gaslab.studies import (ConvergenceTable, DegenerateFit, IncompatibleSpecs,
@@ -142,11 +141,11 @@ def test_delta_degree_one_homogeneity():
     assert r == pytest.approx(3.0, rel=1e-10)
 
 
-def test_perturbed_spec_shifts_boundary_by_table_pattern():
+def test_read_patterns_shifts_boundary_by_table_pattern():
     base = spec_m(3)
     tt = base.grid.times()
     table = [[0.0, 0.0], [0.25, 0.4], [0.5, 0.2]]
-    pspec = cfgmod.perturbed_spec(base, {"p0b": table, "pXb": "0.2*t"}, 0.1)
+    pspec = cfgmod.read_patterns(base, {"p0b": table, "pXb": "0.2*t"})(0.1)
     shift = 0.1 * np.interp(tt, [0.0, 0.25, 0.5], [0.0, 0.4, 0.2])
     assert np.allclose(pspec.bc.p0_t - base.bc.p0_t, shift, rtol=0.0, atol=1e-15)
     assert np.allclose(pspec.bc.pX_t - base.bc.pX_t, 0.02 * tt, rtol=0.0, atol=1e-15)
@@ -196,13 +195,13 @@ def shipped_lipschitz_pair(forces=None):
     cfg = cfgmod.load_config("configs/lipschitz_benchmark.json")
     if forces is None:
         base = cfgmod.build_problem(cfg["problem"])
-        return base, cfgmod.perturbed_spec(base, cfg["study"]["patterns"], 0.1)
+        return base, cfgmod.read_patterns(base, cfg["study"]["patterns"])(0.1)
     (g, f), (g_hat, f_hat) = forces
     cfg["problem"]["data"].update(g=g, f=f)
     base = cfgmod.build_problem(cfg["problem"])
     cfg["problem"]["data"].update(g=g_hat, f=f_hat)
     forced = cfgmod.build_problem(cfg["problem"])
-    pspec = cfgmod.perturbed_spec(base, cfg["study"]["patterns"], 0.1)
+    pspec = cfgmod.read_patterns(base, cfg["study"]["patterns"])(0.1)
     return base, replace(pspec, g=forced.g, f=forced.f)
 
 
@@ -250,21 +249,21 @@ def whole_array_delta(base, perturbed, qe):
     items["pib_l1"] = float(time_lr(perturbed.bc.pi0_t - base.bc.pi0_t, tt, 1.0)
                             + time_lr(perturbed.bc.piX_t - base.bc.piX_t, tt, 1.0))
 
-    b2 = sample_field_times(pert.beta, tt, xc)
+    b2 = sample_field(pert.beta, xc, tt[:, None])
     items["beta1_v2star"] = 0.0
     items["i3beta2_linf2"] = lqr_norm(g, i_bracket(g, b2, 3), INF, 2.0, tt)
     if qe != 2.0:
         it_i1b2 = time_primitive(i_bracket(g, b2, 1), tt)
         items["it_i1beta2_lqe_inf"] = lqr_norm(g, it_i1b2, qe, INF, tt)
     items["mean_beta2_l1"] = float(time_lr(mean_omega(g, b2), tt, 1.0))
-    gam = sample_field_times(pert.gamma, tt, xc)
+    gam = sample_field(pert.gamma, xc, tt[:, None])
     items["gamma_v2star"] = min(lqr_norm(g, gam, q, r, tt) for q, r in V2STAR_PAIRS)
 
     chi = edges_to_centers(primitive_at_edges(g, np.asarray(perturbed.eta0, dtype=float))
                            + beta_e)
 
     def force_diff(f_hat, f):
-        return sample_field_times(f_hat, tt, chi, xc) - sample_field_times(f, tt, chi, xc)
+        return sample_field(f_hat, chi, xc, tt[:, None]) - sample_field(f, chi, xc, tt[:, None])
 
     items["g1_l1"] = (0.0 if perturbed.g is base.g
                       else lqr_norm(g, force_diff(perturbed.g, base.g), 1.0, 1.0, tt))
@@ -295,7 +294,7 @@ def test_blocked_delta_is_bitwise_the_whole_array_reference(m, qe, nrows):
                 "gamma": "0.5*cos(3.141592653589793*x)*t",
                 "beta_e": "0.2*sin(3.141592653589793*x)",
                 **{name + "b": "0.1*sin(3*t)" for name in ACTIVE_BC[m]}}
-    pspec = replace(cfgmod.perturbed_spec(base, patterns, 0.1),
+    pspec = replace(cfgmod.read_patterns(base, patterns)(0.1),
                     g=lambda chi, x, t: base.g(chi, x, t) + 0.1 * x * t,
                     f=lambda chi, x, t: base.f(chi, x, t) * (1 + 0.1 * np.sin(5 * x * t)))
     got = compute_delta(base, pspec, qe=qe)
@@ -306,6 +305,23 @@ def test_blocked_delta_is_bitwise_the_whole_array_reference(m, qe, nrows):
     # every space-time item sees data
     assert all(want[name] > 0 for name, diff, *_ in studies.DELTA_ITEMS
                if diff is not None and name in want)
+
+
+def test_compute_delta_samples_beta_and_gamma_through_the_stepper_calls(monkeypatch):
+    # compute_delta and the stepper sample the perturbation through one pair
+    # of calls, each step time a row of a column of times
+    base = spec_m(3, nx=16, nt=2 * ROW_BLOCK)
+    pspec = cfgmod.read_patterns(base, {"beta": "sin(2*3.141592653589793*x)*(1 + t)",
+                                        "gamma": "0.5*cos(3.141592653589793*x)*t"})(0.1)
+    rows = {"beta_at": [], "gamma_at": []}
+    for name, times in rows.items():
+        def spy(self, x, t, real=getattr(PerturbationSpec, name), times=times):
+            assert x.shape == (16,) and t.shape == (len(t), 1)
+            times.extend(t[:, 0])
+            return real(self, x, t)
+        monkeypatch.setattr(PerturbationSpec, name, spy)
+    compute_delta(base, pspec)
+    assert rows["beta_at"] == rows["gamma_at"] == base.grid.times().tolist()
 
 
 # every perturbation a study pattern can declare reaches the solve: a pattern
@@ -328,7 +344,7 @@ def test_every_pattern_changes_the_solution(m, key):
         pattern = "(0.5 + x*(1 - x))*(1 + t)"
     scheme = SchemeParams(store_stride=1)
     want = studies.solve(base, scheme)
-    got = studies.solve(cfgmod.perturbed_spec(base, {key: pattern}, 1e-3), scheme)
+    got = studies.solve(cfgmod.read_patterns(base, {key: pattern})(1e-3), scheme)
     arrays = [f.name for f in fields(want) if isinstance(getattr(want, f.name), np.ndarray)]
     assert any(not np.array_equal(getattr(want, name), getattr(got, name)) for name in arrays)
 
@@ -437,11 +453,7 @@ def test_lipschitz_study_small():
     cfg = cfgmod.load_config("configs/lipschitz_benchmark.json")
     cfg["problem"]["grid"] = {"nx": 64, "nt": 100}
     base = cfgmod.build_problem(cfg["problem"])
-    patterns = cfg["study"]["patterns"]
-
-    def perturb(spec, d):
-        return cfgmod.perturbed_spec(spec, patterns, d)
-
+    perturb = cfgmod.read_patterns(base, cfg["study"]["patterns"])
     table = run_lipschitz_study(base, perturb, 0.1, levels=4,
                                 scheme=SchemeParams(store_stride=2))
     for col in ("eta_C0L2", "u_L2", "theta_L2", "itsigma_C0L2"):
@@ -462,18 +474,14 @@ def test_streamed_lipschitz_members_match_stored_bundles():
     cfg = cfgmod.load_config("configs/lipschitz_benchmark.json")
     cfg["problem"]["grid"] = {"nx": 32, "nt": 100}
     base_spec = cfgmod.build_problem(cfg["problem"])
-    patterns = cfg["study"]["patterns"]
-
-    def perturb(spec, d):
-        return cfgmod.perturbed_spec(spec, patterns, d)
-
+    perturb = cfgmod.read_patterns(base_spec, cfg["study"]["patterns"])
     scheme = SchemeParams(store_stride=1)
     table = run_lipschitz_study(base_spec, perturb, 0.1, levels=4, scheme=scheme)
     g = base_spec.grid
     base = solve(base_spec, scheme)
     assert len(base.steps) > ROW_BLOCK
     for j, delta in enumerate(table.values):
-        psol = solve(perturb(base_spec, delta), scheme)
+        psol = solve(perturb(delta), scheme)
         d = {name: getattr(psol, name) - getattr(base, name)
              for name in studies.DIFFERENCE_FIELDS}
         for col, want in whole_array_columns(g, d, base.times, 3, INF).items():
@@ -504,11 +512,7 @@ def test_lipschitz_study_deterministic():
     cfg = cfgmod.load_config("configs/lipschitz_benchmark.json")
     cfg["problem"]["grid"] = {"nx": 32, "nt": 40}
     base = cfgmod.build_problem(cfg["problem"])
-    patterns = cfg["study"]["patterns"]
-
-    def perturb(spec, d):
-        return cfgmod.perturbed_spec(spec, patterns, d)
-
+    perturb = cfgmod.read_patterns(base, cfg["study"]["patterns"])
     t1 = run_lipschitz_study(base, perturb, 0.1, levels=4)
     t2 = run_lipschitz_study(base, perturb, 0.1, levels=4)
     assert t1.columns == t2.columns
@@ -537,7 +541,7 @@ def _no_solve(*args, **kwargs):
 def test_lipschitz_study_rejects_short_sweep_before_solving(monkeypatch):
     monkeypatch.setattr(studies, "solve", _no_solve)
     with pytest.raises(ValueError, match="at least 4 rows"):
-        run_lipschitz_study(spec_m(3), lambda spec, d: spec, 0.1, levels=3)
+        run_lipschitz_study(spec_m(3), lambda d: spec_m(3), 0.1, levels=3)
 
 
 def test_lipschitz_study_rejects_an_incompatible_spec_before_any_member(monkeypatch):
@@ -545,7 +549,7 @@ def test_lipschitz_study_rejects_an_incompatible_spec_before_any_member(monkeypa
     record_calls(monkeypatch, solves, "solve", lambda *args, **kwargs: "solve")
     base = spec_m(3, nx=16, nt=8)
     with pytest.raises(IncompatibleSpecs, match="gas"):
-        run_lipschitz_study(base, lambda spec, d: replace(spec, gas=replace(GAS, k=1 + d)),
+        run_lipschitz_study(base, lambda d: replace(base, gas=replace(GAS, k=1 + d)),
                             0.1, levels=4)
     assert solves == ["solve"]
 
@@ -621,11 +625,11 @@ def test_homog_study_parallel_jobs_match_serial():
     assert serial.columns == parallel.columns
 
 
-def test_perturbed_spec_rejects_pattern_on_unused_boundary_entry():
+def test_read_patterns_rejects_pattern_on_unused_boundary_entry():
     with pytest.raises(ValueError, match="u0b"):
-        cfgmod.perturbed_spec(spec_m(3), {"u0b": 1.0}, 0.1)
+        cfgmod.read_patterns(spec_m(3), {"u0b": 1.0})
     with pytest.raises(ValueError, match="pXb"):
-        cfgmod.perturbed_spec(spec_m(2), {"pXb": "0.2*t"}, 0.1)
+        cfgmod.read_patterns(spec_m(2), {"pXb": "0.2*t"})
 
 
 def test_homog_study_rejects_non_halving_sweep_before_solving(monkeypatch):
@@ -806,7 +810,7 @@ def test_every_study_solve_streams_but_the_stored_reference(tmp_path, monkeypatc
     base = cfgmod.build_problem(cfg["problem"])
     patterns = cfg["study"]["patterns"]
     calls = record_solves(monkeypatch, tmp_path / "lipschitz")
-    run_lipschitz_study(base, lambda spec, d: cfgmod.perturbed_spec(spec, patterns, d),
+    run_lipschitz_study(base, cfgmod.read_patterns(base, patterns),
                         0.1, levels=4, scheme=SchemeParams(store_stride=2))
     assert calls() == ["store"] + 4 * ["stream"]
 
@@ -840,7 +844,7 @@ def test_each_study_runs_its_members_through_one_call(monkeypatch):
     cfg["problem"]["grid"] = {"nx": 32, "nt": 40}
     base = cfgmod.build_problem(cfg["problem"])
     patterns = cfg["study"]["patterns"]
-    run_lipschitz_study(base, lambda spec, d: cfgmod.perturbed_spec(spec, patterns, d),
+    run_lipschitz_study(base, cfgmod.read_patterns(base, patterns),
                         0.1, levels=4, scheme=SchemeParams(store_stride=2))
     assert events == [(4, 1)] + 4 * ["member"]
 
@@ -875,7 +879,7 @@ def test_report_header_is_the_benchmark_references(tmp_path, study):
         base = cfgmod.build_problem(cfg["problem"])
         patterns = cfg["study"]["patterns"]
         table = run_lipschitz_study(
-            base, lambda spec, d: cfgmod.perturbed_spec(spec, patterns, d), 0.1, levels=4)
+            base, cfgmod.read_patterns(base, patterns), 0.1, levels=4)
     else:
         table = run_homog_study(picklable_two_scale_problem(), [0.5, 0.25, 0.125, 0.0625],
                                 scheme=SchemeParams(store_stride=4))
