@@ -81,7 +81,7 @@ class ConvergenceTable:
     param: str                     # "eps" or "delta"
     values: list
     columns: dict
-    slopes: dict = field(default_factory=dict)
+    slopes: dict = field(default_factory=dict)     # fitted column -> (slope, half-width) | None
     floors: dict = field(default_factory=dict)
     flags: list = field(default_factory=list)
     thresholds: dict = field(default_factory=dict)
@@ -647,10 +647,7 @@ def write_report(table, path):
     s.append("fitted slopes (log-log vs "
              + ("the data bound Delta)" if table.param == "delta"
                 else table.param + ")"))
-    for col in cols:
-        if col.startswith(("Delta", "hyp_")):
-            continue
-        fit = table.slopes.get(col)
+    for col, fit in table.slopes.items():
         if fit is None:
             s.append(f"  {col:<20} degenerate (at solver floor)")
         else:
