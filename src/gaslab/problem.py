@@ -34,8 +34,9 @@ ACTIVE_BC = {
 
 def sample_boundary(entry, times):
     """Boundary entry -> samples at `times`: None (zeros), a number, an
-    expression string in t or a [[t, v], ...] table (linear interpolation).
-    Any other entry raises ValueError."""
+    expression string in t or a [[t, v], ...] table (linear interpolation),
+    whose times are finite and strictly increasing.  Any other entry raises
+    ValueError."""
     if entry is None or isinstance(entry, str):
         return sample_field(None if entry is None else dsl.ExprFn(entry, ("t",)), times)
     try:
@@ -45,6 +46,10 @@ def sample_boundary(entry, times):
     if table.ndim == 0 and not isinstance(entry, bool):
         return np.full(len(times), float(table))
     if table.ndim == 2 and table.shape[1] == 2:
+        # np.interp neither sorts nor checks the times it is given
+        if not (np.isfinite(table[:, 0]).all() and (np.diff(table[:, 0]) > 0).all()):
+            raise ValueError(f"boundary table {entry!r} has times that are not finite "
+                             "and strictly increasing")
         return np.interp(times, table[:, 0], table[:, 1])
     raise ValueError(f"boundary entry {entry!r} is not null, a number, an expression "
                      "in t or a [[t, v], ...] table")

@@ -767,6 +767,21 @@ def test_unused_boundary_pattern_exits_before_solving(tmp_path, monkeypatch, cap
     assert calls == []
 
 
+@pytest.mark.parametrize("command", ["solve", "study-lipschitz"])
+def test_unsorted_boundary_table_exits_2_naming_its_key(tmp_path, monkeypatch, capsys,
+                                                        command):
+    calls = count_solves(monkeypatch)
+    table = [[0.1, 2.0], [0.0, 1.0]]
+    if command == "solve":
+        cfg, key = small_problem_cfg(), "bc key 'p0'"
+        cfg["bc"]["p0"] = table
+    else:
+        cfg, key = lipschitz_cfg(patterns={"p0b": table}), "pattern key 'p0b'"
+    assert main([command, write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"{key} cannot read {table!r}" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_inadmissible_eps_spec_exits_before_solving(tmp_path, monkeypatch, capsys):
     calls = count_solves(monkeypatch)
     cfg = two_scale_cfg([1.0, 0.5, 0.25, 0.125])

@@ -241,6 +241,16 @@ def test_boundary_table_entries(kind):
             BoundaryData.build(g, m=1, u0=bad, uX=0.0)
 
 
+@pytest.mark.parametrize("table", [[[1.0, 2.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 2.0]],
+                                   [[0.0, 1.0], [float("nan"), 2.0]],
+                                   [[0.0, 1.0], [float("inf"), 2.0]]])
+def test_boundary_table_times_must_be_finite_and_increasing(table):
+    # np.interp would read [[1, 2], [0, 1]] as 2, 1, 1, ... where it means
+    # 1 rising to 2
+    with pytest.raises(ValueError, match="not finite and strictly increasing"):
+        sample_boundary(table, basic_grid().times())
+
+
 def test_boundary_interpolation_between_steps():
     g = basic_grid()
     bc = BoundaryData.build(g, m=3, p0="1 + t", pX=1.0, pi0=0.0, piX=0.0)
