@@ -165,11 +165,12 @@ def validate(spec):
         if size > N:
             out.append(f"data magnitude {size:.3g} exceeds declared N={N:g} (C1)")
 
-    # (C2): sample the force terms, and the perturbation terms, on a probe set;
-    # a non-finite sample, or an expression that refuses to produce one, is
-    # reported before the f >= 0 comparison it passes
+    # (C2): sample the force terms, and the perturbation terms, on a probe set,
+    # every len(tt) // 32-th step time and the last; a non-finite sample, or
+    # an expression that refuses to produce one, is reported before the
+    # f >= 0 comparison it passes
     tt = grid.times()
-    probe_t = tt[:: max(1, len(tt) // 32)]
+    probe_t = np.append(tt[:-1:max(1, len(tt) // 32)], tt[-1])
     xc = grid.centers()
     xe = grid.edges()
     chi_c = np.linspace(-grid.X, 2 * grid.X, len(xc))

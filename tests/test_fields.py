@@ -182,7 +182,25 @@ def test_validate_samples_beta_once_per_probe_time():
 
     assert validate(replace(spec, perturbation=PerturbationSpec(beta=beta))) == []
     tt = spec.grid.times()
-    assert times == list(tt[:: max(1, len(tt) // 32)])
+    assert times == [*tt[:-1:max(1, len(tt) // 32)], tt[-1]]
+
+
+@pytest.mark.parametrize("name,entry,want", [
+    ("f", "1 - 2*step(t - 0.497)", "f must be nonnegative, found -1 at t=0.5 (C2)"),
+    ("beta", "1/(0.5 - t)*step(t - 0.497)",
+     "beta must be finite on the probe set, failed at t=0.5")])
+def test_validate_probes_the_last_step_time(name, entry, want):
+    # at nt = 1000 every 31st step time is probed, the last of them t = 0.496;
+    # each entry is bad on the last three steps only
+    cfg = {"domain": {"X": 1.0, "T": 0.5}, "grid": {"nx": 16, "nt": 1000},
+           "gas": {"nu": 0.1, "k": 1.0, "cV": 1.0, "lambda": 0.1},
+           "bc": {"m": 3, "p0": 1.0, "pX": 1.0, "pi0": 0.0, "piX": 0.0},
+           "data": {"eta0": 1.0, "u0": 0.0, "theta0": 1.0}}
+    if name == "f":
+        cfg["data"]["f"] = entry
+    else:
+        cfg["perturbation"] = {name: entry}
+    assert validate(cfgmod.build_problem(cfg)) == [want]
 
 
 def test_derived_fields_algebra():
