@@ -468,6 +468,16 @@ def test_lipschitz_study_small():
     assert not any(f.startswith("hypothesis-drift") for f in table.flags)
 
 
+def test_lipschitz_study_flags_hypothesis_drift():
+    # the base is at rest, so each run's velocity is about its u0 shift
+    # delta*sin(pi x): both hypothesis norms drift by about x8 over the sweep
+    base = spec_m(3, nx=16, nt=8)
+    perturb = cfgmod.read_patterns(base, {"u0": "sin(3.141592653589793*x)"})
+    table = run_lipschitz_study(base, perturb, 0.8, levels=4)
+    drift = [f for f in table.flags if f.startswith("hypothesis-drift")]
+    assert drift == ["hypothesis-drift:hyp_u_Linf", "hypothesis-drift:hyp_Du_L2"]
+
+
 def test_streamed_lipschitz_members_match_stored_bundles():
     # 101 kept rows per run, two row blocks: each member streams its rows
     # against the stored base, and reads what stored bundles give
@@ -623,6 +633,22 @@ def test_homog_study_parallel_jobs_match_serial():
     serial = run_homog_study(prob, eps, scheme=SchemeParams(store_stride=4))
     parallel = run_homog_study(prob, eps, scheme=SchemeParams(store_stride=4), jobs=2)
     assert serial.columns == parallel.columns
+
+
+def test_homog_study_flags_a_nonmonotone_bound_column(monkeypatch):
+    # the members' eta_C0L2 rises x1.5 from eps = 0.25 to eps = 0.125
+    real = studies._run_members
+
+    def rising(args, jobs):
+        columns = real(args, jobs)
+        columns["eta_C0L2"][2] = 1.5 * columns["eta_C0L2"][1]
+        return columns
+
+    monkeypatch.setattr(studies, "_run_members", rising)
+    table = run_homog_study(picklable_two_scale_problem(), [0.5, 0.25, 0.125, 0.0625],
+                            scheme=SchemeParams(store_stride=4))
+    assert [f for f in table.flags if f.startswith("nonmonotone")] == \
+        ["nonmonotone:eta_C0L2@eps=0.125"]
 
 
 def test_read_patterns_rejects_pattern_on_unused_boundary_entry():
