@@ -242,8 +242,8 @@ def test_criterion_07_lipschitz_dependence():
     for key in ("eta0", "u0", "theta0", "beta", "gamma", "p0b"):
         assert key in patterns
 
-    table = run_lipschitz_study(base, cfgmod.read_patterns(base, patterns), st["delta0"], levels=st["levels"],
-                                scheme=cfgmod.build_scheme(cfg["problem"]))
+    table = run_lipschitz_study(base, cfgmod.read_patterns(base, patterns), st["delta0"],
+                                levels=st["levels"], scheme=cfgmod.build_scheme(cfg["problem"]))
     details = []
     for col in LIPSCHITZ_BOUND_COLUMNS:
         s = table.slopes[col][0]
