@@ -6,6 +6,7 @@ error (bad config, solver abort, resolution guard, ...).
 """
 
 import argparse
+import contextlib
 import inspect
 import math
 import os
@@ -173,12 +174,6 @@ def _write_rows(fh, x, rows, stride, first=0):
             rows.theta[i], rows.sigma[i], edges_to_centers(rows.pi[i])))))
 
 
-def _write_snapshots(path, grid, bundle, stride=1):
-    with open(path, "wb") as fh:
-        fh.write(_SNAPSHOT_HEADER)
-        _write_rows(fh, grid.centers(), bundle, stride)
-
-
 def _existing_dir(path):
     """The deepest directory on the way to path that exists: path itself
     when it is one."""
@@ -188,26 +183,33 @@ def _existing_dir(path):
     return path
 
 
+@contextlib.contextmanager
+def _streamed_snapshots(out, name, grid, stride):
+    """A rows callback of solver.solve that writes the snapshot CSV lines of
+    every stride-th kept row, under _SNAPSHOT_HEADER, into a temporary file.
+    The file becomes out/name, and the directory out is made, only when the
+    with block ends without an error."""
+    tmp = os.path.join(_existing_dir(out), f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(_SNAPSHOT_HEADER)
+            x = grid.centers()
+            yield lambda block: _write_rows(fh, x, block, stride, block.rows.start)
+        os.makedirs(out, exist_ok=True)
+        os.replace(tmp, os.path.join(out, name))
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _cmd_solve(args):
     cfg = cfgmod.load_config(args.config)
     spec = cfgmod.build_problem(cfg)
     require_valid("spec", spec)
     scheme = cfgmod.build_scheme(cfg)
-    # the kept rows stream into a temporary file, which becomes
-    # snapshots.csv only once the solve succeeded; --out is made only then
-    tmp = os.path.join(_existing_dir(args.out), f".snapshots.csv.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "xb") as fh:
-            fh.write(_SNAPSHOT_HEADER)
-            x = spec.grid.centers()
-            sol = solve(spec, scheme, rows=lambda block: _write_rows(
-                fh, x, block, args.stride, block.rows.start))
+    with _streamed_snapshots(args.out, "snapshots.csv", spec.grid, args.stride) as rows:
+        sol = solve(spec, scheme, rows=rows)
         rep = diagnostics(sol, spec)
-        os.makedirs(args.out, exist_ok=True)
-        os.replace(tmp, os.path.join(args.out, "snapshots.csv"))
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
     with open(os.path.join(args.out, "diagnostics.csv"), "w", encoding="utf-8") as fh:
         fh.write("quantity,value\n")
         fh.write(f"volume_residual,{rep.volume_residual:.17e}\n")
@@ -233,10 +235,8 @@ def _cmd_homogenize(args):
     study = cfgmod.read_table(cfg.get("study", {}), cfgmod.HOMOG_STUDY_KEYS, "study")
     eps_list = study.get("eps_list", [0.125]) if args.eps_list is None else args.eps_list
     oscillations = [OscillationSpec(eps=eps) for eps in eps_list]
-    hs = hmg.solve_homogenized(problem, scheme)
-    os.makedirs(args.out, exist_ok=True)
-    _write_snapshots(os.path.join(args.out, "averaged.csv"), problem.grid,
-                     hs.base, stride=args.stride)
+    with _streamed_snapshots(args.out, "averaged.csv", problem.grid, args.stride) as rows:
+        hs = hmg.solve_homogenized(problem, scheme, rows=rows)
     x = problem.grid.centers()
     kept = slice(None, None, args.stride)
     for osc in oscillations:

@@ -14,17 +14,21 @@ accumulation of sigma, no re-integration.  The remaining I_t(B^{-1} theta)
 quadrature runs over the snapshot times, so reconstruction fidelity is set by
 the snapshot spacing: keep the stride small (and a dense early window) where
 the reconstruction is compared against the solver trajectory.
+
+The averaged run is stored as a study reference: it keeps only the
+problem.DIFFERENCE_FIELDS, and I_t(B^{-1} theta) is built block by block as
+its rows arrive.  B is formed at the rows a reconstruction asks for.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .calculus import time_primitive
 from .grid import Grid, GasParams, sample_field
-from .problem import BoundaryData, ProblemSpec, require_valid
-from .solver import SchemeParams, solve
+from .problem import DIFFERENCE_FIELDS, BoundaryData, ProblemSpec, require_valid
+from .solver import SchemeParams, keep_rows, solve
 from .twoscale import homogenized_theta0, realize, xi_mean, xi_quadrature
 
 
@@ -105,11 +109,12 @@ class TwoScaleProblem:
 
 @dataclass
 class HomogSolution:
-    """Averaged-problem solve plus the pieces the reconstruction needs."""
+    """The averaged run and the kernel the reconstruction needs: `base`, its
+    SolutionBundle, stores only the problem.DIFFERENCE_FIELDS; B is formed
+    from base.it_sigma at the rows a reconstruction reads."""
 
     problem: TwoScaleProblem
     base: object                   # SolutionBundle of the averaged problem
-    B_hat: np.ndarray              # (ns, nx) exp((1/nu) I_t sigma)
     it_binv_theta: np.ndarray      # (ns, nx) I_t(B^{-1} theta)
 
     @property
@@ -117,24 +122,44 @@ class HomogSolution:
         return self.problem.grid
 
 
-def solve_homogenized(problem, scheme=SchemeParams()):
-    """Solve the averaged problem and precompute the reconstruction kernels.
-    An averaged spec that problem.validate rejects raises ValueError first."""
+def solve_homogenized(problem, scheme=SchemeParams(), rows=None):
+    """Solve the averaged problem and build the reconstruction kernel
+    I_t(B^{-1} theta) block by block as the kept rows arrive; the run is
+    stored through solver.keep_rows, its DIFFERENCE_FIELDS alone.  Each
+    RowBlock is then handed on to rows(block) when `rows` is given, so a
+    caller can write the rows no bundle keeps.  An averaged spec that
+    problem.validate rejects raises ValueError first."""
     spec = problem.averaged_spec()
     require_valid("averaged spec", spec)
-    base = solve(spec, scheme)
-    # in place, so the kernels hold one trajectory-sized temporary
-    B = np.divide(base.it_sigma, problem.gas.nu)
-    np.exp(B, out=B)
-    it_bt = time_primitive(np.divide(base.theta, B), base.times)
-    return HomogSolution(problem=problem, base=base, B_hat=B, it_binv_theta=it_bt)
+    keep, kept = keep_rows(spec, scheme, DIFFERENCE_FIELDS)
+    it_bt = np.empty_like(kept["theta"])
+    nu = problem.gas.nu
+    carry = None
+
+    def kernel(block):
+        nonlocal carry
+        keep(block)
+        # B^{-1} theta on the block's rows, with B formed in place
+        b = np.divide(block.it_sigma, nu)
+        np.exp(b, out=b)
+        np.divide(block.theta, b, out=b)
+        it_bt[block.rows] = time_primitive(b, block.times, carry)
+        carry = (block.times[-1], b[-1], it_bt[block.rows.stop - 1])
+        if rows is not None:
+            rows(block)
+
+    base = replace(solve(spec, scheme, rows=kernel), **kept)
+    return HomogSolution(problem=problem, base=base, it_binv_theta=it_bt)
 
 
 def _reconstruct(hs, e0, rows=slice(None)):
     """B * (e0 + (k/nu) I_t(B^{-1} theta)) from the initial profile e0 (nx,),
-    at the snapshot rows `rows`."""
+    at the snapshot rows `rows`, B = exp((1/nu) I_t sigma) formed in place on
+    those rows alone."""
     gas = hs.problem.gas
-    return hs.B_hat[rows] * (e0[None, :] + (gas.k / gas.nu) * hs.it_binv_theta[rows])
+    B = np.divide(hs.base.it_sigma[rows], gas.nu)
+    np.exp(B, out=B)
+    return B * (e0[None, :] + (gas.k / gas.nu) * hs.it_binv_theta[rows])
 
 
 def eta_epsilon(hs, osc, rows=slice(None)):

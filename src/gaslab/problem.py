@@ -234,6 +234,21 @@ def require_valid(name, spec):
 SNAPSHOT_FIELDS = ("eta", "u", "theta", "x_e", "sigma", "pi", "it_sigma", "it_p", "it_g")
 
 
+def _restrict_center(a):
+    return 0.5 * (a[:, 0::2] + a[:, 1::2])
+
+
+def _restrict_edge(a):
+    return a[:, ::2]
+
+
+# the snapshot fields a study member differences against its stored reference,
+# the only ones a reference keeps, each with its restriction from the (nx, nt)
+# grid to the (nx/2, nt/2) grid of the floor measurement
+DIFFERENCE_FIELDS = {"eta": _restrict_center, "u": _restrict_edge, "theta": _restrict_center,
+                     "x_e": _restrict_edge, "it_sigma": _restrict_center}
+
+
 @dataclass(frozen=True)
 class RowBlock:
     """Consecutive kept rows of a solve: `rows`, their slice of the bundle's

@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import _umath_linalg
 
+from . import dsl
 from .calculus import primitive_at_edges, time_primitive, i_bracket, mean_omega
 from .grid import du_centers, edges_to_centers, integrate_edge, integrate_center, \
     sample_field
@@ -41,8 +42,9 @@ class PositivityLoss(RuntimeError):
 
 
 class NonFiniteState(RuntimeError):
-    """A band, a right-hand side or a new state of the step that reaches t
-    holds a NaN or an infinity.  Raised at once: halving the step cannot help."""
+    """A band, a right-hand side or a new state of the step that reaches t,
+    or the beta, gamma, f or g data the stepper samples at t, holds a NaN or
+    an infinity.  Raised at once: halving the step cannot help."""
 
     def __init__(self, t, variable):
         self.t = t
@@ -214,6 +216,21 @@ class _Parts(NamedTuple):
     min_theta: float
 
 
+def _sample_data(key, at, x, times):
+    """at(x, times[:, None]), the data `key` at every one of `times` in one
+    call.  A non-finite sample raises NonFiniteState naming key and the
+    first of the times whose sample alone is non-finite."""
+    try:
+        return at(x, times[:, None])
+    except dsl.NonfiniteResult:
+        for t in times.tolist():
+            try:
+                at(x, t)
+            except dsl.NonfiniteResult:
+                raise NonFiniteState(t, key) from None
+        raise
+
+
 class _Stepper:
     """One spec's substeps.  A state is (eta, u, theta, x_e, w), its first
     three views of the packed iterate w (see _pack); each Picard sweep
@@ -294,15 +311,16 @@ class _Stepper:
     def _sample(self, times):
         """time_data records of `times`, keyed by time, from one
         BoundaryData.at call and one broadcast sample of beta and of gamma;
-        a row holds the bits the row's time alone gives."""
+        a row holds the bits the row's time alone gives.  See _sample_data
+        for a non-finite sample."""
         k = len(times)
         bc = self.bc.at(self.times, times)
         if self.has_beta:
-            beta = self.pert.beta_at(self.xc, times[:, None])
+            beta = _sample_data("beta", self.pert.beta_at, self.xc, times)
             int_beta = integrate_center(self.grid, beta)
         else:
             beta, int_beta = [self.zero_c] * k, [0.0] * k
-        gamma = self.pert.gamma_at(self.xe, times[:, None]) if self.has_gamma \
+        gamma = _sample_data("gamma", self.pert.gamma_at, self.xe, times) if self.has_gamma \
             else [self.zero_e] * k
         names = (*bc, "beta", "int_beta", "gamma")
         return {t: dict(zip(names, row))
@@ -311,13 +329,21 @@ class _Stepper:
     # -- data samples ---------------------------------------------------
 
     def g_at(self, x_e, t):
-        return sample_field(self.spec.g, x_e, self.xe, t) if self.has_g else self.zero_e
+        if not self.has_g:
+            return self.zero_e
+        try:
+            return sample_field(self.spec.g, x_e, self.xe, t)
+        except dsl.NonfiniteResult:
+            raise NonFiniteState(t, "g") from None
 
     def f_at(self, x_e, t):
         """f at the cell centers, its chi read off the edge coordinate x_e."""
         if not self.has_f:
             return self.zero_c
-        return sample_field(self.spec.f, edges_to_centers(x_e), self.xc, t)
+        try:
+            return sample_field(self.spec.f, edges_to_centers(x_e), self.xc, t)
+        except dsl.NonfiniteResult:
+            raise NonFiniteState(t, "f") from None
 
     # -- instantaneous derived fields ------------------------------------
 
@@ -574,6 +600,28 @@ def _snapshot_indices(nt, stride, dense):
     return sorted(keep)
 
 
+# the snapshot fields sampled at the nx + 1 cell edges; the others are at the
+# nx cell centers
+_EDGE_FIELDS = ("u", "x_e", "pi", "it_g")
+
+
+def keep_rows(spec, scheme, fields):
+    """(rows, kept): a rows callback of solve(spec, scheme, rows=rows) that
+    copies the snapshot fields `fields` of each block into `kept`, a dict of
+    one (kept rows, width) array per field.  The one way rows are stored: a
+    stored solve keeps every snapshot field, and a study reference only
+    problem.DIFFERENCE_FIELDS, as replace(solve(...), **kept)."""
+    g = spec.grid
+    n = len(_snapshot_indices(g.nt, scheme.store_stride, scheme.dense_steps))
+    kept = {name: np.empty((n, g.nx + (name in _EDGE_FIELDS))) for name in fields}
+
+    def rows(block):
+        for name, a in kept.items():
+            a[block.rows] = getattr(block, name)
+
+    return rows, kept
+
+
 @dataclass
 class _StepRecord:
     """What solve() carries from substep to substep: the running trapezoid
@@ -613,10 +661,11 @@ def solve(spec, scheme=SchemeParams(), rows=None):
     The kept rows (store_stride, dense_steps) are written to one buffer of
     ROW_BLOCK rows.  Each full block, and the last one, first gives the
     log-volume and stress-representation residuals of its rows, then is
-    copied into the bundle's snapshot fields, or with `rows` given is passed
-    to rows(block), a RowBlock of views of the buffer, and kept nowhere: the
-    bundle then stores no snapshot fields, only its steps, times, residual
-    rows, tracks, minima, substeps and Picard sweeps.
+    passed to rows(block), a RowBlock of views of the buffer.  Without
+    `rows`, keep_rows copies every snapshot field into the bundle; with it,
+    the block is kept nowhere, and the bundle stores no snapshot fields,
+    only its steps, times, residual rows, tracks, minima, substeps and
+    Picard sweeps.
 
     Caller is responsible for spec admissibility (see problem.validate).
     Raises PositivityLoss or NonlinearDivergence when adaptive step halving
@@ -644,15 +693,12 @@ def solve(spec, scheme=SchemeParams(), rows=None):
     tt = g.times()
     times = tt[keep]
     slot = {n: i for i, n in enumerate(keep)}
-    buf = {name: np.empty((ROW_BLOCK, g.nx + (name in ("u", "x_e", "pi", "it_g"))))
+    buf = {name: np.empty((ROW_BLOCK, g.nx + (name in _EDGE_FIELDS)))
            for name in SNAPSHOT_FIELDS}
     snap = dict.fromkeys(SNAPSHOT_FIELDS)
     if rows is None:
-        snap = {name: np.empty((len(keep), a.shape[1])) for name, a in buf.items()}
-
-        def rows(block):
-            for name in SNAPSHOT_FIELDS:
-                snap[name][block.rows] = getattr(block, name)
+        rows, kept = keep_rows(spec, scheme, SNAPSHOT_FIELDS)
+        snap.update(kept)
     # volume, kinetic and internal energy, I_t(uX - u0), I_t int(beta), work
     tracks = np.zeros((6, nt + 1))
     volume, kinetic, internal, it_bdu, it_bvol, it_work = tracks

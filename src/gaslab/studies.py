@@ -20,8 +20,8 @@ from .calculus import i_bracket, mean_omega, primitive_at_edges, time_primitive
 from .grid import Grid, du_centers, edges_to_centers, sample_field
 from .norms import (INF, ROW_BLOCK, h21star_majorant, h21star_rows, h_minus_one, space_lq,
                     time_lr, v2star_majorant, v2star_rows, w11_time_norm)
-from .problem import BoundaryData, require_valid
-from .solver import SchemeParams, solve
+from .problem import DIFFERENCE_FIELDS, BoundaryData, require_valid
+from .solver import SchemeParams, keep_rows, solve
 from .twoscale import OscillationSpec
 from . import homogenize as hmg
 
@@ -352,20 +352,6 @@ def _reduce_columns(per, times):
     return cols
 
 
-def _restrict_center(a):
-    return 0.5 * (a[:, 0::2] + a[:, 1::2])
-
-
-def _restrict_edge(a):
-    return a[:, ::2]
-
-
-# the bundle fields a study member differences, each with its restriction from
-# the (nx, nt) grid to the (nx/2, nt/2) grid of the floor measurement
-DIFFERENCE_FIELDS = {"eta": _restrict_center, "u": _restrict_edge, "theta": _restrict_center,
-                     "x_e": _restrict_edge, "it_sigma": _restrict_center}
-
-
 def _member_columns(args):
     """The study columns of one study member, the one place a member is
     solved and reduced.  solve streams the member's kept rows, and for each
@@ -511,7 +497,8 @@ def run_lipschitz_study(base_spec, perturb, delta0, levels=5, scheme=SchemeParam
     require_valid("base spec", base_spec)
     for d, pspec in zip(deltas, pspecs):
         require_valid(f"delta={d:g} spec", pspec)
-    base_sol = solve(base_spec, scheme)
+    keep, kept = keep_rows(base_spec, scheme, DIFFERENCE_FIELDS)
+    base_sol = replace(solve(base_spec, scheme, rows=keep), **kept)
     # the Delta items follow the first solve, so it starts at once, and lead
     # the members, so a spec compute_delta rejects stops the study early
     items = [compute_delta(base_spec, pspec, qe=qe) for pspec in pspecs]

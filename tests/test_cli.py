@@ -17,7 +17,8 @@ from gaslab import config as cfgmod
 from gaslab import homogenize as hmg
 from gaslab.cli import main
 from gaslab.grid import Grid, edges_to_centers
-from gaslab.norms import NAMED_NORMS
+from gaslab.norms import NAMED_NORMS, ROW_BLOCK
+from gaslab.problem import validate
 from gaslab.solver import NonFiniteState, diagnostics, solve
 from gaslab.twoscale import OscillationSpec
 
@@ -79,6 +80,16 @@ def streamed_rows_cfg():
     return cfg
 
 
+def snapshot_csv(tmp_path, grid, bundle, stride):
+    """The snapshot CSV bytes of every stride-th row of a stored bundle: the
+    header, then cli._write_rows over the whole bundle."""
+    path = tmp_path / "want.csv"
+    with open(path, "wb") as fh:
+        fh.write(cli._SNAPSHOT_HEADER)
+        cli._write_rows(fh, grid.centers(), bundle, stride)
+    return path.read_bytes()
+
+
 @pytest.mark.parametrize("stride", [1, 3, 200])
 def test_streamed_solve_writes_what_a_stored_bundle_gives(tmp_path, capsys, stride):
     cfg = streamed_rows_cfg()
@@ -91,9 +102,8 @@ def test_streamed_solve_writes_what_a_stored_bundle_gives(tmp_path, capsys, stri
     sol = solve(spec, scheme)
     assert len(sol.times) == 159
     rep = diagnostics(sol, spec)
-    want = tmp_path / "want.csv"
-    cli._write_snapshots(str(want), spec.grid, sol, stride=stride)
-    assert (out / "snapshots.csv").read_bytes() == want.read_bytes()
+    assert (out / "snapshots.csv").read_bytes() == \
+        snapshot_csv(tmp_path, spec.grid, sol, stride)
     values = [("volume_residual", rep.volume_residual), ("logvol_residual", rep.logvol_residual),
               ("stress_repr_residual", rep.stress_repr_residual),
               ("energy_residual", rep.energy_residual), ("min_eta", sol.min_eta),
@@ -274,6 +284,21 @@ def test_homogenize_writes_every_stride_th_row_of_the_reconstruction(tmp_path):
     assert (tmp_path / "o" / "eta_recon_eps_0.25.csv").read_text() == "".join(want)
 
 
+def test_homogenize_streams_what_the_stored_averaged_run_gives(tmp_path):
+    # 201 kept rows, four row blocks: averaged.csv is written as the rows
+    # arrive, every third of them, from views the next block overwrites
+    cfg = two_scale_cfg([0.25])
+    cfg["grid"]["nt"] = 200
+    assert main(["homogenize", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o"),
+                 "--stride", "3"]) == 0
+    problem = cfgmod.build_two_scale_problem(cfg)
+    stored = solve(problem.averaged_spec(), cfgmod.build_scheme(cfg))
+    assert len(stored.times) > 3 * ROW_BLOCK
+    assert (tmp_path / "o" / "averaged.csv").read_bytes() == \
+        snapshot_csv(tmp_path, problem.grid, stored, 3)
+    assert sorted(os.listdir(tmp_path / "o")) == ["averaged.csv", "eta_recon_eps_0.25.csv"]
+
+
 def test_study_homog_guard_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, two_scale_cfg([0.015625]))
     # eps_min/dx = 1 < 16: runtime error path, exit 2
@@ -345,8 +370,7 @@ def test_snapshot_rows_match_per_cell_format(tmp_path):
     bundle = SimpleNamespace(times=times, eta=fields(nx), u=fields(nx + 1),
                              theta=fields(nx), sigma=fields(nx), pi=fields(nx + 1))
     grid = Grid(X=1.0, T=0.25, nx=nx, nt=2)
-    path = tmp_path / "snapshots.csv"
-    cli._write_snapshots(str(path), grid, bundle, stride=1)
+    written = snapshot_csv(tmp_path, grid, bundle, 1)
 
     xc = grid.centers()
     want = ["t,x,eta,u,theta,sigma,pi\n"]
@@ -358,7 +382,7 @@ def test_snapshot_rows_match_per_cell_format(tmp_path):
                         f"{uc[i]:.17e},{bundle.theta[n, i]:.17e},"
                         f"{bundle.sigma[n, i]:.17e},{pic[i]:.17e}\n")
     assert "-0.00000000000000000e+00" in "".join(want)
-    assert path.read_bytes() == "".join(want).encode()
+    assert written == "".join(want).encode()
     cells = ((-0.0, -0.0, np.inf), (-0.0, 1e-310, np.nan))
     assert cli._csv_bytes(np.array(cells)) == \
         "".join(f"{a:.17e},{b:.17e},{c:.17e}\n" for a, b, c in cells).encode()
@@ -450,6 +474,26 @@ def test_failed_solve_leaves_an_existing_out_directory_as_it_was(tmp_path, monke
     assert sorted(os.listdir(tmp_path)) == ["cfg.json", "o"]
     assert os.listdir(out) == ["snapshots.csv"]
     assert (out / "snapshots.csv").read_bytes() == b"earlier run\n"
+
+
+@pytest.mark.parametrize("key", ["beta", "gamma", "f"])
+def test_data_non_finite_between_validate_probes_exits_2_naming_the_key(
+        tmp_path, capsys, key):
+    # validate probes every 31st step time and the last; the entry is
+    # infinite at t = 0.499 alone, between two probes, and so validates
+    cfg = cfgmod.load_config("configs/pulse.json")
+    cfg["domain"]["T"] = 0.5
+    cfg["grid"] = {"nx": 16, "nt": 1000}
+    entry = "1/(0.499 - t)*step(t - 0.4985)"
+    if key == "f":
+        cfg["data"]["f"] = entry + "*step(0.499 - t)"
+    else:
+        cfg["perturbation"] = {key: entry}
+    assert validate(cfgmod.build_problem(cfg)) == []
+    out = tmp_path / "o"
+    assert main(["solve", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: non-finite {key} near t=0.499\n"
+    assert not out.exists()
 
 
 def count_solves(monkeypatch):

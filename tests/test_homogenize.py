@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from gaslab.calculus import time_primitive
 from gaslab.grid import Grid, GasParams, du_centers
-from gaslab.norms import space_lq
-from gaslab.problem import BoundaryData
+from gaslab.norms import ROW_BLOCK, space_lq
+from gaslab.problem import DIFFERENCE_FIELDS, BoundaryData
 from gaslab.homogenize import (HomogSolution, TwoScaleProblem, _reconstruct,
                                eta_epsilon, solve_homogenized)
 from gaslab.solver import SchemeParams, solve
@@ -30,20 +33,27 @@ def reconstruct_at_xi(hs, xi):
     return _reconstruct(hs, hs.problem.eta0(np.full_like(xc, xi), xc))
 
 
-def beta_eps(hs, osc):
+def b_hat(sol, nu):
+    """B = exp((1/nu) I_t sigma) on the kept rows of a solve."""
+    return np.exp(sol.it_sigma / nu)
+
+
+def beta_eps(hs, osc, stored):
     """beta^(eps) = (1/nu) sigma R_eps(eta_recon) on the snapshot grid, where
     R_eps w = w^(eps) - <w>; the reconstruction is affine in eta0, so
-    R_eps(eta_recon) = B R_eps(eta0)."""
+    R_eps(eta_recon) = B R_eps(eta0).  sigma comes from `stored`, a stored
+    solve of the averaged spec, since the averaged run keeps no sigma."""
     xc = hs.grid.centers()
     r0 = (realize(hs.problem.eta0, osc, xc)
           - xi_mean(hs.problem.eta0, hs.problem.quadrature, xc))
-    return hs.base.sigma * (hs.B_hat * r0[None, :]) / hs.problem.gas.nu
+    nu = hs.problem.gas.nu
+    return stored.sigma * (b_hat(stored, nu) * r0[None, :]) / nu
 
 
-def mass_residual_eps(hs, osc):
+def mass_residual_eps(hs, osc, stored):
     """Residual of D_t eta^(eps) = Du + beta^(eps) at snapshot midpoints."""
     du = du_centers(hs.grid, hs.base.u)
-    beta = beta_eps(hs, osc)
+    beta = beta_eps(hs, osc, stored)
     dt_eta = np.diff(eta_epsilon(hs, osc), axis=0) / np.diff(hs.base.times)[:, None]
     rhs = 0.5 * (du[1:] + du[:-1]) + 0.5 * (beta[1:] + beta[:-1])
     return float(np.abs(dt_eta - rhs).max())
@@ -77,9 +87,9 @@ def test_reconstruction_with_zero_stress_kernel():
     hs = solve_homogenized(prob)
     ns = len(hs.base.times)
     theta_star = 0.7
+    # B = 1: a base whose I_t sigma is zero
     synthetic = HomogSolution(
-        problem=prob, base=hs.base,
-        B_hat=np.ones_like(hs.B_hat),
+        problem=prob, base=replace(hs.base, it_sigma=np.zeros_like(hs.base.it_sigma)),
         it_binv_theta=theta_star * hs.base.times[:, None] * np.ones((ns, prob.grid.nx)))
     xc = prob.grid.centers()
     for s in (0.2, 0.8):
@@ -91,12 +101,12 @@ def test_reconstruction_with_zero_stress_kernel():
 def test_reconstruction_with_zero_temperature_kernel():
     prob = benchmark_problem(nx=32, nt=16)
     hs = solve_homogenized(prob)
-    synthetic = HomogSolution(problem=prob, base=hs.base, B_hat=hs.B_hat,
+    synthetic = HomogSolution(problem=prob, base=hs.base,
                               it_binv_theta=np.zeros_like(hs.it_binv_theta))
     eta = reconstruct_at_xi(synthetic, 0.6)
     xc = prob.grid.centers()
     e0 = prob.eta0(np.full_like(xc, 0.6), xc)
-    assert np.abs(eta - hs.B_hat * e0[None, :]).max() < 1e-12
+    assert np.abs(eta - b_hat(hs.base, GAS.nu) * e0[None, :]).max() < 1e-12
 
 
 def test_reconstructed_mean_matches_solver_eta():
@@ -122,9 +132,33 @@ def test_closure_identity_exact():
     # sigma <eta> + k theta = nu Du holds to round-off at every snapshot
     prob = benchmark_problem(nx=128, nt=64)
     hs = solve_homogenized(prob)
+    # the averaged run keeps no sigma: it comes from a stored solve
+    sigma = solve(prob.averaged_spec()).sigma
     du = du_centers(prob.grid, hs.base.u)
-    resid = (hs.base.sigma * hs.base.eta + GAS.k * hs.base.theta - GAS.nu * du)
+    resid = (sigma * hs.base.eta + GAS.k * hs.base.theta - GAS.nu * du)
     assert np.abs(resid).max() < 1e-12
+
+
+def test_block_built_kernel_has_the_bits_of_the_whole_trajectory():
+    # 154 kept rows, three row blocks, the dense window making the snapshot
+    # spacing nonuniform: the kernel built as the rows arrive, and B formed
+    # on the rows asked for, give the bits of the whole-array forms over a
+    # stored solve
+    prob = benchmark_problem(nx=32, nt=300)
+    scheme = SchemeParams(store_stride=2, dense_steps=6)
+    hs = solve_homogenized(prob, scheme)
+    stored = solve(prob.averaged_spec(), scheme)
+    assert len(stored.times) > 2 * ROW_BLOCK
+    B_hat = b_hat(stored, GAS.nu)
+    it_bt = time_primitive(np.divide(stored.theta, B_hat), stored.times)
+    assert np.array_equal(hs.it_binv_theta, it_bt)
+    for name in DIFFERENCE_FIELDS:
+        assert np.array_equal(getattr(hs.base, name), getattr(stored, name)), name
+    osc = OscillationSpec(1.0 / 8)
+    e0 = realize(prob.eta0, osc, prob.grid.centers())
+    for rows in (slice(None), slice(50, 140), slice(None, None, 3)):
+        want = B_hat[rows] * (e0[None, :] + (GAS.k / GAS.nu) * it_bt[rows])
+        assert np.array_equal(eta_epsilon(hs, osc, rows), want)
 
 
 def test_eta_epsilon_at_t0_is_realization():
@@ -158,8 +192,10 @@ def test_mass_equation_residual_refines():
     r = []
     for nt in (64, 256):
         prob = benchmark_problem(nx=256, nt=nt)
-        hs = solve_homogenized(prob, SchemeParams(store_stride=1))
-        r.append(mass_residual_eps(hs, OscillationSpec(1.0 / 8)))
+        scheme = SchemeParams(store_stride=1)
+        hs = solve_homogenized(prob, scheme)
+        stored = solve(prob.averaged_spec(), scheme)
+        r.append(mass_residual_eps(hs, OscillationSpec(1.0 / 8), stored))
     assert r[0] / r[1] > 2.0
 
 
@@ -237,10 +273,12 @@ def test_study_with_forces_runs():
 
 def test_perturbation_fields_scale_with_eps():
     prob = benchmark_problem(nx=2048, nt=128)
-    hs = solve_homogenized(prob, SchemeParams(store_stride=8))
+    scheme = SchemeParams(store_stride=8)
+    hs = solve_homogenized(prob, scheme)
+    stored = solve(prob.averaged_spec(), scheme)
     from gaslab.calculus import primitive
     sups = []
     for eps in (1.0 / 32, 1.0 / 64):
-        ib = primitive(prob.grid, beta_eps(hs, OscillationSpec(eps)))
+        ib = primitive(prob.grid, beta_eps(hs, OscillationSpec(eps), stored))
         sups.append(np.abs(ib).max())
     assert sups[0] / sups[1] == pytest.approx(2.0, rel=0.25)

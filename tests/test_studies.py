@@ -13,7 +13,8 @@ from gaslab.calculus import i_bracket, mean_omega, primitive_at_edges, time_prim
 from gaslab.grid import Grid, GasParams, du_centers, edges_to_centers, sample_field
 from gaslab.norms import (INF, NAMED_NORMS, ROW_BLOCK, V2STAR_PAIRS, h_minus_one, space_lq,
                           time_lr, w11_time_norm)
-from gaslab.problem import ACTIVE_BC, BoundaryData, PerturbationSpec, ProblemSpec
+from gaslab.problem import (SNAPSHOT_FIELDS, ACTIVE_BC, BoundaryData, PerturbationSpec,
+                            ProblemSpec)
 from gaslab.solver import SchemeParams, _snapshot_indices, solve
 from gaslab.twoscale import OscillationSpec
 from gaslab.studies import (ConvergenceTable, DegenerateFit, IncompatibleSpecs,
@@ -816,9 +817,10 @@ def test_blocked_measure_floor_matches_whole_array_pairing(monkeypatch, m, layou
 
 
 def record_solves(monkeypatch, path):
-    """Patch studies.solve to append "stream" or "store" to the file `path`
-    per call, whether or not it was given `rows`; a file, so that the solves
-    of forked worker processes are recorded too."""
+    """Patch the solve that studies and homogenize call to append "stream"
+    or "store" to the file `path` per call, whether or not it was given
+    `rows`; a file, so that the solves of forked worker processes are
+    recorded too."""
     real = studies.solve
 
     def recording(spec, scheme, rows=None):
@@ -826,28 +828,50 @@ def record_solves(monkeypatch, path):
             fh.write("store\n" if rows is None else "stream\n")
         return real(spec, scheme, rows)
 
-    monkeypatch.setattr(studies, "solve", recording)
+    for module in (studies, hmg):
+        monkeypatch.setattr(module, "solve", recording)
     return lambda: path.read_text().split()
 
 
-def test_every_study_solve_streams_but_the_stored_reference(tmp_path, monkeypatch):
+def kept_fields(bundle):
+    """The snapshot fields a bundle stores."""
+    return {name for name in SNAPSHOT_FIELDS if getattr(bundle, name) is not None}
+
+
+def test_every_study_solve_streams_and_references_keep_the_difference_fields(
+        tmp_path, monkeypatch):
     cfg = cfgmod.load_config("configs/lipschitz_benchmark.json")
     cfg["problem"]["grid"] = {"nx": 32, "nt": 40}
     base = cfgmod.build_problem(cfg["problem"])
     patterns = cfg["study"]["patterns"]
+    refs = []
+    record_calls(monkeypatch, refs, "_minus_stored", lambda ref, block: ref)
     calls = record_solves(monkeypatch, tmp_path / "lipschitz")
     run_lipschitz_study(base, cfgmod.read_patterns(base, patterns),
                         0.1, levels=4, scheme=SchemeParams(store_stride=2))
-    assert calls() == ["store"] + 4 * ["stream"]
+    # the base run streams into the one reference every member reads
+    assert calls() == 5 * ["stream"]
+    assert refs and all(ref is refs[0] for ref in refs)
+    assert kept_fields(refs[0]) == set(studies.DIFFERENCE_FIELDS)
 
-    # the averaged run is stored, through homogenize.solve; the floor's
-    # coarse run and every eps run stream
+    # the averaged run, the floor's coarse run and every eps run stream; the
+    # averaged run is the reference
+    real, solved = hmg.solve_homogenized, []
+
+    def recording(*args):
+        solved.append(real(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(hmg, "solve_homogenized", recording)
     prob = picklable_two_scale_problem()
     eps = [0.5, 0.25, 0.125, 0.0625]
     for jobs in (1, 2):
+        solved.clear()
         calls = record_solves(monkeypatch, tmp_path / f"homog{jobs}")
         run_homog_study(prob, eps, scheme=SchemeParams(store_stride=4), jobs=jobs)
-        assert calls() == 5 * ["stream"]
+        assert calls() == 6 * ["stream"]
+        assert len(solved) == 1
+        assert kept_fields(solved[0].base) == set(studies.DIFFERENCE_FIELDS)
 
 
 def record_calls(monkeypatch, events, name, note):
