@@ -13,7 +13,7 @@ from gaslab.calculus import i_bracket, mean_omega, primitive_at_edges, time_prim
 from gaslab.grid import Grid, GasParams, du_centers, edges_to_centers, sample_field
 from gaslab.norms import (INF, NAMED_NORMS, ROW_BLOCK, V2STAR_PAIRS, h_minus_one, space_lq,
                           time_lr, w11_time_norm)
-from gaslab.problem import (SNAPSHOT_FIELDS, ACTIVE_BC, BoundaryData, PerturbationSpec,
+from gaslab.problem import (ACTIVE_BC, SNAPSHOT_FIELDS, BoundaryData, PerturbationSpec,
                             ProblemSpec)
 from gaslab.solver import SchemeParams, _snapshot_indices, solve
 from gaslab.twoscale import OscillationSpec
